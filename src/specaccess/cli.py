@@ -47,8 +47,6 @@ from .simulator import (
     sweep_gamma,
 )
 
-log = logging.getLogger("specaccess")
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -164,7 +162,9 @@ def _solve_routine(cfg: ExperimentConfig):
     if cls.directed_acyclic:
         return "dag", construct_ne_dag(spec)
     if cls.directed_forest:
-        return "directed_tree", construct_ne_directed_tree(spec, cfg.solver.recursion_budget)
+        return "directed_tree", construct_ne_directed_tree(
+            spec, cfg.solver.recursion_budget, enumeration_cap=cfg.solver.enumeration_cap
+        )
     if (cls.complete_bipartite or cls.regular_bipartite) and isinstance(spec.mechanism, RandomBackoff):
         try:
             return "bipartite", construct_ne_bipartite(spec)

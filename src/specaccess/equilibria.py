@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import logging
 from collections import deque
-from dataclasses import dataclass
 
 from .contention import RandomBackoff, backoff_success_probability, satisfies_congestion_property
 from .errors import PreconditionError
@@ -58,11 +57,6 @@ def construct_ne_dag(spec: SpectrumGame, verify: bool = True) -> Profile:
     return _verify(spec, a, "construct_ne_dag") if verify else a
 
 
-@dataclass
-class _TreeState:
-    solves: int = 0
-
-
 class _BudgetExceeded(Exception):
     pass
 
@@ -71,6 +65,7 @@ def construct_ne_directed_tree(
     spec: SpectrumGame,
     recursion_budget: int = 10_000,
     verify: bool = True,
+    enumeration_cap: int = 10**7,
 ) -> Profile:
     """Pure NE on a directed tree or forest under the congestion property.
 
@@ -79,7 +74,8 @@ def construct_ne_directed_tree(
     interferer; if it lands on the channel of a node it interferes with, the
     placed prefix is re-solved with that node's payoff carrying the newcomer
     as a phantom contender on the conflicted channel. Exceeding the recursion
-    budget falls back to exhaustive enumeration (logged).
+    budget falls back to exhaustive enumeration (logged), which raises
+    ResourceLimitError beyond ``enumeration_cap`` profiles.
     """
     cls = classify(spec.graph)
     if not cls.directed_forest:
@@ -91,7 +87,7 @@ def construct_ne_directed_tree(
             )
 
     sequence, parent = _forest_addition_order(spec)
-    state = _TreeState()
+    solves = 0
     edges = spec.graph.edges
 
     def best_response(v: int, prefix: dict[int, int], mods: dict[tuple[int, int], frozenset[int]]) -> int:
@@ -106,8 +102,9 @@ def construct_ne_directed_tree(
         return _best_channel(spec, v, contenders)
 
     def solve(k: int, mods: dict[tuple[int, int], frozenset[int]]) -> dict[int, int]:
-        state.solves += 1
-        if state.solves > recursion_budget:
+        nonlocal solves
+        solves += 1
+        if solves > recursion_budget:
             raise _BudgetExceeded
         if k == 0:
             return {}
@@ -133,7 +130,7 @@ def construct_ne_directed_tree(
             "tree construction exceeded its recursion budget (%d solves); "
             "falling back to exhaustive enumeration", recursion_budget,
         )
-        ne = enumerate_pure_ne(spec)
+        ne = enumerate_pure_ne(spec, cap=enumeration_cap)
         if not ne:
             raise RuntimeError("enumeration fallback found no pure NE on a CP forest instance")
         a = ne[0]

@@ -11,7 +11,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Protocol, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
@@ -139,6 +140,30 @@ class SpectrumGame:
             return 0.0
         return base * self.grab(n, self.co_channel_in_neighbors(a, n))
 
+    @cached_property
+    def _grab_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(table, weight, offset) for profile scans, built once per game.
+
+        User n's contender key is offset[n-1] plus weight[n-1, i-1] for each
+        in-neighbour i on its channel: bit j for its j-th in-neighbour, or 1
+        where the count alone fixes g (the backoff mechanisms, and one channel,
+        where every in-neighbour always contends). table[key] is
+        grab_probability of the sorted contender tuple.
+        """
+        count_only = self.n_channels == 1 or isinstance(self.mechanism, (RandomBackoff, AsymptoticBackoff))
+        weight = np.zeros((self.n_users, self.n_users), dtype=np.int64)
+        offset = np.zeros(self.n_users, dtype=np.int64)
+        table: list[float] = []
+        for n in range(1, self.n_users + 1):
+            nbrs = sorted(self.graph.in_neighbors(n))
+            offset[n - 1] = len(table)
+            weight[n - 1, [i - 1 for i in nbrs]] = [1 if count_only else 1 << j for j in range(len(nbrs))]
+            subsets = [nbrs[:c] for c in range(len(nbrs) + 1)] if count_only else [
+                [i for j, i in enumerate(nbrs) if mask >> j & 1] for mask in range(1 << len(nbrs))
+            ]
+            table += [grab_probability(self.mechanism, n, tuple(c)) for c in subsets]
+        return np.array(table), weight, offset
+
 
 def payoff_pure(spec: SpectrumGame, a: Profile, n: int) -> float:
     """Long-run average throughput of user n under pure profile a."""
@@ -230,44 +255,6 @@ class NeCheck(NamedTuple):
     witness: DeviationWitness | None
 
 
-class _FastEvaluator:
-    """Memoised payoff evaluation for exhaustive profile scans.
-
-    Semantically identical to SpectrumGame.payoff; grabbing probabilities are
-    cached per (user, contender-set) - per contender count for the two
-    count-only mechanisms.
-    """
-
-    def __init__(self, spec: SpectrumGame):
-        self.spec = spec
-        self.value = [
-            [spec.idle_prob[m - 1] * spec.effective_rate(n, m) for m in range(1, spec.n_channels + 1)]
-            for n in range(1, spec.n_users + 1)
-        ]
-        self.in_nbrs = [tuple(sorted(spec.graph.in_neighbors(n))) for n in range(1, spec.n_users + 1)]
-        self.count_only = isinstance(spec.mechanism, (RandomBackoff, AsymptoticBackoff))
-        self._g: dict = {}
-
-    def payoff(self, a: Profile, n: int) -> float:
-        ch = a[n - 1]
-        base = self.value[n - 1][ch - 1]
-        if base == 0.0:
-            return 0.0
-        contenders = tuple(i for i in self.in_nbrs[n - 1] if a[i - 1] == ch)
-        key = (n, len(contenders)) if self.count_only else (n, contenders)
-        g = self._g.get(key)
-        if g is None:
-            g = grab_probability(self.spec.mechanism, n, contenders)
-            self._g[key] = g
-        return base * g
-
-
-def _evaluator_for(game: GameLike):
-    if isinstance(game, SpectrumGame):
-        return _FastEvaluator(game)
-    return game
-
-
 def is_pure_ne(game: GameLike, a: Profile, tol: float = IMPROVEMENT_RTOL) -> NeCheck:
     """True iff no user has a strictly improving unilateral channel move."""
     _check_profile(game, a)
@@ -283,29 +270,64 @@ def is_pure_ne(game: GameLike, a: Profile, tol: float = IMPROVEMENT_RTOL) -> NeC
     return NeCheck(True, None)
 
 
-def _is_ne_with(ev, game: GameLike, a: Profile, tol: float) -> NeCheck:
-    for n in range(1, game.n_users + 1):
-        u0 = ev.payoff(a, n)
-        for m in range(1, game.n_channels + 1):
-            if m == a[n - 1]:
-                continue
-            u1 = ev.payoff(a[: n - 1] + (m,) + a[n:], n)
-            if strictly_better(u1, u0, tol):
-                return NeCheck(False, DeviationWitness(n, m, u1 - u0))
-    return NeCheck(True, None)
+def enumerate_pure_ne(spec: SpectrumGame, cap: int = 10**7, tol: float = IMPROVEMENT_RTOL) -> list[Profile]:
+    """All pure Nash equilibria, in lexicographic profile order.
+
+    Scans the M^N profiles in blocks of about SCAN_BLOCK = 512, at roughly a
+    million profiles per second. Memory is a few (block, N, M) arrays plus the
+    game's grab table of sum_n 2^|in(n)| floats (|in(n)| + 1 under the backoff
+    mechanisms or with one channel), built once and kept with the game.
+    """
+    return [tuple(a) for block in _scan(spec, tol, cap) for a in block.profiles[block.is_ne].tolist()]
 
 
-def enumerate_pure_ne(game: GameLike, cap: int = 10**7, tol: float = IMPROVEMENT_RTOL) -> list[Profile]:
-    """All pure Nash equilibria, in lexicographic profile order."""
-    total = game.n_channels ** game.n_users
-    if total > cap:
-        raise ResourceLimitError(f"{total} profiles exceed the enumeration cap {cap}")
-    ev = _evaluator_for(game)
-    out: list[Profile] = []
-    for a in itertools.product(range(1, game.n_channels + 1), repeat=game.n_users):
-        if _is_ne_with(ev, game, a, tol).is_ne:
-            out.append(a)
-    return out
+SCAN_BLOCK = 512
+
+
+class _ScanBlock(NamedTuple):
+    profiles: np.ndarray         # (K, N) 1-based channels
+    payoffs: np.ndarray          # (K, N, M) user n's payoff after moving to channel m
+    welfare: np.ndarray          # (K,)
+    is_ne: np.ndarray            # (K,)
+    witness: np.ndarray          # (K, 2) user, channel of the first strictly improving
+    gain: np.ndarray             # (K,) move and its gain; meaningless where is_ne
+
+
+def _scan(spec: SpectrumGame, tol: float, cap: int) -> Iterator[_ScanBlock]:
+    """Every pure profile in lexicographic order, in blocks where the first
+    N - L users stay fixed and the last L cycle through all M^L <= SCAN_BLOCK
+    channel combinations. Welfare is summed over users left to right and the
+    NE test is strictly_better on every unilateral move, as in welfare and
+    is_pure_ne; g comes from the sorted contender tuple (see _grab_table).
+    """
+    n_users, m = spec.n_users, spec.n_channels
+    if m ** n_users > cap:
+        raise ResourceLimitError(f"{m ** n_users} profiles exceed the enumeration cap {cap}")
+    table, weight, offset = spec._grab_table
+    value = np.asarray(spec.idle_prob) * (np.asarray(spec.gain)[:, None] * np.asarray(spec.mean_rate))
+    tail = max(t for t in range(1, n_users + 1) if t == 1 or m ** t <= SCAN_BLOCK)
+    head = n_users - tail
+    cycling = np.array(list(itertools.product(range(m), repeat=tail)))
+    k, channels, rows = len(cycling), np.arange(m), np.arange(len(cycling))
+    tail_key = offset[:, None] + sum(weight[:, head + j, None] * (cycling[:, j, None, None] == channels)
+                                     for j in range(tail))
+    profiles = np.empty((k, n_users), dtype=np.int64)
+    profiles[:, head:] = cycling
+    own_at = rows[:, None] * (n_users * m) + np.arange(n_users) * m
+    for fixed in itertools.product(range(m), repeat=head):
+        profiles[:, :head] = fixed
+        key = tail_key + (weight[:, :head, None] * (profiles[0, :head, None] == channels)).sum(axis=1)
+        payoffs = value * table[key]
+        own = payoffs.take(own_at + profiles)[:, :, None]
+        welfare = own[:, 0, 0].copy()
+        for n in range(1, n_users):
+            welfare += own[:, n, 0]
+        # payoffs are non-negative, so strictly_better's abs() is the identity
+        improving = (payoffs - own > tol * np.maximum(np.maximum(payoffs, own), 1.0)).reshape(k, -1)
+        first = improving.argmax(axis=1)
+        user = first // m
+        yield _ScanBlock(profiles + 1, payoffs, welfare, ~improving.any(axis=1), np.stack((user, first % m), 1) + 1,
+                         payoffs.reshape(k, -1)[rows, first] - own[rows, user, 0])
 
 
 @dataclass
@@ -468,22 +490,6 @@ def neighborhood_expected_payoff(
     return spec.idle_prob[m - 1] * spec.effective_rate(n, m) * eg
 
 
-def neighborhood_expected_payoff_mc(
-    spec: SpectrumGame,
-    sigma: np.ndarray,
-    n: int,
-    m: int,
-    samples: int,
-    rng: np.random.Generator,
-) -> tuple[float, float]:
-    """Monte-Carlo Q_m^n with standard error, for oversized neighbourhoods."""
-    sigma = check_mixed_profile(spec, sigma)
-    membership = {i: float(sigma[i - 1, m - 1]) for i in spec.graph.in_neighbors(n)}
-    mean, se = expected_grab_mc(spec.mechanism, n, membership, samples, rng)
-    scale = spec.idle_prob[m - 1] * spec.effective_rate(n, m)
-    return scale * mean, scale * se
-
-
 def payoff_mixed(
     spec: SpectrumGame,
     sigma: np.ndarray,
@@ -563,36 +569,29 @@ def social_welfare_and_poa(
 ) -> PoaReport:
     """Exhaustive welfare optimum, worst pure NE, and their ratio.
 
+    One scan as in enumerate_pure_ne (lexicographic order, blocks of about
+    512 profiles, same memory bound); the first profile wins welfare ties.
     Raises RuntimeError if the computed PoA falls below the structural lower
     bound by more than 1e-9 (which would indicate an implementation bug for
     congestion-property mechanisms).
     """
-    total = spec.n_channels ** spec.n_users
-    if total > cap:
-        raise ResourceLimitError(f"{total} profiles exceed the enumeration cap {cap}")
-    ev = _evaluator_for(spec)
-    best_w = -math.inf
-    best_a: Profile | None = None
+    best_w, best_a = -math.inf, None
     ne: list[Profile] = []
     certificate: list[tuple[Profile, DeviationWitness]] = []
-    for a in itertools.product(range(1, spec.n_channels + 1), repeat=spec.n_users):
-        w = sum(ev.payoff(a, n) for n in range(1, spec.n_users + 1))
-        if w > best_w:
-            best_w, best_a = w, a
-        check = _is_ne_with(ev, spec, a, IMPROVEMENT_RTOL)
-        if check.is_ne:
-            ne.append(a)
-        elif not ne and len(certificate) < certificate_limit:
-            certificate.append((a, check.witness))
+    for block in _scan(spec, IMPROVEMENT_RTOL, cap):
+        k = int(block.welfare.argmax())
+        if block.welfare[k] > best_w:
+            best_w, best_a = float(block.welfare[k]), tuple(block.profiles[k].tolist())
+        ne += map(tuple, block.profiles[block.is_ne].tolist())
+        # the certificate is reported only when no profile is an NE, and then
+        # every profile has a witness
+        room = max(0, certificate_limit - len(certificate))
+        certificate += [(tuple(a), DeviationWitness(u, c, g)) for a, (u, c), g in zip(
+            block.profiles[:room].tolist(), block.witness[:room].tolist(), block.gain[:room].tolist())]
     bound = poa_lower_bound(spec)
     if not ne:
         return PoaReport(best_w, best_a, [], None, None, None, bound, certificate)
-    worst_w = math.inf
-    worst_a: Profile | None = None
-    for a in ne:
-        w = welfare(spec, a)
-        if w < worst_w:
-            worst_w, worst_a = w, a
+    worst_w, worst_a = min((welfare(spec, a), a) for a in ne)  # ne is sorted: first wins ties
     poa = worst_w / best_w if best_w > 0 else 1.0
     if poa < bound - 1e-9:
         raise RuntimeError(

@@ -192,6 +192,21 @@ def test_cli_solve_reports_no_ne(tmp_path, capsys):
     assert "no pure Nash equilibrium" in out
 
 
+def test_cli_solve_tree_fallback_honours_enumeration_cap(tmp_path, capsys):
+    # a forest that is not a DAG; a budget of one solve forces the
+    # enumeration fallback, which must respect the configured cap (8 > 4)
+    doc = _minimal_doc()
+    doc["scenario"].update({
+        "graph": {"n_users": 3, "edges": [[1, 2], [2, 1], [2, 3]]},
+        "channels": [{"kind": "bernoulli", "theta": 0.5}, {"kind": "bernoulli", "theta": 0.4}],
+        "rates": {"kind": "fixed", "mean": [[4.0, 3.0]] * 3},
+    })
+    doc["solver"] = {"recursion_budget": 1, "enumeration_cap": 4}
+    rc = cli_main(["solve", str(_write(tmp_path, doc)), "--out", str(tmp_path)])
+    assert rc == 1
+    assert "exceed the enumeration cap 4" in capsys.readouterr().err
+
+
 def test_cli_poa_artifact(tmp_path, capsys):
     rc = cli_main(["poa", str(CONFIGS / "dag_chain.json"), "--out", str(tmp_path)])
     assert rc == 0

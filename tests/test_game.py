@@ -9,7 +9,7 @@ from specaccess.errors import ResourceLimitError
 from specaccess.game import (
     PhysicalGame,
     SpectrumGame,
-    _FastEvaluator,
+    _scan,
     better_response_dynamics,
     enumerate_pure_ne,
     expected_grab,
@@ -20,6 +20,7 @@ from specaccess.game import (
     payoff_physical,
     payoff_pure,
     social_welfare_and_poa,
+    welfare,
 )
 
 
@@ -215,15 +216,68 @@ def test_rate_scaling_invariance():
         assert is_pure_ne(s1, a).is_ne == is_pure_ne(s2, a).is_ne
 
 
-def test_fast_evaluator_matches_payoff():
+def _assert_scan_matches_brute_force(spec):
+    """The block scan against the profile-at-a-time reference. Exact for
+    N < 8, where a contender frozenset iterates in sorted order."""
+    profiles = list(itertools.product(range(1, spec.n_channels + 1), repeat=spec.n_users))
+    checks = [is_pure_ne(spec, a) for a in profiles]
+    welfares = [welfare(spec, a) for a in profiles]
+    best = max(range(len(profiles)), key=welfares.__getitem__)  # first profile wins ties
+    ne = [a for a, c in zip(profiles, checks) if c.is_ne]
+    assert enumerate_pure_ne(spec) == ne
+    rep = social_welfare_and_poa(spec)
+    assert rep.pure_ne == ne
+    assert rep.optimal_profile == profiles[best] and rep.optimal_welfare == welfares[best]
+    blocks = list(_scan(spec, 1e-12, 10**7))
+    assert [tuple(a) for b in blocks for a in b.profiles.tolist()] == profiles
+    first = blocks[0]
+    for k, (a, check) in enumerate(zip(profiles[:64], checks)):
+        for n in range(1, spec.n_users + 1):
+            for m in range(1, spec.n_channels + 1):
+                moved = a[: n - 1] + (m,) + a[n:]
+                assert first.payoffs[k, n - 1, m - 1] == spec.payoff(moved, n)
+        assert bool(first.is_ne[k]) == check.is_ne
+        if not check.is_ne:
+            assert (*first.witness[k].tolist(), first.gain[k]) == check.witness
+    if not ne:
+        assert rep.no_ne_certificate == [(a, c.witness) for a, c in zip(profiles[:64], checks)]
+
+
+def test_scan_matches_brute_force():
     rng = np.random.default_rng(2)
-    for kind in ("backoff", "aloha", "weighted", "asymptotic"):
-        spec = random_game(rng, random_directed_graph(rng, 5, 0.5), 3, kind)
-        ev = _FastEvaluator(spec)
-        for _ in range(50):
-            a = tuple(int(c) for c in rng.integers(1, 4, size=5))
-            n = int(rng.integers(1, 6))
-            assert ev.payoff(a, n) == pytest.approx(spec.payoff(a, n), abs=1e-15)
+    for trial in range(24):
+        kind = ("backoff", "aloha", "weighted", "asymptotic")[trial % 4]
+        n, m = int(rng.integers(2, 6)), int(rng.integers(2, 4))
+        _assert_scan_matches_brute_force(random_game(rng, random_directed_graph(rng, n, 0.5), m, kind))
+    for p in (0.3, 0.5):  # no pure NE: the certificate path
+        _assert_scan_matches_brute_force(cycle3_game(p))
+
+
+@pytest.mark.parametrize("n, m, zero_theta", [(1, 1, False), (1, 3, False), (4, 1, False), (3, 3, True), (7, 3, False)])
+def test_scan_edge_cases(n, m, zero_theta):
+    # one profile; one user; a channel whose payoff base is 0; more profiles
+    # than one block holds (3^7 > 512)
+    rng = np.random.default_rng(n * 10 + m)
+    for kind in ("backoff", "weighted"):
+        spec = random_game(rng, random_directed_graph(rng, n, 0.6), m, kind)
+        if zero_theta:
+            spec = SpectrumGame.create(spec.graph, (0.0,) + spec.idle_prob[1:], spec.mean_rate, spec.mechanism, spec.gain)
+        _assert_scan_matches_brute_force(spec)
+
+
+def test_single_channel_scan_stays_small():
+    # one profile: the grab table holds one entry per contender count, not
+    # 2^69 per user, and 70 cycling users exceed numpy's 64 dimensions
+    n = 70
+    spec = SpectrumGame.create(complete_undirected_graph(n), [0.5], [[1.0]] * n, sa.WeightedShare((1.0,) * n))
+    assert enumerate_pure_ne(spec) == [(1,) * n]
+    assert social_welfare_and_poa(spec).poa == 1.0
+    assert spec._grab_table[0].size == n * n
+
+
+def test_poa_enumeration_cap():
+    with pytest.raises(ResourceLimitError):
+        social_welfare_and_poa(cycle3_game(), cap=7)
 
 
 # --- physical interference ---------------------------------------------------
