@@ -79,7 +79,6 @@ from .simulator import (
     compare_policies,
     run_policy,
     simulate_period,
-    simulate_slot,
     sweep_gamma,
 )
 

@@ -394,14 +394,14 @@ def _build_mechanism(d: dict, n_users: int):
     return SlottedAloha(tuple(d["probs"]))
 
 
-def _build_policy(d: dict, learning: LearningSettings) -> Policy:
+def _build_policy(d: dict, learning: LearningSettings, solver: SolverSettings) -> Policy:
     kind = d["kind"]
     if kind == "random_access":
         return RandomAccessPolicy()
     if kind == "fixed_profile":
         return FixedProfilePolicy(tuple(d["profile"]))
     if kind == "dynamic_stage_game":
-        return DynamicStageGamePolicy(restarts=d.get("restarts", 10))
+        return DynamicStageGamePolicy(restarts=d.get("restarts", 10), max_rounds=solver.max_rounds)
     return LearningPolicy(
         gamma=float(d.get("gamma", learning.gamma)),
         payoff_scale=learning.payoff_scale,
@@ -449,7 +449,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     output = OutputSettings(**resolved["output"])
 
     policies = [
-        _build_policy(p, learning) for p in resolved.get("compare", {}).get("policies", [])
+        _build_policy(p, learning, solver) for p in resolved.get("compare", {}).get("policies", [])
     ]
     for p in policies:
         if isinstance(p, FixedProfilePolicy):

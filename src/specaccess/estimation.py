@@ -33,7 +33,7 @@ class ObservationSet:
         b = np.asarray(self.b, dtype=float)
         if not (S.ndim == I.ndim == b.ndim == 1 and len(S) == len(I) == len(b) >= 1):
             raise ValueError("S, I, b must be 1-D sequences of equal positive length")
-        if not (np.isin(S, (0, 1)).all() and np.isin(I, (0, 1)).all()):
+        if not (((S == 0) | (S == 1)).all() and ((I == 0) | (I == 1)).all()):
             raise ValueError("S and I must be binary")
         if np.any(I > S):
             raise ValueError("a channel cannot be grabbed while busy (I <= S violated)")

@@ -549,7 +549,8 @@ class PoaReport:
 
 
 def poa_lower_bound(spec: SpectrumGame) -> float:
-    """min_n V_n g_n(N_n) / max_n V_n, the structural worst-case guarantee.
+    """min_n V_n g_n(N_n) / max_n V_n, the structural worst-case guarantee
+    (1.0 when every V_n is 0, as the PoA of a game without welfare is).
 
     Valid whenever the mechanism satisfies the congestion property (all four
     built-in mechanisms do).
@@ -559,7 +560,8 @@ def poa_lower_bound(spec: SpectrumGame) -> float:
         values[n - 1] * spec.grab(n, spec.graph.in_neighbors(n))
         for n in range(1, spec.n_users + 1)
     ]
-    return min(floors) / max(values)
+    top = max(values)
+    return min(floors) / top if top > 0 else 1.0
 
 
 def social_welfare_and_poa(

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -103,6 +104,18 @@ class Scenario:
     def initial_channel_state(self, rng: np.random.Generator) -> tuple[int, ...]:
         return tuple(sample_initial_state(c, rng) for c in self.channel_models)
 
+    @cached_property
+    def _in_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """(idx, valid), both (N, d_max): row u holds user u+1's in-neighbours
+        as 0-based columns, padded with column 0 where valid is False."""
+        nbrs = [sorted(self.game.graph.in_neighbors(u)) for u in range(1, self.game.n_users + 1)]
+        idx = np.zeros((len(nbrs), max(map(len, nbrs))), dtype=np.int64)
+        valid = np.zeros(idx.shape, dtype=bool)
+        for u, row in enumerate(nbrs):
+            idx[u, : len(row)] = [i - 1 for i in row]
+            valid[u, : len(row)] = True
+        return idx, valid
+
 
 def _channel_states(
     models: Sequence[ChannelModel],
@@ -164,32 +177,20 @@ def _rate_draws(scenario: Scenario, streams: SimStreams, t: int) -> np.ndarray:
 
 def _success_matrix(
     scenario: Scenario,
-    a: Profile,
+    ch: np.ndarray,
     s_user: np.ndarray,
     draws: np.ndarray,
 ) -> np.ndarray:
-    mech = scenario.game.mechanism
-    graph = scenario.game.graph
-    t, n = s_user.shape
-    succ = np.zeros((t, n), dtype=bool)
-    aloha = isinstance(mech, SlottedAloha)
-    for u in range(1, n + 1):
-        idle = s_user[:, u - 1] == 1
-        nbrs = [i for i in graph.in_neighbors(u) if a[i - 1] == a[u - 1]]
-        if aloha:
-            mine = draws[:, u - 1] == 1.0
-            if nbrs:
-                others = draws[:, [i - 1 for i in nbrs]] == 1.0
-                succ[:, u - 1] = idle & mine & ~others.any(axis=1)
-            else:
-                succ[:, u - 1] = idle & mine
-        else:
-            if nbrs:
-                nbr_min = draws[:, [i - 1 for i in nbrs]].min(axis=1)
-                succ[:, u - 1] = idle & (draws[:, u - 1] < nbr_min)
-            else:
-                succ[:, u - 1] = idle
-    return succ
+    """Grab indicators, (t, N), for per-slot channels ch (t, N). A user wins an
+    idle slot when its draw beats every co-channel in-neighbour's (backoff
+    family), or when it alone among them transmits (Aloha)."""
+    idx, valid = scenario._in_index
+    co = valid & (ch[:, idx] == ch[:, :, None])
+    nbr = draws[:, idx]
+    idle = s_user == 1
+    if isinstance(scenario.game.mechanism, SlottedAloha):
+        return idle & (draws == 1.0) & ~(co & (nbr == 1.0)).any(axis=2)
+    return idle & (draws < np.min(nbr, axis=2, where=co, initial=np.inf))
 
 
 def _realise_rates(
@@ -236,22 +237,10 @@ def _simulate_block(
     s_user = states[:, a_idx]
     draws = _contention_draws(scenario, streams, t)
     fading = _rate_draws(scenario, streams, t)
-    succ = _success_matrix(scenario, a, s_user, draws)
-    ch_mat = np.broadcast_to(a_idx + 1, (t, len(a)))
-    b = _realise_rates(scenario, ch_mat, succ, fading)
+    ch = np.broadcast_to(a_idx + 1, (t, len(a)))
+    succ = _success_matrix(scenario, ch, s_user, draws)
+    b = _realise_rates(scenario, ch, succ, fading)
     return s_user.astype(np.int8), succ.astype(np.int8), b, final
-
-
-def simulate_slot(
-    scenario: Scenario,
-    a: Profile,
-    state: Sequence[int],
-    streams: SimStreams,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]:
-    """One slot: sensing, contention, transmission. Returns per-user
-    (S, I, b) vectors and the advanced channel state."""
-    s, i, b, final = _simulate_block(scenario, a, state, streams, 1)
-    return s[0], i[0], b[0], final
 
 
 def simulate_period(
@@ -318,7 +307,8 @@ class LearningPolicy:
 class DynamicStageGamePolicy:
     """Benchmark with global per-slot channel-state knowledge: each slot is
     played at a stage-game profile solved with theta replaced by the realised
-    states (solutions memoised per state vector)."""
+    states. Solutions are memoised per state vector and new state vectors are
+    solved in slot order; the slots of a period are then resolved together."""
 
     restarts: int = 10
     max_rounds: int = 200
@@ -399,8 +389,8 @@ def run_policy(scenario: Scenario, policy: Policy, seed) -> PolicyResult:
             a = policy.profile
         else:
             raise TypeError(f"unknown policy {policy!r}")
-        obs, state = simulate_period(scenario, a, state, streams)
-        per_user = np.array([o.b.sum() / t_max for o in obs])
+        _, _, b, state = _simulate_block(scenario, a, state, streams, t_max)
+        per_user = np.array([b[:, u].sum() / t_max for u in range(n)])
         user_totals += per_user
         welfare_trace[t] = per_user.sum()
     return PolicyResult(policy.label(), welfare_trace, user_totals / periods, float(welfare_trace.mean()))
@@ -418,30 +408,26 @@ def _per_user_from_channels(scenario: Scenario, outcome: LearningOutcome) -> np.
 
 def _run_dynamic(scenario: Scenario, policy: DynamicStageGamePolicy, streams: SimStreams) -> PolicyResult:
     game = scenario.game
-    n, m = game.n_users, game.n_channels
     periods, t_max = scenario.periods, scenario.t_max
     memo: dict[tuple[int, ...], Profile] = {}
     state = scenario.initial_channel_state(streams.channels)
     welfare_trace = np.zeros(periods)
-    user_totals = np.zeros(n)
+    user_totals = np.zeros(game.n_users)
 
     for t in range(periods):
         states, state = _channel_states(scenario.channel_models, state, t_max, streams.channels)
         draws = _contention_draws(scenario, streams, t_max)
         fading = _rate_draws(scenario, streams, t_max)
-        b_total = np.zeros(n)
-        for slot in range(t_max):
-            key = tuple(int(x) for x in states[slot])
+        profiles = []
+        for key in map(tuple, states.tolist()):  # slot order: new states are solved as first seen
             prof = memo.get(key)
             if prof is None:
-                prof = _solve_stage(game, key, streams.policy, policy)
-                memo[key] = prof
-            s_user = states[slot][np.array(prof) - 1][None, :]
-            succ = _success_matrix(scenario, prof, s_user, draws[slot][None, :])
-            ch = np.array(prof)[None, :]
-            b = _realise_rates(scenario, ch, succ, fading[slot][None, :])
-            b_total += b[0]
-        per_user = b_total / t_max
+                prof = memo[key] = _solve_stage(game, key, streams.policy, policy)
+            profiles.append(prof)
+        ch = np.array(profiles)
+        s_user = np.take_along_axis(states, ch - 1, axis=1)
+        b = _realise_rates(scenario, ch, _success_matrix(scenario, ch, s_user, draws), fading)
+        per_user = np.cumsum(b, axis=0)[-1] / t_max  # slot-order sum, as a per-slot loop adds
         user_totals += per_user
         welfare_trace[t] = per_user.sum()
     return PolicyResult(policy.label(), welfare_trace, user_totals / periods, float(welfare_trace.mean()))

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 import specaccess as sa
+from specaccess import simulator
 from specaccess.cli import main as cli_main
 from specaccess.config import (
     CONFIG_SCHEMA,
@@ -213,6 +214,38 @@ def test_cli_poa_artifact(tmp_path, capsys):
     data = json.loads((tmp_path / "poa.json").read_text())
     assert 0 < data["poa"] <= 1.0
     assert data["poa"] >= data["lower_bound"] - 1e-9
+
+
+def test_cli_poa_all_channels_never_idle(tmp_path, capsys):
+    doc = _minimal_doc()
+    doc["scenario"].update({
+        "graph": {"n_users": 2, "edges": [[1, 2], [2, 1]]},
+        "channels": [{"kind": "white_space", "theta": 0}, {"kind": "white_space", "theta": 0}],
+        "rates": {"kind": "fixed", "mean": [[4.0, 2.0], [3.0, 5.0]]},
+    })
+    rc = cli_main(["poa", str(_write(tmp_path, doc)), "--out", str(tmp_path)])
+    assert rc == 0
+    data = json.loads((tmp_path / "poa.json").read_text())
+    assert data["poa"] == 1.0 and data["lower_bound"] == 1.0
+
+
+def test_dynamic_policy_gets_solver_max_rounds(tmp_path, monkeypatch):
+    doc = _minimal_doc()
+    doc["scenario"].update({"t_max": 5, "periods": 2})
+    doc["compare"] = {"policies": [{"kind": "dynamic_stage_game", "restarts": 3}]}
+    doc["solver"] = {"max_rounds": 17}
+    cfg = load_config(_write(tmp_path, doc))
+    (policy,) = cfg.policies
+    assert (policy.restarts, policy.max_rounds) == (3, 17)
+    budgets = []
+
+    def brd(stage, start, max_rounds):
+        budgets.append(max_rounds)
+        return sa.better_response_dynamics(stage, start, max_rounds=max_rounds)
+
+    monkeypatch.setattr(simulator, "better_response_dynamics", brd)
+    simulator.run_policy(cfg.scenario, policy, 0)
+    assert budgets and set(budgets) == {17}
 
 
 def test_cli_potential_check(tmp_path, capsys):

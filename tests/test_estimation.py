@@ -66,6 +66,13 @@ def test_observation_invariants_enforced():
         ObservationSet(S=np.array([1, 1]), I=np.array([0, 1]), b=np.array([5.0, 0.0]))
     with pytest.raises(ValueError):
         ObservationSet(S=np.array([1, 2]), I=np.array([0, 1]), b=np.zeros(2))
+    # values that pass I <= S and the rate checks but are not 0/1
+    with pytest.raises(ValueError):
+        ObservationSet(S=np.array([1, -1]), I=np.array([0, -1]), b=np.zeros(2))
+    with pytest.raises(ValueError):
+        ObservationSet(S=np.array([1, 1]), I=np.array([-1, 0]), b=np.zeros(2))
+    with pytest.raises(ValueError):
+        ObservationSet(S=np.array([2, 2]), I=np.array([2, 0]), b=np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
         ObservationSet(S=np.array([1]), I=np.array([0]), b=np.array([-1.0]))
 

@@ -335,6 +335,15 @@ def test_poa_single_user():
     assert rep.lower_bound == pytest.approx(1.0)  # g_1(empty) = 1
 
 
+def test_poa_all_channels_never_idle():
+    # max_n V_n = 0: the bound and the PoA are both 1, not a division by zero
+    g = sa.InterferenceGraph.undirected(2, [(1, 2)])
+    spec = SpectrumGame.create(g, [0.0, 0.0], [[4.0, 2.0], [3.0, 5.0]], sa.RandomBackoff(4))
+    rep = social_welfare_and_poa(spec)
+    assert rep.optimal_welfare == 0.0
+    assert rep.poa == 1.0 and rep.lower_bound == 1.0
+
+
 def test_poa_no_ne_certificate():
     spec = cycle3_game()
     rep = social_welfare_and_poa(spec)

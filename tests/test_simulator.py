@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import random_undirected_graph
+from conftest import random_directed_graph, random_mechanism, random_undirected_graph
 
 import specaccess as sa
 from specaccess.contention import backoff_success_probability, grab_probability
@@ -12,10 +12,15 @@ from specaccess.simulator import (
     RandomAccessPolicy,
     Scenario,
     SimStreams,
+    _channel_states,
+    _contention_draws,
+    _rate_draws,
+    _realise_rates,
+    _solve_stage,
+    _success_matrix,
     compare_policies,
     run_policy,
     simulate_period,
-    simulate_slot,
 )
 
 
@@ -67,13 +72,88 @@ def test_spatial_reuse_both_succeed():
     assert obs[0].I.all() and obs[1].I.all()
 
 
-def test_simulate_slot_is_single_step():
-    g = sa.InterferenceGraph.from_edges(1, [])
-    sc = _scenario(g, [sa.MarkovChannel(0.5, 0.5)], sa.RandomBackoff(2), t_max=7)
-    streams = SimStreams.from_seed(5, 1)
-    s, i, b, state = simulate_slot(sc, (1,), (1,), streams)
-    assert s.shape == (1,) and i.shape == (1,) and b.shape == (1,)
-    assert state[0] in (0, 1)
+def _slot_success(scenario, ch, s, draws):
+    """Brute-force grab indicators of one slot, user by user."""
+    game = scenario.game
+    out = np.zeros(game.n_users, dtype=bool)
+    for u in range(1, game.n_users + 1):
+        rivals = [draws[i - 1] for i in game.graph.in_neighbors(u) if ch[i - 1] == ch[u - 1]]
+        if isinstance(game.mechanism, sa.SlottedAloha):
+            out[u - 1] = s[u - 1] == 1 and draws[u - 1] == 1.0 and 1.0 not in rivals
+        else:
+            out[u - 1] = s[u - 1] == 1 and all(draws[u - 1] < r for r in rivals)
+    return out
+
+
+def _run_dynamic_per_slot(scenario, policy, seed):
+    """Reference for the dynamic stage-game policy: the per-slot loop, one
+    memoised stage solve, one success check and one rate realisation per slot."""
+    n = scenario.game.n_users
+    streams = SimStreams.from_seed(seed, n)
+    memo = {}
+    state = scenario.initial_channel_state(streams.channels)
+    welfare_trace = np.zeros(scenario.periods)
+    user_totals = np.zeros(n)
+    for t in range(scenario.periods):
+        states, state = _channel_states(scenario.channel_models, state, scenario.t_max, streams.channels)
+        draws = _contention_draws(scenario, streams, scenario.t_max)
+        fading = _rate_draws(scenario, streams, scenario.t_max)
+        b_total = np.zeros(n)
+        for slot in range(scenario.t_max):
+            key = tuple(int(x) for x in states[slot])
+            if key not in memo:
+                memo[key] = _solve_stage(scenario.game, key, streams.policy, policy)
+            ch = np.array(memo[key])
+            succ = _slot_success(scenario, ch, states[slot][ch - 1], draws[slot])
+            b_total += _realise_rates(scenario, ch[None, :], succ[None, :], fading[slot][None, :])[0]
+        per_user = b_total / scenario.t_max
+        user_totals += per_user
+        welfare_trace[t] = per_user.sum()
+    return welfare_trace, user_totals / scenario.periods
+
+
+def test_success_matrix_matches_per_slot_check():
+    rng = np.random.default_rng(41)
+    graphs = [
+        random_directed_graph(rng, 6, 0.5),
+        sa.InterferenceGraph.from_edges(4, []),  # no in-neighbours anywhere: d_max = 0
+        sa.InterferenceGraph.from_edges(1, []),
+    ]
+    t, m = 300, 3
+    for g in graphs:
+        n = g.n_users
+        for kind in ("backoff", "asymptotic", "weighted", "aloha"):
+            mech = random_mechanism(rng, n, kind)
+            sc = _scenario(g, [sa.BernoulliChannel(0.5)] * m, mech, t_max=t)
+            draws = _contention_draws(sc, SimStreams.from_seed(int(rng.integers(1000)), n), t)
+            ch = rng.integers(1, m + 1, size=(t, n))
+            s_user = rng.integers(0, 2, size=(t, n)).astype(np.int8)
+            got = _success_matrix(sc, ch, s_user, draws)
+            assert got.shape == (t, n) and got.dtype == bool
+            for k in range(t):
+                assert np.array_equal(got[k], _slot_success(sc, ch[k], s_user[k], draws[k])), (n, kind, k)
+
+
+@pytest.mark.parametrize("kind", ["backoff", "asymptotic", "weighted", "aloha"])
+@pytest.mark.parametrize("channels", [
+    (sa.MarkovChannel(0.3, 0.2), sa.BernoulliChannel(0.6), sa.WhiteSpaceChannel(1)),
+    (sa.WhiteSpaceChannel(1), sa.WhiteSpaceChannel(0)),
+], ids=["markov-bernoulli-whitespace", "whitespace"])
+def test_dynamic_policy_matches_per_slot_loop(kind, channels):
+    rng = np.random.default_rng(43)
+    n, m = 6, len(channels)
+    g = random_directed_graph(rng, n, 0.4)
+    rates = [
+        [sa.RayleighShannonRate(10.0, 0.1, 1e-13, float(rng.uniform(5e-13, 2e-12))) for _ in range(m)]
+        for _ in range(n)
+    ]
+    sc = _scenario(g, list(channels), random_mechanism(rng, n, kind), rates=rates, t_max=40, periods=6)
+    policy = DynamicStageGamePolicy(restarts=3)
+    res = run_policy(sc, policy, (5, 1))
+    trace, per_user = _run_dynamic_per_slot(sc, policy, (5, 1))
+    assert np.array_equal(res.welfare_trace, trace)
+    assert np.array_equal(res.per_user_mean, per_user)
+    assert res.mean_welfare > 0
 
 
 def test_whitespace_idle_sequence():
