@@ -8,8 +8,6 @@ from .channels import (
     WhiteSpaceChannel,
     calibrate_mean_gain,
     mean_rate,
-    sample_channel_state,
-    sample_rate,
     stationary_idle_probability,
 )
 from .contention import (
@@ -43,8 +41,6 @@ from .game import (
     better_response_dynamics,
     enumerate_pure_ne,
     is_pure_ne,
-    neighborhood_expected_payoff,
-    payoff_mixed,
     payoff_physical,
     payoff_pure,
     social_welfare_and_poa,
@@ -59,12 +55,9 @@ from .graph import (
 from .learning import (
     GapCertificate,
     LearningOutcome,
-    PerceptionState,
     approx_ne_gap,
-    boltzmann_strategy,
     contraction_temperature_bound,
     mean_dynamics_fixed_point,
-    perception_update,
     run_learning,
 )
 from .potentials import VARIANTS, applicable_variants, potential_value

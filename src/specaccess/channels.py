@@ -62,19 +62,6 @@ def stationary_idle_probability(c: ChannelModel) -> float:
     return float(c.theta)
 
 
-def sample_channel_state(c: ChannelModel, previous_state: int, rng: np.random.Generator) -> int:
-    """Advance the channel by one slot."""
-    if previous_state not in (0, 1):
-        raise ValueError("previous_state must be 0 or 1")
-    if isinstance(c, MarkovChannel):
-        if previous_state == 0:
-            return 1 if rng.random() < c.epsilon else 0
-        return 0 if rng.random() < c.xi else 1
-    if isinstance(c, BernoulliChannel):
-        return 1 if rng.random() < c.theta else 0
-    return int(c.theta)
-
-
 def sample_initial_state(c: ChannelModel, rng: np.random.Generator) -> int:
     """Draw a slot-0 state from the stationary distribution."""
     theta = stationary_idle_probability(c)
@@ -110,13 +97,6 @@ class RayleighShannonRate:
 
 
 RateModel = FixedRate | RayleighShannonRate
-
-
-def sample_rate(r: RateModel, rng: np.random.Generator) -> float:
-    if isinstance(r, FixedRate):
-        return r.mean_rate
-    z = rng.exponential(r.mean_gain)
-    return r.bandwidth * math.log2(1.0 + r.tx_power * z / r.noise_power)
 
 
 def _scaled_e1(x: float) -> float:

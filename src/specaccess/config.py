@@ -402,8 +402,12 @@ def _build_policy(d: dict, learning: LearningSettings, solver: SolverSettings) -
         return FixedProfilePolicy(tuple(d["profile"]))
     if kind == "dynamic_stage_game":
         return DynamicStageGamePolicy(restarts=d.get("restarts", 10), max_rounds=solver.max_rounds)
+    return _learning_policy(learning, d.get("gamma", learning.gamma))
+
+
+def _learning_policy(learning: LearningSettings, gamma: float) -> LearningPolicy:
     return LearningPolicy(
-        gamma=float(d.get("gamma", learning.gamma)),
+        gamma=float(gamma),
         payoff_scale=learning.payoff_scale,
         estimator=learning.estimator,
         noise_half_width=learning.noise_half_width,
@@ -477,21 +481,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def resolved_payoff_scale(cfg: ExperimentConfig) -> float:
-    if cfg.learning.payoff_scale == "auto":
-        return cfg.scenario.game.mean_effective_value()
-    return float(cfg.learning.payoff_scale)
+    return learning_policy_from(cfg).resolved_scale(cfg.scenario.game)
 
 
 def learning_policy_from(cfg: ExperimentConfig, gamma: float | None = None) -> LearningPolicy:
-    return LearningPolicy(
-        gamma=float(gamma if gamma is not None else cfg.learning.gamma),
-        payoff_scale=cfg.learning.payoff_scale,
-        estimator=cfg.learning.estimator,
-        noise_half_width=cfg.learning.noise_half_width,
-        mu=cfg.learning.mu,
-        initial_perception=cfg.learning.initial_perception,
-    )
-
-
-def write_schema_file(path: str | Path) -> None:
-    Path(path).write_text(json.dumps(CONFIG_SCHEMA, indent=2) + "\n")
+    return _learning_policy(cfg.learning, cfg.learning.gamma if gamma is None else gamma)

@@ -97,14 +97,16 @@ def grab_probability(m: ContentionMechanism, n: int, contenders: Iterable[int]) 
         return backoff_success_probability(m.max_counter, k)
     if isinstance(m, AsymptoticBackoff):
         return 1.0 / (1.0 + k)
+    # ascending user order, so that float rounding does not depend on how the
+    # caller built the contender set
     if isinstance(m, WeightedShare):
         w_n = _param_for(m.weights, n, "sharing weight")
-        total = w_n + sum(_param_for(m.weights, i, "sharing weight") for i in cset)
+        total = w_n + sum(_param_for(m.weights, i, "sharing weight") for i in sorted(cset))
         return w_n / total
     if isinstance(m, SlottedAloha):
         p_n = _param_for(m.probs, n, "contention probability")
         out = p_n
-        for i in cset:
+        for i in sorted(cset):
             out *= 1.0 - _param_for(m.probs, i, "contention probability")
         return out
     raise TypeError(f"unknown contention mechanism {m!r}")

@@ -28,13 +28,16 @@ class ObservationSet:
     b: np.ndarray
 
     def __post_init__(self) -> None:
-        S = np.asarray(self.S, dtype=np.int8)
-        I = np.asarray(self.I, dtype=np.int8)
+        S = np.asarray(self.S)
+        I = np.asarray(self.I)
         b = np.asarray(self.b, dtype=float)
         if not (S.ndim == I.ndim == b.ndim == 1 and len(S) == len(I) == len(b) >= 1):
             raise ValueError("S, I, b must be 1-D sequences of equal positive length")
+        # checked before the int8 cast, which would wrap 256 to 0 and truncate 0.7 to 0
         if not (((S == 0) | (S == 1)).all() and ((I == 0) | (I == 1)).all()):
             raise ValueError("S and I must be binary")
+        S = S.astype(np.int8, copy=False)
+        I = I.astype(np.int8, copy=False)
         if np.any(I > S):
             raise ValueError("a channel cannot be grabbed while busy (I <= S violated)")
         if np.any(b < 0):

@@ -470,68 +470,6 @@ def expected_grab_mc(
     return float(draws.mean()), float(draws.std(ddof=1) / math.sqrt(samples))
 
 
-def neighborhood_expected_payoff(
-    spec: SpectrumGame,
-    sigma: np.ndarray,
-    n: int,
-    m: int,
-    *,
-    method: str = "auto",
-    max_exact: int = 20,
-) -> float:
-    """Q_m^n: expected throughput of user n on channel m when its in-neighbours
-    contend independently according to their mixed rows."""
-    sigma = check_mixed_profile(spec, sigma)
-    membership = {i: float(sigma[i - 1, m - 1]) for i in spec.graph.in_neighbors(n)}
-    eg = expected_grab(
-        spec.mechanism, n, membership,
-        enumerate_only=(method == "enumerate"), max_exact=max_exact,
-    )
-    return spec.idle_prob[m - 1] * spec.effective_rate(n, m) * eg
-
-
-def payoff_mixed(
-    spec: SpectrumGame,
-    sigma: np.ndarray,
-    n: int,
-    *,
-    method: str = "factorized",
-    cap: int = 10**6,
-) -> float:
-    """Expected throughput of user n under a mixed profile.
-
-    The factorized route sums channel-wise Q_m^n values (exact, since a
-    user's payoff depends only on in-neighbour choices); the enumerated route
-    walks the full product space and is retained as an oracle.
-    """
-    sigma = check_mixed_profile(spec, sigma)
-    if method == "factorized":
-        return float(
-            sum(
-                sigma[n - 1, m - 1] * neighborhood_expected_payoff(spec, sigma, n, m)
-                for m in range(1, spec.n_channels + 1)
-                if sigma[n - 1, m - 1] > 0.0
-            )
-        )
-    if method != "enumerate":
-        raise ValueError("method must be 'factorized' or 'enumerate'")
-    total_profiles = spec.n_channels ** spec.n_users
-    if total_profiles > cap:
-        raise ResourceLimitError(
-            f"{total_profiles} outcomes exceed the enumeration cap {cap}; use the factorized form"
-        )
-    total = 0.0
-    for a in itertools.product(range(1, spec.n_channels + 1), repeat=spec.n_users):
-        w = 1.0
-        for i, ch in enumerate(a):
-            w *= sigma[i, ch - 1]
-            if w == 0.0:
-                break
-        if w > 0.0:
-            total += w * spec.payoff(a, n)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Welfare and price of anarchy
 # ---------------------------------------------------------------------------

@@ -35,65 +35,19 @@ def reciprocal_schedule(T: int) -> float:
     return 1.0 / T
 
 
-def boltzmann_strategy(p_row: np.ndarray, gamma: float) -> np.ndarray:
-    """Softmax with temperature gamma, max-subtracted for overflow safety."""
+def boltzmann_profile(P: np.ndarray, gamma: float) -> np.ndarray:
+    """Row-wise softmax of an (N, M) perception array with temperature gamma:
+    row n is user n's mixed strategy. Each row is max-subtracted for overflow
+    safety."""
     if not (gamma > 0 and math.isfinite(gamma)):
         raise ValueError("temperature must be positive and finite")
-    row = np.asarray(p_row, dtype=float)
-    if not np.all(np.isfinite(row)):
-        raise ValueError("perceptions must be finite")
-    z = gamma * row
-    z -= z.max()
-    e = np.exp(z)
-    return e / e.sum()
-
-
-def boltzmann_profile(P: np.ndarray, gamma: float) -> np.ndarray:
     P = np.asarray(P, dtype=float)
-    return np.vstack([boltzmann_strategy(P[n], gamma) for n in range(P.shape[0])])
-
-
-@dataclass
-class PerceptionState:
-    """Per-user per-channel perception values plus the learning knobs."""
-
-    perceptions: np.ndarray          # N x M, throughput units
-    gamma: float
-    period: int = 1
-    mu: MuSchedule = reciprocal_schedule
-
-    def __post_init__(self) -> None:
-        self.perceptions = np.asarray(self.perceptions, dtype=float)
-        if not np.all(np.isfinite(self.perceptions)):
-            raise ValueError("perceptions must be finite")
-        if not self.gamma > 0:
-            raise ValueError("temperature must be positive")
-        if self.period < 1:
-            raise ValueError("period counter starts at 1")
-        m = self.mu(self.period)
-        if not (0.0 < m <= 1.0):
-            raise ValueError("smoothing factors must lie in (0, 1]")
-
-    def strategy(self, n: int) -> np.ndarray:
-        return boltzmann_strategy(self.perceptions[n - 1], self.gamma)
-
-
-def perception_update(state: PerceptionState, n: int, m: int, estimate: float) -> PerceptionState:
-    """Fold one throughput estimate into the chosen channel's perception.
-
-    Only entry (n, m) changes: P <- (1 - mu_T) P + mu_T * estimate. Returns a
-    new state at the same period; advance_period steps the schedule.
-    """
-    if not (1 <= m <= state.perceptions.shape[1]):
-        raise ValueError("channel index out of range")
-    mu = state.mu(state.period)
-    P = state.perceptions.copy()
-    P[n - 1, m - 1] = (1.0 - mu) * P[n - 1, m - 1] + mu * estimate
-    return PerceptionState(P, state.gamma, state.period, state.mu)
-
-
-def advance_period(state: PerceptionState) -> PerceptionState:
-    return PerceptionState(state.perceptions.copy(), state.gamma, state.period + 1, state.mu)
+    if not np.all(np.isfinite(P)):
+        raise ValueError("perceptions must be finite")
+    z = gamma * P
+    z -= z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def contraction_temperature_bound(spec: SpectrumGame) -> float:
@@ -108,8 +62,9 @@ def contraction_temperature_bound(spec: SpectrumGame) -> float:
 
 
 def q_from_sigma(spec: SpectrumGame, sigma: np.ndarray) -> np.ndarray:
-    """Expected throughput of each (user, channel) against the others' mixed
-    rows; entry (n, m) conditions on user n playing channel m."""
+    """Q_m^n: expected throughput of each (user, channel) when the others
+    contend independently by their mixed rows; entry (n, m) conditions on user
+    n playing channel m, so user n's mixed payoff is sigma[n] . Q[n]."""
     sigma = check_mixed_profile(spec, sigma)
     Q = np.empty((spec.n_users, spec.n_channels))
     for n in range(1, spec.n_users + 1):
@@ -245,6 +200,7 @@ class LearningOutcome:
     perceptions: np.ndarray
     sigma: np.ndarray
     welfare_trace: np.ndarray            # per-period sum of realised values
+    per_user_mean: np.ndarray            # per-user mean realised value over the periods
     dP_trace: np.ndarray                 # per-period max perception change
     channels: np.ndarray | None          # periods x N, chosen channels
     estimates: np.ndarray | None         # periods x N, NaN where skipped
@@ -289,6 +245,7 @@ def run_learning(
     P = initial_perceptions(spec, payoff_scale) if p0 is None else np.array(p0, dtype=float)
 
     welfare_trace = np.zeros(periods)
+    user_totals = np.zeros(N)
     dP_trace = np.zeros(periods)
     channels = np.zeros((periods, N), dtype=np.int64) if record else None
     estimates = np.full((periods, N), np.nan) if record else None
@@ -311,6 +268,7 @@ def run_learning(
         for n in range(1, N + 1):
             est, realised = results[n - 1]
             total += realised
+            user_totals[n - 1] += realised
             if record:
                 channels[T - 1, n - 1] = a[n - 1]
             if est is None:
@@ -336,6 +294,7 @@ def run_learning(
         perceptions=P,
         sigma=sigma,
         welfare_trace=welfare_trace,
+        per_user_mean=user_totals / periods,
         dP_trace=dP_trace,
         channels=channels,
         estimates=estimates,

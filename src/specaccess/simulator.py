@@ -12,7 +12,7 @@ paths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Sequence
 
@@ -32,7 +32,7 @@ from .errors import UndefinedEstimateError
 from .estimation import ObservationSet, UniformNoise, estimate_throughput
 from .game import Profile, SpectrumGame, better_response_dynamics, welfare
 from .graph import InterferenceGraph
-from .learning import LearningOutcome, Observer, exact_observer, run_learning
+from .learning import LearningOutcome, Observer, exact_observer, reciprocal_schedule, run_learning
 
 
 @dataclass
@@ -293,7 +293,7 @@ class LearningPolicy:
 
     def mu_schedule(self):
         if self.mu == "1/T":
-            return lambda T: 1.0 / T
+            return reciprocal_schedule
         c = float(self.mu)
         return lambda T: c
 
@@ -324,7 +324,7 @@ Policy = RandomAccessPolicy | FixedProfilePolicy | LearningPolicy | DynamicStage
 class PolicyResult:
     label: str
     welfare_trace: np.ndarray        # per-period total realised throughput per slot
-    per_user_mean: np.ndarray
+    per_user_mean: np.ndarray        # per-user mean realised throughput per slot
     mean_welfare: float
     learning: LearningOutcome | None = None
 
@@ -370,9 +370,8 @@ def run_policy(scenario: Scenario, policy: Policy, seed) -> PolicyResult:
             observer=observer, payoff_scale=scale,
             mu=policy.mu_schedule(), p0=policy.initial_matrix(scenario.game),
         )
-        per_user = _per_user_from_channels(scenario, outcome)
         return PolicyResult(
-            policy.label(), outcome.welfare_trace, per_user,
+            policy.label(), outcome.welfare_trace, outcome.per_user_mean,
             float(outcome.welfare_trace.mean()), learning=outcome,
         )
 
@@ -394,16 +393,6 @@ def run_policy(scenario: Scenario, policy: Policy, seed) -> PolicyResult:
         user_totals += per_user
         welfare_trace[t] = per_user.sum()
     return PolicyResult(policy.label(), welfare_trace, user_totals / periods, float(welfare_trace.mean()))
-
-
-def _per_user_from_channels(scenario: Scenario, outcome: LearningOutcome) -> np.ndarray:
-    # realised per-user means are not tracked inside run_learning; recover the
-    # average of estimates where present as a diagnostic, else zeros
-    if outcome.estimates is None:
-        return np.zeros(scenario.game.n_users)
-    with np.errstate(invalid="ignore"):
-        vals = np.nanmean(outcome.estimates, axis=0)
-    return np.nan_to_num(vals)
 
 
 def _run_dynamic(scenario: Scenario, policy: DynamicStageGamePolicy, streams: SimStreams) -> PolicyResult:
@@ -523,14 +512,7 @@ def sweep_gamma(
     """(gamma, mean welfare, standard error) per temperature, paired seeds."""
     out = []
     for g in gammas:
-        policy = LearningPolicy(
-            gamma=float(g),
-            payoff_scale=template.payoff_scale,
-            estimator=template.estimator,
-            noise_half_width=template.noise_half_width,
-            mu=template.mu,
-            initial_perception=template.initial_perception,
-        )
+        policy = replace(template, gamma=float(g))
         report = compare_policies(scenario, [policy], replications, base_seed, jobs=jobs)
         mean, sem, _ = report.summary()[policy.label()]
         out.append((float(g), mean, sem))

@@ -12,12 +12,11 @@ from specaccess.channels import (
     WhiteSpaceChannel,
     calibrate_mean_gain,
     mean_rate,
-    sample_channel_state,
     sample_initial_state,
-    sample_rate,
     stationary_idle_probability,
 )
 from specaccess.errors import DegenerateModelError
+from specaccess.simulator import _channel_states, _rate_values
 
 
 def test_stationary_idle_probability_values():
@@ -41,12 +40,10 @@ def test_degenerate_markov_rejected():
 def test_forced_transitions():
     rng = np.random.default_rng(0)
     c = MarkovChannel(1.0, 1.0)
-    assert sample_channel_state(c, 0, rng) == 1
-    assert sample_channel_state(c, 1, rng) == 0
     ws = WhiteSpaceChannel(0)
-    assert all(sample_channel_state(ws, s, rng) == 0 for s in (0, 1))
-    with pytest.raises(ValueError):
-        sample_channel_state(c, 2, rng)
+    states, final = _channel_states([c, c, ws, ws], [0, 1, 0, 1], 3, rng)
+    assert states.T.tolist() == [[1, 0, 1], [0, 1, 0], [0, 0, 0], [0, 0, 0]]
+    assert final == (1, 0, 0, 0)
 
 
 def test_markov_ergodic_frequency_matches_stationary():
@@ -54,29 +51,23 @@ def test_markov_ergodic_frequency_matches_stationary():
     c = MarkovChannel(0.2, 0.3)
     rng = np.random.default_rng(42)
     s = sample_initial_state(c, rng)
-    hits = 0
     steps = 10**5
-    for _ in range(steps):
-        s = sample_channel_state(c, s, rng)
-        hits += s
+    states, _ = _channel_states([c], [s], steps, rng)
+    hits = int(states.sum())
     assert abs(hits / steps - 0.4) < 0.01
 
 
 def test_fixed_rate_identity():
     rng = np.random.default_rng(0)
-    assert sample_rate(FixedRate(2e6), rng) == 2e6
+    assert np.all(_rate_values(FixedRate(2e6), rng.standard_exponential(5)) == 2e6)
     assert mean_rate(FixedRate(2e6)) == 2e6
 
 
 def test_unit_snr_pins_rate_to_bandwidth():
-    # degenerate draw hook: an rng stub whose exponential returns its mean
-    class _Stub:
-        def exponential(self, mean):
-            return mean
-
+    # a unit standard-exponential fading draw puts the gain z at its mean
     model = RayleighShannonRate(bandwidth=10.0, tx_power=0.1, noise_power=1e-13, mean_gain=1e-12)
     # eta * z / omega = 0.1 * 1e-12 / 1e-13 = 1  ->  b = W log2(2) = W
-    assert sample_rate(model, _Stub()) == pytest.approx(10.0)
+    assert _rate_values(model, np.array([1.0]))[0] == pytest.approx(10.0)
 
 
 def _quad_mean(model: RayleighShannonRate) -> float:
@@ -96,7 +87,7 @@ def test_mean_rate_against_quadrature_and_samples():
     oracle = _quad_mean(model)
     assert mean_rate(model) == pytest.approx(oracle, rel=1e-9)
     rng = np.random.default_rng(7)
-    draws = np.array([sample_rate(model, rng) for _ in range(10**5)])
+    draws = _rate_values(model, rng.standard_exponential(10**5))
     assert abs(draws.mean() - oracle) / oracle < 0.02
 
 

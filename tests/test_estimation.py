@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specaccess.channels import MarkovChannel, sample_channel_state, sample_initial_state
+from specaccess.channels import MarkovChannel, sample_initial_state
 from specaccess.errors import UndefinedEstimateError
 from specaccess.estimation import (
     ObservationSet,
@@ -14,6 +14,7 @@ from specaccess.estimation import (
     mle_rate,
     transition_counts,
 )
+from specaccess.simulator import _channel_states
 
 
 def test_transition_count_example():
@@ -75,6 +76,13 @@ def test_observation_invariants_enforced():
         ObservationSet(S=np.array([2, 2]), I=np.array([2, 0]), b=np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
         ObservationSet(S=np.array([1]), I=np.array([0]), b=np.array([-1.0]))
+    # values an int8 cast would turn into 0/1: 256 wraps to 0, 0.7 and 1.9 truncate
+    with pytest.raises(ValueError):
+        ObservationSet(S=np.array([256, 1]), I=np.array([0, 1]), b=np.zeros(2))
+    with pytest.raises(ValueError):
+        ObservationSet(S=[256, 1], I=[0, 257], b=[0.0, 2.0])
+    with pytest.raises(ValueError):
+        ObservationSet(S=[0.7, 1], I=[0, 1.9], b=[0.0, 2.0])
 
 
 def test_throughput_product_and_degenerate_noise():
@@ -120,12 +128,8 @@ def test_grab_and_rate_invariant_to_slot_order(perm):
 def _markov_trace(eps, xi, t, seed):
     c = MarkovChannel(eps, xi)
     rng = np.random.default_rng(seed)
-    s = sample_initial_state(c, rng)
-    out = np.empty(t, dtype=np.int8)
-    for i in range(t):
-        s = sample_channel_state(c, s, rng)
-        out[i] = s
-    return out
+    states, _ = _channel_states([c], [sample_initial_state(c, rng)], t, rng)
+    return states[:, 0]
 
 
 def test_markov_mle_consistency():

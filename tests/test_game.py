@@ -15,13 +15,12 @@ from specaccess.game import (
     expected_grab,
     expected_grab_mc,
     is_pure_ne,
-    neighborhood_expected_payoff,
-    payoff_mixed,
     payoff_physical,
     payoff_pure,
     social_welfare_and_poa,
     welfare,
 )
+from specaccess.learning import q_from_sigma
 
 
 def cycle3_game(p=0.5):
@@ -65,6 +64,21 @@ def test_dimension_validation():
 
 
 # --- mixed strategies -------------------------------------------------------
+# user n's mixed payoff is sigma[n] . Q[n], as approx_ne_gap computes it
+
+def _mixed_payoffs(spec, sigma):
+    return (sigma * q_from_sigma(spec, sigma)).sum(axis=1)
+
+
+def _mixed_payoff_by_enumeration(spec, sigma, n):
+    # reference: the expectation over the full product of pure profiles
+    total = 0.0
+    for a in itertools.product(range(1, spec.n_channels + 1), repeat=spec.n_users):
+        w = np.prod([sigma[i, ch - 1] for i, ch in enumerate(a)])
+        if w > 0.0:
+            total += w * spec.payoff(a, n)
+    return total
+
 
 def test_degenerate_mixed_equals_pure():
     spec = cycle3_game()
@@ -73,15 +87,15 @@ def test_degenerate_mixed_equals_pure():
     for n, ch in enumerate(a):
         sigma[n, ch - 1] = 1.0
     for n in (1, 2, 3):
-        assert payoff_mixed(spec, sigma, n) == pytest.approx(payoff_pure(spec, a, n))
+        assert _mixed_payoffs(spec, sigma)[n - 1] == pytest.approx(payoff_pure(spec, a, n))
 
 
 def test_mixed_factorized_matches_full_enumeration():
     spec = cycle3_game()
     sigma = np.full((3, 2), 0.5)
     for n in (1, 2, 3):
-        fac = payoff_mixed(spec, sigma, n, method="factorized")
-        enu = payoff_mixed(spec, sigma, n, method="enumerate")
+        fac = _mixed_payoffs(spec, sigma)[n - 1]
+        enu = _mixed_payoff_by_enumeration(spec, sigma, n)
         assert abs(fac - enu) < 1e-12
 
 
@@ -90,7 +104,7 @@ def test_mixed_single_user_row_average():
     spec = SpectrumGame.create(g, [0.5, 0.8], [[10.0, 5.0]], sa.RandomBackoff(6))
     sigma = np.array([[0.3, 0.7]])
     expected = 0.3 * 0.5 * 10.0 + 0.7 * 0.8 * 5.0
-    assert payoff_mixed(spec, sigma, 1) == pytest.approx(expected)
+    assert _mixed_payoffs(spec, sigma)[0] == pytest.approx(expected)
 
 
 def test_mixed_factorization_random_instances():
@@ -101,22 +115,22 @@ def test_mixed_factorization_random_instances():
         kind = ["backoff", "asymptotic", "weighted", "aloha"][int(rng.integers(0, 4))]
         spec = random_game(rng, random_directed_graph(rng, n, 0.5), m, kind)
         sigma = rng.dirichlet(np.ones(m), size=n)
+        fac = _mixed_payoffs(spec, sigma)
         for user in range(1, n + 1):
-            fac = payoff_mixed(spec, sigma, user, method="factorized")
-            enu = payoff_mixed(spec, sigma, user, method="enumerate")
-            assert abs(fac - enu) <= 1e-12 * max(1.0, abs(enu))
+            enu = _mixed_payoff_by_enumeration(spec, sigma, user)
+            assert abs(fac[user - 1] - enu) <= 1e-12 * max(1.0, abs(enu))
 
 
 def test_neighborhood_expected_payoff_edge_cases():
-    rng = np.random.default_rng(5)
     g = sa.InterferenceGraph.from_edges(2, [(2, 1)])
     spec = SpectrumGame.create(g, [0.5, 0.5], [[4.0, 4.0], [4.0, 4.0]], sa.SlottedAloha((0.5, 0.5)))
     sigma = np.array([[0.5, 0.5], [1.0, 0.0]])
+    Q = q_from_sigma(spec, sigma)
     # no in-neighbours: theta * B * g(empty)
-    assert neighborhood_expected_payoff(spec, sigma, 2, 1) == pytest.approx(0.5 * 4.0 * 0.5)
+    assert Q[1, 0] == pytest.approx(0.5 * 4.0 * 0.5)
     # one in-neighbour always on channel 1
-    assert neighborhood_expected_payoff(spec, sigma, 1, 1) == pytest.approx(0.5 * 4.0 * 0.25)
-    assert neighborhood_expected_payoff(spec, sigma, 1, 2) == pytest.approx(0.5 * 4.0 * 0.5)
+    assert Q[0, 0] == pytest.approx(0.5 * 4.0 * 0.25)
+    assert Q[0, 1] == pytest.approx(0.5 * 4.0 * 0.5)
 
 
 def test_neighborhood_expected_payoff_vs_bruteforce():
@@ -126,8 +140,9 @@ def test_neighborhood_expected_payoff_vs_bruteforce():
         g = sa.InterferenceGraph.from_edges(n, [(2, 1), (3, 1), (4, 1), (1, 2)])
         spec = random_game(rng, g, m, kind)
         sigma = rng.dirichlet(np.ones(m), size=n)
+        Q = q_from_sigma(spec, sigma)
         for ch in (1, 2):
-            got = neighborhood_expected_payoff(spec, sigma, 1, ch)
+            got = Q[0, ch - 1]
             # oracle: enumerate all other users' channel combinations
             expect = 0.0
             for rest in itertools.product(range(1, m + 1), repeat=n - 1):
@@ -273,6 +288,22 @@ def test_single_channel_scan_stays_small():
     assert enumerate_pure_ne(spec) == [(1,) * n]
     assert social_welfare_and_poa(spec).poa == 1.0
     assert spec._grab_table[0].size == n * n
+
+
+@pytest.mark.parametrize("kind", ["weighted", "aloha"])
+def test_payoff_matches_scan_bit_for_bit(kind):
+    # payoff and the scan build their contender sets differently, and a set's
+    # iteration order depends on how it was built once ids pass its table size
+    # (8 slots for small sets); g must not depend on that order
+    rng = np.random.default_rng(2)
+    spec = random_game(rng, random_directed_graph(rng, 16, 0.5), 2, kind)
+    for block in _scan(spec, 1e-12, 10**7):
+        for k in rng.choice(len(block.profiles), 8, replace=False):
+            a = tuple(block.profiles[k].tolist())
+            for n in range(1, 17):
+                for m in (1, 2):
+                    moved = a[: n - 1] + (m,) + a[n:]
+                    assert spec.payoff(moved, n) == block.payoffs[k, n - 1, m - 1]
 
 
 def test_poa_enumeration_cap():

@@ -7,58 +7,89 @@ from conftest import random_directed_graph, random_game
 import specaccess as sa
 from specaccess.game import SpectrumGame
 from specaccess.learning import (
-    PerceptionState,
-    advance_period,
     approx_ne_gap,
     boltzmann_profile,
-    boltzmann_strategy,
     contraction_temperature_bound,
     mean_dynamics_fixed_point,
-    perception_update,
     q_from_sigma,
     q_operator,
+    reciprocal_schedule,
     run_learning,
 )
 
 
 def test_boltzmann_uniform_for_equal_perceptions():
-    row = boltzmann_strategy(np.array([3.0, 3.0, 3.0]), 2.0)
+    row = boltzmann_profile(np.array([[3.0, 3.0, 3.0]]), 2.0)[0]
     assert np.allclose(row, 1.0 / 3.0)
     assert row.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_boltzmann_small_gamma_limit():
-    row = boltzmann_strategy(np.array([1.0, 5.0, 9.0]), 1e-9)
+    row = boltzmann_profile(np.array([[1.0, 5.0, 9.0]]), 1e-9)[0]
     assert np.max(np.abs(row - 1.0 / 3.0)) < 1e-6
 
 
 def test_boltzmann_argmax_dominance():
-    row = boltzmann_strategy(np.array([0.0, 10.0]), 5.0)
+    row = boltzmann_profile(np.array([[0.0, 10.0]]), 5.0)[0]
     assert row[1] == pytest.approx(1.0, abs=1e-15)
     assert np.all(row > 0.0)  # strictly positive even at e^-50
 
 
 def test_boltzmann_overflow_safe():
-    row = boltzmann_strategy(np.array([0.0, 1e6]), 10.0)
-    assert np.isfinite(row).all() and row.sum() == pytest.approx(1.0)
+    # each row is max-subtracted on its own: one shared shift would
+    # underflow the second row to 0 / 0
+    sigma = boltzmann_profile(np.array([[0.0, 1e6], [0.0, 1.0]]), 10.0)
+    assert np.isfinite(sigma).all() and np.allclose(sigma.sum(axis=1), 1.0)
+    assert sigma[1, 1] == pytest.approx(1.0 / (1.0 + math.exp(-10.0)))
     with pytest.raises(ValueError):
-        boltzmann_strategy(np.array([0.0, np.inf]), 1.0)
+        boltzmann_profile(np.array([[0.0, np.inf]]), 1.0)
     with pytest.raises(ValueError):
-        boltzmann_strategy(np.array([0.0, 1.0]), 0.0)
+        boltzmann_profile(np.array([[0.0, 1.0]]), 0.0)
+
+
+def _softmax_row(row, gamma):
+    # reference: one user's row at a time
+    z = gamma * np.asarray(row, dtype=float)
+    z -= z.max()
+    e = np.exp(z)
+    return e / e.sum()
+
+
+def test_boltzmann_profile_matches_per_row_softmax():
+    rng = np.random.default_rng(17)
+    for _ in range(500):
+        n, m = (int(k) for k in rng.integers(1, 12, size=2))
+        P = rng.normal(0.0, 1.0, (n, m)) * 10 ** rng.uniform(-3, 6)
+        gamma = 10 ** rng.uniform(-3, 3)
+        expect = np.vstack([_softmax_row(P[k], gamma) for k in range(n)])
+        assert np.array_equal(boltzmann_profile(P, gamma), expect)
+
+
+def _one_user_game(n_channels=1):
+    g = sa.InterferenceGraph.from_edges(1, [])
+    return SpectrumGame.create(g, [0.5] * n_channels, [[4.0] * n_channels], sa.RandomBackoff(4))
+
+
+def _constant_observer(estimate):
+    return lambda a, T, rng: [(estimate, estimate)]
 
 
 def test_perception_update_basic():
-    st = PerceptionState(np.array([[4.0, 1.0]]), gamma=1.0, period=2)
-    st2 = perception_update(st, 1, 1, 6.0)  # mu = 1/2
-    assert st2.perceptions[0, 0] == pytest.approx(5.0)
-    assert st2.perceptions[0, 1] == 1.0
-    assert st.perceptions[0, 0] == 4.0  # original untouched
+    p0 = np.array([[4.0, 1.0]])
+    # gamma * (4 - 1) = 150: channel 1 is chosen with probability 1 in floats
+    out = run_learning(_one_user_game(2), gamma=50.0, periods=1, rng=np.random.default_rng(0),
+                       observer=_constant_observer(6.0), mu=lambda T: 0.5, p0=p0)
+    assert out.channels[0, 0] == 1
+    assert out.perceptions[0, 0] == pytest.approx(5.0)
+    assert out.perceptions[0, 1] == 1.0
+    assert p0[0, 0] == 4.0  # original untouched
 
 
 def test_perception_update_vanishing_mu_freezes():
-    st = PerceptionState(np.array([[4.0]]), gamma=1.0, period=10**9)
-    st2 = perception_update(st, 1, 1, 100.0)
-    assert st2.perceptions[0, 0] == pytest.approx(4.0, abs=1e-6)
+    out = run_learning(_one_user_game(), gamma=1.0, periods=1, rng=np.random.default_rng(0),
+                       observer=_constant_observer(100.0), mu=lambda T: reciprocal_schedule(10**9),
+                       p0=np.array([[4.0]]))
+    assert out.perceptions[0, 0] == pytest.approx(4.0, abs=1e-6)
 
 
 def test_perception_update_is_convex_combination():
@@ -67,22 +98,24 @@ def test_perception_update_is_convex_combination():
         p0 = float(rng.uniform(-5, 5))
         est = float(rng.uniform(-5, 5))
         T = int(rng.integers(1, 100))
-        st = PerceptionState(np.array([[p0]]), gamma=1.0, period=T)
-        new = perception_update(st, 1, 1, est).perceptions[0, 0]
+        out = run_learning(_one_user_game(), gamma=1.0, periods=1, rng=np.random.default_rng(0),
+                           observer=_constant_observer(est), mu=lambda _: reciprocal_schedule(T),
+                           p0=np.array([[p0]]))
+        new = out.perceptions[0, 0]
         lo, hi = min(p0, est), max(p0, est)
         assert lo - 1e-12 <= new <= hi + 1e-12
 
 
 def test_repeated_updates_converge_to_constant_estimate():
-    st = PerceptionState(np.array([[0.0]]), gamma=1.0, period=1)
-    for _ in range(30):
-        st = advance_period(perception_update(st, 1, 1, 7.5))
-    assert st.perceptions[0, 0] == pytest.approx(7.5)
+    out = run_learning(_one_user_game(), gamma=1.0, periods=30, rng=np.random.default_rng(0),
+                       observer=_constant_observer(7.5), p0=np.array([[0.0]]))
+    assert out.perceptions[0, 0] == pytest.approx(7.5)
 
 
 def test_mu_schedule_validation():
     with pytest.raises(ValueError):
-        PerceptionState(np.zeros((1, 2)), gamma=1.0, period=1, mu=lambda T: 1.5)
+        run_learning(_one_user_game(2), gamma=1.0, periods=1, rng=np.random.default_rng(0),
+                     mu=lambda T: 1.5)
 
 
 def test_contraction_bound_arithmetic():

@@ -1,8 +1,12 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 from conftest import random_directed_graph, random_mechanism, random_undirected_graph
 
 import specaccess as sa
+from specaccess.config import learning_policy_from, load_config
 from specaccess.contention import backoff_success_probability, grab_probability
 from specaccess.game import payoff_pure
 from specaccess.simulator import (
@@ -22,6 +26,8 @@ from specaccess.simulator import (
     run_policy,
     simulate_period,
 )
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _scenario(graph, channel_models, mech, rates=None, t_max=100, periods=10, gains=None):
@@ -303,6 +309,25 @@ def test_learning_policy_traces_welfare():
     assert res.learning is not None
     assert res.welfare_trace.shape == (40,)
     assert res.learning.delta >= 0.0
+
+
+def test_per_user_mean_is_realised_throughput():
+    # per_user_mean splits mean_welfare by user for every policy; learning used
+    # to report its mean estimates, which on white-space channels (no update
+    # ever defined) were all zero
+    tri = load_config(CONFIGS / "triangle_no_ne.json")
+    cases = [(replace(tri.scenario, periods=20), learning_policy_from(tri))]
+    g = sa.InterferenceGraph.from_edges(4, [(1, 2), (2, 3), (1, 3), (3, 4)])
+    sc = _scenario(g, [sa.MarkovChannel(0.3, 0.1), sa.BernoulliChannel(0.6)], sa.RandomBackoff(6),
+                   rates=[[sa.FixedRate(8.0), sa.FixedRate(4.0)] for _ in range(4)], t_max=50, periods=20)
+    for policy in (LearningPolicy(2.0, "auto"), RandomAccessPolicy(), FixedProfilePolicy((1, 2, 1, 2)),
+                   DynamicStageGamePolicy(restarts=2)):
+        cases.append((sc, policy))
+    for scenario, policy in cases:
+        res = run_policy(scenario, policy, (5, 0))
+        assert res.mean_welfare > 0.0
+        assert res.per_user_mean.shape == (scenario.game.n_users,)
+        assert res.per_user_mean.sum() == pytest.approx(res.mean_welfare, rel=1e-12)
 
 
 def test_policy_comparison_ordering():
