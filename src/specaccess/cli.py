@@ -41,6 +41,7 @@ from .simulator import (
     FixedProfilePolicy,
     RandomAccessPolicy,
     SimStreams,
+    _periods,
     compare_policies,
     run_policy,
     simulate_period,
@@ -374,8 +375,7 @@ def cmd_simulate(args) -> int:
     outdir = _outdir(args, cfg)
     _echo(cfg, outdir)
     scenario = cfg.scenario
-    profile = _default_profile(cfg)
-    policy = FixedProfilePolicy(profile) if cfg.fixed_profile is not None else RandomAccessPolicy()
+    policy = FixedProfilePolicy(cfg.fixed_profile) if cfg.fixed_profile is not None else RandomAccessPolicy()
     result = run_policy(scenario, policy, (args.seed, 0))
     rows = [[t + 1, fmt(result.welfare_trace[t])] for t in range(scenario.periods)]
     path = write_csv(
@@ -386,22 +386,19 @@ def cmd_simulate(args) -> int:
     print(f"wrote {path}")
     print(f"mean welfare: {result.mean_welfare:.6g} {cfg.rate_unit}")
     if cfg.output.slot_trace:
-        _write_slot_trace(cfg, profile, outdir, args.seed)
+        _write_slot_trace(cfg, policy, outdir, args.seed)
     return 0
 
 
-def _write_slot_trace(cfg: ExperimentConfig, profile, outdir: Path, seed: int) -> None:
+def _write_slot_trace(cfg: ExperimentConfig, policy, outdir: Path, seed: int) -> None:
+    """Period 1 of the rollout that periods.csv summarises, slot by slot."""
     scenario = cfg.scenario
     streams = SimStreams.from_seed((seed, 0), scenario.game.n_users)
-    state = scenario.initial_channel_state(streams.channels)
-    obs, _ = simulate_period(scenario, profile, state, streams)
-    rows = []
-    for t in range(scenario.t_max):
-        for n in range(1, scenario.game.n_users + 1):
-            o = obs[n - 1]
-            rows.append([1, t + 1, n, profile[n - 1], int(o.S[t]), int(o.I[t]), fmt(o.b[t])])
+    ch, s, i, b = next(_periods(scenario, policy, streams))
+    rows = [[1, t + 1, u + 1, int(ch[t, u]), int(s[t, u]), int(i[t, u]), fmt(b[t, u])]
+            for t in range(scenario.t_max) for u in range(scenario.game.n_users)]
     write_csv(
-        outdir / "slots.csv", "slot-trace", 1,
+        outdir / "slots.csv", "slot-trace", 2,
         ["period", "slot", "user", "channel", "S", "I", "b"],
         rows, _meta(cfg, seed),
     )

@@ -53,12 +53,12 @@ def boltzmann_profile(P: np.ndarray, gamma: float) -> np.ndarray:
 def contraction_temperature_bound(spec: SpectrumGame) -> float:
     """Largest guaranteed-contraction temperature (exclusive): the mean
     dynamics contract in max norm whenever gamma stays strictly below
-    1 / (2 max theta*rate * max in-degree). Infinite for interference-free
-    graphs, where the dynamics do not depend on perceptions at all."""
-    max_deg = spec.graph.max_in_degree
-    if max_deg == 0:
+    1 / (2 max theta*rate * max in-degree). Infinite when that product is 0
+    (no interference, or no channel ever idle): Q is then constant."""
+    lipschitz = spec.max_effective_value() * spec.graph.max_in_degree
+    if lipschitz == 0:
         return math.inf
-    return 1.0 / (2.0 * spec.max_effective_value() * max_deg)
+    return 1.0 / (2.0 * lipschitz)
 
 
 def q_from_sigma(spec: SpectrumGame, sigma: np.ndarray) -> np.ndarray:
@@ -162,10 +162,7 @@ def approx_ne_gap(
     checked against each user's exact best pure response."""
     sigma = check_mixed_profile(spec, sigma)
     gamma_eff = gamma / payoff_scale
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.where(sigma > 0.0, np.log(np.where(sigma > 0.0, sigma, 1.0)), 0.0)
-    entropy = -(sigma * logs).sum(axis=1)
-    delta = float(entropy.max() / gamma_eff)
+    delta = _entropy_gap(sigma, gamma_eff)
     Q = q_from_sigma(spec, sigma)
     mixed_value = (sigma * Q).sum(axis=1)
     br_gains = Q.max(axis=1) - mixed_value
@@ -178,6 +175,14 @@ def approx_ne_gap(
         satisfied=max_gain <= delta + tolerance,
         tolerance=tolerance,
     )
+
+
+def _entropy_gap(sigma: np.ndarray, gamma_eff: float) -> float:
+    """delta: the largest entropy of a mixed row, over the effective temperature."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = np.where(sigma > 0.0, np.log(np.where(sigma > 0.0, sigma, 1.0)), 0.0)
+    entropy = -(sigma * logs).sum(axis=1)
+    return float(entropy.max() / gamma_eff)
 
 
 def exact_observer(spec: SpectrumGame, noise: UniformNoise | None = None) -> Observer:
@@ -289,7 +294,6 @@ def run_learning(
                 converged_at = T
 
     sigma = boltzmann_profile(P / payoff_scale, gamma)
-    gap = approx_ne_gap(spec, sigma, gamma, payoff_scale=payoff_scale)
     return LearningOutcome(
         perceptions=P,
         sigma=sigma,
@@ -299,7 +303,7 @@ def run_learning(
         channels=channels,
         estimates=estimates,
         error_trace=error_trace,
-        delta=gap.delta,
+        delta=_entropy_gap(sigma, gamma_eff),
         converged=converged_at is not None,
         converged_at=converged_at,
         periods=periods,

@@ -116,6 +116,11 @@ class Scenario:
             valid[u, : len(row)] = True
         return idx, valid
 
+    @cached_property
+    def _rate_params(self) -> np.ndarray:
+        """(N, M, 5): rate_models[u][m] as _rate_row gives it."""
+        return np.array([[_rate_row(r) for r in row] for row in self.rate_models])
+
 
 def _channel_states(
     models: Sequence[ChannelModel],
@@ -193,54 +198,46 @@ def _success_matrix(
     return idle & (draws < np.min(nbr, axis=2, where=co, initial=np.inf))
 
 
-def _realise_rates(
-    scenario: Scenario,
-    channel_of_user: np.ndarray,
-    succ: np.ndarray,
-    fading: np.ndarray,
-) -> np.ndarray:
-    """b values, (t, N): zero unless the slot was grabbed."""
-    t, n = succ.shape
-    b = np.zeros((t, n))
-    for u in range(n):
-        ch = channel_of_user[:, u]
-        sel = succ[:, u]
-        if not sel.any():
-            continue
-        if np.all(ch == ch[0]):
-            model = scenario.rate_models[u][int(ch[0]) - 1]
-            b[sel, u] = _rate_values(model, fading[sel, u])
-        else:
-            for m in np.unique(ch[sel]):
-                mask = sel & (ch == m)
-                model = scenario.rate_models[u][int(m) - 1]
-                b[mask, u] = _rate_values(model, fading[mask, u])
+def _realise_rates(scenario: Scenario, ch: np.ndarray, succ: np.ndarray, fading: np.ndarray) -> np.ndarray:
+    """b values, (t, N): the rate of each grabbed slot on its channel ch, zero
+    elsewhere; one gather of the (user, channel) rate parameters."""
+    t_idx, u_idx = np.nonzero(succ)
+    b = np.zeros(succ.shape)
+    params = scenario._rate_params[u_idx, ch[t_idx, u_idx] - 1]
+    b[t_idx, u_idx] = _rate_values(params, fading[t_idx, u_idx])
     return b
 
 
-def _rate_values(model: RateModel, fading: np.ndarray) -> np.ndarray:
+def _rate_row(model: RateModel) -> tuple[float, float, float, float, float]:
+    """A rate model as (fixed rate or NaN, W, eta, omega, mean gain); a
+    FixedRate's Shannon terms are 1.0, evaluated and discarded."""
     if isinstance(model, FixedRate):
-        return np.full(fading.shape, model.mean_rate)
-    z = fading * model.mean_gain
-    return model.bandwidth * np.log2(1.0 + model.tx_power * z / model.noise_power)
+        return (model.mean_rate, 1.0, 1.0, 1.0, 1.0)
+    return (math.nan, model.bandwidth, model.tx_power, model.noise_power, model.mean_gain)
 
 
-def _simulate_block(
-    scenario: Scenario,
-    a: Profile,
-    state0: Sequence[int],
-    streams: SimStreams,
-    t: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]:
-    states, final = _channel_states(scenario.channel_models, state0, t, streams.channels)
-    a_idx = np.array(a, dtype=np.int64) - 1
-    s_user = states[:, a_idx]
+def _rate_values(params, fading: np.ndarray) -> np.ndarray:
+    """Per-slot rates for standard-exponential fading draws under rate rows
+    (..., 5) from _rate_row, broadcast against the draws: the fixed rate, or
+    W log2(1 + eta z / omega) with the power gain z = fading * mean gain."""
+    fixed, w, eta, omega, g = np.moveaxis(np.asarray(params, dtype=float), -1, 0)
+    shannon = w * np.log2(1.0 + eta * (fading * g) / omega)
+    return np.where(np.isnan(fixed), shannon, fixed)
+
+
+def _play_period(scenario: Scenario, streams: SimStreams, state: Sequence[int], choose) -> tuple:
+    """t_max slots from channel state `state`. Channel states, contention
+    draws and fading draws come first, each substream in the same order under
+    every policy; then ch = choose(states), the (t_max, N) per-slot channels.
+    Returns (ch, S, I, b), each (t_max, N), and the final channel state."""
+    t = scenario.t_max
+    states, final = _channel_states(scenario.channel_models, state, t, streams.channels)
     draws = _contention_draws(scenario, streams, t)
     fading = _rate_draws(scenario, streams, t)
-    ch = np.broadcast_to(a_idx + 1, (t, len(a)))
+    ch = choose(states)
+    s_user = np.take_along_axis(states, ch - 1, axis=1)
     succ = _success_matrix(scenario, ch, s_user, draws)
-    b = _realise_rates(scenario, ch, succ, fading)
-    return s_user.astype(np.int8), succ.astype(np.int8), b, final
+    return ch, s_user, succ, _realise_rates(scenario, ch, succ, fading), final
 
 
 def simulate_period(
@@ -251,7 +248,8 @@ def simulate_period(
 ) -> tuple[list[ObservationSet], tuple[int, ...]]:
     """t_max consecutive slots with every user holding its channel; returns
     one well-formed ObservationSet per user plus the carried channel state."""
-    s, i, b, final = _simulate_block(scenario, a, state, streams, scenario.t_max)
+    choose = FixedProfilePolicy(tuple(a))._chooser(scenario, streams.policy)
+    _, s, i, b, final = _play_period(scenario, streams, state, choose)
     obs = [ObservationSet(s[:, u], i[:, u], b[:, u]) for u in range(scenario.game.n_users)]
     return obs, final
 
@@ -265,6 +263,11 @@ class RandomAccessPolicy:
     def label(self) -> str:
         return "random_access"
 
+    def _chooser(self, scenario: Scenario, rng: np.random.Generator):
+        """Each user draws a uniform channel per period and holds it."""
+        n, m, t = scenario.game.n_users, scenario.game.n_channels, scenario.t_max
+        return lambda states: np.broadcast_to(rng.integers(1, m + 1, size=n), (t, n))
+
 
 @dataclass(frozen=True)
 class FixedProfilePolicy:
@@ -272,6 +275,10 @@ class FixedProfilePolicy:
 
     def label(self) -> str:
         return "fixed_profile"
+
+    def _chooser(self, scenario: Scenario, rng: np.random.Generator):
+        ch = np.broadcast_to(np.array(self.profile, dtype=np.int64), (scenario.t_max, len(self.profile)))
+        return lambda states: ch
 
 
 @dataclass(frozen=True)
@@ -288,7 +295,11 @@ class LearningPolicy:
 
     def resolved_scale(self, game: SpectrumGame) -> float:
         if self.payoff_scale == "auto":
-            return game.mean_effective_value()
+            scale = game.mean_effective_value()
+            if scale == 0.0:
+                raise ValueError('payoff_scale "auto" is undefined: no channel is ever idle, '
+                                 "so the mean expected throughput is 0")
+            return scale
         return float(self.payoff_scale)
 
     def mu_schedule(self):
@@ -307,14 +318,28 @@ class LearningPolicy:
 class DynamicStageGamePolicy:
     """Benchmark with global per-slot channel-state knowledge: each slot is
     played at a stage-game profile solved with theta replaced by the realised
-    states. Solutions are memoised per state vector and new state vectors are
-    solved in slot order; the slots of a period are then resolved together."""
+    states. Its chooser memoises one solution per state vector for the whole
+    rollout and solves new state vectors in slot order, drawing restarts from
+    the policy substream; the period engine then resolves all slots of a
+    period at once, like any other policy's."""
 
     restarts: int = 10
     max_rounds: int = 200
 
     def label(self) -> str:
         return "dynamic_stage_game"
+
+    def _chooser(self, scenario: Scenario, rng: np.random.Generator):
+        memo: dict[tuple[int, ...], Profile] = {}
+
+        def choose(states: np.ndarray) -> np.ndarray:
+            keys = list(map(tuple, states.tolist()))
+            for key in dict.fromkeys(keys):  # first-seen slot order
+                if key not in memo:
+                    memo[key] = _solve_stage(scenario.game, key, rng, self)
+            return np.array([memo[key] for key in keys])
+
+        return choose
 
 
 Policy = RandomAccessPolicy | FixedProfilePolicy | LearningPolicy | DynamicStageGamePolicy
@@ -353,9 +378,6 @@ def make_mle_observer(scenario: Scenario, streams: SimStreams,
 def run_policy(scenario: Scenario, policy: Policy, seed) -> PolicyResult:
     """Deterministic policy rollout over scenario.periods decision periods."""
     streams = SimStreams.from_seed(seed, scenario.game.n_users)
-    n, m = scenario.game.n_users, scenario.game.n_channels
-    periods, t_max = scenario.periods, scenario.t_max
-
     if isinstance(policy, LearningPolicy):
         scale = policy.resolved_scale(scenario.game)
         noise = UniformNoise(policy.noise_half_width) if policy.noise_half_width > 0 else None
@@ -366,7 +388,7 @@ def run_policy(scenario: Scenario, policy: Policy, seed) -> PolicyResult:
         else:
             raise ValueError(f"unknown estimator '{policy.estimator}'")
         outcome = run_learning(
-            scenario.game, policy.gamma, periods, streams.policy,
+            scenario.game, policy.gamma, scenario.periods, streams.policy,
             observer=observer, payoff_scale=scale,
             mu=policy.mu_schedule(), p0=policy.initial_matrix(scenario.game),
         )
@@ -375,51 +397,24 @@ def run_policy(scenario: Scenario, policy: Policy, seed) -> PolicyResult:
             float(outcome.welfare_trace.mean()), learning=outcome,
         )
 
-    if isinstance(policy, DynamicStageGamePolicy):
-        return _run_dynamic(scenario, policy, streams)
-
-    state = scenario.initial_channel_state(streams.channels)
-    welfare_trace = np.zeros(periods)
-    user_totals = np.zeros(n)
-    for t in range(periods):
-        if isinstance(policy, RandomAccessPolicy):
-            a = tuple(int(c) for c in streams.policy.integers(1, m + 1, size=n))
-        elif isinstance(policy, FixedProfilePolicy):
-            a = policy.profile
-        else:
-            raise TypeError(f"unknown policy {policy!r}")
-        _, _, b, state = _simulate_block(scenario, a, state, streams, t_max)
-        per_user = np.array([b[:, u].sum() / t_max for u in range(n)])
+    welfare_trace = np.zeros(scenario.periods)
+    user_totals = np.zeros(scenario.game.n_users)
+    for t, (_, _, _, b) in enumerate(_periods(scenario, policy, streams)):
+        # slot-order sums; b.sum(axis=0) reduces pairwise when N = 1
+        per_user = np.cumsum(b, axis=0)[-1] / scenario.t_max
         user_totals += per_user
         welfare_trace[t] = per_user.sum()
-    return PolicyResult(policy.label(), welfare_trace, user_totals / periods, float(welfare_trace.mean()))
+    return PolicyResult(policy.label(), welfare_trace, user_totals / scenario.periods, float(welfare_trace.mean()))
 
 
-def _run_dynamic(scenario: Scenario, policy: DynamicStageGamePolicy, streams: SimStreams) -> PolicyResult:
-    game = scenario.game
-    periods, t_max = scenario.periods, scenario.t_max
-    memo: dict[tuple[int, ...], Profile] = {}
+def _periods(scenario: Scenario, policy: Policy, streams: SimStreams):
+    """Play the periods of a non-learning policy in order, yielding each
+    period's (ch, S, I, b) from _play_period."""
+    choose = policy._chooser(scenario, streams.policy)
     state = scenario.initial_channel_state(streams.channels)
-    welfare_trace = np.zeros(periods)
-    user_totals = np.zeros(game.n_users)
-
-    for t in range(periods):
-        states, state = _channel_states(scenario.channel_models, state, t_max, streams.channels)
-        draws = _contention_draws(scenario, streams, t_max)
-        fading = _rate_draws(scenario, streams, t_max)
-        profiles = []
-        for key in map(tuple, states.tolist()):  # slot order: new states are solved as first seen
-            prof = memo.get(key)
-            if prof is None:
-                prof = memo[key] = _solve_stage(game, key, streams.policy, policy)
-            profiles.append(prof)
-        ch = np.array(profiles)
-        s_user = np.take_along_axis(states, ch - 1, axis=1)
-        b = _realise_rates(scenario, ch, _success_matrix(scenario, ch, s_user, draws), fading)
-        per_user = np.cumsum(b, axis=0)[-1] / t_max  # slot-order sum, as a per-slot loop adds
-        user_totals += per_user
-        welfare_trace[t] = per_user.sum()
-    return PolicyResult(policy.label(), welfare_trace, user_totals / periods, float(welfare_trace.mean()))
+    for _ in range(scenario.periods):
+        ch, s, i, b, state = _play_period(scenario, streams, state, choose)
+        yield ch, s, i, b
 
 
 def _solve_stage(game: SpectrumGame, realised: tuple[int, ...], rng: np.random.Generator,

@@ -345,3 +345,65 @@ def test_cli_slot_trace(tmp_path):
     rows = [l for l in trace.splitlines() if l and not l.startswith("#")]
     assert rows[0] == "period,slot,user,channel,S,I,b"
     assert len(rows) == 1 + 40 * 2  # t_max slots x 2 users
+
+
+def _csv_rows(path):
+    return [l.split(",") for l in path.read_text().splitlines() if l and not l.startswith("#")][1:]
+
+
+@pytest.mark.parametrize("policy", ["random_access", "fixed_profile"])
+def test_cli_slot_trace_replays_period_one(tmp_path, policy):
+    # slots.csv is period 1 of the rollout that periods.csv summarises
+    doc = _tiny_learning_doc()
+    doc["output"] = {"slot_trace": True}
+    if policy == "random_access":
+        del doc["scenario"]["profile"]
+    p = _write(tmp_path, doc)
+    assert cli_main(["simulate", str(p), "--out", str(tmp_path), "--seed", "1"]) == 0
+    slots = _csv_rows(tmp_path / "slots.csv")
+    assert len(slots) == 40 * 2
+    period_one = float(_csv_rows(tmp_path / "periods.csv")[0][1])
+    assert sum(float(r[6]) for r in slots) / 40 == pytest.approx(period_one, rel=1e-9)
+    assert (tmp_path / "slots.csv").read_text().startswith("# schema: slot-trace v2")
+    channels = {(int(r[2]), int(r[3])) for r in slots}
+    assert len(channels) == 2  # each user holds one channel for the period
+    if policy == "fixed_profile":
+        assert channels == {(1, 1), (2, 2)}
+
+
+def _never_idle_doc(payoff_scale):
+    doc = _tiny_learning_doc()
+    doc["scenario"]["channels"] = [{"kind": "white_space", "theta": 0}] * 2
+    doc["learning"]["payoff_scale"] = payoff_scale
+    return doc
+
+
+def test_cli_learn_channels_never_idle(tmp_path, capsys):
+    p = _write(tmp_path, _never_idle_doc(2.0))
+    assert cli_main(["learn", str(p), "--out", str(tmp_path), "--seed", "1"]) == 0
+    assert "contraction bound inf" in capsys.readouterr().out
+    summary = json.loads((tmp_path / "learning_summary.json").read_text())
+    assert summary["mean_welfare"] == 0.0 and summary["skipped_updates"] == 2 * 30
+
+
+def test_cli_learn_auto_scale_never_idle_is_an_error(tmp_path, capsys):
+    p = _write(tmp_path, _never_idle_doc("auto"))
+    assert cli_main(["learn", str(p), "--out", str(tmp_path), "--seed", "1"]) == 1
+    assert 'error: payoff_scale "auto"' in capsys.readouterr().err
+
+
+def test_cli_learn_weighted_share_beyond_enumeration_cap(tmp_path):
+    # 22 users on a complete graph: 21 in-neighbours each, past the 20 that
+    # expected_grab enumerates; the final delta must not need it
+    n = 22
+    doc = _tiny_learning_doc()
+    doc["scenario"].update({
+        "graph": {"n_users": n, "edges": [[i, j] for i in range(1, n + 1) for j in range(1, n + 1) if i != j]},
+        "rates": {"kind": "fixed", "mean": [[8.0, 4.0]] * n},
+        "mechanism": {"kind": "weighted_share", "weights": [1.0] * n},
+        "t_max": 10, "periods": 3,
+    })
+    del doc["scenario"]["profile"]
+    p = _write(tmp_path, doc)
+    assert cli_main(["learn", str(p), "--out", str(tmp_path), "--seed", "1"]) == 0
+    assert json.loads((tmp_path / "learning_summary.json").read_text())["delta"] > 0

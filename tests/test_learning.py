@@ -131,6 +131,13 @@ def test_contraction_bound_unbounded_without_interference():
     assert contraction_temperature_bound(spec) == math.inf
 
 
+def test_contraction_bound_unbounded_when_never_idle():
+    # theta = 0 on every channel makes Q identically 0, so no temperature is too high
+    g = sa.InterferenceGraph.undirected(2, [(1, 2)])
+    spec = SpectrumGame.create(g, [0.0, 0.0], [[4.0, 2.0], [3.0, 5.0]], sa.RandomBackoff(4))
+    assert contraction_temperature_bound(spec) == math.inf
+
+
 def test_fixed_point_empty_graph_exact():
     g = sa.InterferenceGraph.from_edges(2, [])
     spec = SpectrumGame.create(g, [0.5, 0.8], [[10.0, 5.0], [2.0, 4.0]], sa.RandomBackoff(6))
@@ -263,3 +270,24 @@ def test_q_operator_scale_equivalence():
     assert np.allclose(s1, s2)
     q1 = q_operator(spec, P, 2.0, payoff_scale=1.0)
     assert np.allclose(q1, q_from_sigma(spec, s1))
+
+
+def test_run_learning_delta_needs_no_mixed_payoffs():
+    # delta is the entropy term alone: a weighted-share game with more
+    # in-neighbours than expected_grab enumerates still finishes its run
+    n = 22
+    g = sa.InterferenceGraph.undirected(n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)])
+    spec = SpectrumGame.create(g, [0.5, 0.7], [[4.0, 2.0]] * n, sa.WeightedShare((1.0,) * n))
+    with pytest.raises(sa.ResourceLimitError):
+        q_from_sigma(spec, np.full((n, 2), 0.5))
+    out = run_learning(spec, 2.0, 3, np.random.default_rng(0))
+    entropy = -(out.sigma * np.log(out.sigma)).sum(axis=1)
+    assert out.delta == pytest.approx(entropy.max() / 2.0, rel=1e-12)
+
+
+def test_run_learning_delta_equals_certificate_delta():
+    rng = np.random.default_rng(12)
+    for kind in ("backoff", "weighted", "aloha"):
+        spec = random_game(rng, random_directed_graph(rng, 5, 0.5), 3, kind)
+        out = run_learning(spec, 1.5, 20, np.random.default_rng(3), payoff_scale=2.0)
+        assert out.delta == approx_ne_gap(spec, out.sigma, 1.5, payoff_scale=2.0).delta

@@ -19,6 +19,8 @@ from specaccess.simulator import (
     _channel_states,
     _contention_draws,
     _rate_draws,
+    _rate_row,
+    _rate_values,
     _realise_rates,
     _solve_stage,
     _success_matrix,
@@ -160,6 +162,82 @@ def test_dynamic_policy_matches_per_slot_loop(kind, channels):
     assert np.array_equal(res.welfare_trace, trace)
     assert np.array_equal(res.per_user_mean, per_user)
     assert res.mean_welfare > 0
+
+
+def _mixed_rates(rng, n, m):
+    return [
+        [sa.FixedRate(float(rng.uniform(1.0, 9.0))) if rng.random() < 0.4
+         else sa.RayleighShannonRate(10.0, 0.1, 1e-13, float(rng.uniform(5e-13, 2e-12))) for _ in range(m)]
+        for _ in range(n)
+    ]
+
+
+def _rate_of(scenario, u, m, f):
+    """One slot's rate for user u (0-based) on channel m (1-based)."""
+    return _rate_values(_rate_row(scenario.rate_models[u][m - 1]), np.array([f]))[0]
+
+
+def _run_policy_per_period(scenario, policy, seed):
+    """Reference for the random-access and fixed-profile policies: each period
+    drawn, resolved and realised from the slot primitives, slots summed in order."""
+    game = scenario.game
+    n, t_max = game.n_users, scenario.t_max
+    streams = SimStreams.from_seed(seed, n)
+    state = scenario.initial_channel_state(streams.channels)
+    welfare_trace = np.zeros(scenario.periods)
+    user_totals = np.zeros(n)
+    for t in range(scenario.periods):
+        if isinstance(policy, RandomAccessPolicy):
+            a = streams.policy.integers(1, game.n_channels + 1, size=n)
+        else:
+            a = np.array(policy.profile)
+        states, state = _channel_states(scenario.channel_models, state, t_max, streams.channels)
+        draws = _contention_draws(scenario, streams, t_max)
+        fading = _rate_draws(scenario, streams, t_max)
+        succ = _success_matrix(scenario, np.tile(a, (t_max, 1)), states[:, a - 1], draws)
+        b_total = np.zeros(n)
+        for slot in range(t_max):
+            for u in range(n):
+                b_total[u] += _rate_of(scenario, u, a[u], fading[slot, u]) if succ[slot, u] else 0.0
+        per_user = b_total / t_max
+        user_totals += per_user
+        welfare_trace[t] = per_user.sum()
+    return welfare_trace, user_totals / scenario.periods
+
+
+@pytest.mark.parametrize("kind", ["backoff", "asymptotic", "weighted", "aloha"])
+@pytest.mark.parametrize("n", [1, 5])
+def test_random_and_fixed_policies_match_per_period_loop(kind, n):
+    rng = np.random.default_rng(47 + n)
+    channels = [sa.MarkovChannel(0.3, 0.2), sa.BernoulliChannel(0.6), sa.WhiteSpaceChannel(1)]
+    g = random_directed_graph(rng, n, 0.5)
+    sc = _scenario(g, channels, random_mechanism(rng, n, kind), rates=_mixed_rates(rng, n, 3),
+                   t_max=30, periods=8)
+    profile = tuple(int(c) for c in rng.integers(1, 4, size=n))
+    for policy in (RandomAccessPolicy(), FixedProfilePolicy(profile)):
+        res = run_policy(sc, policy, (9, 2))
+        trace, per_user = _run_policy_per_period(sc, policy, (9, 2))
+        assert np.array_equal(res.welfare_trace, trace)
+        assert np.array_equal(res.per_user_mean, per_user)
+        assert res.mean_welfare > 0
+
+
+def test_realise_rates_matches_per_slot_rate_values():
+    rng = np.random.default_rng(53)
+    n, m, t = 6, 4, 200
+    g = random_directed_graph(rng, n, 0.4)
+    sc = _scenario(g, [sa.BernoulliChannel(0.5)] * m, sa.RandomBackoff(5), rates=_mixed_rates(rng, n, m), t_max=t)
+    assert {type(r) for row in sc.rate_models for r in row} == {sa.FixedRate, sa.RayleighShannonRate}
+    for _ in range(3):
+        ch = rng.integers(1, m + 1, size=(t, n))
+        succ = rng.random((t, n)) < 0.6
+        fading = rng.standard_exponential((t, n))
+        b = _realise_rates(sc, ch, succ, fading)
+        assert b.shape == (t, n)
+        for k in range(t):
+            for u in range(n):
+                expect = _rate_of(sc, u, ch[k, u], fading[k, u]) if succ[k, u] else 0.0
+                assert b[k, u] == expect, (k, u)
 
 
 def test_whitespace_idle_sequence():
