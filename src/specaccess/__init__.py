@@ -41,8 +41,6 @@ from .game import (
     better_response_dynamics,
     enumerate_pure_ne,
     is_pure_ne,
-    payoff_physical,
-    payoff_pure,
     social_welfare_and_poa,
     welfare,
 )

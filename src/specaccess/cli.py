@@ -30,8 +30,8 @@ from .config import (
 )
 from .contention import RandomBackoff
 from .equilibria import construct_ne_bipartite, construct_ne_dag, construct_ne_directed_tree
-from .errors import PreconditionError, ResourceLimitError, UndefinedEstimateError
-from .estimation import estimate_throughput
+from .errors import PreconditionError, ResourceLimitError
+from .estimation import _mle, _statistics
 from .game import enumerate_pure_ne, is_pure_ne, welfare
 from .graph import classify
 from .learning import contraction_temperature_bound
@@ -44,7 +44,6 @@ from .simulator import (
     _periods,
     compare_policies,
     run_policy,
-    simulate_period,
     sweep_gamma,
 )
 
@@ -310,18 +309,13 @@ def cmd_estimate(args) -> int:
     scenario = cfg.scenario
     profile = _default_profile(cfg)
     streams = SimStreams.from_seed(args.seed, scenario.game.n_users)
-    state = scenario.initial_channel_state(streams.channels)
     rows = []
-    for period in range(1, scenario.periods + 1):
-        obs, state = simulate_period(scenario, profile, state, streams)
-        for n in range(1, scenario.game.n_users + 1):
-            o = obs[n - 1]
-            try:
-                est = estimate_throughput(o)
-                cells = [fmt(est.theta_hat), fmt(est.grab_hat), fmt(est.rate_hat), fmt(est.throughput)]
-            except UndefinedEstimateError:
-                cells = ["", "", "", ""]
-            rows.append([period, n, profile[n - 1], int(o.S.sum()), int(o.I.sum()), fmt(o.b.sum())] + cells)
+    for period, (_, s, i, b) in enumerate(_periods(scenario, FixedProfilePolicy(tuple(profile)), streams), 1):
+        stats = _statistics(s, i, b)
+        est = _mle(*stats)  # the rule of estimate_throughput, every user at once
+        for u, ch in enumerate(profile):
+            cells = [""] * 4 if np.isnan(est.throughput[u]) else [fmt(x[u]) for x in est[2:]]
+            rows.append([period, u + 1, ch, int(stats[0][u]), int(stats[1][u]), fmt(stats[2][u])] + cells)
     path = write_csv(
         outdir / "estimates.csv", "estimation-trace", 1,
         ["period", "user", "channel", "sum_S", "sum_I", "sum_b",

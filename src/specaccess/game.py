@@ -165,12 +165,6 @@ class SpectrumGame:
         return np.array(table), weight, offset
 
 
-def payoff_pure(spec: SpectrumGame, a: Profile, n: int) -> float:
-    """Long-run average throughput of user n under pure profile a."""
-    _check_profile(spec, a)
-    return spec.payoff(a, n)
-
-
 def welfare(game: GameLike, a: Profile) -> float:
     return sum(game.payoff(a, n) for n in range(1, game.n_users + 1))
 
@@ -233,11 +227,6 @@ class PhysicalGame:
             if i != n and a[i - 1] == ch:
                 interference += self.tx_power[i - 1] * self.cross_distance[i - 1][n - 1] ** (-alpha)
         return self.idle_prob[ch - 1] * self.bandwidth * math.log2(1.0 + signal / interference)
-
-
-def payoff_physical(p: PhysicalGame, a: Profile, n: int) -> float:
-    _check_profile(p, a)
-    return p.payoff(a, n)
 
 
 # ---------------------------------------------------------------------------

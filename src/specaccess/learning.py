@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .estimation import UniformNoise
 from .game import SpectrumGame, check_mixed_profile, expected_grab
 
 MuSchedule = Callable[[int], float]
-Observer = Callable[[tuple[int, ...], int, np.random.Generator], Sequence[tuple[float | None, float]]]
+Observer = Callable[[tuple[int, ...], int, np.random.Generator], tuple[np.ndarray, np.ndarray]]
 
 
 def reciprocal_schedule(T: int) -> float:
@@ -190,12 +190,8 @@ def exact_observer(spec: SpectrumGame, noise: UniformNoise | None = None) -> Obs
     (optionally with bounded zero-mean noise) - the zero-estimation-error hook."""
 
     def observe(a: tuple[int, ...], period: int, rng: np.random.Generator):
-        out = []
-        for n in range(1, spec.n_users + 1):
-            u = spec.payoff(a, n)
-            est = u if noise is None else u + noise.sample(rng)
-            out.append((est, u))
-        return out
+        u = np.array([spec.payoff(a, n) for n in range(1, spec.n_users + 1)])
+        return (u if noise is None else u + noise.sample(rng, spec.n_users)), u
 
     return observe
 
@@ -235,9 +231,9 @@ def run_learning(
     """Run the distributed learning loop for a number of decision periods.
 
     Per period every user samples a channel from its Boltzmann row, the
-    observer produces (estimate, realised value) per user, and each user's
-    chosen-channel perception absorbs its estimate with weight mu_T. An
-    estimate of None (undefined MLE for that user-period) skips the update.
+    observer produces (estimates, realised values) as (N,) arrays, and each
+    user's chosen-channel perception absorbs its estimate with weight mu_T. A
+    NaN estimate (undefined MLE for that user-period) skips the update.
     Convergence, when zeta is given, means the max perception change stayed
     below zeta over the trailing window.
     """
@@ -262,31 +258,24 @@ def run_learning(
         sigma = boltzmann_profile(P / payoff_scale, gamma)
         cdf = np.cumsum(sigma, axis=1)
         u = rng.random(N)
-        a = tuple(int(np.searchsorted(cdf[n], u[n] * cdf[n, -1], side="right")) + 1 for n in range(N))
-        a = tuple(min(ch, M) for ch in a)
-        results = observer(a, T, rng)
+        # per row, the number of cdf entries <= u * total: searchsorted(side="right")
+        a = np.minimum((cdf <= (u * cdf[:, -1])[:, None]).sum(axis=1) + 1, M)
+        est, realised = (np.asarray(x, dtype=float) for x in observer(tuple(a.tolist()), T, rng))
         mu_T = mu(T)
         if not (0.0 < mu_T <= 1.0):
             raise ValueError(f"smoothing factor mu({T}) = {mu_T} outside (0, 1]")
-        d_max = 0.0
-        total = 0.0
-        for n in range(1, N + 1):
-            est, realised = results[n - 1]
-            total += realised
-            user_totals[n - 1] += realised
-            if record:
-                channels[T - 1, n - 1] = a[n - 1]
-            if est is None:
-                skipped += 1
-                continue
-            if record:
-                estimates[T - 1, n - 1] = est
-            old = P[n - 1, a[n - 1] - 1]
-            new = (1.0 - mu_T) * old + mu_T * est
-            P[n - 1, a[n - 1] - 1] = new
-            d_max = max(d_max, abs(new - old))
-        welfare_trace[T - 1] = total
-        dP_trace[T - 1] = d_max
+        ok = ~np.isnan(est)
+        cell = (np.flatnonzero(ok), a[ok] - 1)
+        old = P[cell]
+        new = (1.0 - mu_T) * old + mu_T * est[ok]
+        P[cell] = new
+        skipped += N - int(ok.sum())
+        user_totals += realised
+        if record:
+            channels[T - 1] = a
+            estimates[T - 1, ok] = est[ok]
+        welfare_trace[T - 1] = np.cumsum(realised)[-1]  # left to right, as np.sum would not
+        dP_trace[T - 1] = np.abs(new - old).max(initial=0.0)
         if error_trace is not None:
             error_trace[T - 1] = float(np.max(np.abs(P - oracle)))
         if zeta is not None and converged_at is None and T >= window:

@@ -28,11 +28,12 @@ from .channels import (
     sample_initial_state,
 )
 from .contention import AsymptoticBackoff, RandomBackoff, SlottedAloha, WeightedShare
-from .errors import UndefinedEstimateError
-from .estimation import ObservationSet, UniformNoise, estimate_throughput
+from .estimation import ObservationSet, UniformNoise, _mle, _statistics
 from .game import Profile, SpectrumGame, better_response_dynamics, welfare
 from .graph import InterferenceGraph
 from .learning import LearningOutcome, Observer, exact_observer, reciprocal_schedule, run_learning
+
+_CHAIN_BLOCK = 8192  # slots of channel chain drawn at once, rounded down to whole periods
 
 
 @dataclass
@@ -128,56 +129,67 @@ def _channel_states(
     t: int,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, tuple[int, ...]]:
+    """(t, M) int8 states after state0 and the last slot's state, from one
+    uniform per slot and channel. A Markov step maps the previous state to 0,
+    to 1, to itself or to its flip, so a slot's state is the last constant (or
+    state0) XOR the parity of the flips since: a prefix scan (Blelloch 1990)."""
     u = rng.random((t, len(models)))
     out = np.empty((t, len(models)), dtype=np.int8)
-    final = list(state0)
     for m, model in enumerate(models):
         if isinstance(model, WhiteSpaceChannel):
             out[:, m] = model.theta
-            final[m] = int(model.theta)
         elif isinstance(model, BernoulliChannel):
-            col = (u[:, m] < model.theta).astype(np.int8)
-            out[:, m] = col
-            final[m] = int(col[-1])
+            out[:, m] = u[:, m] < model.theta
         else:
-            s = int(state0[m])
-            eps, xi = model.epsilon, model.xi
-            col_u = u[:, m]
-            for i in range(t):
-                if s == 0:
-                    s = 1 if col_u[i] < eps else 0
-                else:
-                    s = 0 if col_u[i] < xi else 1
-                out[i, m] = s
-            final[m] = s
-    return out, tuple(final)
+            up, down = u[:, m] < model.epsilon, u[:, m] < model.xi  # 0 -> 1, 1 -> 0
+            # index 0 stands for state0, a constant before the first slot
+            value = np.concatenate(([state0[m] == 1], up))
+            const = np.concatenate(([True], up != down))
+            flips = np.concatenate(([0], np.cumsum(up & down)))
+            last = np.maximum.accumulate(np.where(const, np.arange(t + 1), 0))
+            out[:, m] = (value[last] ^ ((flips - flips[last]) & 1))[1:]
+    return out, tuple(int(x) for x in out[-1])
+
+
+def _channel_periods(scenario: Scenario, streams: SimStreams):
+    """Each period's channel states, (t_max, M), from one chain drawn in
+    blocks of whole periods with the state carried over; the channel substream
+    feeds nothing else, so this equals drawing period by period."""
+    t = scenario.t_max
+    k = max(1, _CHAIN_BLOCK // t)
+    state = scenario.initial_channel_state(streams.channels)
+    while True:
+        states, state = _channel_states(scenario.channel_models, state, k * t, streams.channels)
+        yield from states.reshape(k, t, -1)
 
 
 def _contention_draws(scenario: Scenario, streams: SimStreams, t: int) -> np.ndarray:
     """Per-user contention draws, (t, N). Race values for backoff-family
     mechanisms (lower wins, strict), transmit indicators for Aloha."""
     mech = scenario.game.mechanism
-    n = scenario.game.n_users
-    cols = []
-    for i in range(n):
-        g = streams.users[i]
-        if isinstance(mech, RandomBackoff):
-            cols.append(g.integers(1, mech.max_counter + 1, size=t).astype(float))
-        elif isinstance(mech, AsymptoticBackoff):
-            cols.append(g.random(t))
-        elif isinstance(mech, WeightedShare):
-            cols.append(g.exponential(1.0 / mech.weights[i], size=t))
-        elif isinstance(mech, SlottedAloha):
-            cols.append((g.random(t) < mech.probs[i]).astype(float))
-        else:
-            raise TypeError(f"unknown mechanism {mech!r}")
-    return np.column_stack(cols)
+    if isinstance(mech, RandomBackoff):
+        draw = lambda g, i: g.integers(1, mech.max_counter + 1, size=t)
+    elif isinstance(mech, AsymptoticBackoff):
+        draw = lambda g, i: g.random(t)
+    elif isinstance(mech, WeightedShare):
+        draw = lambda g, i: g.exponential(1.0 / mech.weights[i], size=t)
+    elif isinstance(mech, SlottedAloha):
+        draw = lambda g, i: g.random(t) < mech.probs[i]
+    else:
+        raise TypeError(f"unknown mechanism {mech!r}")
+    out = np.empty((t, scenario.game.n_users))
+    for i, g in enumerate(streams.users):
+        out[:, i] = draw(g, i)
+    return out
 
 
 def _rate_draws(scenario: Scenario, streams: SimStreams, t: int) -> np.ndarray:
     """Standard-exponential fading draws, (t, N); scaled by the per-channel
     mean gain at use time so the draw count never depends on outcomes."""
-    return np.column_stack([streams.users[i].standard_exponential(t) for i in range(scenario.game.n_users)])
+    out = np.empty((t, scenario.game.n_users))
+    for i, g in enumerate(streams.users):
+        out[:, i] = g.standard_exponential(t)
+    return out
 
 
 def _success_matrix(
@@ -225,19 +237,17 @@ def _rate_values(params, fading: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(fixed), shannon, fixed)
 
 
-def _play_period(scenario: Scenario, streams: SimStreams, state: Sequence[int], choose) -> tuple:
-    """t_max slots from channel state `state`. Channel states, contention
+def _play_period(scenario: Scenario, streams: SimStreams, states: np.ndarray, choose) -> tuple:
+    """t_max slots over the period's channel states, (t_max, M). Contention
     draws and fading draws come first, each substream in the same order under
     every policy; then ch = choose(states), the (t_max, N) per-slot channels.
-    Returns (ch, S, I, b), each (t_max, N), and the final channel state."""
-    t = scenario.t_max
-    states, final = _channel_states(scenario.channel_models, state, t, streams.channels)
-    draws = _contention_draws(scenario, streams, t)
-    fading = _rate_draws(scenario, streams, t)
+    Returns (ch, S, I, b), each (t_max, N)."""
+    draws = _contention_draws(scenario, streams, scenario.t_max)
+    fading = _rate_draws(scenario, streams, scenario.t_max)
     ch = choose(states)
     s_user = np.take_along_axis(states, ch - 1, axis=1)
     succ = _success_matrix(scenario, ch, s_user, draws)
-    return ch, s_user, succ, _realise_rates(scenario, ch, succ, fading), final
+    return ch, s_user, succ, _realise_rates(scenario, ch, succ, fading)
 
 
 def simulate_period(
@@ -248,8 +258,9 @@ def simulate_period(
 ) -> tuple[list[ObservationSet], tuple[int, ...]]:
     """t_max consecutive slots with every user holding its channel; returns
     one well-formed ObservationSet per user plus the carried channel state."""
+    states, final = _channel_states(scenario.channel_models, state, scenario.t_max, streams.channels)
     choose = FixedProfilePolicy(tuple(a))._chooser(scenario, streams.policy)
-    _, s, i, b, final = _play_period(scenario, streams, state, choose)
+    _, s, i, b = _play_period(scenario, streams, states, choose)
     obs = [ObservationSet(s[:, u], i[:, u], b[:, u]) for u in range(scenario.game.n_users)]
     return obs, final
 
@@ -356,21 +367,20 @@ class PolicyResult:
 
 def make_mle_observer(scenario: Scenario, streams: SimStreams,
                       noise: UniformNoise | None = None) -> Observer:
-    """Observer producing per-user MLE throughput estimates from simulated
-    traces; realised value is the empirical per-slot throughput."""
-    state_cell = [scenario.initial_channel_state(streams.channels)]
+    """Observer of every user's MLE throughput estimate (NaN where undefined,
+    one noise draw per defined user in user order) and empirical per-slot
+    throughput, from each simulated period's per-user statistics at once."""
+    chain = _channel_periods(scenario, streams)
 
     def observe(a: Profile, period: int, rng: np.random.Generator):
-        obs, state_cell[0] = simulate_period(scenario, a, state_cell[0], streams)
-        out = []
-        for u in range(scenario.game.n_users):
-            realised = float(obs[u].b.sum()) / scenario.t_max
-            try:
-                est = estimate_throughput(obs[u], noise, rng).noisy
-            except UndefinedEstimateError:
-                est = None
-            out.append((est, realised))
-        return out
+        choose = FixedProfilePolicy(tuple(a))._chooser(scenario, streams.policy)
+        _, s, i, b = _play_period(scenario, streams, next(chain), choose)
+        stats = _statistics(s, i, b)
+        est = _mle(*stats).throughput
+        if noise is not None:
+            defined = ~np.isnan(est)
+            est[defined] += noise.sample(rng, int(defined.sum()))
+        return est, stats[2] / scenario.t_max
 
     return observe
 
@@ -411,10 +421,8 @@ def _periods(scenario: Scenario, policy: Policy, streams: SimStreams):
     """Play the periods of a non-learning policy in order, yielding each
     period's (ch, S, I, b) from _play_period."""
     choose = policy._chooser(scenario, streams.policy)
-    state = scenario.initial_channel_state(streams.channels)
-    for _ in range(scenario.periods):
-        ch, s, i, b, state = _play_period(scenario, streams, state, choose)
-        yield ch, s, i, b
+    for _, states in zip(range(scenario.periods), _channel_periods(scenario, streams)):
+        yield _play_period(scenario, streams, states, choose)
 
 
 def _solve_stage(game: SpectrumGame, realised: tuple[int, ...], rng: np.random.Generator,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import specaccess as sa
 from specaccess.channels import (
     BernoulliChannel,
     FixedRate,
@@ -16,7 +17,7 @@ from specaccess.channels import (
     stationary_idle_probability,
 )
 from specaccess.errors import DegenerateModelError
-from specaccess.simulator import _channel_states, _rate_row, _rate_values
+from specaccess.simulator import _CHAIN_BLOCK, _channel_periods, _channel_states, _rate_row, _rate_values
 
 
 def test_stationary_idle_probability_values():
@@ -44,6 +45,69 @@ def test_forced_transitions():
     states, final = _channel_states([c, c, ws, ws], [0, 1, 0, 1], 3, rng)
     assert states.T.tolist() == [[1, 0, 1], [0, 1, 0], [0, 0, 0], [0, 0, 0]]
     assert final == (1, 0, 0, 0)
+
+
+def _channel_states_per_slot(models, state0, t, rng):
+    """Reference: the per-slot loop, one uniform per slot and channel."""
+    u = rng.random((t, len(models)))
+    out = np.empty((t, len(models)), dtype=np.int8)
+    for m, model in enumerate(models):
+        s = int(state0[m])
+        for i in range(t):
+            if isinstance(model, WhiteSpaceChannel):
+                s = model.theta
+            elif isinstance(model, BernoulliChannel):
+                s = 1 if u[i, m] < model.theta else 0
+            elif s == 0:
+                s = 1 if u[i, m] < model.epsilon else 0
+            else:
+                s = 0 if u[i, m] < model.xi else 1
+            out[i, m] = s
+    return out, tuple(int(x) for x in out[-1])
+
+
+def _random_channel(rng):
+    kind = rng.random()
+    if kind < 0.15:
+        return WhiteSpaceChannel(int(rng.integers(0, 2)))
+    if kind < 0.3:
+        return BernoulliChannel(float(rng.uniform(0.01, 0.99)))
+    # epsilon and xi each 0, 1 or interior, never both 0
+    eps, xi = (float(rng.choice([0.0, 1.0, rng.uniform(0.0, 1.0)], p=[0.2, 0.2, 0.6])) for _ in range(2))
+    return MarkovChannel(eps, xi) if eps + xi > 0 else MarkovChannel(1.0, 0.0)
+
+
+def test_channel_scan_matches_per_slot_loop():
+    rng = np.random.default_rng(61)
+    edge_rates = set()
+    for case in range(400):
+        models = [_random_channel(rng) for _ in range(int(rng.integers(1, 5)))]
+        state0 = [int(s) for s in rng.integers(0, 2, size=len(models))]
+        t = 1 if case % 10 == 0 else int(rng.integers(2, 300))
+        seed = int(rng.integers(2**32))
+        got, got_final = _channel_states(models, state0, t, np.random.default_rng(seed))
+        expect, expect_final = _channel_states_per_slot(models, state0, t, np.random.default_rng(seed))
+        assert got.dtype == np.int8 and np.array_equal(got, expect), (case, models, state0, t)
+        assert got_final == expect_final
+        edge_rates.update((c.epsilon, c.xi) for c in models if isinstance(c, MarkovChannel))
+    assert {(0.0, 1.0), (1.0, 0.0), (1.0, 1.0)} <= edge_rates
+
+
+def test_channel_periods_carry_state_across_blocks():
+    models = [MarkovChannel(0.3, 0.2), BernoulliChannel(0.6), WhiteSpaceChannel(1), MarkovChannel(0.05, 0.9)]
+    g = sa.InterferenceGraph.from_edges(1, [])
+    for t_max in (100, 3000, 3 * _CHAIN_BLOCK // 2):
+        sc = sa.Scenario.build(g, models, [[FixedRate(1.0)] * len(models)], sa.RandomBackoff(4), t_max=t_max)
+        periods = 2 * max(1, _CHAIN_BLOCK // t_max) + 1  # two block boundaries; the last block partly used
+        chain = _channel_periods(sc, sa.SimStreams.from_seed(7, 1))
+        got = np.concatenate([next(chain) for _ in range(periods)])
+        rng = sa.SimStreams.from_seed(7, 1).channels
+        state = sc.initial_channel_state(rng)
+        expect = []
+        for _ in range(periods):
+            states, state = _channel_states_per_slot(models, state, t_max, rng)
+            expect.append(states)
+        assert np.array_equal(got, np.concatenate(expect)), t_max
 
 
 def test_markov_ergodic_frequency_matches_stationary():

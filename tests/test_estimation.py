@@ -8,6 +8,8 @@ from specaccess.errors import UndefinedEstimateError
 from specaccess.estimation import (
     ObservationSet,
     UniformNoise,
+    _mle,
+    _statistics,
     estimate_throughput,
     mle_grab,
     mle_markov,
@@ -111,6 +113,51 @@ def test_noise_is_zero_mean_and_bounded():
     assert abs(draws.mean() - base) < 3 * sem
     with pytest.raises(ValueError):
         estimate_throughput(obs, UniformNoise(0.5), None)
+
+
+def _random_block(rng, t, n):
+    """(S, I, b) blocks, (t, n), with columns 0, 1 and 2 all busy, all idle
+    and never grabbed."""
+    S = (rng.random((t, n)) < rng.uniform(0.1, 0.9, n)).astype(np.int8)
+    S[:, 0], S[:, 1] = 0, 1
+    I = (S == 1) & (rng.random((t, n)) < rng.uniform(0.1, 0.9, n))
+    I[:, 2] = False
+    b = np.where(I, rng.exponential(5.0, (t, n)) * 10.0 ** rng.uniform(-3, 6), 0.0)
+    return S, I, b
+
+
+def test_array_estimator_matches_single_trace_api():
+    rng = np.random.default_rng(67)
+    for case in range(200):
+        t = 1 if case % 20 == 0 else int(rng.integers(2, 150))
+        n = int(rng.integers(3, 10))
+        S, I, b = _random_block(rng, t, n)
+        est = _mle(*_statistics(S, I, b))
+        assert np.isnan(est.throughput[:3]).all()
+        for u in range(n):
+            obs = ObservationSet(S[:, u], I[:, u], b[:, u])
+            assert _statistics(S, I, b)[2][u] == obs.b.sum()
+            try:
+                ref = estimate_throughput(obs)
+            except UndefinedEstimateError:
+                assert np.isnan(est.throughput[u]), (case, u)
+                continue
+            got = (est.theta[u], est.grab[u], est.rate[u], est.throughput[u])
+            assert got == (ref.theta_hat, ref.grab_hat, ref.rate_hat, ref.throughput), (case, u)
+
+
+def test_single_trace_errors_name_the_first_undefined_estimate():
+    cases = [
+        (np.array([1]), np.array([1]), "two slots"),
+        (np.ones(6, dtype=int), np.ones(6, dtype=int), "leaves the busy state"),
+        (np.zeros(6, dtype=int), np.zeros(6, dtype=int), "leaves the idle state"),
+        (np.array([1, 0, 1, 1]), np.zeros(4, dtype=int), "no successful grab"),
+    ]
+    for S, I, message in cases:
+        with pytest.raises(UndefinedEstimateError, match=message):
+            estimate_throughput(ObservationSet(S, I, np.where(I == 1, 2.0, 0.0)))
+    with pytest.raises(UndefinedEstimateError, match="never idle"):
+        mle_grab(ObservationSet(np.zeros(3, dtype=int), np.zeros(3, dtype=int), np.zeros(3)))
 
 
 @given(st.permutations(list(range(12))))

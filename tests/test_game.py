@@ -15,8 +15,6 @@ from specaccess.game import (
     expected_grab,
     expected_grab_mc,
     is_pure_ne,
-    payoff_physical,
-    payoff_pure,
     social_welfare_and_poa,
     welfare,
 )
@@ -32,25 +30,25 @@ def test_payoff_no_contention():
     g = sa.InterferenceGraph.from_edges(2, [(1, 2)])
     spec = SpectrumGame.create(g, [0.5], [[10e6], [10e6]], sa.RandomBackoff(10))
     # user 1 has no in-neighbours: g = 1
-    assert payoff_pure(spec, (1, 1), 1) == pytest.approx(5e6)
+    assert spec.payoff((1, 1), 1) == pytest.approx(5e6)
 
 
 def test_payoff_cycle3_all_on_channel_one():
     spec = cycle3_game(0.5)
     for n in (1, 2, 3):
-        assert payoff_pure(spec, (1, 1, 1), n) == pytest.approx(0.5 * 0.5)
+        assert spec.payoff((1, 1, 1), n) == pytest.approx(0.5 * 0.5)
 
 
 def test_payoff_zero_on_busy_channel():
     g = sa.InterferenceGraph.from_edges(1, [])
     spec = SpectrumGame.create(g, [0.0, 1.0], [[5.0, 5.0]], sa.RandomBackoff(4))
-    assert payoff_pure(spec, (1,), 1) == 0.0
+    assert spec.payoff((1,), 1) == 0.0
 
 
 def test_gain_scales_payoff():
     g = sa.InterferenceGraph.from_edges(1, [])
     spec = SpectrumGame.create(g, [0.5], [[8.0]], sa.RandomBackoff(3), gain=[2.0])
-    assert payoff_pure(spec, (1,), 1) == pytest.approx(8.0)
+    assert spec.payoff((1,), 1) == pytest.approx(8.0)
 
 
 def test_dimension_validation():
@@ -87,7 +85,7 @@ def test_degenerate_mixed_equals_pure():
     for n, ch in enumerate(a):
         sigma[n, ch - 1] = 1.0
     for n in (1, 2, 3):
-        assert _mixed_payoffs(spec, sigma)[n - 1] == pytest.approx(payoff_pure(spec, a, n))
+        assert _mixed_payoffs(spec, sigma)[n - 1] == pytest.approx(spec.payoff(a, n))
 
 
 def test_mixed_factorized_matches_full_enumeration():
@@ -148,7 +146,7 @@ def test_neighborhood_expected_payoff_vs_bruteforce():
             for rest in itertools.product(range(1, m + 1), repeat=n - 1):
                 prob = np.prod([sigma[i, rest[i - 1] - 1] for i in range(1, n)])
                 a = (ch,) + rest
-                expect += prob * payoff_pure(spec, a, 1)
+                expect += prob * spec.payoff(a, 1)
             assert abs(got - expect) <= 1e-12 * max(1.0, expect)
 
 
@@ -330,12 +328,12 @@ def _simple_physical(theta=(0.5, 0.5)):
 def test_physical_sole_user_unit_snr():
     p = _simple_physical()
     # eta * d^-alpha = 1e-7 = noise -> SINR = 1 -> theta * W * log2(2)
-    assert payoff_physical(p, (1, 2), 1) == pytest.approx(0.5 * 10.0)
+    assert p.payoff((1, 2), 1) == pytest.approx(0.5 * 10.0)
 
 
 def test_physical_interferer_strictly_decreases():
     p = _simple_physical()
-    assert payoff_physical(p, (1, 1), 1) < payoff_physical(p, (1, 2), 1)
+    assert p.payoff((1, 1), 1) < p.payoff((1, 2), 1)
 
 
 def test_physical_symmetry_validation():

@@ -71,7 +71,7 @@ def _one_user_game(n_channels=1):
 
 
 def _constant_observer(estimate):
-    return lambda a, T, rng: [(estimate, estimate)]
+    return lambda a, T, rng: (np.array([estimate]), np.array([estimate]))
 
 
 def test_perception_update_basic():
@@ -246,7 +246,7 @@ def test_run_learning_respects_observer_skips():
     spec = SpectrumGame.create(g, [0.5], [[4.0]], sa.RandomBackoff(4))
 
     def observer(a, T, rng):
-        return [(None, 0.0)] if T % 2 == 0 else [(2.0, 2.0)]
+        return (np.array([np.nan]), np.array([0.0])) if T % 2 == 0 else (np.array([2.0]), np.array([2.0]))
 
     out = run_learning(spec, gamma=1.0, periods=10, rng=np.random.default_rng(0), observer=observer)
     assert out.skipped_updates == 5

@@ -8,7 +8,8 @@ from conftest import random_directed_graph, random_mechanism, random_undirected_
 import specaccess as sa
 from specaccess.config import learning_policy_from, load_config
 from specaccess.contention import backoff_success_probability, grab_probability
-from specaccess.game import payoff_pure
+from specaccess.errors import UndefinedEstimateError
+from specaccess.estimation import UniformNoise, estimate_throughput
 from specaccess.simulator import (
     DynamicStageGamePolicy,
     FixedProfilePolicy,
@@ -25,9 +26,11 @@ from specaccess.simulator import (
     _solve_stage,
     _success_matrix,
     compare_policies,
+    make_mle_observer,
     run_policy,
     simulate_period,
 )
+from specaccess.learning import run_learning
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -222,6 +225,88 @@ def test_random_and_fixed_policies_match_per_period_loop(kind, n):
         assert res.mean_welfare > 0
 
 
+def test_random_access_blocked_chain_matches_per_period_loop():
+    # 163 periods of 100 slots: the chain is drawn in blocks of 81 periods,
+    # so the state crosses two block boundaries and the last block is cut short
+    rng = np.random.default_rng(59)
+    channels = [sa.MarkovChannel(0.3, 0.2), sa.BernoulliChannel(0.6), sa.WhiteSpaceChannel(1)]
+    sc = _scenario(random_directed_graph(rng, 2, 0.5), channels, sa.RandomBackoff(6),
+                   rates=_mixed_rates(rng, 2, 3), t_max=100, periods=163)
+    res = run_policy(sc, RandomAccessPolicy(), (4, 4))
+    trace, per_user = _run_policy_per_period(sc, RandomAccessPolicy(), (4, 4))
+    assert np.array_equal(res.welfare_trace, trace)
+    assert np.array_equal(res.per_user_mean, per_user)
+
+
+def _reference_mle_observer(scenario, streams, noise=None):
+    """The per-period MLE observer the array one replaced: simulate_period,
+    then one ObservationSet and one estimate_throughput per user, with the
+    undefined estimates as NaN."""
+    state_cell = [scenario.initial_channel_state(streams.channels)]
+
+    def observe(a, period, rng):
+        obs, state_cell[0] = simulate_period(scenario, a, state_cell[0], streams)
+        est, realised = [], []
+        for u in range(scenario.game.n_users):
+            realised.append(float(obs[u].b.sum()) / scenario.t_max)
+            try:
+                est.append(estimate_throughput(obs[u], noise, rng).noisy)
+            except UndefinedEstimateError:
+                est.append(np.nan)
+        return np.array(est), np.array(realised)
+
+    return observe
+
+
+@pytest.mark.parametrize("t_max", [1, 2, 60])
+@pytest.mark.parametrize("kind", ["backoff", "aloha"])
+def test_mle_observer_matches_per_user_estimates(kind, t_max):
+    # white-space 0 and 1 give all-busy and all-idle traces, Aloha at low
+    # transmit probabilities gives no-grab periods, t_max = 1 no transitions
+    rng = np.random.default_rng(61 + t_max)
+    n = 6
+    channels = [sa.MarkovChannel(0.3, 0.2), sa.BernoulliChannel(0.6), sa.WhiteSpaceChannel(1),
+                sa.WhiteSpaceChannel(0)]
+    mech = sa.SlottedAloha((0.05,) * n) if kind == "aloha" else sa.RandomBackoff(4)
+    sc = _scenario(random_directed_graph(rng, n, 0.5), channels, mech, rates=_mixed_rates(rng, n, 4),
+                   t_max=t_max, periods=40)
+    for noise in (None, UniformNoise(0.3)):
+        streams, ref_streams = SimStreams.from_seed(3, n), SimStreams.from_seed(3, n)
+        observe, reference = make_mle_observer(sc, streams, noise), _reference_mle_observer(sc, ref_streams, noise)
+        obs_rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+        skipped = 0
+        for period in range(1, sc.periods + 1):
+            a = tuple(int(c) for c in rng.integers(1, 5, size=n))
+            est, realised = observe(a, period, obs_rng)
+            ref_est, ref_realised = reference(a, period, ref_rng)
+            assert np.array_equal(est, ref_est, equal_nan=True), (period, a)
+            assert np.array_equal(realised, ref_realised)
+            skipped += int(np.isnan(est).sum())
+        assert obs_rng.random() == ref_rng.random()  # as many noise draws
+        assert 0 < skipped and (skipped < n * sc.periods or t_max < 3)  # one slot pair leaves one state
+
+
+@pytest.mark.parametrize("noise_half_width", [0.0, 0.5])
+def test_learning_rollout_matches_per_period_reference_observer(noise_half_width):
+    rng = np.random.default_rng(71)
+    n = 5
+    channels = [sa.MarkovChannel(0.3, 0.2), sa.BernoulliChannel(0.6), sa.WhiteSpaceChannel(1)]
+    sc = _scenario(random_directed_graph(rng, n, 0.5), channels, sa.RandomBackoff(6),
+                   rates=_mixed_rates(rng, n, 3), t_max=30, periods=300)
+    policy = LearningPolicy(3.0, "auto", noise_half_width=noise_half_width)
+    res = run_policy(sc, policy, (6, 1)).learning
+
+    streams = SimStreams.from_seed((6, 1), n)
+    noise = UniformNoise(noise_half_width) if noise_half_width > 0 else None
+    ref = run_learning(sc.game, policy.gamma, sc.periods, streams.policy,
+                       observer=_reference_mle_observer(sc, streams, noise),
+                       payoff_scale=policy.resolved_scale(sc.game), mu=policy.mu_schedule())
+    assert 0 < res.skipped_updates == ref.skipped_updates
+    for field in ("perceptions", "welfare_trace", "per_user_mean", "dP_trace", "channels", "estimates"):
+        assert np.array_equal(getattr(res, field), getattr(ref, field), equal_nan=True), field
+    assert res.delta == ref.delta
+
+
 def test_realise_rates_matches_per_slot_rate_values():
     rng = np.random.default_rng(53)
     n, m, t = 6, 4, 200
@@ -343,9 +428,9 @@ def test_long_run_throughput_matches_payoff():
     )
     a = (1, 1, 2)
     res = run_policy(sc, FixedProfilePolicy(a), 99)
-    expect = sum(payoff_pure(sc.game, a, n) for n in (1, 2, 3))
+    expect = sum(sc.game.payoff(a, n) for n in (1, 2, 3))
     assert abs(res.mean_welfare - expect) / expect < 0.03
-    per_user_expect = np.array([payoff_pure(sc.game, a, n) for n in (1, 2, 3)])
+    per_user_expect = np.array([sc.game.payoff(a, n) for n in (1, 2, 3)])
     assert np.all(np.abs(res.per_user_mean - per_user_expect) / per_user_expect < 0.06)
 
 
