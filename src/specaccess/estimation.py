@@ -105,11 +105,6 @@ def _one_trace(S: np.ndarray, I: np.ndarray, b: np.ndarray, *required: str) -> _
     return _Estimates(*map(float, est))
 
 
-def transition_counts(S: np.ndarray) -> tuple[int, int, int, int]:
-    """(C00, C01, C10, C11) over adjacent slot pairs."""
-    return tuple(int(c) for c in _pair_counts(np.asarray(S, dtype=np.int8)))
-
-
 def mle_markov(S: np.ndarray) -> MarkovEstimate:
     """Closed-form transition-count MLE of (epsilon, xi) and the implied
     stationary idle probability. The initial-state likelihood factor is

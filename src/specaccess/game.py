@@ -22,7 +22,6 @@ from .contention import (
     RandomBackoff,
     SlottedAloha,
     WeightedShare,
-    backoff_success_probability,
     grab_probability,
 )
 from .errors import ResourceLimitError
@@ -141,28 +140,58 @@ class SpectrumGame:
         return base * self.grab(n, self.co_channel_in_neighbors(a, n))
 
     @cached_property
-    def _grab_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(table, weight, offset) for profile scans, built once per game.
+    def _value(self) -> np.ndarray:
+        """(N, M) theta_m * h_n * B_m^n: user n's payoff alone on channel m."""
+        return np.asarray(self.idle_prob) * (np.asarray(self.gain)[:, None] * np.asarray(self.mean_rate))
 
-        User n's contender key is offset[n-1] plus weight[n-1, i-1] for each
-        in-neighbour i on its channel: bit j for its j-th in-neighbour, or 1
-        where the count alone fixes g (the backoff mechanisms, and one channel,
-        where every in-neighbour always contends). table[key] is
-        grab_probability of the sorted contender tuple.
+    @cached_property
+    def _in_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """(idx, valid), both (N, d_max): row n-1 holds user n's in-neighbours
+        as ascending 0-based columns, padded with column 0 where valid is False."""
+        nbrs = [sorted(self.graph.in_neighbors(n)) for n in range(1, self.n_users + 1)]
+        degree = np.array([len(row) for row in nbrs])
+        valid = np.arange(degree.max()) < degree[:, None]
+        idx = np.zeros(valid.shape, dtype=np.int64)
+        idx[valid] = [i - 1 for row in nbrs for i in row]
+        return idx, valid
+
+    @cached_property
+    def _grab_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(table, weight, offset, step) for profile scans and Q, built once per game.
+
+        Column j of _in_index has key weight step[j]: 1 where the count alone
+        fixes g (the backoff mechanisms, and one channel, where every
+        in-neighbour always contends), else bit 1 << j. User n's contender key
+        is offset[n-1] plus the weights of its columns on its channel
+        (weight[n-1, i-1] for in-neighbour i, 0 for other users); table[key] is
+        grab_probability of those contenders. Bitmask rows (2^|in(n)| entries)
+        over more than 20 in-neighbours raise ResourceLimitError up front.
         """
+        idx, valid = self._in_index
         count_only = self.n_channels == 1 or isinstance(self.mechanism, (RandomBackoff, AsymptoticBackoff))
+        if not count_only:
+            _check_subset_cap(idx.shape[1])
+        step = np.ones(idx.shape[1], dtype=np.int64) if count_only else 1 << np.arange(idx.shape[1])
         weight = np.zeros((self.n_users, self.n_users), dtype=np.int64)
         offset = np.zeros(self.n_users, dtype=np.int64)
         table: list[float] = []
-        for n in range(1, self.n_users + 1):
-            nbrs = sorted(self.graph.in_neighbors(n))
+        for n, (cols, ok) in enumerate(zip(idx, valid), 1):
+            nbrs = (cols[ok] + 1).tolist()
             offset[n - 1] = len(table)
-            weight[n - 1, [i - 1 for i in nbrs]] = [1 if count_only else 1 << j for j in range(len(nbrs))]
+            weight[n - 1, cols[ok]] = step[: len(nbrs)]
             subsets = [nbrs[:c] for c in range(len(nbrs) + 1)] if count_only else [
                 [i for j, i in enumerate(nbrs) if mask >> j & 1] for mask in range(1 << len(nbrs))
             ]
-            table += [grab_probability(self.mechanism, n, tuple(c)) for c in subsets]
-        return np.array(table), weight, offset
+            table += [grab_probability(self.mechanism, n, c) for c in subsets]
+        return np.array(table), weight, offset, step
+
+
+_SUBSET_CAP = 20
+
+
+def _check_subset_cap(n_members: int) -> None:
+    if n_members > _SUBSET_CAP:
+        raise ResourceLimitError(f"subset enumeration over {n_members} in-neighbours exceeds the cap {_SUBSET_CAP}")
 
 
 def welfare(game: GameLike, a: Profile) -> float:
@@ -292,8 +321,7 @@ def _scan(spec: SpectrumGame, tol: float, cap: int) -> Iterator[_ScanBlock]:
     n_users, m = spec.n_users, spec.n_channels
     if m ** n_users > cap:
         raise ResourceLimitError(f"{m ** n_users} profiles exceed the enumeration cap {cap}")
-    table, weight, offset = spec._grab_table
-    value = np.asarray(spec.idle_prob) * (np.asarray(spec.gain)[:, None] * np.asarray(spec.mean_rate))
+    table, weight, offset, _ = spec._grab_table
     tail = max(t for t in range(1, n_users + 1) if t == 1 or m ** t <= SCAN_BLOCK)
     head = n_users - tail
     cycling = np.array(list(itertools.product(range(m), repeat=tail)))
@@ -306,7 +334,7 @@ def _scan(spec: SpectrumGame, tol: float, cap: int) -> Iterator[_ScanBlock]:
     for fixed in itertools.product(range(m), repeat=head):
         profiles[:, :head] = fixed
         key = tail_key + (weight[:, :head, None] * (profiles[0, :head, None] == channels)).sum(axis=1)
-        payoffs = value * table[key]
+        payoffs = spec._value * table[key]
         own = payoffs.take(own_at + profiles)[:, :, None]
         welfare = own[:, 0, 0].copy()
         for n in range(1, n_users):
@@ -334,10 +362,6 @@ class BrdResult:
     converged: bool
     rounds: int
     steps: list[BrdStep]
-
-    @property
-    def n_moves(self) -> int:
-        return len(self.steps)
 
 
 def better_response_dynamics(
@@ -392,43 +416,14 @@ def check_mixed_profile(game: GameLike, sigma: np.ndarray) -> np.ndarray:
     return sigma
 
 
-def expected_grab(
-    mech: ContentionMechanism,
-    n: int,
-    membership: dict[int, float],
-    *,
-    enumerate_only: bool = False,
-    max_exact: int = 20,
-) -> float:
-    """E over independent contender memberships of g_n(S).
+def expected_grab(mech: ContentionMechanism, n: int, membership: dict[int, float]) -> float:
+    """E over independent contender memberships of g_n(S), by enumerating the
+    subsets of the potential contenders (at most 20): the reference for Q.
 
-    membership maps each potential contender i to P(i contends on the
-    channel). Exact for every mechanism: count-based mechanisms use the
-    Poisson-binomial count distribution, Aloha factorizes, weighted sharing
-    enumerates subsets (capped at ``max_exact`` neighbours).
+    membership maps each potential contender i to P(i contends on the channel).
     """
-    probs = list(membership.values())
-    if not enumerate_only:
-        if isinstance(mech, SlottedAloha):
-            out = mech.probs[n - 1]
-            for i, q in membership.items():
-                out *= 1.0 - q * mech.probs[i - 1]
-            return out
-        if isinstance(mech, (RandomBackoff, AsymptoticBackoff)):
-            pmf = np.array([1.0])
-            for q in probs:
-                pmf = np.convolve(pmf, [1.0 - q, q])
-            if isinstance(mech, RandomBackoff):
-                vals = [backoff_success_probability(mech.max_counter, k) for k in range(len(pmf))]
-            else:
-                vals = [1.0 / (1.0 + k) for k in range(len(pmf))]
-            return float(np.dot(pmf, vals))
     members = sorted(membership)
-    if len(members) > max_exact:
-        raise ResourceLimitError(
-            f"subset enumeration over {len(members)} in-neighbours exceeds the cap {max_exact}; "
-            "use expected_grab_mc"
-        )
+    _check_subset_cap(len(members))
     total = 0.0
     for r in range(len(members) + 1):
         for combo in itertools.combinations(members, r):

@@ -23,8 +23,9 @@ from typing import Callable
 
 import numpy as np
 
+from .contention import SlottedAloha
 from .estimation import UniformNoise
-from .game import SpectrumGame, check_mixed_profile, expected_grab
+from .game import SpectrumGame, check_mixed_profile
 
 MuSchedule = Callable[[int], float]
 Observer = Callable[[tuple[int, ...], int, np.random.Generator], tuple[np.ndarray, np.ndarray]]
@@ -64,19 +65,37 @@ def contraction_temperature_bound(spec: SpectrumGame) -> float:
 def q_from_sigma(spec: SpectrumGame, sigma: np.ndarray) -> np.ndarray:
     """Q_m^n: expected throughput of each (user, channel) when the others
     contend independently by their mixed rows; entry (n, m) conditions on user
-    n playing channel m, so user n's mixed payoff is sigma[n] . Q[n]."""
+    n playing channel m, so user n's mixed payoff is sigma[n] . Q[n].
+
+    With q_j the chance that in-neighbour column j (SpectrumGame._in_index)
+    contends, Aloha's g is p_n prod_j (1 - q_j p_j), in column order at any
+    in-degree. Otherwise a distribution over grab-table keys starts at 0 and
+    each column shifts it by its key weight with probability q_j: the
+    Poisson-binomial on count rows, every subset on bitmask rows (which raise
+    ResourceLimitError above 20 in-neighbours); g is its dot with the row.
+    """
     sigma = check_mixed_profile(spec, sigma)
-    Q = np.empty((spec.n_users, spec.n_channels))
-    for n in range(1, spec.n_users + 1):
-        nbrs = spec.graph.in_neighbors(n)
-        for m in range(1, spec.n_channels + 1):
-            membership = {i: float(sigma[i - 1, m - 1]) for i in nbrs}
-            Q[n - 1, m - 1] = (
-                spec.idle_prob[m - 1]
-                * spec.effective_rate(n, m)
-                * expected_grab(spec.mechanism, n, membership)
-            )
-    return Q
+    idx, valid = spec._in_index
+    q = sigma[idx] * valid[:, :, None]  # (N, d_max, M)
+    if isinstance(spec.mechanism, SlottedAloha):
+        p = np.asarray(spec.mechanism.probs)
+        g = np.repeat(p[:, None], spec.n_channels, axis=1)
+        for j in range(idx.shape[1]):
+            g *= 1.0 - q[:, j] * p[idx[:, j], None]
+        return spec._value * g
+    table, _, offset, step = spec._grab_table
+    dist = np.zeros((spec.n_users, spec.n_channels, int(step.sum()) + 1))
+    dist[..., 0] = 1.0
+    support = 1
+    for j, w in enumerate(step.tolist()):
+        qj = q[:, j, :, None]
+        moved = dist[..., :support] * qj
+        dist[..., :support] *= 1.0 - qj
+        dist[..., w : w + support] += moved
+        support += w
+    # keys past a user's own row hold zero mass, so reading the next row there adds exact zeros
+    rows = table.take(offset[:, None] + np.arange(dist.shape[2]), mode="clip")
+    return spec._value * (dist * rows[:, None, :]).sum(axis=2)
 
 
 def q_operator(spec: SpectrumGame, P: np.ndarray, gamma: float, payoff_scale: float = 1.0) -> np.ndarray:

@@ -196,8 +196,9 @@ def potential_value(game: SpectrumGame | PhysicalGame, a: Profile, variant: str)
 
 
 def signed(delta: float, reference: Iterable[float], band: float = 1e-12) -> int:
-    """Sign of delta with a dead band relative to the reference magnitudes."""
-    scale = max(1.0, *(abs(r) for r in reference))
+    """Sign of delta with a dead band of band times the largest reference
+    magnitude; relative at every scale, as potentials can be tiny."""
+    scale = max((abs(r) for r in reference), default=0.0)
     if abs(delta) <= band * scale:
         return 0
     return 1 if delta > 0 else -1

@@ -106,18 +106,6 @@ class Scenario:
         return tuple(sample_initial_state(c, rng) for c in self.channel_models)
 
     @cached_property
-    def _in_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """(idx, valid), both (N, d_max): row u holds user u+1's in-neighbours
-        as 0-based columns, padded with column 0 where valid is False."""
-        nbrs = [sorted(self.game.graph.in_neighbors(u)) for u in range(1, self.game.n_users + 1)]
-        idx = np.zeros((len(nbrs), max(map(len, nbrs))), dtype=np.int64)
-        valid = np.zeros(idx.shape, dtype=bool)
-        for u, row in enumerate(nbrs):
-            idx[u, : len(row)] = [i - 1 for i in row]
-            valid[u, : len(row)] = True
-        return idx, valid
-
-    @cached_property
     def _rate_params(self) -> np.ndarray:
         """(N, M, 5): rate_models[u][m] as _rate_row gives it."""
         return np.array([[_rate_row(r) for r in row] for row in self.rate_models])
@@ -201,7 +189,7 @@ def _success_matrix(
     """Grab indicators, (t, N), for per-slot channels ch (t, N). A user wins an
     idle slot when its draw beats every co-channel in-neighbour's (backoff
     family), or when it alone among them transmits (Aloha)."""
-    idx, valid = scenario._in_index
+    idx, valid = scenario.game._in_index
     co = valid & (ch[:, idx] == ch[:, :, None])
     nbr = draws[:, idx]
     idle = s_user == 1

@@ -76,3 +76,21 @@ def random_game(rng, graph, m, mech_kind="backoff", theta_low=0.1, gains=False,
         rates = rng.uniform(1.0, 10.0, (n, m))
     g = tuple(rng.uniform(0.5, 2.0, n)) if gains else None
     return sa.SpectrumGame.create(graph, theta, rates, random_mechanism(rng, n, mech_kind), g)
+
+
+def random_physical_game(rng):
+    n = int(rng.integers(3, 5))
+    m = int(rng.integers(2, 4))
+    pos = rng.uniform(0, 100, (n, 2))
+    d = [[float(np.linalg.norm(pos[i] - pos[j])) if i != j else 0.0 for j in range(n)] for i in range(n)]
+    return sa.PhysicalGame(
+        n_channels=m,
+        bandwidth=10.0,
+        tx_power=tuple(rng.uniform(0.05, 0.2, n)),
+        own_distance=tuple(rng.uniform(1.0, 10.0, n)),
+        cross_distance=tuple(tuple(row) for row in d),
+        path_loss=float(rng.uniform(2.0, 4.0)),
+        noise=1e-7,
+        primary_interference=tuple(tuple(rng.uniform(0, 1e-6, m)) for _ in range(n)),
+        idle_prob=(float(rng.uniform(0.2, 1.0)),) * m,
+    )

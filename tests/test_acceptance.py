@@ -7,16 +7,23 @@ lines and timings. Statistical criteria use fixed seeds and are deterministic.
 import itertools
 import math
 import time
+import zlib
 from functools import lru_cache
 
 import numpy as np
-from conftest import complete_undirected_graph, random_dag, random_forest, random_game, random_undirected_graph
+from conftest import (
+    complete_undirected_graph,
+    random_dag,
+    random_forest,
+    random_game,
+    random_physical_game,
+    random_undirected_graph,
+)
 
 import specaccess as sa
 from specaccess.config import load_config
 from specaccess.equilibria import construct_ne_dag, construct_ne_directed_tree
 from specaccess.game import (
-    PhysicalGame,
     SpectrumGame,
     better_response_dynamics,
     enumerate_pure_ne,
@@ -63,7 +70,7 @@ def test_criterion_01_cycle_counterexample():
     _report(
         1, "directed 3-cycle admits no pure NE and better responses cycle",
         ne == [] and not brd.converged and elapsed < 1.0,
-        f"{len(ne)} equilibria over 8 profiles, BRD moves={brd.n_moves}, {elapsed:.2f}s",
+        f"{len(ne)} equilibria over 8 profiles, BRD moves={len(brd.steps)}, {elapsed:.2f}s",
     )
 
 
@@ -125,31 +132,13 @@ def test_criterion_03_directed_tree_existence():
     )
 
 
-def _physical_instance(rng):
-    n = int(rng.integers(3, 5))
-    m = int(rng.integers(2, 4))
-    pos = rng.uniform(0, 100, (n, 2))
-    d = [[float(np.linalg.norm(pos[i] - pos[j])) if i != j else 0.0 for j in range(n)] for i in range(n)]
-    return PhysicalGame(
-        n_channels=m,
-        bandwidth=10.0,
-        tx_power=tuple(rng.uniform(0.05, 0.2, n)),
-        own_distance=tuple(rng.uniform(1.0, 10.0, n)),
-        cross_distance=tuple(tuple(row) for row in d),
-        path_loss=float(rng.uniform(2.0, 4.0)),
-        noise=1e-7,
-        primary_interference=tuple(tuple(rng.uniform(0, 1e-6, m)) for _ in range(n)),
-        idle_prob=(float(rng.uniform(0.2, 1.0)),) * m,
-    )
-
-
 @lru_cache(maxsize=None)
 def _potential_instances(variant: str):
-    rng = np.random.default_rng(hash(variant) % 2**31)
+    rng = np.random.default_rng(zlib.crc32(variant.encode()))
     out = []
     for _ in range(100):
         if variant == "physical":
-            out.append(_physical_instance(rng))
+            out.append(random_physical_game(rng))
             continue
         n = int(rng.integers(3, 5))
         m = int(rng.integers(2, 4))
@@ -214,7 +203,7 @@ def test_criterion_05_finite_improvement_property():
             n, m = spec.n_users, spec.n_channels
             start = tuple(int(c) for c in rng.integers(1, m + 1, size=n))
             res = better_response_dynamics(spec, start, max_rounds=m * n * 200 + 5)
-            if not res.converged or res.n_moves > m * n * 200:
+            if not res.converged or len(res.steps) > m * n * 200:
                 ok = False
                 break
             if not is_pure_ne(spec, res.profile).is_ne:

@@ -229,6 +229,21 @@ def test_cli_poa_all_channels_never_idle(tmp_path, capsys):
     assert data["poa"] == 1.0 and data["lower_bound"] == 1.0
 
 
+def test_cli_poa_beyond_subset_cap_is_an_error(tmp_path, capsys):
+    # 22 users on a complete graph under weighted sharing: the grab table
+    # would need 2^21 entries per user, so poa stops before building it
+    n = 22
+    doc = _minimal_doc()
+    doc["scenario"].update({
+        "graph": {"n_users": n, "edges": [[i, j] for i in range(1, n + 1) for j in range(1, n + 1) if i != j]},
+        "channels": [{"kind": "bernoulli", "theta": 0.5}, {"kind": "bernoulli", "theta": 0.7}],
+        "rates": {"kind": "fixed", "mean": [[4.0, 2.0]] * n},
+        "mechanism": {"kind": "weighted_share", "weights": [1.0] * n},
+    })
+    assert cli_main(["poa", str(_write(tmp_path, doc)), "--out", str(tmp_path)]) == 1
+    assert "error: subset enumeration over 21 in-neighbours" in capsys.readouterr().err
+
+
 def test_dynamic_policy_gets_solver_max_rounds(tmp_path, monkeypatch):
     doc = _minimal_doc()
     doc["scenario"].update({"t_max": 5, "periods": 2})
@@ -394,7 +409,7 @@ def test_cli_learn_auto_scale_never_idle_is_an_error(tmp_path, capsys):
 
 def test_cli_learn_weighted_share_beyond_enumeration_cap(tmp_path):
     # 22 users on a complete graph: 21 in-neighbours each, past the 20 that
-    # expected_grab enumerates; the final delta must not need it
+    # a weighted-share grab table covers; the final delta must not need it
     n = 22
     doc = _tiny_learning_doc()
     doc["scenario"].update({

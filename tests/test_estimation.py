@@ -9,19 +9,19 @@ from specaccess.estimation import (
     ObservationSet,
     UniformNoise,
     _mle,
+    _pair_counts,
     _statistics,
     estimate_throughput,
     mle_grab,
     mle_markov,
     mle_rate,
-    transition_counts,
 )
 from specaccess.simulator import _channel_states
 
 
 def test_transition_count_example():
     # S = (1, 1, 0, 1): C11 = 1, C10 = 1, C01 = 1, C00 = 0
-    assert transition_counts(np.array([1, 1, 0, 1])) == (0, 1, 1, 1)
+    assert _pair_counts(np.array([1, 1, 0, 1])) == (0, 1, 1, 1)
     est = mle_markov(np.array([1, 1, 0, 1]))
     assert est.epsilon == pytest.approx(1.0)
     assert est.xi == pytest.approx(0.5)

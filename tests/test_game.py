@@ -151,21 +151,46 @@ def test_neighborhood_expected_payoff_vs_bruteforce():
 
 
 def test_expected_grab_paths_agree():
+    # Q against the pure payoff at one-hot rows and against the enumeration
+    # and Monte-Carlo references at mixed rows, for every mechanism on several
+    # channels, one channel, an edgeless graph and a single user
     rng = np.random.default_rng(21)
-    membership = {2: 0.3, 3: 0.9, 4: 0.1}
-    for mech in (sa.RandomBackoff(8), sa.AsymptoticBackoff(),
-                 sa.WeightedShare((1.0, 2.0, 0.7, 1.3)), sa.SlottedAloha((0.4, 0.3, 0.6, 0.2))):
-        fast = expected_grab(mech, 1, membership)
-        slow = expected_grab(mech, 1, membership, enumerate_only=True)
-        assert fast == pytest.approx(slow, abs=1e-14)
-        mc, se = expected_grab_mc(mech, 1, membership, 4000, np.random.default_rng(3))
-        assert abs(mc - fast) < 4 * se + 1e-3
+    for kind in ("backoff", "asymptotic", "weighted", "aloha"):
+        for n, m, p in ((5, 3, 0.6), (4, 1, 0.7), (4, 2, 0.0), (1, 2, 0.0)):
+            spec = random_game(rng, random_directed_graph(rng, n, p), m, kind)
+            a = rng.integers(1, m + 1, size=n)
+            pure = q_from_sigma(spec, np.eye(m)[a - 1])
+            assert pure[np.arange(n), a - 1].tolist() == [spec.payoff(tuple(a.tolist()), k) for k in range(1, n + 1)]
+            sigma = rng.dirichlet(np.ones(m), size=n)
+            g = q_from_sigma(spec, sigma) / spec._value
+            for k in range(1, n + 1):
+                for ch in range(1, m + 1):
+                    membership = {i: float(sigma[i - 1, ch - 1]) for i in spec.graph.in_neighbors(k)}
+                    assert g[k - 1, ch - 1] == pytest.approx(expected_grab(spec.mechanism, k, membership), abs=1e-14)
+                    mc, se = expected_grab_mc(spec.mechanism, k, membership, 4000, np.random.default_rng(3))
+                    assert abs(mc - g[k - 1, ch - 1]) < 4 * se + 1e-3
+
+
+def test_q_aloha_beyond_subset_cap():
+    # Aloha factorises, so Q needs no grab table at 25 in-neighbours
+    n = 26
+    spec = SpectrumGame.create(complete_undirected_graph(n), [0.5, 0.8], [[4.0, 2.0]] * n, sa.SlottedAloha((0.1,) * n))
+    Q = q_from_sigma(spec, np.full((n, 2), 0.5))
+    assert Q[0].tolist() == pytest.approx([0.5 * 4.0 * 0.1 * 0.95**25, 0.8 * 2.0 * 0.1 * 0.95**25], rel=1e-14)
 
 
 def test_expected_grab_cap():
     membership = {i: 0.5 for i in range(2, 30)}
     with pytest.raises(ResourceLimitError):
         expected_grab(sa.WeightedShare((1.0,) * 30, ), 1, membership)
+
+
+def test_scan_subset_cap_raises_before_building():
+    # 21 in-neighbours under weighted sharing would need 22 * 2^21 table entries
+    n = 22
+    spec = SpectrumGame.create(complete_undirected_graph(n), [0.5, 0.7], [[4.0, 2.0]] * n, sa.WeightedShare((1.0,) * n))
+    with pytest.raises(ResourceLimitError, match="21 in-neighbours exceeds the cap 20"):
+        enumerate_pure_ne(spec)
 
 
 # --- pure NE -----------------------------------------------------------------
@@ -197,13 +222,13 @@ def test_brd_zero_moves_from_ne():
     g = sa.InterferenceGraph.from_edges(1, [])
     spec = SpectrumGame.create(g, [0.5, 0.9], [[10.0, 1.0]], sa.RandomBackoff(5))
     res = better_response_dynamics(spec, (1,))
-    assert res.converged and res.n_moves == 0
+    assert res.converged and not res.steps
 
 
 def test_brd_cycles_on_directed_3cycle():
     res = better_response_dynamics(cycle3_game(), (1, 1, 1), max_rounds=60)
     assert not res.converged
-    assert res.n_moves >= 60
+    assert len(res.steps) >= 60
 
 
 def test_brd_converges_on_potential_instance():

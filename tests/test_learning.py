@@ -274,7 +274,7 @@ def test_q_operator_scale_equivalence():
 
 def test_run_learning_delta_needs_no_mixed_payoffs():
     # delta is the entropy term alone: a weighted-share game with more
-    # in-neighbours than expected_grab enumerates still finishes its run
+    # in-neighbours than its grab table covers still finishes its run
     n = 22
     g = sa.InterferenceGraph.undirected(n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)])
     spec = SpectrumGame.create(g, [0.5, 0.7], [[4.0, 2.0]] * n, sa.WeightedShare((1.0,) * n))
