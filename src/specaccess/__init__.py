@@ -16,7 +16,6 @@ from .contention import (
     SlottedAloha,
     WeightedShare,
     grab_probability,
-    satisfies_congestion_property,
 )
 from .equilibria import construct_ne_bipartite, construct_ne_dag, construct_ne_directed_tree
 from .errors import (

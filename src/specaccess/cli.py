@@ -21,13 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import (
-    ExperimentConfig,
-    learning_policy_from,
-    load_config,
-    load_graph,
-    resolved_payoff_scale,
-)
+from .config import ExperimentConfig, load_config, load_graph, resolved_payoff_scale
 from .contention import RandomBackoff
 from .equilibria import construct_ne_bipartite, construct_ne_dag, construct_ne_directed_tree
 from .errors import PreconditionError, ResourceLimitError
@@ -89,7 +83,7 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args)
-    except (ValueError, PreconditionError, ResourceLimitError, FileNotFoundError, RuntimeError) as e:
+    except (ValueError, PreconditionError, ResourceLimitError, OSError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 
@@ -123,7 +117,8 @@ def _echo(cfg: ExperimentConfig, outdir: Path) -> None:
 
 def cmd_classify(args) -> int:
     doc = json.loads(Path(args.graph).read_text())
-    if "scenario" in doc:
+    # anything but a config object goes to graph validation, which names the error
+    if isinstance(doc, dict) and "scenario" in doc:
         cfg = load_config(args.graph)
         graph = cfg.scenario.game.graph
     else:
@@ -296,10 +291,7 @@ def _default_profile(cfg: ExperimentConfig):
         return cfg.fixed_profile
     spec = cfg.scenario.game
     # best-value channel per user, ignoring contention; fine as a trace source
-    return tuple(
-        max(range(1, spec.n_channels + 1), key=lambda m: spec.idle_prob[m - 1] * spec.effective_rate(n, m))
-        for n in range(1, spec.n_users + 1)
-    )
+    return tuple(int(m) + 1 for m in spec._value.argmax(axis=1))
 
 
 def cmd_estimate(args) -> int:
@@ -331,8 +323,7 @@ def cmd_learn(args) -> int:
     outdir = _outdir(args, cfg)
     _echo(cfg, outdir)
     scenario = cfg.scenario
-    policy = learning_policy_from(cfg)
-    result = run_policy(scenario, policy, (args.seed, 0))
+    result = run_policy(scenario, cfg.learning, (args.seed, 0))
     outcome = result.learning
     n = scenario.game.n_users
     rows = []
@@ -435,9 +426,8 @@ def cmd_gamma_sweep(args) -> int:
         return 1
     outdir = _outdir(args, cfg)
     _echo(cfg, outdir)
-    template = learning_policy_from(cfg)
     results = sweep_gamma(
-        cfg.scenario, cfg.sweep_gammas, cfg.sweep_replications, args.seed, template, jobs=args.jobs
+        cfg.scenario, cfg.sweep_gammas, cfg.sweep_replications, args.seed, cfg.learning, jobs=args.jobs
     )
     rows = [[fmt(g), fmt(mean), fmt(sem), cfg.sweep_replications] for g, mean, sem in results]
     path = write_csv(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
 
@@ -260,16 +260,6 @@ class SolverSettings:
 
 
 @dataclass(frozen=True)
-class LearningSettings:
-    gamma: float
-    payoff_scale: float | str
-    initial_perception: float | str
-    mu: float | str
-    estimator: str
-    noise_half_width: float
-
-
-@dataclass(frozen=True)
 class OutputSettings:
     dir: str
     slot_trace: bool
@@ -279,7 +269,7 @@ class OutputSettings:
 class ExperimentConfig:
     scenario: Scenario
     solver: SolverSettings
-    learning: LearningSettings
+    learning: LearningPolicy
     output: OutputSettings
     policies: list[Policy]
     compare_replications: int
@@ -394,7 +384,7 @@ def _build_mechanism(d: dict, n_users: int):
     return SlottedAloha(tuple(d["probs"]))
 
 
-def _build_policy(d: dict, learning: LearningSettings, solver: SolverSettings) -> Policy:
+def _build_policy(d: dict, learning: LearningPolicy, solver: SolverSettings) -> Policy:
     kind = d["kind"]
     if kind == "random_access":
         return RandomAccessPolicy()
@@ -402,18 +392,7 @@ def _build_policy(d: dict, learning: LearningSettings, solver: SolverSettings) -
         return FixedProfilePolicy(tuple(d["profile"]))
     if kind == "dynamic_stage_game":
         return DynamicStageGamePolicy(restarts=d.get("restarts", 10), max_rounds=solver.max_rounds)
-    return _learning_policy(learning, d.get("gamma", learning.gamma))
-
-
-def _learning_policy(learning: LearningSettings, gamma: float) -> LearningPolicy:
-    return LearningPolicy(
-        gamma=float(gamma),
-        payoff_scale=learning.payoff_scale,
-        estimator=learning.estimator,
-        noise_half_width=learning.noise_half_width,
-        mu=learning.mu,
-        initial_perception=learning.initial_perception,
-    )
+    return replace(learning, gamma=float(d.get("gamma", learning.gamma)))
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -449,7 +428,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
             raise ValueError("scenario.profile must assign a valid channel to every user")
 
     solver = SolverSettings(**resolved["solver"])
-    learning = LearningSettings(**resolved["learning"])
+    learning = LearningPolicy(**{**resolved["learning"], "gamma": float(resolved["learning"]["gamma"])})
     output = OutputSettings(**resolved["output"])
 
     policies = [
@@ -481,8 +460,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def resolved_payoff_scale(cfg: ExperimentConfig) -> float:
-    return learning_policy_from(cfg).resolved_scale(cfg.scenario.game)
+    return cfg.learning.resolved_scale(cfg.scenario.game)
 
 
-def learning_policy_from(cfg: ExperimentConfig, gamma: float | None = None) -> LearningPolicy:
-    return _learning_policy(cfg.learning, cfg.learning.gamma if gamma is None else gamma)
+def learning_policy_from(cfg: ExperimentConfig) -> LearningPolicy:
+    return cfg.learning

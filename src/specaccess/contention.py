@@ -8,10 +8,9 @@ indexed by 1-based user id; a missing entry is a configuration error.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -111,48 +110,3 @@ def grab_probability(m: ContentionMechanism, n: int, contenders: Iterable[int]) 
         return out
     raise TypeError(f"unknown contention mechanism {m!r}")
 
-
-def satisfies_congestion_property(
-    m: ContentionMechanism | Callable[[frozenset[int]], float],
-    n: int,
-    universe: Iterable[int],
-    *,
-    exhaustive_limit: int = 12,
-    samples: int = 2000,
-    rng: np.random.Generator | None = None,
-    tol: float = 1e-12,
-) -> bool:
-    """Check that adding contenders never helps: g(S~) >= g(S) for S~ subset of S.
-
-    Exhaustive over all single-element removals when the universe is small
-    (equivalent to the full subset-pair condition by chaining); otherwise
-    randomized chains of removals are sampled.
-    """
-    members = sorted(set(universe) - {n})
-    if callable(m):
-        g = m
-    else:
-        mech = m
-
-        def g(s: frozenset[int]) -> float:
-            return grab_probability(mech, n, s)
-
-    if len(members) <= exhaustive_limit:
-        for r in range(1, len(members) + 1):
-            for combo in itertools.combinations(members, r):
-                s = frozenset(combo)
-                gs = g(s)
-                for i in combo:
-                    if g(s - {i}) < gs - tol:
-                        return False
-        return True
-
-    rng = rng or np.random.default_rng(0)
-    for _ in range(samples):
-        size = int(rng.integers(1, len(members) + 1))
-        s = frozenset(rng.choice(members, size=size, replace=False).tolist())
-        gs = g(s)
-        i = next(iter(s)) if size == 1 else int(rng.choice(sorted(s)))
-        if g(s - {i}) < gs - tol:
-            return False
-    return True

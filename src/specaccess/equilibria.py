@@ -2,9 +2,9 @@
 
 Three constructions, each valid under explicit structural hypotheses:
 topological best responses on DAGs, recursive node addition on directed
-trees/forests under the congestion property, and the two-case channel
-assignment on complete/regular bipartite graphs under random backoff.
-Outputs are verified against the generic equilibrium check before returning.
+trees/forests, and the two-case channel assignment on complete/regular
+bipartite graphs under random backoff. Outputs are verified against the
+generic equilibrium check before returning.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 from collections import deque
 
-from .contention import RandomBackoff, backoff_success_probability, satisfies_congestion_property
+from .contention import RandomBackoff, backoff_success_probability
 from .errors import PreconditionError
 from .game import Profile, SpectrumGame, enumerate_pure_ne, is_pure_ne
 from .graph import classify
@@ -31,13 +31,13 @@ def _best_channel(spec: SpectrumGame, n: int, contenders_by_channel) -> int:
     """argmax_m theta_m * h_n B_m^n * g_n(contenders(m)); lowest index wins ties."""
     best_m, best_u = 1, -1.0
     for m in range(1, spec.n_channels + 1):
-        u = spec.idle_prob[m - 1] * spec.effective_rate(n, m) * spec.grab(n, contenders_by_channel(m))
+        u = spec._value.item(n - 1, m - 1) * spec.grab(n, contenders_by_channel(m))
         if u > best_u:
             best_m, best_u = m, u
     return best_m
 
 
-def construct_ne_dag(spec: SpectrumGame, verify: bool = True) -> Profile:
+def construct_ne_dag(spec: SpectrumGame) -> Profile:
     """Pure NE on a directed acyclic interference graph.
 
     Users are processed in topological order; by acyclicity every in-neighbour
@@ -54,7 +54,7 @@ def construct_ne_dag(spec: SpectrumGame, verify: bool = True) -> Profile:
         )
         assignment[n] = choice
     a = tuple(assignment[n] for n in range(1, spec.n_users + 1))
-    return _verify(spec, a, "construct_ne_dag") if verify else a
+    return _verify(spec, a, "construct_ne_dag")
 
 
 class _BudgetExceeded(Exception):
@@ -64,10 +64,13 @@ class _BudgetExceeded(Exception):
 def construct_ne_directed_tree(
     spec: SpectrumGame,
     recursion_budget: int = 10_000,
-    verify: bool = True,
     enumeration_cap: int = 10**7,
 ) -> Profile:
-    """Pure NE on a directed tree or forest under the congestion property.
+    """Pure NE on a directed tree or forest.
+
+    The construction needs the congestion property (an added contender never
+    raises g), which all four built-in mechanisms have;
+    test_antitone_under_inclusion_exhaustive checks it.
 
     Nodes are added one at a time along the skeleton (each new node touches
     exactly one placed node). A new node best-responds to its placed
@@ -80,11 +83,6 @@ def construct_ne_directed_tree(
     cls = classify(spec.graph)
     if not cls.directed_forest:
         raise PreconditionError("construct_ne_directed_tree requires a directed tree or forest")
-    for n in range(1, spec.n_users + 1):
-        if not satisfies_congestion_property(spec.mechanism, n, spec.graph.in_neighbors(n)):
-            raise PreconditionError(
-                f"construct_ne_directed_tree requires the congestion property (fails for user {n})"
-            )
 
     sequence, parent = _forest_addition_order(spec)
     solves = 0
@@ -132,9 +130,9 @@ def construct_ne_directed_tree(
         )
         ne = enumerate_pure_ne(spec, cap=enumeration_cap)
         if not ne:
-            raise RuntimeError("enumeration fallback found no pure NE on a CP forest instance")
+            raise RuntimeError("enumeration fallback found no pure NE on a forest instance")
         a = ne[0]
-    return _verify(spec, a, "construct_ne_directed_tree") if verify else a
+    return _verify(spec, a, "construct_ne_directed_tree")
 
 
 def _forest_addition_order(spec: SpectrumGame) -> tuple[list[int], dict[int, int | None]]:
@@ -165,7 +163,7 @@ def _forest_addition_order(spec: SpectrumGame) -> tuple[list[int], dict[int, int
     return order, parent
 
 
-def construct_ne_bipartite(spec: SpectrumGame, verify: bool = True) -> Profile:
+def construct_ne_bipartite(spec: SpectrumGame) -> Profile:
     """Pure NE on a complete or regular bipartite graph under random backoff.
 
     Channels are ranked by theta_m B_m. Either the top channel is good enough
@@ -207,4 +205,4 @@ def construct_ne_bipartite(spec: SpectrumGame, verify: bool = True) -> Profile:
         assignment = {n: top for n in v1}
         assignment.update({n: second for n in v2})
         a = tuple(assignment[n] for n in range(1, spec.n_users + 1))
-    return _verify(spec, a, "construct_ne_bipartite") if verify else a
+    return _verify(spec, a, "construct_ne_bipartite")

@@ -32,9 +32,9 @@ Profile = tuple[int, ...]
 IMPROVEMENT_RTOL = 1e-12
 
 
-def strictly_better(new: float, old: float, tol: float = IMPROVEMENT_RTOL) -> bool:
+def strictly_better(new: float, old: float) -> bool:
     """Strict improvement with a relative dead band against float churn."""
-    return new - old > tol * max(1.0, abs(new), abs(old))
+    return new - old > IMPROVEMENT_RTOL * max(1.0, abs(new), abs(old))
 
 
 class GameLike(Protocol):
@@ -96,35 +96,6 @@ class SpectrumGame:
     def n_users(self) -> int:
         return self.graph.n_users
 
-    def effective_rate(self, n: int, m: int) -> float:
-        """h_n * B_m^n: the rate actually entering user n's payoff."""
-        return self.gain[n - 1] * self.mean_rate[n - 1][m - 1]
-
-    def max_effective_value(self) -> float:
-        """max over users and channels of theta_m * h_n * B_m^n."""
-        return max(
-            self.idle_prob[m - 1] * self.effective_rate(n, m)
-            for n in range(1, self.n_users + 1)
-            for m in range(1, self.n_channels + 1)
-        )
-
-    def mean_effective_value(self) -> float:
-        """mean over users and channels of theta_m * h_n * B_m^n; the default
-        normaliser putting Boltzmann temperatures on an order-one scale."""
-        vals = [
-            self.idle_prob[m - 1] * self.effective_rate(n, m)
-            for n in range(1, self.n_users + 1)
-            for m in range(1, self.n_channels + 1)
-        ]
-        return sum(vals) / len(vals)
-
-    def value_bound(self, n: int) -> float:
-        """V_n: user n's best-case expected throughput absent contention."""
-        return max(
-            self.idle_prob[m - 1] * self.effective_rate(n, m)
-            for m in range(1, self.n_channels + 1)
-        )
-
     def co_channel_in_neighbors(self, a: Profile, n: int) -> frozenset[int]:
         ch = a[n - 1]
         return frozenset(i for i in self.graph.in_neighbors(n) if a[i - 1] == ch)
@@ -133,8 +104,7 @@ class SpectrumGame:
         return grab_probability(self.mechanism, n, contenders)
 
     def payoff(self, a: Profile, n: int) -> float:
-        ch = a[n - 1]
-        base = self.idle_prob[ch - 1] * self.effective_rate(n, ch)
+        base = self._value.item(n - 1, a[n - 1] - 1)
         if base == 0.0:
             return 0.0
         return base * self.grab(n, self.co_channel_in_neighbors(a, n))
@@ -273,7 +243,7 @@ class NeCheck(NamedTuple):
     witness: DeviationWitness | None
 
 
-def is_pure_ne(game: GameLike, a: Profile, tol: float = IMPROVEMENT_RTOL) -> NeCheck:
+def is_pure_ne(game: GameLike, a: Profile) -> NeCheck:
     """True iff no user has a strictly improving unilateral channel move."""
     _check_profile(game, a)
     a = tuple(a)
@@ -283,12 +253,12 @@ def is_pure_ne(game: GameLike, a: Profile, tol: float = IMPROVEMENT_RTOL) -> NeC
             if m == a[n - 1]:
                 continue
             u1 = game.payoff(a[: n - 1] + (m,) + a[n:], n)
-            if strictly_better(u1, u0, tol):
+            if strictly_better(u1, u0):
                 return NeCheck(False, DeviationWitness(n, m, u1 - u0))
     return NeCheck(True, None)
 
 
-def enumerate_pure_ne(spec: SpectrumGame, cap: int = 10**7, tol: float = IMPROVEMENT_RTOL) -> list[Profile]:
+def enumerate_pure_ne(spec: SpectrumGame, cap: int = 10**7) -> list[Profile]:
     """All pure Nash equilibria, in lexicographic profile order.
 
     Scans the M^N profiles in blocks of about SCAN_BLOCK = 512, at roughly a
@@ -296,7 +266,7 @@ def enumerate_pure_ne(spec: SpectrumGame, cap: int = 10**7, tol: float = IMPROVE
     game's grab table of sum_n 2^|in(n)| floats (|in(n)| + 1 under the backoff
     mechanisms or with one channel), built once and kept with the game.
     """
-    return [tuple(a) for block in _scan(spec, tol, cap) for a in block.profiles[block.is_ne].tolist()]
+    return [tuple(a) for block in _scan(spec, cap) for a in block.profiles[block.is_ne].tolist()]
 
 
 SCAN_BLOCK = 512
@@ -311,7 +281,7 @@ class _ScanBlock(NamedTuple):
     gain: np.ndarray             # (K,) move and its gain; meaningless where is_ne
 
 
-def _scan(spec: SpectrumGame, tol: float, cap: int) -> Iterator[_ScanBlock]:
+def _scan(spec: SpectrumGame, cap: int) -> Iterator[_ScanBlock]:
     """Every pure profile in lexicographic order, in blocks where the first
     N - L users stay fixed and the last L cycle through all M^L <= SCAN_BLOCK
     channel combinations. Welfare is summed over users left to right and the
@@ -340,7 +310,7 @@ def _scan(spec: SpectrumGame, tol: float, cap: int) -> Iterator[_ScanBlock]:
         for n in range(1, n_users):
             welfare += own[:, n, 0]
         # payoffs are non-negative, so strictly_better's abs() is the identity
-        improving = (payoffs - own > tol * np.maximum(np.maximum(payoffs, own), 1.0)).reshape(k, -1)
+        improving = (payoffs - own > IMPROVEMENT_RTOL * np.maximum(np.maximum(payoffs, own), 1.0)).reshape(k, -1)
         first = improving.argmax(axis=1)
         user = first // m
         yield _ScanBlock(profiles + 1, payoffs, welfare, ~improving.any(axis=1), np.stack((user, first % m), 1) + 1,
@@ -360,7 +330,6 @@ class BrdStep:
 class BrdResult:
     profile: Profile
     converged: bool
-    rounds: int
     steps: list[BrdStep]
 
 
@@ -368,7 +337,6 @@ def better_response_dynamics(
     game: GameLike,
     start: Profile,
     max_rounds: int = 1000,
-    tol: float = IMPROVEMENT_RTOL,
 ) -> BrdResult:
     """Asynchronous better-response updates, round-robin over players.
 
@@ -379,7 +347,7 @@ def better_response_dynamics(
     _check_profile(game, start)
     a = list(start)
     steps: list[BrdStep] = []
-    for rounds in range(1, max_rounds + 1):
+    for _ in range(max_rounds):
         moved = False
         for n in range(1, game.n_users + 1):
             u0 = game.payoff(tuple(a), n)
@@ -388,14 +356,14 @@ def better_response_dynamics(
                     continue
                 trial = tuple(a[: n - 1] + [m] + a[n:])
                 u1 = game.payoff(trial, n)
-                if strictly_better(u1, u0, tol):
+                if strictly_better(u1, u0):
                     steps.append(BrdStep(len(steps) + 1, n, a[n - 1], m, u1 - u0))
                     a[n - 1] = m
                     moved = True
                     break
         if not moved:
-            return BrdResult(tuple(a), True, rounds, steps)
-    return BrdResult(tuple(a), False, max_rounds, steps)
+            return BrdResult(tuple(a), True, steps)
+    return BrdResult(tuple(a), False, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -474,10 +442,11 @@ def poa_lower_bound(spec: SpectrumGame) -> float:
     """min_n V_n g_n(N_n) / max_n V_n, the structural worst-case guarantee
     (1.0 when every V_n is 0, as the PoA of a game without welfare is).
 
-    Valid whenever the mechanism satisfies the congestion property (all four
-    built-in mechanisms do).
+    Valid under the congestion property, which every built-in mechanism has
+    (test_antitone_under_inclusion_exhaustive checks it). V_n is user n's
+    best-case expected throughput absent contention.
     """
-    values = [spec.value_bound(n) for n in range(1, spec.n_users + 1)]
+    values = spec._value.max(axis=1).tolist()
     floors = [
         values[n - 1] * spec.grab(n, spec.graph.in_neighbors(n))
         for n in range(1, spec.n_users + 1)
@@ -486,30 +455,28 @@ def poa_lower_bound(spec: SpectrumGame) -> float:
     return min(floors) / top if top > 0 else 1.0
 
 
-def social_welfare_and_poa(
-    spec: SpectrumGame,
-    cap: int = 10**7,
-    certificate_limit: int = 64,
-) -> PoaReport:
+_CERTIFICATE_LIMIT = 64  # profiles witnessed in a no-NE certificate
+
+
+def social_welfare_and_poa(spec: SpectrumGame, cap: int = 10**7) -> PoaReport:
     """Exhaustive welfare optimum, worst pure NE, and their ratio.
 
     One scan as in enumerate_pure_ne (lexicographic order, blocks of about
     512 profiles, same memory bound); the first profile wins welfare ties.
     Raises RuntimeError if the computed PoA falls below the structural lower
-    bound by more than 1e-9 (which would indicate an implementation bug for
-    congestion-property mechanisms).
+    bound by more than 1e-9 (which would indicate an implementation bug).
     """
     best_w, best_a = -math.inf, None
     ne: list[Profile] = []
     certificate: list[tuple[Profile, DeviationWitness]] = []
-    for block in _scan(spec, IMPROVEMENT_RTOL, cap):
+    for block in _scan(spec, cap):
         k = int(block.welfare.argmax())
         if block.welfare[k] > best_w:
             best_w, best_a = float(block.welfare[k]), tuple(block.profiles[k].tolist())
         ne += map(tuple, block.profiles[block.is_ne].tolist())
         # the certificate is reported only when no profile is an NE, and then
         # every profile has a witness
-        room = max(0, certificate_limit - len(certificate))
+        room = max(0, _CERTIFICATE_LIMIT - len(certificate))
         certificate += [(tuple(a), DeviationWitness(u, c, g)) for a, (u, c), g in zip(
             block.profiles[:room].tolist(), block.witness[:room].tolist(), block.gain[:room].tolist())]
     bound = poa_lower_bound(spec)

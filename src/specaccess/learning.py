@@ -56,7 +56,7 @@ def contraction_temperature_bound(spec: SpectrumGame) -> float:
     dynamics contract in max norm whenever gamma stays strictly below
     1 / (2 max theta*rate * max in-degree). Infinite when that product is 0
     (no interference, or no channel ever idle): Q is then constant."""
-    lipschitz = spec.max_effective_value() * spec.graph.max_in_degree
+    lipschitz = spec._value.max().item() * spec.graph.max_in_degree
     if lipschitz == 0:
         return math.inf
     return 1.0 / (2.0 * lipschitz)
@@ -157,6 +157,9 @@ def mean_dynamics_fixed_point(
     return FixedPointResult(P, sigma, max_iter, residual, False, within)
 
 
+_GAP_TOLERANCE = 1e-9
+
+
 @dataclass
 class GapCertificate:
     """Entropy gap delta plus the numerically verified best-response gains."""
@@ -165,8 +168,7 @@ class GapCertificate:
     entropy_bound: float          # (1/gamma) ln M
     br_gains: np.ndarray          # per-user exact best pure-response gain
     max_br_gain: float
-    satisfied: bool               # max gain <= delta + tolerance
-    tolerance: float
+    satisfied: bool               # max gain <= delta + _GAP_TOLERANCE
 
 
 def approx_ne_gap(
@@ -175,7 +177,6 @@ def approx_ne_gap(
     gamma: float,
     *,
     payoff_scale: float = 1.0,
-    tolerance: float = 1e-9,
 ) -> GapCertificate:
     """delta = max_n of the gamma-weighted entropy of user n's mixed row,
     checked against each user's exact best pure response."""
@@ -191,8 +192,7 @@ def approx_ne_gap(
         entropy_bound=math.log(spec.n_channels) / gamma_eff,
         br_gains=br_gains,
         max_br_gain=max_gain,
-        satisfied=max_gain <= delta + tolerance,
-        tolerance=tolerance,
+        satisfied=max_gain <= delta + _GAP_TOLERANCE,
     )
 
 
@@ -226,8 +226,6 @@ class LearningOutcome:
     estimates: np.ndarray | None         # periods x N, NaN where skipped
     error_trace: np.ndarray | None       # ||P(T) - P*||_inf when an oracle is given
     delta: float                         # entropy gap at the final strategies
-    converged: bool
-    converged_at: int | None
     periods: int
     skipped_updates: int
 
@@ -244,8 +242,6 @@ def run_learning(
     p0: np.ndarray | None = None,
     oracle: np.ndarray | None = None,
     record: bool = True,
-    window: int = 50,
-    zeta: float | None = None,
 ) -> LearningOutcome:
     """Run the distributed learning loop for a number of decision periods.
 
@@ -253,8 +249,6 @@ def run_learning(
     observer produces (estimates, realised values) as (N,) arrays, and each
     user's chosen-channel perception absorbs its estimate with weight mu_T. A
     NaN estimate (undefined MLE for that user-period) skips the update.
-    Convergence, when zeta is given, means the max perception change stayed
-    below zeta over the trailing window.
     """
     if periods < 1:
         raise ValueError("periods must be >= 1")
@@ -271,7 +265,6 @@ def run_learning(
     estimates = np.full((periods, N), np.nan) if record else None
     error_trace = np.zeros(periods) if oracle is not None else None
     skipped = 0
-    converged_at: int | None = None
 
     for T in range(1, periods + 1):
         sigma = boltzmann_profile(P / payoff_scale, gamma)
@@ -297,9 +290,6 @@ def run_learning(
         dP_trace[T - 1] = np.abs(new - old).max(initial=0.0)
         if error_trace is not None:
             error_trace[T - 1] = float(np.max(np.abs(P - oracle)))
-        if zeta is not None and converged_at is None and T >= window:
-            if float(dP_trace[T - window:T].max()) < zeta:
-                converged_at = T
 
     sigma = boltzmann_profile(P / payoff_scale, gamma)
     return LearningOutcome(
@@ -312,8 +302,6 @@ def run_learning(
         estimates=estimates,
         error_trace=error_trace,
         delta=_entropy_gap(sigma, gamma_eff),
-        converged=converged_at is not None,
-        converged_at=converged_at,
         periods=periods,
         skipped_updates=skipped,
     )

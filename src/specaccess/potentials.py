@@ -147,7 +147,7 @@ def potential_value(game: SpectrumGame | PhysicalGame, a: Profile, variant: str)
         # per-channel product telescopes exactly against one user's move.
         lam = spec.mechanism.max_counter
         val = sum(
-            math.log(spec.idle_prob[a[n - 1] - 1] * spec.effective_rate(n, a[n - 1]))
+            math.log(spec._value.item(n - 1, a[n - 1] - 1))
             for n in range(1, spec.n_users + 1)
         )
         for load in _channel_loads(spec, a):
@@ -188,18 +188,21 @@ def potential_value(game: SpectrumGame | PhysicalGame, a: Profile, variant: str)
         for i in range(1, spec.n_users + 1):
             ch = a[i - 1]
             cross = sum(rho[j - 1] for j in spec.co_channel_in_neighbors(a, i))
-            xi = math.log(spec.idle_prob[ch - 1] * spec.effective_rate(i, ch) * p[i - 1])
+            xi = math.log(spec._value.item(i - 1, ch - 1) * p[i - 1])
             total -= rho[i - 1] * (0.5 * cross + xi)
         return total
 
     raise ValueError(f"unknown potential variant '{variant}'")
 
 
-def signed(delta: float, reference: Iterable[float], band: float = 1e-12) -> int:
-    """Sign of delta with a dead band of band times the largest reference
+_SIGN_BAND = 1e-12
+
+
+def signed(delta: float, reference: Iterable[float]) -> int:
+    """Sign of delta with a dead band of _SIGN_BAND times the largest reference
     magnitude; relative at every scale, as potentials can be tiny."""
     scale = max((abs(r) for r in reference), default=0.0)
-    if abs(delta) <= band * scale:
+    if abs(delta) <= _SIGN_BAND * scale:
         return 0
     return 1 if delta > 0 else -1
 
@@ -210,7 +213,6 @@ def deviation_signs_match(
     a: Profile,
     user: int,
     new_channel: int,
-    band: float = 1e-12,
 ) -> bool:
     """sgn(Phi(a') - Phi(a)) == sgn(U_user(a') - U_user(a)) for one deviation."""
     a2 = a[: user - 1] + (new_channel,) + a[user:]
@@ -218,4 +220,4 @@ def deviation_signs_match(
     phi1 = potential_value(game, a2, variant)
     u0 = game.payoff(a, user)
     u1 = game.payoff(a2, user)
-    return signed(phi1 - phi0, (phi0, phi1), band) == signed(u1 - u0, (u0, u1), band)
+    return signed(phi1 - phi0, (phi0, phi1)) == signed(u1 - u0, (u0, u1))

@@ -152,8 +152,8 @@ def _channel_periods(scenario: Scenario, streams: SimStreams):
 
 
 def _contention_draws(scenario: Scenario, streams: SimStreams, t: int) -> np.ndarray:
-    """Per-user contention draws, (t, N). Race values for backoff-family
-    mechanisms (lower wins, strict), transmit indicators for Aloha."""
+    """Per-user contention race values, (t, N): lower wins, strictly. An Aloha
+    user races 0.0 when it transmits and inf when it stays silent."""
     mech = scenario.game.mechanism
     if isinstance(mech, RandomBackoff):
         draw = lambda g, i: g.integers(1, mech.max_counter + 1, size=t)
@@ -162,7 +162,7 @@ def _contention_draws(scenario: Scenario, streams: SimStreams, t: int) -> np.nda
     elif isinstance(mech, WeightedShare):
         draw = lambda g, i: g.exponential(1.0 / mech.weights[i], size=t)
     elif isinstance(mech, SlottedAloha):
-        draw = lambda g, i: g.random(t) < mech.probs[i]
+        draw = lambda g, i: np.where(g.random(t) < mech.probs[i], 0.0, np.inf)
     else:
         raise TypeError(f"unknown mechanism {mech!r}")
     out = np.empty((t, scenario.game.n_users))
@@ -187,15 +187,11 @@ def _success_matrix(
     draws: np.ndarray,
 ) -> np.ndarray:
     """Grab indicators, (t, N), for per-slot channels ch (t, N). A user wins an
-    idle slot when its draw beats every co-channel in-neighbour's (backoff
-    family), or when it alone among them transmits (Aloha)."""
+    idle slot when its draw beats every co-channel in-neighbour's; under Aloha
+    that is when it alone among them transmits."""
     idx, valid = scenario.game._in_index
     co = valid & (ch[:, idx] == ch[:, :, None])
-    nbr = draws[:, idx]
-    idle = s_user == 1
-    if isinstance(scenario.game.mechanism, SlottedAloha):
-        return idle & (draws == 1.0) & ~(co & (nbr == 1.0)).any(axis=2)
-    return idle & (draws < np.min(nbr, axis=2, where=co, initial=np.inf))
+    return (s_user == 1) & (draws < np.min(draws[:, idx], axis=2, where=co, initial=np.inf))
 
 
 def _realise_rates(scenario: Scenario, ch: np.ndarray, succ: np.ndarray, fading: np.ndarray) -> np.ndarray:
@@ -294,7 +290,9 @@ class LearningPolicy:
 
     def resolved_scale(self, game: SpectrumGame) -> float:
         if self.payoff_scale == "auto":
-            scale = game.mean_effective_value()
+            # mean of theta_m h_n B_m^n, summed left to right in row-major order
+            values = game._value.ravel().tolist()
+            scale = sum(values) / len(values)
             if scale == 0.0:
                 raise ValueError('payoff_scale "auto" is undefined: no channel is ever idle, '
                                  "so the mean expected throughput is 0")

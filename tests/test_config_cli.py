@@ -60,7 +60,7 @@ def test_shipped_nine_user_config_loads_exactly():
     assert cfg.sweep_gammas == [0.5, 1, 2, 5, 10, 50]
     assert cfg.rate_unit == "Mbps"
     # auto scale resolves to the mean expected throughput
-    assert resolved_payoff_scale(cfg) == pytest.approx(game.mean_effective_value())
+    assert resolved_payoff_scale(cfg) == pytest.approx(game._value.mean())
 
 
 def test_shipped_aloha_config_loads():
@@ -349,6 +349,19 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     rc = cli_main(["solve", str(p)])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_unreadable_path_is_an_error(tmp_path, capsys):
+    # a directory raises IsADirectoryError, an OSError like FileNotFoundError
+    assert cli_main(["solve", str(tmp_path)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("top", [None, 5])
+def test_cli_classify_non_object_document_is_an_error(tmp_path, capsys, top):
+    p = _write(tmp_path, top)
+    assert cli_main(["classify", str(p), "--out", str(tmp_path)]) == 1
+    assert "invalid graph document" in capsys.readouterr().err
 
 
 def test_cli_slot_trace(tmp_path):

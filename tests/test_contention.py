@@ -10,7 +10,6 @@ from specaccess.contention import (
     WeightedShare,
     backoff_success_probability,
     grab_probability,
-    satisfies_congestion_property,
 )
 
 
@@ -68,32 +67,9 @@ def test_ranges():
         assert 0 < g < 1
 
 
-def test_congestion_property_standard_mechanisms():
-    universe = {2, 3, 4, 5}
-    assert satisfies_congestion_property(RandomBackoff(10), 1, universe)
-    assert satisfies_congestion_property(AsymptoticBackoff(), 1, universe)
-    assert satisfies_congestion_property(SlottedAloha((0.4,) * 5), 1, universe)
-    assert satisfies_congestion_property(WeightedShare((1.0, 2.0, 0.5, 1.5, 3.0)), 1, universe)
-
-
-def test_congestion_property_rejects_increasing_double():
-    synthetic = lambda s: 0.05 + 0.1 * len(s)
-    assert not satisfies_congestion_property(synthetic, 1, {2, 3, 4, 5})
-
-
-def test_congestion_property_sampled_branch():
-    universe = set(range(2, 20))  # above the exhaustive limit
-    assert satisfies_congestion_property(
-        SlottedAloha((0.4,) * 20), 1, universe, rng=np.random.default_rng(0)
-    )
-    synthetic = lambda s: 0.01 + 0.02 * len(s)
-    assert not satisfies_congestion_property(
-        synthetic, 1, universe, rng=np.random.default_rng(0)
-    )
-
-
 def test_antitone_under_inclusion_exhaustive():
-    # adding any contender to any set never raises g, |universe| = 8
+    # the congestion property: adding any contender to any set never raises
+    # g, |universe| = 8; the directed-tree construction relies on it
     universe = list(range(2, 10))
     mechs = [
         RandomBackoff(7),

@@ -72,20 +72,15 @@ def test_tree_requires_forest():
         construct_ne_directed_tree(spec)
 
 
-def test_tree_requires_congestion_property():
-    # a forest structurally, but a congestion-violating synthetic mechanism is
-    # not expressible through the built-ins; check the CP gate via monkeypatch
-    g = sa.InterferenceGraph.from_edges(2, [(1, 2)])
-    spec = SpectrumGame.create(g, [1.0], [[1.0], [1.0]], sa.RandomBackoff(4))
-    import specaccess.equilibria as eq
-
-    original = eq.satisfies_congestion_property
-    eq.satisfies_congestion_property = lambda *a, **k: False
-    try:
-        with pytest.raises(PreconditionError):
-            construct_ne_directed_tree(spec)
-    finally:
-        eq.satisfies_congestion_property = original
+@pytest.mark.parametrize("leaves", [13, 16])
+def test_tree_weighted_share_star_beyond_twelve_in_neighbours(leaves):
+    # every leaf interferes with the hub, user 1: |in(1)| = leaves
+    rng = np.random.default_rng(leaves)
+    g = sa.InterferenceGraph.from_edges(leaves + 1, [(v, 1) for v in range(2, leaves + 2)])
+    spec = random_game(rng, g, 2, "weighted")
+    a = construct_ne_directed_tree(spec)
+    assert is_pure_ne(spec, a).is_ne
+    assert a in enumerate_pure_ne(spec)
 
 
 def test_tree_random_instances_verified(caplog):

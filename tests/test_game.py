@@ -266,7 +266,7 @@ def _assert_scan_matches_brute_force(spec):
     rep = social_welfare_and_poa(spec)
     assert rep.pure_ne == ne
     assert rep.optimal_profile == profiles[best] and rep.optimal_welfare == welfares[best]
-    blocks = list(_scan(spec, 1e-12, 10**7))
+    blocks = list(_scan(spec, 10**7))
     assert [tuple(a) for b in blocks for a in b.profiles.tolist()] == profiles
     first = blocks[0]
     for k, (a, check) in enumerate(zip(profiles[:64], checks)):
@@ -320,7 +320,7 @@ def test_payoff_matches_scan_bit_for_bit(kind):
     # (8 slots for small sets); g must not depend on that order
     rng = np.random.default_rng(2)
     spec = random_game(rng, random_directed_graph(rng, 16, 0.5), 2, kind)
-    for block in _scan(spec, 1e-12, 10**7):
+    for block in _scan(spec, 10**7):
         for k in rng.choice(len(block.profiles), 8, replace=False):
             a = tuple(block.profiles[k].tolist())
             for n in range(1, 17):

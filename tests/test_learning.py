@@ -253,13 +253,6 @@ def test_run_learning_respects_observer_skips():
     assert np.isnan(out.estimates[1, 0]) and out.estimates[0, 0] == 2.0
 
 
-def test_run_learning_convergence_window():
-    g = sa.InterferenceGraph.from_edges(1, [])
-    spec = SpectrumGame.create(g, [0.5], [[4.0]], sa.RandomBackoff(4))
-    out = run_learning(spec, gamma=1.0, periods=300, rng=np.random.default_rng(0), zeta=1e-3)
-    assert out.converged and out.converged_at is not None
-
-
 def test_q_operator_scale_equivalence():
     # scaling payoffs and the scale parameter together leaves strategies unchanged
     rng = np.random.default_rng(4)

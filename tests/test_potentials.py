@@ -77,7 +77,7 @@ def test_complete_backoff_log_form_matches_product_oracle():
         # literal product form: prod_n theta*B*h * prod_m prod_{c=0}^{K_m - 1} f(c)
         prod = 1.0
         for n in (1, 2, 3):
-            prod *= spec.idle_prob[a[n - 1] - 1] * spec.effective_rate(n, a[n - 1])
+            prod *= spec._value.item(n - 1, a[n - 1] - 1)
         for m in (1, 2):
             k = sum(1 for ch in a if ch == m)
             for c in range(k):

@@ -90,7 +90,8 @@ def _slot_success(scenario, ch, s, draws):
     for u in range(1, game.n_users + 1):
         rivals = [draws[i - 1] for i in game.graph.in_neighbors(u) if ch[i - 1] == ch[u - 1]]
         if isinstance(game.mechanism, sa.SlottedAloha):
-            out[u - 1] = s[u - 1] == 1 and draws[u - 1] == 1.0 and 1.0 not in rivals
+            # 0.0 transmits, inf stays silent
+            out[u - 1] = s[u - 1] == 1 and draws[u - 1] == 0.0 and 0.0 not in rivals
         else:
             out[u - 1] = s[u - 1] == 1 and all(draws[u - 1] < r for r in rivals)
     return out
