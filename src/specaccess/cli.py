@@ -1,13 +1,18 @@
 """Command-line surface: one binary, batch subcommands, CSV/JSON artifacts.
 
 Commands operate on a JSON experiment configuration (see config.schema.json
-at the repo root). Interference graph files are JSON documents of the form
+at the repo root); ``classify`` also takes a bare graph file. Interference
+graph files are JSON documents of one of three shapes:
 ``{"n_users": N, "edges": [[i, j], ...]}`` (1-based, edge [i, j] = user i
-interferes with user j; undirected links appear in both directions), or
+interferes with user j; undirected links appear in both directions),
 ``{"placements": [{"tx": [x, y], "rx": [x, y], "interference_range": r},
 ...]}`` from which edges are derived geometrically, or ``{"file": "path"}``
-referencing another graph file. Artifacts embed the resolved-config hash and
-the seed, so reruns with identical inputs are byte-identical.
+referencing another graph file. Every command takes ``--out`` and
+``--verbose``; ``--seed`` only potential-check, estimate, learn, simulate,
+compare and gamma-sweep, which draw random numbers; ``--jobs`` only compare
+and gamma-sweep, which run replications in parallel. Artifacts embed the
+resolved-config hash and the seed, so reruns with identical inputs are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from .contention import RandomBackoff
 from .equilibria import construct_ne_bipartite, construct_ne_dag, construct_ne_directed_tree
 from .errors import PreconditionError, ResourceLimitError
 from .estimation import _mle, _statistics
-from .game import enumerate_pure_ne, is_pure_ne, welfare
+from .game import enumerate_pure_ne, is_pure_ne, social_welfare_and_poa, welfare
 from .graph import classify
 from .learning import contraction_temperature_bound
 from .potentials import applicable_variants, deviation_signs_match
@@ -50,28 +55,31 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"specaccess {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_: str, config_arg: bool = True):
+    def add(name: str, help_: str, func, seed=False, jobs=False, section=None, loads_config=True):
         p = sub.add_parser(name, help=help_)
-        if config_arg:
+        if loads_config:
             p.add_argument("config", help="experiment configuration (JSON)")
-        p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+        else:
+            p.add_argument("graph", help="graph file or experiment configuration (JSON)")
+        if seed:
+            p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
         p.add_argument("--out", default=None, help="output directory (default: config output.dir)")
-        p.add_argument("--jobs", type=int, default=1, help="parallel replications")
+        if jobs:
+            p.add_argument("--jobs", type=int, default=1, help="parallel replications")
         p.add_argument("--verbose", action="store_true")
-        return p
+        p.set_defaults(func=func, section=section, loads_config=loads_config)
 
-    p = add("classify", "report the structural classes of an interference graph", config_arg=False)
-    p.add_argument("graph", help="graph file or experiment configuration (JSON)")
-    p.set_defaults(func=cmd_classify)
-
-    add("solve", "find and certify a pure Nash equilibrium").set_defaults(func=cmd_solve)
-    add("potential-check", "validate potential-function sign identities").set_defaults(func=cmd_potential_check)
-    add("poa", "exhaustive welfare optimum, worst equilibrium, price of anarchy").set_defaults(func=cmd_poa)
-    add("estimate", "simulate a fixed profile and emit per-period MLE rows").set_defaults(func=cmd_estimate)
-    add("learn", "run the distributed learning algorithm").set_defaults(func=cmd_learn)
-    add("simulate", "roll out one policy and emit period summaries").set_defaults(func=cmd_simulate)
-    add("compare", "paired-seed policy comparison").set_defaults(func=cmd_compare)
-    add("gamma-sweep", "welfare as a function of the learning temperature").set_defaults(func=cmd_gamma_sweep)
+    add("classify", "report the structural classes of an interference graph", cmd_classify,
+        loads_config=False)
+    add("solve", "find and certify a pure Nash equilibrium", cmd_solve)
+    add("potential-check", "validate potential-function sign identities", cmd_potential_check, seed=True)
+    add("poa", "exhaustive welfare optimum, worst equilibrium, price of anarchy", cmd_poa)
+    add("estimate", "simulate a fixed profile and emit per-period MLE rows", cmd_estimate, seed=True)
+    add("learn", "run the distributed learning algorithm", cmd_learn, seed=True)
+    add("simulate", "roll out one policy and emit period summaries", cmd_simulate, seed=True)
+    add("compare", "paired-seed policy comparison", cmd_compare, seed=True, jobs=True, section="compare")
+    add("gamma-sweep", "welfare as a function of the learning temperature", cmd_gamma_sweep,
+        seed=True, jobs=True, section="sweep")
     return parser
 
 
@@ -82,18 +90,20 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        return args.func(args)
+        if not args.loads_config:
+            return args.func(args)
+        cfg = load_config(args.config)
+        if args.section is not None and args.section not in cfg.resolved:
+            raise ValueError(f"config has no {args.section} section")
+        outdir = _outdir(args.out or cfg.output.dir)
+        write_json(outdir / "resolved_config.json", cfg.resolved)
+        return args.func(args, cfg, outdir)
     except (ValueError, PreconditionError, ResourceLimitError, OSError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 
 
-def _load(args) -> ExperimentConfig:
-    return load_config(args.config)
-
-
-def _outdir(args, cfg: ExperimentConfig | None) -> Path:
-    out = args.out or (cfg.output.dir if cfg else "out")
+def _outdir(out: str) -> Path:
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
     return path
@@ -107,10 +117,6 @@ def _meta(cfg: ExperimentConfig, seed: int) -> dict:
         "rate_unit": cfg.rate_unit,
         "generator": f"specaccess {__version__}",
     }
-
-
-def _echo(cfg: ExperimentConfig, outdir: Path) -> None:
-    write_json(outdir / "resolved_config.json", cfg.resolved)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +145,7 @@ def cmd_classify(args) -> int:
         print("no structural pure-NE guarantee")
     if cls.bipartition:
         print(f"bipartition: {list(cls.bipartition[0])} | {list(cls.bipartition[1])}")
-    outdir = _outdir(args, cfg)
+    outdir = _outdir(args.out or (cfg.output.dir if cfg else "out"))
     write_json(outdir / "classification.json", {
         "n_users": graph.n_users,
         "edges": sorted(graph.edges),
@@ -171,10 +177,7 @@ def _solve_routine(cfg: ExperimentConfig):
     return "enumeration", ne[0]
 
 
-def cmd_solve(args) -> int:
-    cfg = _load(args)
-    outdir = _outdir(args, cfg)
-    _echo(cfg, outdir)
+def cmd_solve(args, cfg: ExperimentConfig, outdir: Path) -> int:
     spec = cfg.scenario.game
     routine, profile = _solve_routine(cfg)
     if profile is None:
@@ -200,10 +203,7 @@ def cmd_solve(args) -> int:
     return 0 if check.is_ne else 1
 
 
-def cmd_potential_check(args) -> int:
-    cfg = _load(args)
-    outdir = _outdir(args, cfg)
-    _echo(cfg, outdir)
+def cmd_potential_check(args, cfg: ExperimentConfig, outdir: Path) -> int:
     spec = cfg.scenario.game
     variants = applicable_variants(spec)
     if not variants:
@@ -243,25 +243,13 @@ def cmd_potential_check(args) -> int:
     return 1 if failed else 0
 
 
-def cmd_poa(args) -> int:
-    cfg = _load(args)
-    outdir = _outdir(args, cfg)
-    _echo(cfg, outdir)
-    spec = cfg.scenario.game
-    report = social_welfare_and_poa_cli(spec, cfg)
-    write_json(outdir / "poa.json", report)
-    return 0
-
-
-def social_welfare_and_poa_cli(spec, cfg: ExperimentConfig) -> dict:
-    from .game import social_welfare_and_poa
-
-    rep = social_welfare_and_poa(spec, cap=cfg.solver.enumeration_cap)
+def cmd_poa(args, cfg: ExperimentConfig, outdir: Path) -> int:
+    rep = social_welfare_and_poa(cfg.scenario.game, cap=cfg.solver.enumeration_cap)
     if rep.poa is None:
         print("no pure Nash equilibrium: PoA undefined")
         print(f"certificate: improving deviation from every profile "
               f"(first {len(rep.no_ne_certificate)} witnessed)")
-        return {
+        report = {
             "optimal_welfare": rep.optimal_welfare,
             "pure_ne_count": 0,
             "poa": None,
@@ -271,19 +259,22 @@ def social_welfare_and_poa_cli(spec, cfg: ExperimentConfig) -> dict:
                 for a, w in rep.no_ne_certificate
             ],
         }
-    print(f"optimal welfare: {rep.optimal_welfare:.6g} {cfg.rate_unit} at {list(rep.optimal_profile)}")
-    print(f"pure NE count: {len(rep.pure_ne)}")
-    print(f"worst NE welfare: {rep.worst_ne_welfare:.6g} at {list(rep.worst_ne_profile)}")
-    print(f"PoA: {rep.poa:.6f} (structural lower bound {rep.lower_bound:.6f})")
-    return {
-        "optimal_welfare": rep.optimal_welfare,
-        "optimal_profile": list(rep.optimal_profile),
-        "pure_ne_count": len(rep.pure_ne),
-        "worst_ne_welfare": rep.worst_ne_welfare,
-        "worst_ne_profile": list(rep.worst_ne_profile),
-        "poa": rep.poa,
-        "lower_bound": rep.lower_bound,
-    }
+    else:
+        print(f"optimal welfare: {rep.optimal_welfare:.6g} {cfg.rate_unit} at {list(rep.optimal_profile)}")
+        print(f"pure NE count: {len(rep.pure_ne)}")
+        print(f"worst NE welfare: {rep.worst_ne_welfare:.6g} at {list(rep.worst_ne_profile)}")
+        print(f"PoA: {rep.poa:.6f} (structural lower bound {rep.lower_bound:.6f})")
+        report = {
+            "optimal_welfare": rep.optimal_welfare,
+            "optimal_profile": list(rep.optimal_profile),
+            "pure_ne_count": len(rep.pure_ne),
+            "worst_ne_welfare": rep.worst_ne_welfare,
+            "worst_ne_profile": list(rep.worst_ne_profile),
+            "poa": rep.poa,
+            "lower_bound": rep.lower_bound,
+        }
+    write_json(outdir / "poa.json", report)
+    return 0
 
 
 def _default_profile(cfg: ExperimentConfig):
@@ -294,10 +285,7 @@ def _default_profile(cfg: ExperimentConfig):
     return tuple(int(m) + 1 for m in spec._value.argmax(axis=1))
 
 
-def cmd_estimate(args) -> int:
-    cfg = _load(args)
-    outdir = _outdir(args, cfg)
-    _echo(cfg, outdir)
+def cmd_estimate(args, cfg: ExperimentConfig, outdir: Path) -> int:
     scenario = cfg.scenario
     profile = _default_profile(cfg)
     streams = SimStreams.from_seed(args.seed, scenario.game.n_users)
@@ -318,10 +306,7 @@ def cmd_estimate(args) -> int:
     return 0
 
 
-def cmd_learn(args) -> int:
-    cfg = _load(args)
-    outdir = _outdir(args, cfg)
-    _echo(cfg, outdir)
+def cmd_learn(args, cfg: ExperimentConfig, outdir: Path) -> int:
     scenario = cfg.scenario
     result = run_policy(scenario, cfg.learning, (args.seed, 0))
     outcome = result.learning
@@ -355,10 +340,7 @@ def cmd_learn(args) -> int:
     return 0
 
 
-def cmd_simulate(args) -> int:
-    cfg = _load(args)
-    outdir = _outdir(args, cfg)
-    _echo(cfg, outdir)
+def cmd_simulate(args, cfg: ExperimentConfig, outdir: Path) -> int:
     scenario = cfg.scenario
     policy = FixedProfilePolicy(cfg.fixed_profile) if cfg.fixed_profile is not None else RandomAccessPolicy()
     result = run_policy(scenario, policy, (args.seed, 0))
@@ -389,13 +371,7 @@ def _write_slot_trace(cfg: ExperimentConfig, policy, outdir: Path, seed: int) ->
     )
 
 
-def cmd_compare(args) -> int:
-    cfg = _load(args)
-    if not cfg.policies:
-        print("error: config has no compare.policies section", file=sys.stderr)
-        return 1
-    outdir = _outdir(args, cfg)
-    _echo(cfg, outdir)
+def cmd_compare(args, cfg: ExperimentConfig, outdir: Path) -> int:
     report = compare_policies(
         cfg.scenario, cfg.policies, cfg.compare_replications, args.seed, jobs=args.jobs
     )
@@ -419,13 +395,7 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def cmd_gamma_sweep(args) -> int:
-    cfg = _load(args)
-    if not cfg.sweep_gammas:
-        print("error: config has no sweep.gammas section", file=sys.stderr)
-        return 1
-    outdir = _outdir(args, cfg)
-    _echo(cfg, outdir)
+def cmd_gamma_sweep(args, cfg: ExperimentConfig, outdir: Path) -> int:
     results = sweep_gamma(
         cfg.scenario, cfg.sweep_gammas, cfg.sweep_replications, args.seed, cfg.learning, jobs=args.jobs
     )

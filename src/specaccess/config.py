@@ -1,8 +1,10 @@
 """Experiment configuration: JSON loading, schema validation, object building.
 
-Configs are strict: unknown keys are rejected, defaults are filled in and
-echoed back, and the resolved document is hashed so every artifact can name
-the exact configuration that produced it. The JSON schema itself is defined
+Configs are strict: unknown keys are rejected (each channel, rate model,
+mechanism and policy ``kind`` accepts only the keys it is built from, and each
+graph shape only its own keys), defaults are filled in and echoed back, and
+the resolved document is hashed so every artifact can name the exact
+configuration that produced it. The JSON schema itself is defined
 here (authoritative) and shipped verbatim as config.schema.json at the repo
 root for reference.
 """
@@ -41,6 +43,7 @@ _NONNEG = {"type": "number", "minimum": 0}
 _POS = {"type": "number", "exclusiveMinimum": 0}
 _PROB = {"type": "number", "minimum": 0, "maximum": 1}
 _MATRIX = {"type": "array", "minItems": 1, "items": {"type": "array", "minItems": 1, "items": _POS}}
+_PROFILE = {"type": "array", "minItems": 1, "items": {"type": "integer", "minimum": 1}}
 
 GRAPH_SCHEMA: dict[str, Any] = {
     "type": "object",
@@ -69,91 +72,81 @@ GRAPH_SCHEMA: dict[str, Any] = {
             },
         },
     },
-    "oneOf": [
-        {"required": ["file"]},
-        {"required": ["n_users", "edges"]},
-        {"required": ["placements"]},
-    ],
-}
-
-_CHANNEL_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["kind"],
-    "properties": {
-        "kind": {"enum": ["markov", "bernoulli", "white_space"]},
-        "epsilon": _PROB,
-        "xi": _PROB,
-        "theta": _PROB,
+    # three alternative shapes, each closed to the keys it is read with
+    "if": {"required": ["file"]},
+    "then": {"properties": {"file": True}, "additionalProperties": False},
+    "else": {
+        "if": {"required": ["placements"]},
+        "then": {"properties": {"placements": True}, "additionalProperties": False},
+        "else": {"required": ["n_users", "edges"]},
     },
-    "allOf": [
-        {
-            "if": {"properties": {"kind": {"const": "markov"}}},
-            "then": {"required": ["epsilon", "xi"]},
-            "else": {"required": ["theta"]},
-        }
-    ],
 }
 
-_RATES_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["kind"],
-    "properties": {
-        "kind": {"enum": ["fixed", "rayleigh_shannon"]},
-        "mean": _MATRIX,
-        "bandwidth": _POS,
-        "tx_power": _POS,
-        "noise_power": _POS,
-        "mean_gain": _MATRIX,
-        "mean_rate": _MATRIX,
+
+def _by_kind(**kinds: dict) -> dict:
+    """An object whose ``kind`` selects one closed schema: kinds[k] holds k's
+    properties and required keys, and any key it does not list is rejected."""
+    return {
+        "type": "object",
+        "required": ["kind"],
+        "properties": {"kind": {"enum": list(kinds)}},
+        "allOf": [
+            {
+                "if": {"required": ["kind"], "properties": {"kind": {"const": kind}}},
+                "then": {
+                    **schema,
+                    "additionalProperties": False,
+                    "properties": {"kind": {"const": kind}, **schema.get("properties", {})},
+                },
+            }
+            for kind, schema in kinds.items()
+        ],
+    }
+
+
+_CHANNEL_SCHEMA = _by_kind(
+    markov={"required": ["epsilon", "xi"], "properties": {"epsilon": _PROB, "xi": _PROB}},
+    bernoulli={"required": ["theta"], "properties": {"theta": _PROB}},
+    white_space={"required": ["theta"], "properties": {"theta": _PROB}},
+)
+
+_RATES_SCHEMA = _by_kind(
+    fixed={"required": ["mean"], "properties": {"mean": _MATRIX}},
+    rayleigh_shannon={
+        "required": ["bandwidth", "tx_power", "noise_power"],
+        "properties": {
+            "bandwidth": _POS, "tx_power": _POS, "noise_power": _POS,
+            "mean_gain": _MATRIX, "mean_rate": _MATRIX,
+        },
+        "oneOf": [{"required": ["mean_gain"]}, {"required": ["mean_rate"]}],
     },
-    "allOf": [
-        {
-            "if": {"properties": {"kind": {"const": "fixed"}}},
-            "then": {"required": ["mean"]},
-            "else": {
-                "required": ["bandwidth", "tx_power", "noise_power"],
-                "oneOf": [{"required": ["mean_gain"]}, {"required": ["mean_rate"]}],
-            },
-        }
-    ],
-}
+)
 
-_MECHANISM_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["kind"],
-    "properties": {
-        "kind": {"enum": ["backoff", "asymptotic_backoff", "weighted_share", "aloha"]},
-        "max_counter": {"type": "integer", "minimum": 1, "maximum": 10**6},
-        "weights": {"type": "array", "minItems": 1, "items": _POS},
-        "probs": {
+_MECHANISM_SCHEMA = _by_kind(
+    backoff={
+        "required": ["max_counter"],
+        "properties": {"max_counter": {"type": "integer", "minimum": 1, "maximum": 10**6}},
+    },
+    asymptotic_backoff={},
+    weighted_share={
+        "required": ["weights"],
+        "properties": {"weights": {"type": "array", "minItems": 1, "items": _POS}},
+    },
+    aloha={
+        "required": ["probs"],
+        "properties": {"probs": {
             "type": "array", "minItems": 1,
             "items": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-        },
+        }},
     },
-    "allOf": [
-        {"if": {"properties": {"kind": {"const": "backoff"}}}, "then": {"required": ["max_counter"]}},
-        {"if": {"properties": {"kind": {"const": "weighted_share"}}}, "then": {"required": ["weights"]}},
-        {"if": {"properties": {"kind": {"const": "aloha"}}}, "then": {"required": ["probs"]}},
-    ],
-}
+)
 
-_POLICY_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["kind"],
-    "properties": {
-        "kind": {"enum": ["learning", "random_access", "fixed_profile", "dynamic_stage_game"]},
-        "gamma": _POS,
-        "profile": {"type": "array", "minItems": 1, "items": {"type": "integer", "minimum": 1}},
-        "restarts": {"type": "integer", "minimum": 1},
-    },
-    "allOf": [
-        {"if": {"properties": {"kind": {"const": "fixed_profile"}}}, "then": {"required": ["profile"]}},
-    ],
-}
+_POLICY_SCHEMA = _by_kind(
+    learning={"properties": {"gamma": _POS}},
+    random_access={},
+    fixed_profile={"required": ["profile"], "properties": {"profile": _PROFILE}},
+    dynamic_stage_game={"properties": {"restarts": {"type": "integer", "minimum": 1}}},
+)
 
 CONFIG_SCHEMA: dict[str, Any] = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -174,7 +167,7 @@ CONFIG_SCHEMA: dict[str, Any] = {
                 "gains": {"type": "array", "minItems": 1, "items": _POS},
                 "t_max": {"type": "integer", "minimum": 1},
                 "periods": {"type": "integer", "minimum": 1},
-                "profile": {"type": "array", "minItems": 1, "items": {"type": "integer", "minimum": 1}},
+                "profile": _PROFILE,
                 "rate_unit": {"type": "string"},
             },
         },
@@ -287,7 +280,9 @@ def _schema_errors(instance: dict, schema: dict) -> list[str]:
     msgs = []
     for err in sorted(validator.iter_errors(instance), key=lambda e: list(e.absolute_path)):
         loc = ".".join(str(p) for p in err.absolute_path) or "<root>"
-        msgs.append(f"{loc}: {err.message}")
+        # a failed oneOf/anyOf: say what each alternative found wrong
+        why = "; ".join(dict.fromkeys(e.message for e in err.context))
+        msgs.append(f"{loc}: {err.message}" + (f" ({why})" if why else ""))
     return msgs
 
 

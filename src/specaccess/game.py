@@ -243,18 +243,25 @@ class NeCheck(NamedTuple):
     witness: DeviationWitness | None
 
 
+def _first_improvement(game: GameLike, a: Profile, n: int) -> DeviationWitness | None:
+    """User n's first strictly improving channel by ascending index, with its gain."""
+    u0 = game.payoff(a, n)
+    for m in range(1, game.n_channels + 1):
+        if m != a[n - 1]:
+            u1 = game.payoff(a[: n - 1] + (m,) + a[n:], n)
+            if strictly_better(u1, u0):
+                return DeviationWitness(n, m, u1 - u0)
+    return None
+
+
 def is_pure_ne(game: GameLike, a: Profile) -> NeCheck:
     """True iff no user has a strictly improving unilateral channel move."""
     _check_profile(game, a)
     a = tuple(a)
     for n in range(1, game.n_users + 1):
-        u0 = game.payoff(a, n)
-        for m in range(1, game.n_channels + 1):
-            if m == a[n - 1]:
-                continue
-            u1 = game.payoff(a[: n - 1] + (m,) + a[n:], n)
-            if strictly_better(u1, u0):
-                return NeCheck(False, DeviationWitness(n, m, u1 - u0))
+        w = _first_improvement(game, a, n)
+        if w is not None:
+            return NeCheck(False, w)
     return NeCheck(True, None)
 
 
@@ -345,25 +352,19 @@ def better_response_dynamics(
     move; otherwise reports non-convergence after max_rounds.
     """
     _check_profile(game, start)
-    a = list(start)
+    a = tuple(start)
     steps: list[BrdStep] = []
     for _ in range(max_rounds):
         moved = False
         for n in range(1, game.n_users + 1):
-            u0 = game.payoff(tuple(a), n)
-            for m in range(1, game.n_channels + 1):
-                if m == a[n - 1]:
-                    continue
-                trial = tuple(a[: n - 1] + [m] + a[n:])
-                u1 = game.payoff(trial, n)
-                if strictly_better(u1, u0):
-                    steps.append(BrdStep(len(steps) + 1, n, a[n - 1], m, u1 - u0))
-                    a[n - 1] = m
-                    moved = True
-                    break
+            w = _first_improvement(game, a, n)
+            if w is not None:
+                steps.append(BrdStep(len(steps) + 1, n, a[n - 1], w.better_channel, w.gain))
+                a = a[: n - 1] + (w.better_channel,) + a[n:]
+                moved = True
         if not moved:
-            return BrdResult(tuple(a), True, steps)
-    return BrdResult(tuple(a), False, steps)
+            return BrdResult(a, True, steps)
+    return BrdResult(a, False, steps)
 
 
 # ---------------------------------------------------------------------------

@@ -151,6 +151,55 @@ def test_graph_file_variants(tmp_path):
     assert load_graph(p3).edges == g1.edges
 
 
+_PLACEMENTS = [{"tx": [0, 0], "rx": [1, 0], "interference_range": 1}]
+
+
+@pytest.mark.parametrize("where, entry, key", [
+    ("channels", {"kind": "markov", "epsilon": 0.3, "xi": 0.1, "theta": 0.99}, "theta"),
+    ("channels", {"kind": "bernoulli", "theta": 0.5, "epsilon": 0.3}, "epsilon"),
+    ("mechanism", {"kind": "backoff", "max_counter": 4, "weights": [1.0]}, "weights"),
+    ("mechanism", {"kind": "backoff", "max_counter": 4, "probs": [0.5]}, "probs"),
+    ("mechanism", {"kind": "asymptotic_backoff", "max_counter": 4}, "max_counter"),
+    ("rates", {"kind": "fixed", "mean": [[4.0]], "bandwidth": 10.0}, "bandwidth"),
+    ("rates", {"kind": "fixed", "mean": [[4.0]], "mean_gain": [[1.0]]}, "mean_gain"),
+    ("policies", {"kind": "random_access", "gamma": 2.0}, "gamma"),
+    ("policies", {"kind": "random_access", "restarts": 3}, "restarts"),
+    ("policies", {"kind": "random_access", "profile": [1]}, "profile"),
+    ("policies", {"kind": "learning", "restarts": 3}, "restarts"),
+])
+def test_key_the_kind_does_not_read_is_rejected(tmp_path, where, entry, key):
+    doc = _minimal_doc()
+    if where == "channels":
+        doc["scenario"]["channels"] = [entry]
+    elif where == "policies":
+        doc["compare"] = {"policies": [entry]}
+    else:
+        doc["scenario"][where] = entry
+    with pytest.raises(ValueError, match=f"'{key}' was unexpected"):
+        load_config(_write(tmp_path, doc))
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"file": "g1.json", "n_users": 7}, "n_users"),
+    ({"file": "g1.json", "edges": [[1, 2]]}, "edges"),
+    ({"placements": _PLACEMENTS, "n_users": 1}, "n_users"),
+    ({"placements": _PLACEMENTS, "edges": []}, "edges"),
+])
+def test_graph_shapes_are_closed(tmp_path, doc, key):
+    _write(tmp_path, {"n_users": 2, "edges": [[1, 2]]}, "g1.json")
+    with pytest.raises(ValueError, match=f"invalid graph document:\n.*'{key}' was unexpected"):
+        load_graph(_write(tmp_path, doc, "g.json"))
+
+
+def test_failed_alternative_names_the_missing_keys(tmp_path):
+    doc = _minimal_doc()
+    doc["scenario"]["rates"] = {"kind": "rayleigh_shannon", "bandwidth": 1.0, "tx_power": 1.0,
+                                "noise_power": 1.0}
+    with pytest.raises(ValueError, match="'mean_gain' is a required property; "
+                                         "'mean_rate' is a required property"):
+        load_config(_write(tmp_path, doc))
+
+
 def test_schema_file_matches_embedded():
     shipped = json.loads((ROOT / "config.schema.json").read_text())
     assert shipped == CONFIG_SCHEMA
@@ -208,6 +257,33 @@ def test_cli_solve_tree_fallback_honours_enumeration_cap(tmp_path, capsys):
     assert "exceed the enumeration cap 4" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    [command, "--seed", "1"] for command in ("classify", "solve", "poa")
+] + [
+    [command, "--jobs", "2"]
+    for command in ("classify", "solve", "poa", "potential-check", "estimate", "learn", "simulate")
+])
+def test_cli_rejects_flags_the_command_does_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main([argv[0], str(CONFIGS / "dag_chain.json")] + argv[1:])
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_cli_solve_bipartite(tmp_path, capsys):
+    # K_{2,2} is undirected and cyclic, so neither the DAG nor the tree routine applies
+    doc = _minimal_doc()
+    doc["scenario"].update({
+        "graph": {"n_users": 4, "edges": [e for i in (1, 2) for j in (3, 4) for e in ([i, j], [j, i])]},
+        "channels": [{"kind": "bernoulli", "theta": 0.9}, {"kind": "bernoulli", "theta": 0.8}],
+        "rates": {"kind": "fixed", "mean": [[5.0, 4.0]] * 4},
+    })
+    assert cli_main(["solve", str(_write(tmp_path, doc)), "--out", str(tmp_path)]) == 0
+    assert "routine: bipartite" in capsys.readouterr().out
+    sol = json.loads((tmp_path / "solution.json").read_text())
+    assert sol["routine"] == "bipartite" and sol["verified"] is True
+
+
 def test_cli_poa_artifact(tmp_path, capsys):
     rc = cli_main(["poa", str(CONFIGS / "dag_chain.json"), "--out", str(tmp_path)])
     assert rc == 0
@@ -227,6 +303,15 @@ def test_cli_poa_all_channels_never_idle(tmp_path, capsys):
     assert rc == 0
     data = json.loads((tmp_path / "poa.json").read_text())
     assert data["poa"] == 1.0 and data["lower_bound"] == 1.0
+
+
+def test_cli_poa_without_pure_ne(tmp_path, capsys):
+    rc = cli_main(["poa", str(CONFIGS / "triangle_no_ne.json"), "--out", str(tmp_path)])
+    assert rc == 0
+    assert "PoA undefined" in capsys.readouterr().out
+    data = json.loads((tmp_path / "poa.json").read_text())
+    assert data["poa"] is None and data["pure_ne_count"] == 0
+    assert len(data["certificate"]) == 2 ** 3  # every profile witnessed
 
 
 def test_cli_poa_beyond_subset_cap_is_an_error(tmp_path, capsys):
@@ -277,6 +362,27 @@ def test_cli_potential_check(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "backoff_complete" in out and "OK" in out
+
+
+def test_cli_potential_check_samples_large_games(tmp_path, capsys):
+    # 3^7 = 2187 profiles is past the 2000 that are checked exhaustively
+    n = 7
+    doc = _minimal_doc()
+    doc["scenario"].update({
+        "graph": {"n_users": n, "edges": [[i, j] for i in range(1, n + 1) for j in range(1, n + 1) if i != j]},
+        "channels": [{"kind": "bernoulli", "theta": t} for t in (0.5, 0.7, 0.6)],
+        "rates": {"kind": "fixed", "mean": [[4.0, 2.0, 3.0]] * n},
+    })
+    p = _write(tmp_path, doc)
+    reports = []
+    for run in ("a", "b"):
+        assert cli_main(["potential-check", str(p), "--out", str(tmp_path / run), "--seed", "5"]) == 0
+        reports.append((tmp_path / run / "potential_check.json").read_text())
+    assert "backoff_complete" in capsys.readouterr().out
+    checked = json.loads(reports[0])["variants"]["backoff_complete"]
+    assert 0 < checked["deviations_checked"] <= 500
+    assert checked["sign_matches"] == checked["deviations_checked"]
+    assert reports[0] == reports[1]
 
 
 def _tiny_learning_doc():
@@ -335,13 +441,26 @@ def test_cli_compare_and_sweep_artifacts(tmp_path, capsys):
     assert len(sw) == 3  # header + 2 gammas
 
 
+@pytest.mark.parametrize("command, section", [("compare", "compare"), ("gamma-sweep", "sweep")])
+def test_cli_missing_section_is_an_error(tmp_path, capsys, command, section):
+    doc = _tiny_learning_doc()
+    del doc[section]
+    out = tmp_path / "never"
+    assert cli_main([command, str(_write(tmp_path, doc)), "--out", str(out)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_byte_reproducibility(tmp_path):
     p = _write(tmp_path, _tiny_learning_doc())
     for d in ("r1", "r2"):
         assert cli_main(["compare", str(p), "--out", str(tmp_path / d), "--seed", "7"]) == 0
+    # and a third run with parallel replications writes the same bytes too
+    assert cli_main(["compare", str(p), "--out", str(tmp_path / "r3"), "--seed", "7", "--jobs", "2"]) == 0
     b1 = (tmp_path / "r1" / "comparison.csv").read_bytes()
     b2 = (tmp_path / "r2" / "comparison.csv").read_bytes()
     assert b1 == b2
+    assert (tmp_path / "r3" / "comparison.csv").read_bytes() == b1
 
 
 def test_cli_rejects_bad_config(tmp_path, capsys):

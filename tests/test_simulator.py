@@ -523,3 +523,13 @@ def test_single_policy_single_replication_matches_run_policy():
     rep = compare_policies(sc, [FixedProfilePolicy((1, 1))], 1, base_seed=3)
     direct = run_policy(sc, FixedProfilePolicy((1, 1)), (3, 0))
     assert rep.runs[0].mean_welfare == direct.mean_welfare
+
+
+def test_parallel_comparison_matches_serial():
+    # the process pool behind --jobs must return the serial records in order
+    cfg = load_config(CONFIGS / "dag_chain.json")
+    sc = replace(cfg.scenario, t_max=20, periods=6)
+    serial = compare_policies(sc, cfg.policies, 2, base_seed=11)
+    parallel = compare_policies(sc, cfg.policies, 2, base_seed=11, jobs=2)
+    assert len(serial.runs) == 2 * 4
+    assert parallel.runs == serial.runs
