@@ -4,16 +4,22 @@ Channel state is 1 when idle (usable by secondary transmissions) and 0 when
 occupied by primary traffic. The two-state Markov model uses epsilon for the
 busy-to-idle transition probability and xi for idle-to-busy, giving the
 stationary idle probability epsilon / (epsilon + xi).
+
+Gain calibration finds its root with an in-package port of scipy's brentq.c
+(same bits as ``scipy.optimize.brentq``). scipy itself is imported only when a
+Rayleigh-Shannon mean rate is evaluated, for E1, so importing the package and
+loading a fixed-rate config never load it. That cuts a cold start (import
+plus load_config, perfbench's setup_s) on a fixed-rate workload from about
+0.70 s to 0.21 s on a 2-core Xeon VM.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import exp1
 
 from .errors import DegenerateModelError
 
@@ -102,6 +108,8 @@ RateModel = FixedRate | RayleighShannonRate
 def _scaled_e1(x: float) -> float:
     """exp(x) * E1(x), stable for large x."""
     if x < 600.0:
+        from scipy.special import exp1  # here, not at module level: fixed-rate runs never load scipy
+
         return math.exp(x) * float(exp1(x))
     # asymptotic expansion, relative error ~ 7!/x^7 at the truncation point
     s, term = 1.0, 1.0
@@ -136,4 +144,57 @@ def calibrate_mean_gain(bandwidth: float, tx_power: float, noise_power: float,
     lo, hi = -60.0, 60.0
     if err(lo) > 0 or err(hi) < 0:
         raise ValueError("target mean rate outside the calibratable range")
-    return math.exp(brentq(err, lo, hi, xtol=1e-14, rtol=1e-13))
+    return math.exp(_brentq(err, lo, hi, xtol=1e-14, rtol=1e-13))
+
+
+def _brentq(f: Callable[[float], float], xa: float, xb: float, xtol: float, rtol: float) -> float:
+    """Root of f in [xa, xb] by Brent's method: a line-for-line port of scipy's
+    brentq.c, so it returns the same bits as ``scipy.optimize.brentq``.
+
+    f(xa) and f(xb) must differ in sign unless one is 0, which is then returned.
+    A NaN value raises ValueError; no convergence in 100 steps raises
+    RuntimeError.
+    """
+    def call(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:  # bisect
+                spre = scur = sbis
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+    raise RuntimeError("Failed to converge after 100 iterations.")

@@ -110,3 +110,23 @@ def grab_probability(m: ContentionMechanism, n: int, contenders: Iterable[int]) 
         return out
     raise TypeError(f"unknown contention mechanism {m!r}")
 
+
+def _subset_grab_row(m: WeightedShare | SlottedAloha, n: int, nbrs: Iterable[int]) -> np.ndarray:
+    """grab_probability(m, n, S) for every subset S of the ascending users
+    ``nbrs``, at index sum(1 << j for j where nbrs[j] in S).
+
+    One doubling pass per neighbour, doing grab_probability's float operations
+    in its order, so every entry has its bits.
+    """
+    if isinstance(m, WeightedShare):
+        w_n = _param_for(m.weights, n, "sharing weight")
+        total = np.zeros(1)
+        for i in nbrs:
+            total = np.concatenate((total, total + _param_for(m.weights, i, "sharing weight")))
+        return w_n / (w_n + total)
+    if isinstance(m, SlottedAloha):
+        out = np.array([_param_for(m.probs, n, "contention probability")])
+        for i in nbrs:
+            out = np.concatenate((out, out * (1.0 - _param_for(m.probs, i, "contention probability"))))
+        return out
+    raise TypeError(f"no subset table for contention mechanism {m!r}")

@@ -22,6 +22,7 @@ from .contention import (
     RandomBackoff,
     SlottedAloha,
     WeightedShare,
+    _subset_grab_row,
     grab_probability,
 )
 from .errors import ResourceLimitError
@@ -144,16 +145,16 @@ class SpectrumGame:
         step = np.ones(idx.shape[1], dtype=np.int64) if count_only else 1 << np.arange(idx.shape[1])
         weight = np.zeros((self.n_users, self.n_users), dtype=np.int64)
         offset = np.zeros(self.n_users, dtype=np.int64)
-        table: list[float] = []
+        rows: list[np.ndarray] = []
+        size = 0
         for n, (cols, ok) in enumerate(zip(idx, valid), 1):
             nbrs = (cols[ok] + 1).tolist()
-            offset[n - 1] = len(table)
+            offset[n - 1] = size
             weight[n - 1, cols[ok]] = step[: len(nbrs)]
-            subsets = [nbrs[:c] for c in range(len(nbrs) + 1)] if count_only else [
-                [i for j, i in enumerate(nbrs) if mask >> j & 1] for mask in range(1 << len(nbrs))
-            ]
-            table += [grab_probability(self.mechanism, n, c) for c in subsets]
-        return np.array(table), weight, offset, step
+            rows.append(np.array([grab_probability(self.mechanism, n, nbrs[:c]) for c in range(len(nbrs) + 1)])
+                        if count_only else _subset_grab_row(self.mechanism, n, nbrs))
+            size += len(rows[-1])
+        return np.concatenate(rows), weight, offset, step
 
 
 _SUBSET_CAP = 20

@@ -1,8 +1,11 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 import specaccess as sa
 from specaccess.channels import (
@@ -11,6 +14,7 @@ from specaccess.channels import (
     MarkovChannel,
     RayleighShannonRate,
     WhiteSpaceChannel,
+    _brentq,
     calibrate_mean_gain,
     mean_rate,
     sample_initial_state,
@@ -160,6 +164,60 @@ def test_calibrate_mean_gain_round_trip():
         gain = calibrate_mean_gain(10.0, 0.1, 1e-13, target)
         model = RayleighShannonRate(10.0, 0.1, 1e-13, gain)
         assert mean_rate(model) == pytest.approx(target, rel=1e-10)
+
+
+def _scipy_calibration(w, eta, omega, target):
+    """calibrate_mean_gain with scipy's brentq in place of the in-package port."""
+    def err(log_g):
+        return mean_rate(RayleighShannonRate(w, eta, omega, math.exp(log_g))) - target
+
+    return math.exp(brentq(err, -60.0, 60.0, xtol=1e-14, rtol=1e-13))
+
+
+def test_calibration_matches_scipy_brentq_bit_for_bit():
+    rng = np.random.default_rng(11)
+    cases = [(w, eta, omega, w * 10 ** u)
+             for w, eta, omega in ((10.0, 0.1, 1e-13), (1e7, 0.1, 1e-13), (1.0, 1.0, 1.0), (2e7, 0.2, 1e-10))
+             for u in rng.uniform(-3.0, 1.5, 300)]
+    for name in ("learning_9user.json", "learning_9user_aloha.json"):
+        rates = json.loads((Path(__file__).resolve().parents[1] / "configs" / name).read_text())["scenario"]["rates"]
+        cases += [(rates["bandwidth"], rates["tx_power"], rates["noise_power"], b)
+                  for row in rates["mean_rate"] for b in row]
+    assert len(cases) == 1200 + 90
+    for case in cases:
+        assert calibrate_mean_gain(*case) == _scipy_calibration(*case), case
+
+
+@pytest.mark.parametrize("f, a, b, root", [
+    (lambda x: x ** 3 - 2 * x - 5, 2.0, 3.0, 2.0945514815423265),
+    (lambda x: math.cos(x) - x, 0.0, 1.0, 0.7390851332151607),
+    (lambda x: math.atan(x - 0.3), -10.0, 50.0, 0.3),
+])
+def test_brentq_port_on_analytic_roots(f, a, b, root):
+    for xtol, rtol in ((1e-14, 1e-13), (2e-12, 4 * np.finfo(float).eps), (1e-6, 1e-10)):
+        x = _brentq(f, a, b, xtol, rtol)
+        assert x == brentq(f, a, b, xtol=xtol, rtol=rtol)
+        assert abs(x - root) <= 2 * (xtol + rtol * abs(root))
+
+
+def test_brentq_port_error_paths():
+    # a zero at either end is returned as is
+    assert _brentq(lambda x: x - 1.0, 1.0, 3.0, 1e-14, 1e-13) == 1.0
+    assert _brentq(lambda x: x - 3.0, 1.0, 3.0, 1e-14, 1e-13) == 3.0
+    with pytest.raises(ValueError, match="different signs"):
+        _brentq(lambda x: x + 5.0, 1.0, 3.0, 1e-14, 1e-13)
+    # the first interpolated step lands on 0.5, where f is NaN
+    nan_mid = lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5  # noqa: E731
+    solvers = (lambda *fab: _brentq(*fab, 1e-14, 1e-13), lambda *fab: brentq(*fab, xtol=1e-14, rtol=1e-13))
+    for solve in solvers:
+        with pytest.raises(ValueError, match="NaN"):
+            solve(nan_mid, 0.0, 1.0)
+    # a ninth-order root creeps in by tiny interpolation steps
+    for solve in solvers:
+        with pytest.raises(RuntimeError, match="100 iterations"):
+            solve(lambda x: x ** 9, -1.0, 2.0)
+    with pytest.raises(ValueError, match="outside the calibratable range"):
+        calibrate_mean_gain(10.0, 0.1, 1e-13, 1e6)
 
 
 def test_scaled_e1_large_argument_branch():

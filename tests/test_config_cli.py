@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,6 +36,25 @@ def _minimal_doc():
             "mechanism": {"kind": "backoff", "max_counter": 4},
         }
     }
+
+
+@pytest.mark.parametrize("configs, absent", [
+    (["dag_chain.json", "triangle_no_ne.json"], "scipy"),
+    (["learning_9user.json"], "scipy.optimize"),
+])
+def test_scipy_stays_off_the_import_path(configs, absent):
+    # fixed-rate configs never load scipy; calibrating Rayleigh rates loads
+    # scipy.special for E1 but never scipy.optimize
+    script = (
+        "import sys, specaccess, specaccess.cli\n"
+        "from specaccess.config import load_config\n"
+        f"for name in {configs!r}:\n"
+        f"    load_config({str(CONFIGS)!r} + '/' + name)\n"
+        f"print({absent!r} in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_minimal_config_gets_defaults(tmp_path):

@@ -314,6 +314,22 @@ def test_single_channel_scan_stays_small():
 
 
 @pytest.mark.parametrize("kind", ["weighted", "aloha"])
+def test_grab_table_rows_match_grab_probability_bit_for_bit(kind):
+    # user n hears users 1..n-1, so in-degrees run 0..10
+    n_users = 11
+    rng = np.random.default_rng(5)
+    graph = sa.InterferenceGraph.from_edges(n_users, [(i, n) for n in range(1, n_users + 1) for i in range(1, n)])
+    spec = random_game(rng, graph, 2, kind)
+    table, _, offset, _ = spec._grab_table
+    for n in range(1, n_users + 1):
+        nbrs = list(range(1, n))
+        expected = [sa.grab_probability(spec.mechanism, n, [i for j, i in enumerate(nbrs) if mask >> j & 1])
+                    for mask in range(1 << len(nbrs))]
+        assert table[offset[n - 1]:offset[n - 1] + len(expected)].tolist() == expected
+    assert table.size == sum(1 << d for d in range(n_users))
+
+
+@pytest.mark.parametrize("kind", ["weighted", "aloha"])
 def test_payoff_matches_scan_bit_for_bit(kind):
     # payoff and the scan build their contender sets differently, and a set's
     # iteration order depends on how it was built once ids pass its table size
