@@ -22,18 +22,8 @@ from .errors import (
     DegenerateModelError,
     PreconditionError,
     ResourceLimitError,
-    UndefinedEstimateError,
 )
-from .estimation import (
-    MarkovEstimate,
-    ObservationSet,
-    ThroughputEstimate,
-    UniformNoise,
-    estimate_throughput,
-    mle_grab,
-    mle_markov,
-    mle_rate,
-)
+from .estimation import UniformNoise
 from .game import (
     PhysicalGame,
     SpectrumGame,
@@ -68,7 +58,6 @@ from .simulator import (
     SimStreams,
     compare_policies,
     run_policy,
-    simulate_period,
     sweep_gamma,
 )
 

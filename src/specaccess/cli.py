@@ -30,7 +30,7 @@ from .config import ExperimentConfig, load_config, load_graph, resolved_payoff_s
 from .contention import RandomBackoff
 from .equilibria import construct_ne_bipartite, construct_ne_dag, construct_ne_directed_tree
 from .errors import PreconditionError, ResourceLimitError
-from .estimation import _mle, _statistics
+from .estimation import estimate
 from .game import enumerate_pure_ne, is_pure_ne, social_welfare_and_poa, welfare
 from .graph import classify
 from .learning import contraction_temperature_bound
@@ -291,11 +291,11 @@ def cmd_estimate(args, cfg: ExperimentConfig, outdir: Path) -> int:
     streams = SimStreams.from_seed(args.seed, scenario.game.n_users)
     rows = []
     for period, (_, s, i, b) in enumerate(_periods(scenario, FixedProfilePolicy(tuple(profile)), streams), 1):
-        stats = _statistics(s, i, b)
-        est = _mle(*stats)  # the rule of estimate_throughput, every user at once
+        est = estimate(s, i, b)
         for u, ch in enumerate(profile):
-            cells = [""] * 4 if np.isnan(est.throughput[u]) else [fmt(x[u]) for x in est[2:]]
-            rows.append([period, u + 1, ch, int(stats[0][u]), int(stats[1][u]), fmt(stats[2][u])] + cells)
+            cells = ([""] * 4 if np.isnan(est.throughput[u])
+                     else [fmt(x[u]) for x in (est.theta, est.grab, est.rate, est.throughput)])
+            rows.append([period, u + 1, ch, int(est.sum_s[u]), int(est.sum_i[u]), fmt(est.sum_b[u])] + cells)
     path = write_csv(
         outdir / "estimates.csv", "estimation-trace", 1,
         ["period", "user", "channel", "sum_S", "sum_I", "sum_b",

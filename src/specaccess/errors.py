@@ -5,10 +5,6 @@ class DegenerateModelError(ValueError):
     """A stochastic model has no well-defined stationary behaviour."""
 
 
-class UndefinedEstimateError(ValueError):
-    """An observation trace does not pin down the requested estimator."""
-
-
 class ResourceLimitError(RuntimeError):
     """An exact computation would exceed its configured size cap."""
 

@@ -386,44 +386,6 @@ def check_mixed_profile(game: GameLike, sigma: np.ndarray) -> np.ndarray:
     return sigma
 
 
-def expected_grab(mech: ContentionMechanism, n: int, membership: dict[int, float]) -> float:
-    """E over independent contender memberships of g_n(S), by enumerating the
-    subsets of the potential contenders (at most 20): the reference for Q.
-
-    membership maps each potential contender i to P(i contends on the channel).
-    """
-    members = sorted(membership)
-    _check_subset_cap(len(members))
-    total = 0.0
-    for r in range(len(members) + 1):
-        for combo in itertools.combinations(members, r):
-            s = frozenset(combo)
-            w = 1.0
-            for i in members:
-                w *= membership[i] if i in s else 1.0 - membership[i]
-            if w == 0.0:
-                continue
-            total += w * grab_probability(mech, n, s)
-    return total
-
-
-def expected_grab_mc(
-    mech: ContentionMechanism,
-    n: int,
-    membership: dict[int, float],
-    samples: int,
-    rng: np.random.Generator,
-) -> tuple[float, float]:
-    """Monte-Carlo estimate of E[g_n(S)] with its standard error."""
-    members = sorted(membership)
-    qs = np.array([membership[i] for i in members])
-    draws = np.empty(samples)
-    for t in range(samples):
-        s = frozenset(i for i, q in zip(members, qs) if rng.random() < q)
-        draws[t] = grab_probability(mech, n, s)
-    return float(draws.mean()), float(draws.std(ddof=1) / math.sqrt(samples))
-
-
 # ---------------------------------------------------------------------------
 # Welfare and price of anarchy
 # ---------------------------------------------------------------------------

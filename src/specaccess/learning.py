@@ -129,11 +129,13 @@ def mean_dynamics_fixed_point(
     p0: np.ndarray | None = None,
     payoff_scale: float = 1.0,
 ) -> FixedPointResult:
-    """Iterate P <- Q(P) to the unique perception fixed point.
+    """Iterate P <- Q(P) to a perception fixed point.
 
-    Warns and proceeds when gamma is at or above the contraction bound (the
-    bound is sufficient, not necessary). Non-convergence is reported through
-    the result, not raised.
+    Below the contraction bound Q contracts, so the fixed point is unique and
+    reached from any start. At or above it the function warns and proceeds:
+    the bound is sufficient, not necessary, and there neither uniqueness nor
+    convergence is guaranteed. Non-convergence is reported through the
+    result, not raised.
     """
     gamma_eff = gamma / payoff_scale
     bound = contraction_temperature_bound(spec)

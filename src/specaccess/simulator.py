@@ -28,7 +28,7 @@ from .channels import (
     sample_initial_state,
 )
 from .contention import AsymptoticBackoff, RandomBackoff, SlottedAloha, WeightedShare
-from .estimation import ObservationSet, UniformNoise, _mle, _statistics
+from .estimation import UniformNoise, estimate
 from .game import Profile, SpectrumGame, better_response_dynamics, welfare
 from .graph import InterferenceGraph
 from .learning import LearningOutcome, Observer, exact_observer, reciprocal_schedule, run_learning
@@ -234,21 +234,6 @@ def _play_period(scenario: Scenario, streams: SimStreams, states: np.ndarray, ch
     return ch, s_user, succ, _realise_rates(scenario, ch, succ, fading)
 
 
-def simulate_period(
-    scenario: Scenario,
-    a: Profile,
-    state: Sequence[int],
-    streams: SimStreams,
-) -> tuple[list[ObservationSet], tuple[int, ...]]:
-    """t_max consecutive slots with every user holding its channel; returns
-    one well-formed ObservationSet per user plus the carried channel state."""
-    states, final = _channel_states(scenario.channel_models, state, scenario.t_max, streams.channels)
-    choose = FixedProfilePolicy(tuple(a))._chooser(scenario, streams.policy)
-    _, s, i, b = _play_period(scenario, streams, states, choose)
-    obs = [ObservationSet(s[:, u], i[:, u], b[:, u]) for u in range(scenario.game.n_users)]
-    return obs, final
-
-
 # ---------------------------------------------------------------------------
 # Policies
 # ---------------------------------------------------------------------------
@@ -361,12 +346,11 @@ def make_mle_observer(scenario: Scenario, streams: SimStreams,
     def observe(a: Profile, period: int, rng: np.random.Generator):
         choose = FixedProfilePolicy(tuple(a))._chooser(scenario, streams.policy)
         _, s, i, b = _play_period(scenario, streams, next(chain), choose)
-        stats = _statistics(s, i, b)
-        est = _mle(*stats).throughput
+        est = estimate(s, i, b)
         if noise is not None:
-            defined = ~np.isnan(est)
-            est[defined] += noise.sample(rng, int(defined.sum()))
-        return est, stats[2] / scenario.t_max
+            defined = ~np.isnan(est.throughput)
+            est.throughput[defined] += noise.sample(rng, int(defined.sum()))
+        return est.throughput, est.sum_b / scenario.t_max
 
     return observe
 

@@ -1,8 +1,14 @@
-"""Shared random-instance generators for the test suite."""
+"""Shared random-instance generators and reference implementations for the
+test suite."""
+
+import itertools
+import math
 
 import numpy as np
 
 import specaccess as sa
+from specaccess.contention import grab_probability
+from specaccess.simulator import FixedProfilePolicy, _channel_states, _play_period
 
 
 def random_directed_graph(rng, n, p=0.4):
@@ -94,3 +100,68 @@ def random_physical_game(rng):
         primary_interference=tuple(tuple(rng.uniform(0, 1e-6, m)) for _ in range(n)),
         idle_prob=(float(rng.uniform(0.2, 1.0)),) * m,
     )
+
+
+# --- references ----------------------------------------------------------------
+
+def one_period(scenario, a, state, streams):
+    """t_max consecutive slots with every user holding its channel in a: the
+    (S, I, b) blocks, each (t_max, N), and the carried channel state."""
+    states, final = _channel_states(scenario.channel_models, state, scenario.t_max, streams.channels)
+    choose = FixedProfilePolicy(tuple(a))._chooser(scenario, streams.policy)
+    _, S, I, b = _play_period(scenario, streams, states, choose)
+    return (S, I, b), final
+
+
+def loop_estimates(S, I, b):
+    """The MLEs of one user's trace by explicit loops: (epsilon, xi, theta,
+    grab, rate, throughput), NaN where a ratio is 0/0. The rate sum is the
+    sum of the trace alone, whose rounding the package's per-user sums keep."""
+    counts = {(i, j): 0 for i in (0, 1) for j in (0, 1)}
+    for k in range(1, len(S)):
+        counts[int(S[k - 1]), int(S[k])] += 1
+    idle = grabs = 0
+    for k in range(len(S)):
+        idle += int(S[k])
+        grabs += int(I[k])
+
+    def ratio(num, den):
+        return num / den if den else math.nan
+
+    eps = ratio(counts[0, 1], counts[0, 0] + counts[0, 1])
+    xi = ratio(counts[1, 0], counts[1, 1] + counts[1, 0])
+    theta = ratio(eps, eps + xi)
+    grab = ratio(grabs, idle)
+    rate = ratio(float(np.sum(b)), grabs)
+    return eps, xi, theta, grab, rate, theta * rate * grab
+
+
+def expected_grab(mech, n, membership):
+    """E over independent contender memberships of g_n(S), by enumerating the
+    subsets of the potential contenders: the reference for Q.
+
+    membership maps each potential contender i to P(i contends on the channel).
+    """
+    members = sorted(membership)
+    total = 0.0
+    for r in range(len(members) + 1):
+        for combo in itertools.combinations(members, r):
+            s = frozenset(combo)
+            w = 1.0
+            for i in members:
+                w *= membership[i] if i in s else 1.0 - membership[i]
+            if w == 0.0:
+                continue
+            total += w * grab_probability(mech, n, s)
+    return total
+
+
+def expected_grab_mc(mech, n, membership, samples, rng):
+    """Monte-Carlo estimate of E[g_n(S)] with its standard error."""
+    members = sorted(membership)
+    qs = np.array([membership[i] for i in members])
+    draws = np.empty(samples)
+    for t in range(samples):
+        s = frozenset(i for i, q in zip(members, qs) if rng.random() < q)
+        draws[t] = grab_probability(mech, n, s)
+    return float(draws.mean()), float(draws.std(ddof=1) / math.sqrt(samples))

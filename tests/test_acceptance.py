@@ -13,6 +13,7 @@ from functools import lru_cache
 import numpy as np
 from conftest import (
     complete_undirected_graph,
+    one_period,
     random_dag,
     random_forest,
     random_game,
@@ -23,6 +24,7 @@ from conftest import (
 import specaccess as sa
 from specaccess.config import load_config
 from specaccess.equilibria import construct_ne_dag, construct_ne_directed_tree
+from specaccess.estimation import estimate
 from specaccess.game import (
     SpectrumGame,
     better_response_dynamics,
@@ -43,7 +45,6 @@ from specaccess.simulator import (
     RandomAccessPolicy,
     SimStreams,
     compare_policies,
-    simulate_period,
     sweep_gamma,
 )
 
@@ -257,10 +258,10 @@ def test_criterion_07_mle_consistency():
         t_max=10**5, periods=1,
     )
     st1 = SimStreams.from_seed(71, 1)
-    obs1, _ = simulate_period(sc1, (1,), sc1.initial_channel_state(st1.channels), st1)
-    est = sa.mle_markov(obs1[0].S)
-    markov_ok = (abs(est.epsilon - 0.2) <= 0.01 and abs(est.xi - 0.3) <= 0.01
-                 and abs(est.theta - 0.4) <= 0.01)
+    blocks1, _ = one_period(sc1, (1,), sc1.initial_channel_state(st1.channels), st1)
+    est = estimate(*blocks1)
+    eps, xi, theta = est.epsilon[0], est.xi[0], est.theta[0]
+    markov_ok = abs(eps - 0.2) <= 0.01 and abs(xi - 0.3) <= 0.01 and abs(theta - 0.4) <= 0.01
 
     # grab-probability MLE against the backoff formula with K = 2 contenders
     g2 = complete_undirected_graph(3)
@@ -269,15 +270,15 @@ def test_criterion_07_mle_consistency():
         t_max=10**5, periods=1,
     )
     st2 = SimStreams.from_seed(72, 3)
-    obs2, _ = simulate_period(sc2, (1, 1, 1), (1,), st2)
-    ghat = sa.mle_grab(obs2[0])
+    blocks2, _ = one_period(sc2, (1, 1, 1), (1,), st2)
+    ghat = estimate(*blocks2).grab[0]
     gtrue = sa.grab_probability(sa.RandomBackoff(10), 1, {2, 3})
     grab_ok = abs(ghat - gtrue) <= 0.01
     elapsed = time.time() - t0
     _report(
         7, "Markov and grab MLEs within 0.01 of ground truth at 1e5 slots",
         markov_ok and grab_ok and elapsed < 10.0,
-        f"|eps err|={abs(est.epsilon-0.2):.4f}, |g err|={abs(ghat-gtrue):.4f}, {elapsed:.1f}s",
+        f"|eps err|={abs(eps-0.2):.4f}, |g err|={abs(ghat-gtrue):.4f}, {elapsed:.1f}s",
     )
 
 

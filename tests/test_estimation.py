@@ -1,118 +1,86 @@
+import math
+
 import numpy as np
 import pytest
+from conftest import loop_estimates
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specaccess.channels import MarkovChannel, sample_initial_state
-from specaccess.errors import UndefinedEstimateError
-from specaccess.estimation import (
-    ObservationSet,
-    UniformNoise,
-    _mle,
-    _pair_counts,
-    _statistics,
-    estimate_throughput,
-    mle_grab,
-    mle_markov,
-    mle_rate,
-)
+from specaccess.estimation import UniformNoise, estimate
 from specaccess.simulator import _channel_states
+
+ESTIMATES = ("epsilon", "xi", "theta", "grab", "rate", "throughput")
+
+
+def _one_user(S, I=None, b=None):
+    """estimate on one user's trace as a (t, 1) block, each field a float;
+    I and b default to a trace without grabs."""
+    S = np.asarray(S)
+    I = np.zeros_like(S) if I is None else np.asarray(I)
+    b = np.zeros(len(S)) if b is None else np.asarray(b, dtype=float)
+    est = estimate(S[:, None], I[:, None], b[:, None])
+    return est._make(float(x[0]) for x in est)
+
+
+def _undefined(est):
+    return {f for f in ESTIMATES if math.isnan(getattr(est, f))}
 
 
 def test_transition_count_example():
     # S = (1, 1, 0, 1): C11 = 1, C10 = 1, C01 = 1, C00 = 0
-    assert _pair_counts(np.array([1, 1, 0, 1])) == (0, 1, 1, 1)
-    est = mle_markov(np.array([1, 1, 0, 1]))
+    est = _one_user([1, 1, 0, 1])
     assert est.epsilon == pytest.approx(1.0)
     assert est.xi == pytest.approx(0.5)
     assert est.theta == pytest.approx(2.0 / 3.0)
 
 
 def test_all_idle_trace_is_undefined():
-    with pytest.raises(UndefinedEstimateError):
-        mle_markov(np.ones(50, dtype=int))
-    with pytest.raises(UndefinedEstimateError):
-        mle_markov(np.zeros(50, dtype=int))
-    with pytest.raises(UndefinedEstimateError):
-        mle_markov(np.array([1]))
+    # never leaving the idle state leaves epsilon undefined, never leaving the
+    # busy state xi, and one slot has no transition at all
+    assert _undefined(_one_user(np.ones(50, dtype=int))) == {"epsilon", "theta", "rate", "throughput"}
+    assert _undefined(_one_user(np.zeros(50, dtype=int))) == {"xi", "theta", "grab", "rate", "throughput"}
+    assert _undefined(_one_user([1])) == {"epsilon", "xi", "theta", "rate", "throughput"}
+    assert _undefined(_one_user([1], [1], [2.0])) == {"epsilon", "xi", "theta", "throughput"}
 
 
 def test_grab_and_rate_examples():
-    obs = ObservationSet(
-        S=np.array([1, 1, 1, 1, 0]),
-        I=np.array([1, 0, 1, 0, 0]),
-        b=np.array([20.0, 0.0, 10.0, 0.0, 0.0]),
-    )
-    assert mle_grab(obs) == pytest.approx(0.5)
-    assert mle_rate(obs) == pytest.approx(15.0)
+    est = _one_user([1, 1, 1, 1, 0], [1, 0, 1, 0, 0], [20.0, 0.0, 10.0, 0.0, 0.0])
+    assert est.grab == pytest.approx(0.5)
+    assert est.rate == pytest.approx(15.0)
+    assert (est.sum_s, est.sum_i, est.sum_b) == (4, 2, 30.0)
 
 
 def test_grab_all_successes():
-    obs = ObservationSet(S=np.ones(4, dtype=int), I=np.ones(4, dtype=int), b=np.full(4, 3.0))
-    assert mle_grab(obs) == 1.0
-    assert mle_rate(obs) == pytest.approx(3.0)
+    est = _one_user(np.ones(4, dtype=int), np.ones(4, dtype=int), np.full(4, 3.0))
+    assert est.grab == 1.0
+    assert est.rate == pytest.approx(3.0)
 
 
 def test_undefined_grab_and_rate():
-    busy = ObservationSet(S=np.zeros(5, dtype=int), I=np.zeros(5, dtype=int), b=np.zeros(5))
-    with pytest.raises(UndefinedEstimateError):
-        mle_grab(busy)
-    unlucky = ObservationSet(S=np.ones(5, dtype=int), I=np.zeros(5, dtype=int), b=np.zeros(5))
-    with pytest.raises(UndefinedEstimateError):
-        mle_rate(unlucky)
-
-
-def test_observation_invariants_enforced():
-    with pytest.raises(ValueError):
-        ObservationSet(S=np.array([0, 0]), I=np.array([1, 0]), b=np.zeros(2))
-    with pytest.raises(ValueError):
-        ObservationSet(S=np.array([1, 1]), I=np.array([0, 1]), b=np.array([5.0, 0.0]))
-    with pytest.raises(ValueError):
-        ObservationSet(S=np.array([1, 2]), I=np.array([0, 1]), b=np.zeros(2))
-    # values that pass I <= S and the rate checks but are not 0/1
-    with pytest.raises(ValueError):
-        ObservationSet(S=np.array([1, -1]), I=np.array([0, -1]), b=np.zeros(2))
-    with pytest.raises(ValueError):
-        ObservationSet(S=np.array([1, 1]), I=np.array([-1, 0]), b=np.zeros(2))
-    with pytest.raises(ValueError):
-        ObservationSet(S=np.array([2, 2]), I=np.array([2, 0]), b=np.array([1.0, 0.0]))
-    with pytest.raises(ValueError):
-        ObservationSet(S=np.array([1]), I=np.array([0]), b=np.array([-1.0]))
-    # values an int8 cast would turn into 0/1: 256 wraps to 0, 0.7 and 1.9 truncate
-    with pytest.raises(ValueError):
-        ObservationSet(S=np.array([256, 1]), I=np.array([0, 1]), b=np.zeros(2))
-    with pytest.raises(ValueError):
-        ObservationSet(S=[256, 1], I=[0, 257], b=[0.0, 2.0])
-    with pytest.raises(ValueError):
-        ObservationSet(S=[0.7, 1], I=[0, 1.9], b=[0.0, 2.0])
+    busy = _one_user(np.zeros(5, dtype=int))
+    assert math.isnan(busy.grab) and math.isnan(busy.rate)
+    unlucky = _one_user(np.ones(5, dtype=int))
+    assert unlucky.grab == 0.0 and math.isnan(unlucky.rate)
 
 
 def test_throughput_product_and_degenerate_noise():
     S = np.array([1, 0, 1, 1, 0, 1] * 10)
     I = np.array([1, 0, 0, 1, 0, 1] * 10)
-    b = np.where(I == 1, 12.0, 0.0)
-    obs = ObservationSet(S, I, b)
-    est = estimate_throughput(obs)
-    assert est.throughput == pytest.approx(est.theta_hat * est.rate_hat * est.grab_hat)
-    assert est.noisy == est.throughput
-    est2 = estimate_throughput(obs, UniformNoise(0.0), np.random.default_rng(0))
-    assert est2.noisy == est2.throughput
+    est = _one_user(S, I, np.where(I == 1, 12.0, 0.0))
+    assert est.throughput == pytest.approx(est.theta * est.rate * est.grab)
+    rng = np.random.default_rng(0)
+    assert UniformNoise(0.0).sample(rng, 3).tolist() == [0.0] * 3
+    assert rng.random() == np.random.default_rng(0).random()  # no draw at zero width
 
 
 def test_noise_is_zero_mean_and_bounded():
     S = np.array([1, 0] * 20)
-    I = S.copy()
-    b = np.where(I == 1, 4.0, 0.0)
-    obs = ObservationSet(S, I, b)
-    rng = np.random.default_rng(11)
-    noise = UniformNoise(0.5)
-    draws = np.array([estimate_throughput(obs, noise, rng).noisy for _ in range(10**5)])
-    base = estimate_throughput(obs).throughput
+    base = _one_user(S, S, np.where(S == 1, 4.0, 0.0)).throughput
+    draws = base + UniformNoise(0.5).sample(np.random.default_rng(11), 10**5)
     assert np.all(np.abs(draws - base) <= 0.5)
     sem = 0.5 / np.sqrt(3.0) / np.sqrt(len(draws))
     assert abs(draws.mean() - base) < 3 * sem
-    with pytest.raises(ValueError):
-        estimate_throughput(obs, UniformNoise(0.5), None)
 
 
 def _random_block(rng, t, n):
@@ -126,38 +94,19 @@ def _random_block(rng, t, n):
     return S, I, b
 
 
-def test_array_estimator_matches_single_trace_api():
+def test_estimate_matches_explicit_loop_reference():
+    # same arithmetic on the same per-user sums, so equal to the last bit
     rng = np.random.default_rng(67)
     for case in range(200):
         t = 1 if case % 20 == 0 else int(rng.integers(2, 150))
         n = int(rng.integers(3, 10))
         S, I, b = _random_block(rng, t, n)
-        est = _mle(*_statistics(S, I, b))
+        est = estimate(S, I, b)
         assert np.isnan(est.throughput[:3]).all()
-        for u in range(n):
-            obs = ObservationSet(S[:, u], I[:, u], b[:, u])
-            assert _statistics(S, I, b)[2][u] == obs.b.sum()
-            try:
-                ref = estimate_throughput(obs)
-            except UndefinedEstimateError:
-                assert np.isnan(est.throughput[u]), (case, u)
-                continue
-            got = (est.theta[u], est.grab[u], est.rate[u], est.throughput[u])
-            assert got == (ref.theta_hat, ref.grab_hat, ref.rate_hat, ref.throughput), (case, u)
-
-
-def test_single_trace_errors_name_the_first_undefined_estimate():
-    cases = [
-        (np.array([1]), np.array([1]), "two slots"),
-        (np.ones(6, dtype=int), np.ones(6, dtype=int), "leaves the busy state"),
-        (np.zeros(6, dtype=int), np.zeros(6, dtype=int), "leaves the idle state"),
-        (np.array([1, 0, 1, 1]), np.zeros(4, dtype=int), "no successful grab"),
-    ]
-    for S, I, message in cases:
-        with pytest.raises(UndefinedEstimateError, match=message):
-            estimate_throughput(ObservationSet(S, I, np.where(I == 1, 2.0, 0.0)))
-    with pytest.raises(UndefinedEstimateError, match="never idle"):
-        mle_grab(ObservationSet(np.zeros(3, dtype=int), np.zeros(3, dtype=int), np.zeros(3)))
+        got = np.array([getattr(est, f) for f in ESTIMATES]).T
+        ref = np.array([loop_estimates(S[:, u], I[:, u], b[:, u]) for u in range(n)])
+        assert np.array_equal(got, ref, equal_nan=True), case
+        assert est.sum_b.tolist() == [b[:, u].sum() for u in range(n)]
 
 
 @given(st.permutations(list(range(12))))
@@ -166,10 +115,9 @@ def test_grab_and_rate_invariant_to_slot_order(perm):
     S = np.array([1, 1, 0, 1, 1, 1, 0, 0, 1, 1, 0, 1])
     I = np.array([1, 0, 0, 1, 0, 1, 0, 0, 0, 1, 0, 0])
     b = np.where(I == 1, np.arange(12, dtype=float) + 1, 0.0)
-    base = ObservationSet(S, I, b)
-    shuffled = ObservationSet(S[perm], I[perm], b[perm])
-    assert mle_grab(shuffled) == pytest.approx(mle_grab(base))
-    assert mle_rate(shuffled) == pytest.approx(mle_rate(base))
+    base, shuffled = _one_user(S, I, b), _one_user(S[perm], I[perm], b[perm])
+    assert shuffled.grab == pytest.approx(base.grab)
+    assert shuffled.rate == pytest.approx(base.rate)
 
 
 def _markov_trace(eps, xi, t, seed):
@@ -180,7 +128,7 @@ def _markov_trace(eps, xi, t, seed):
 
 
 def test_markov_mle_consistency():
-    est = mle_markov(_markov_trace(0.2, 0.3, 10**5, 4))
+    est = _one_user(_markov_trace(0.2, 0.3, 10**5, 4))
     assert abs(est.epsilon - 0.2) < 0.01
     assert abs(est.xi - 0.3) < 0.01
     assert abs(est.theta - 0.4) < 0.01
@@ -190,6 +138,6 @@ def test_estimation_error_shrinks_with_trace_length():
     # averaged over seeds, the epsilon error decreases through 1e3 -> 1e4 -> 1e5
     errors = []
     for t in (10**3, 10**4, 10**5):
-        errs = [abs(mle_markov(_markov_trace(0.2, 0.3, t, seed)).epsilon - 0.2) for seed in range(8)]
+        errs = [abs(_one_user(_markov_trace(0.2, 0.3, t, seed)).epsilon - 0.2) for seed in range(8)]
         errors.append(np.mean(errs))
     assert errors[0] > errors[1] > errors[2]

@@ -2,7 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
-from conftest import complete_undirected_graph, random_directed_graph, random_game
+from conftest import (
+    complete_undirected_graph,
+    expected_grab,
+    expected_grab_mc,
+    random_directed_graph,
+    random_game,
+)
 
 import specaccess as sa
 from specaccess.errors import ResourceLimitError
@@ -12,8 +18,6 @@ from specaccess.game import (
     _scan,
     better_response_dynamics,
     enumerate_pure_ne,
-    expected_grab,
-    expected_grab_mc,
     is_pure_ne,
     social_welfare_and_poa,
     welfare,
@@ -177,12 +181,6 @@ def test_q_aloha_beyond_subset_cap():
     spec = SpectrumGame.create(complete_undirected_graph(n), [0.5, 0.8], [[4.0, 2.0]] * n, sa.SlottedAloha((0.1,) * n))
     Q = q_from_sigma(spec, np.full((n, 2), 0.5))
     assert Q[0].tolist() == pytest.approx([0.5 * 4.0 * 0.1 * 0.95**25, 0.8 * 2.0 * 0.1 * 0.95**25], rel=1e-14)
-
-
-def test_expected_grab_cap():
-    membership = {i: 0.5 for i in range(2, 30)}
-    with pytest.raises(ResourceLimitError):
-        expected_grab(sa.WeightedShare((1.0,) * 30, ), 1, membership)
 
 
 def test_scan_subset_cap_raises_before_building():

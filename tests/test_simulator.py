@@ -3,13 +3,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import random_directed_graph, random_mechanism, random_undirected_graph
+from conftest import loop_estimates, one_period, random_directed_graph, random_mechanism, random_undirected_graph
 
 import specaccess as sa
 from specaccess.config import learning_policy_from, load_config
 from specaccess.contention import backoff_success_probability, grab_probability
-from specaccess.errors import UndefinedEstimateError
-from specaccess.estimation import UniformNoise, estimate_throughput
+from specaccess.estimation import UniformNoise
 from specaccess.simulator import (
     DynamicStageGamePolicy,
     FixedProfilePolicy,
@@ -28,7 +27,6 @@ from specaccess.simulator import (
     compare_policies,
     make_mle_observer,
     run_policy,
-    simulate_period,
 )
 from specaccess.learning import run_learning
 
@@ -59,19 +57,18 @@ def test_busy_channel_yields_zeros():
     g = sa.InterferenceGraph.from_edges(2, [(1, 2)])
     sc = _scenario(g, [sa.WhiteSpaceChannel(0)], sa.RandomBackoff(5), t_max=20)
     streams = SimStreams.from_seed(0, 2)
-    obs, _ = simulate_period(sc, (1, 1), (0,), streams)
-    for o in obs:
-        assert not o.S.any() and not o.I.any() and not o.b.any()
+    (S, I, b), _ = one_period(sc, (1, 1), (0,), streams)
+    assert not S.any() and not I.any() and not b.any()
 
 
 def test_no_interferers_always_grab():
     g = sa.InterferenceGraph.from_edges(2, [(1, 2)])  # user 1 has no in-neighbours
     sc = _scenario(g, [sa.WhiteSpaceChannel(1)], sa.RandomBackoff(5), t_max=200)
     streams = SimStreams.from_seed(1, 2)
-    obs, _ = simulate_period(sc, (1, 1), (1,), streams)
-    assert obs[0].I.all()          # unchallenged user always wins
-    assert not obs[1].I.all()      # challenged user sometimes loses
-    assert obs[0].S.all() and obs[1].S.all()
+    (S, I, _), _ = one_period(sc, (1, 1), (1,), streams)
+    assert I[:, 0].all()          # unchallenged user always wins
+    assert not I[:, 1].all()      # challenged user sometimes loses
+    assert S.all()
 
 
 def test_spatial_reuse_both_succeed():
@@ -79,8 +76,8 @@ def test_spatial_reuse_both_succeed():
     g = sa.InterferenceGraph.from_edges(2, [])
     sc = _scenario(g, [sa.WhiteSpaceChannel(1)], sa.RandomBackoff(3), t_max=50)
     streams = SimStreams.from_seed(3, 2)
-    obs, _ = simulate_period(sc, (1, 1), (1,), streams)
-    assert obs[0].I.all() and obs[1].I.all()
+    (_, I, _), _ = one_period(sc, (1, 1), (1,), streams)
+    assert I.all()
 
 
 def _slot_success(scenario, ch, s, draws):
@@ -240,20 +237,20 @@ def test_random_access_blocked_chain_matches_per_period_loop():
 
 
 def _reference_mle_observer(scenario, streams, noise=None):
-    """The per-period MLE observer the array one replaced: simulate_period,
-    then one ObservationSet and one estimate_throughput per user, with the
-    undefined estimates as NaN."""
+    """The MLE observer user by user: one_period, then the explicit-loop
+    estimates of each user's trace, NaN where undefined, and one scalar noise
+    draw per defined user in user order."""
     state_cell = [scenario.initial_channel_state(streams.channels)]
 
     def observe(a, period, rng):
-        obs, state_cell[0] = simulate_period(scenario, a, state_cell[0], streams)
+        (S, I, b), state_cell[0] = one_period(scenario, a, state_cell[0], streams)
         est, realised = [], []
         for u in range(scenario.game.n_users):
-            realised.append(float(obs[u].b.sum()) / scenario.t_max)
-            try:
-                est.append(estimate_throughput(obs[u], noise, rng).noisy)
-            except UndefinedEstimateError:
-                est.append(np.nan)
+            realised.append(float(b[:, u].sum()) / scenario.t_max)
+            throughput = loop_estimates(S[:, u], I[:, u], b[:, u])[-1]
+            if noise is not None and not np.isnan(throughput):
+                throughput += rng.uniform(-noise.half_width, noise.half_width)
+            est.append(throughput)
         return np.array(est), np.array(realised)
 
     return observe
@@ -330,8 +327,8 @@ def test_whitespace_idle_sequence():
     g = sa.InterferenceGraph.from_edges(1, [])
     sc = _scenario(g, [sa.WhiteSpaceChannel(1)], sa.RandomBackoff(2), t_max=30)
     streams = SimStreams.from_seed(5, 1)
-    obs, _ = simulate_period(sc, (1,), (1,), streams)
-    assert obs[0].S.all()
+    (S, _, _), _ = one_period(sc, (1,), (1,), streams)
+    assert S.all()
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
@@ -340,9 +337,9 @@ def test_backoff_success_frequency_matches_formula(k):
     g = sa.InterferenceGraph.undirected(n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)])
     sc = _scenario(g, [sa.WhiteSpaceChannel(1)], sa.RandomBackoff(10), t_max=10**5)
     streams = SimStreams.from_seed(11 + k, n)
-    obs, _ = simulate_period(sc, (1,) * n, (1,), streams)
+    (_, I, _), _ = one_period(sc, (1,) * n, (1,), streams)
     exact = backoff_success_probability(10, k)
-    emp = obs[0].I.mean()
+    emp = I[:, 0].mean()
     sigma = np.sqrt(exact * (1 - exact) / sc.t_max)
     assert abs(emp - exact) <= 3 * sigma + 1e-12
 
@@ -352,10 +349,10 @@ def test_aloha_success_frequency_matches_formula():
     mech = sa.SlottedAloha((0.4, 0.5, 0.6))
     sc = _scenario(g, [sa.WhiteSpaceChannel(1)], mech, t_max=10**5)
     streams = SimStreams.from_seed(17, 3)
-    obs, _ = simulate_period(sc, (1, 1, 1), (1,), streams)
+    (_, I, _), _ = one_period(sc, (1, 1, 1), (1,), streams)
     for n in (1, 2, 3):
         exact = grab_probability(mech, n, {1, 2, 3} - {n})
-        emp = obs[n - 1].I.mean()
+        emp = I[:, n - 1].mean()
         sigma = np.sqrt(exact * (1 - exact) / sc.t_max)
         assert abs(emp - exact) <= 3.5 * sigma
 
@@ -365,10 +362,10 @@ def test_weighted_and_asymptotic_race_frequencies():
     for mech in (sa.WeightedShare((2.0, 1.0)), sa.AsymptoticBackoff()):
         sc = _scenario(g, [sa.WhiteSpaceChannel(1)], mech, t_max=10**5)
         streams = SimStreams.from_seed(23, 2)
-        obs, _ = simulate_period(sc, (1, 1), (1,), streams)
+        (_, I, _), _ = one_period(sc, (1, 1), (1,), streams)
         for n in (1, 2):
             exact = grab_probability(mech, n, {3 - n})
-            emp = obs[n - 1].I.mean()
+            emp = I[:, n - 1].mean()
             sigma = np.sqrt(exact * (1 - exact) / sc.t_max)
             assert abs(emp - exact) <= 3.5 * sigma
 
@@ -377,8 +374,8 @@ def test_markov_idle_fraction_matches_stationary():
     g = sa.InterferenceGraph.from_edges(1, [])
     sc = _scenario(g, [sa.MarkovChannel(0.2, 0.3)], sa.RandomBackoff(2), t_max=10**5)
     streams = SimStreams.from_seed(29, 1)
-    obs, _ = simulate_period(sc, (1,), sc.initial_channel_state(streams.channels), streams)
-    assert abs(obs[0].S.mean() - 0.4) < 0.01
+    (S, _, _), _ = one_period(sc, (1,), sc.initial_channel_state(streams.channels), streams)
+    assert abs(S.mean() - 0.4) < 0.01
 
 
 def test_determinism_bit_identical():
@@ -395,10 +392,10 @@ def test_determinism_bit_identical():
     for _ in range(2):
         streams = SimStreams.from_seed(99, 3)
         state = sc.initial_channel_state(streams.channels)
-        obs, _ = simulate_period(sc, (1, 2, 1), state, streams)
-        runs.append(obs)
-    for o1, o2 in zip(*runs):
-        assert np.array_equal(o1.S, o2.S) and np.array_equal(o1.I, o2.I) and np.array_equal(o1.b, o2.b)
+        blocks, _ = one_period(sc, (1, 2, 1), state, streams)
+        runs.append(blocks)
+    for x1, x2 in zip(*runs):
+        assert np.array_equal(x1, x2)
 
 
 def test_emitted_observations_satisfy_invariants():
@@ -412,10 +409,10 @@ def test_emitted_observations_satisfy_invariants():
         streams = SimStreams.from_seed(seed, 4)
         state = sc.initial_channel_state(streams.channels)
         a = tuple(int(c) for c in rng.integers(1, 3, size=4))
-        obs, state = simulate_period(sc, a, state, streams)
-        for o in obs:
-            assert np.all(o.I <= o.S)
-            assert np.all((o.b > 0) <= (o.I == 1))
+        (S, I, b), state = one_period(sc, a, state, streams)
+        assert set(np.unique(S)) <= {0, 1} and set(np.unique(I)) <= {0, 1}
+        assert np.all(I <= S)
+        assert np.all(b >= 0) and np.all((b > 0) <= (I == 1))
 
 
 def test_long_run_throughput_matches_payoff():
