@@ -10,12 +10,11 @@ generic equilibrium check before returning.
 from __future__ import annotations
 
 import logging
-from collections import deque
 
 from .contention import RandomBackoff, backoff_success_probability
 from .errors import PreconditionError
 from .game import Profile, SpectrumGame, enumerate_pure_ne, is_pure_ne
-from .graph import classify
+from .graph import classify, skeleton_walk
 
 logger = logging.getLogger(__name__)
 
@@ -72,8 +71,8 @@ def construct_ne_directed_tree(
     raises g), which all four built-in mechanisms have;
     test_antitone_under_inclusion_exhaustive checks it.
 
-    Nodes are added one at a time along the skeleton (each new node touches
-    exactly one placed node). A new node best-responds to its placed
+    Nodes are added one at a time in skeleton_walk's breadth-first order
+    (each new node touches exactly one placed node, its parent). A new node best-responds to its placed
     interferer; if it lands on the channel of a node it interferes with, the
     placed prefix is re-solved with that node's payoff carrying the newcomer
     as a phantom contender on the conflicted channel. Exceeding the recursion
@@ -84,7 +83,7 @@ def construct_ne_directed_tree(
     if not cls.directed_forest:
         raise PreconditionError("construct_ne_directed_tree requires a directed tree or forest")
 
-    sequence, parent = _forest_addition_order(spec)
+    sequence, parent, _ = skeleton_walk(spec.graph)
     solves = 0
     edges = spec.graph.edges
 
@@ -133,34 +132,6 @@ def construct_ne_directed_tree(
             raise RuntimeError("enumeration fallback found no pure NE on a forest instance")
         a = ne[0]
     return _verify(spec, a, "construct_ne_directed_tree")
-
-
-def _forest_addition_order(spec: SpectrumGame) -> tuple[list[int], dict[int, int | None]]:
-    """BFS over each skeleton component from its lowest node: every non-root
-    node is added after exactly one skeleton neighbour (its parent)."""
-    g = spec.graph
-    adj = {
-        n: sorted(set(g.in_neighbors(n)) | set(g.out_neighbors(n)))
-        for n in range(1, g.n_users + 1)
-    }
-    parent: dict[int, int | None] = {}
-    order: list[int] = []
-    visited: set[int] = set()
-    for root in range(1, g.n_users + 1):
-        if root in visited:
-            continue
-        parent[root] = None
-        visited.add(root)
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            order.append(u)
-            for v in adj[u]:
-                if v not in visited:
-                    parent[v] = u
-                    visited.add(v)
-                    queue.append(v)
-    return order, parent
 
 
 def construct_ne_bipartite(spec: SpectrumGame) -> Profile:

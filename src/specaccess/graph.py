@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Sequence
 
 Edge = tuple[int, int]
@@ -136,20 +136,7 @@ class GraphClassification:
 
     @property
     def classes(self) -> frozenset[str]:
-        names = []
-        for flag, name in (
-            (self.directed_acyclic, "directed_acyclic"),
-            (self.directed_tree, "directed_tree"),
-            (self.directed_forest, "directed_forest"),
-            (self.undirected, "undirected"),
-            (self.complete_undirected, "complete_undirected"),
-            (self.complete_bipartite, "complete_bipartite"),
-            (self.regular_bipartite, "regular_bipartite"),
-            (self.general_directed, "general_directed"),
-        ):
-            if flag:
-                names.append(name)
-        return frozenset(names)
+        return frozenset(f.name for f in fields(self) if f.type == "bool" and getattr(self, f.name))
 
 
 def _topological_order(g: InterferenceGraph) -> tuple[int, ...] | None:
@@ -170,44 +157,31 @@ def _topological_order(g: InterferenceGraph) -> tuple[int, ...] | None:
     return tuple(order)
 
 
-def _skeleton_components(g: InterferenceGraph) -> list[set[int]]:
-    seen: set[int] = set()
-    comps: list[set[int]] = []
-    adj = {n: set(g.in_neighbors(n)) | set(g.out_neighbors(n)) for n in range(1, g.n_users + 1)}
-    for start in range(1, g.n_users + 1):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if v not in comp:
-                    comp.add(v)
-                    stack.append(v)
-        seen |= comp
-        comps.append(comp)
-    return comps
-
-
-def _two_coloring(g: InterferenceGraph) -> dict[int, int] | None:
-    """Proper 2-coloring of the skeleton, or None if an odd cycle exists."""
-    adj = {n: set(g.in_neighbors(n)) | set(g.out_neighbors(n)) for n in range(1, g.n_users + 1)}
+def skeleton_walk(g: InterferenceGraph) -> tuple[list[int], dict[int, int | None], dict[int, int] | None]:
+    """Breadth-first walk of the undirected skeleton, each component from its
+    lowest unvisited node, neighbours in ascending order. Returns the visit
+    order, each node's parent (None at a component root) and the depth-parity
+    2-colouring, which is None if an edge joins two nodes of the same colour
+    (an odd cycle)."""
+    order: list[int] = []
+    parent: dict[int, int | None] = {}
     color: dict[int, int] = {}
-    for start in range(1, g.n_users + 1):
-        if start in color:
+    proper, head = True, 0  # order[head:] is the queue
+    for root in range(1, g.n_users + 1):
+        if root in parent:
             continue
-        color[start] = 0
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in sorted(adj[u]):
-                if v not in color:
-                    color[v] = 1 - color[u]
-                    stack.append(v)
+        parent[root], color[root] = None, 0
+        order.append(root)
+        while head < len(order):
+            u = order[head]
+            head += 1
+            for v in sorted(g._in[u] | g._out[u]):
+                if v not in parent:
+                    parent[v], color[v] = u, 1 - color[u]
+                    order.append(v)
                 elif color[v] == color[u]:
-                    return None
-    return color
+                    proper = False
+    return order, parent, color if proper else None
 
 
 def classify(g: InterferenceGraph) -> GraphClassification:
@@ -220,10 +194,11 @@ def classify(g: InterferenceGraph) -> GraphClassification:
     topo = _topological_order(g)
     undirected = g.is_undirected
     skeleton = g.skeleton()
-    comps = _skeleton_components(g)
+    _, parent, color = skeleton_walk(g)
+    n_components = sum(p is None for p in parent.values())
     n_skel_edges = len(skeleton)
-    is_forest = n_skel_edges == g.n_users - len(comps)
-    is_tree = is_forest and len(comps) == 1
+    is_forest = n_skel_edges == g.n_users - n_components
+    is_tree = is_forest and n_components == 1
 
     complete_undirected = False
     complete_bipartite = False
@@ -234,7 +209,6 @@ def classify(g: InterferenceGraph) -> GraphClassification:
     if undirected:
         wanted = g.n_users * (g.n_users - 1) // 2
         complete_undirected = n_skel_edges == wanted
-        color = _two_coloring(g)
         if color is not None and n_skel_edges > 0:
             v1 = tuple(sorted(n for n, c in color.items() if c == 0))
             v2 = tuple(sorted(n for n, c in color.items() if c == 1))

@@ -27,13 +27,7 @@ from .contention import SlottedAloha
 from .estimation import UniformNoise
 from .game import SpectrumGame, check_mixed_profile
 
-MuSchedule = Callable[[int], float]
-Observer = Callable[[tuple[int, ...], int, np.random.Generator], tuple[np.ndarray, np.ndarray]]
-
-
-def reciprocal_schedule(T: int) -> float:
-    """The default smoothing schedule mu_T = 1/T (sums diverge, squares converge)."""
-    return 1.0 / T
+Observer = Callable[[tuple[int, ...]], tuple[np.ndarray, np.ndarray]]
 
 
 def boltzmann_profile(P: np.ndarray, gamma: float) -> np.ndarray:
@@ -206,13 +200,13 @@ def _entropy_gap(sigma: np.ndarray, gamma_eff: float) -> float:
     return float(entropy.max() / gamma_eff)
 
 
-def exact_observer(spec: SpectrumGame, noise: UniformNoise | None = None) -> Observer:
+def exact_observer(spec: SpectrumGame) -> Observer:
     """Observer returning the true expected throughput of the realised profile
-    (optionally with bounded zero-mean noise) - the zero-estimation-error hook."""
+    as both estimate and realised value - the zero-estimation-error hook."""
 
-    def observe(a: tuple[int, ...], period: int, rng: np.random.Generator):
+    def observe(a: tuple[int, ...]):
         u = np.array([spec.payoff(a, n) for n in range(1, spec.n_users + 1)])
-        return (u if noise is None else u + noise.sample(rng, spec.n_users)), u
+        return u, u
 
     return observe
 
@@ -240,7 +234,8 @@ def run_learning(
     *,
     observer: Observer | None = None,
     payoff_scale: float = 1.0,
-    mu: MuSchedule = reciprocal_schedule,
+    mu: float | str = "1/T",
+    noise: UniformNoise | None = None,
     p0: np.ndarray | None = None,
     oracle: np.ndarray | None = None,
     record: bool = True,
@@ -248,12 +243,18 @@ def run_learning(
     """Run the distributed learning loop for a number of decision periods.
 
     Per period every user samples a channel from its Boltzmann row, the
-    observer produces (estimates, realised values) as (N,) arrays, and each
-    user's chosen-channel perception absorbs its estimate with weight mu_T. A
-    NaN estimate (undefined MLE for that user-period) skips the update.
+    observer maps the profile to (estimates, realised values) as (N,) arrays,
+    ``noise`` adds one draw from ``rng`` to each defined estimate in user
+    order, and each user's chosen-channel perception absorbs its estimate
+    with weight mu_T: 1/T under "1/T" (sums diverge, squares converge),
+    otherwise the constant mu in (0, 1]. A NaN estimate (undefined MLE for
+    that user-period) skips the update.
     """
     if periods < 1:
         raise ValueError("periods must be >= 1")
+    decaying = mu == "1/T"
+    if not (decaying or (isinstance(mu, (int, float)) and 0.0 < mu <= 1.0)):
+        raise ValueError(f'smoothing factor mu must be "1/T" or in (0, 1], got {mu!r}')
     if observer is None:
         observer = exact_observer(spec)
     gamma_eff = gamma / payoff_scale
@@ -274,11 +275,12 @@ def run_learning(
         u = rng.random(N)
         # per row, the number of cdf entries <= u * total: searchsorted(side="right")
         a = np.minimum((cdf <= (u * cdf[:, -1])[:, None]).sum(axis=1) + 1, M)
-        est, realised = (np.asarray(x, dtype=float) for x in observer(tuple(a.tolist()), T, rng))
-        mu_T = mu(T)
-        if not (0.0 < mu_T <= 1.0):
-            raise ValueError(f"smoothing factor mu({T}) = {mu_T} outside (0, 1]")
+        est, realised = (np.asarray(x, dtype=float) for x in observer(tuple(a.tolist())))
         ok = ~np.isnan(est)
+        if noise is not None:
+            est = est.copy()  # an observer may return one array as both values
+            est[ok] += noise.sample(rng, int(ok.sum()))
+        mu_T = 1.0 / T if decaying else mu
         cell = (np.flatnonzero(ok), a[ok] - 1)
         old = P[cell]
         new = (1.0 - mu_T) * old + mu_T * est[ok]

@@ -31,7 +31,7 @@ from .contention import AsymptoticBackoff, RandomBackoff, SlottedAloha, Weighted
 from .estimation import UniformNoise, estimate
 from .game import Profile, SpectrumGame, better_response_dynamics, welfare
 from .graph import InterferenceGraph
-from .learning import LearningOutcome, Observer, exact_observer, reciprocal_schedule, run_learning
+from .learning import LearningOutcome, Observer, exact_observer, run_learning
 
 _CHAIN_BLOCK = 8192  # slots of channel chain drawn at once, rounded down to whole periods
 
@@ -284,12 +284,6 @@ class LearningPolicy:
             return scale
         return float(self.payoff_scale)
 
-    def mu_schedule(self):
-        if self.mu == "1/T":
-            return reciprocal_schedule
-        c = float(self.mu)
-        return lambda T: c
-
     def initial_matrix(self, game: SpectrumGame) -> np.ndarray | None:
         if self.initial_perception == "1/M":
             return None  # run_learning default: payoff_scale / M
@@ -336,20 +330,17 @@ class PolicyResult:
     learning: LearningOutcome | None = None
 
 
-def make_mle_observer(scenario: Scenario, streams: SimStreams,
-                      noise: UniformNoise | None = None) -> Observer:
-    """Observer of every user's MLE throughput estimate (NaN where undefined,
-    one noise draw per defined user in user order) and empirical per-slot
-    throughput, from each simulated period's per-user statistics at once."""
+def make_mle_observer(scenario: Scenario, streams: SimStreams) -> Observer:
+    """Observer of every user's MLE throughput estimate (NaN where undefined)
+    and empirical per-slot throughput, from each simulated period's per-user
+    statistics at once; the profile is held for all t_max slots."""
     chain = _channel_periods(scenario, streams)
+    shape = (scenario.t_max, scenario.game.n_users)
 
-    def observe(a: Profile, period: int, rng: np.random.Generator):
-        choose = FixedProfilePolicy(tuple(a))._chooser(scenario, streams.policy)
-        _, s, i, b = _play_period(scenario, streams, next(chain), choose)
+    def observe(a: Profile):
+        ch = np.broadcast_to(np.array(a, dtype=np.int64), shape)
+        _, s, i, b = _play_period(scenario, streams, next(chain), lambda states: ch)
         est = estimate(s, i, b)
-        if noise is not None:
-            defined = ~np.isnan(est.throughput)
-            est.throughput[defined] += noise.sample(rng, int(defined.sum()))
         return est.throughput, est.sum_b / scenario.t_max
 
     return observe
@@ -362,15 +353,15 @@ def run_policy(scenario: Scenario, policy: Policy, seed) -> PolicyResult:
         scale = policy.resolved_scale(scenario.game)
         noise = UniformNoise(policy.noise_half_width) if policy.noise_half_width > 0 else None
         if policy.estimator == "exact":
-            observer = exact_observer(scenario.game, noise)
+            observer = exact_observer(scenario.game)
         elif policy.estimator == "mle":
-            observer = make_mle_observer(scenario, streams, noise)
+            observer = make_mle_observer(scenario, streams)
         else:
             raise ValueError(f"unknown estimator '{policy.estimator}'")
         outcome = run_learning(
             scenario.game, policy.gamma, scenario.periods, streams.policy,
-            observer=observer, payoff_scale=scale,
-            mu=policy.mu_schedule(), p0=policy.initial_matrix(scenario.game),
+            observer=observer, payoff_scale=scale, mu=policy.mu, noise=noise,
+            p0=policy.initial_matrix(scenario.game),
         )
         return PolicyResult(
             policy.label(), outcome.welfare_trace, outcome.per_user_mean,
@@ -431,15 +422,17 @@ class ComparisonReport:
 
     def summary(self) -> dict[str, tuple[float, float, int]]:
         """policy -> (mean welfare, standard error, n runs)."""
-        out: dict[str, tuple[float, float, int]] = {}
         by_policy: dict[str, list[float]] = {}
         for r in self.runs:
             by_policy.setdefault(r.policy, []).append(r.mean_welfare)
-        for label, vals in by_policy.items():
-            arr = np.array(vals)
-            sem = float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else 0.0
-            out[label] = (float(arr.mean()), sem, len(arr))
-        return out
+        return {label: (*_mean_sem(vals), len(vals)) for label, vals in by_policy.items()}
+
+
+def _mean_sem(values: Sequence[float]) -> tuple[float, float]:
+    """Sample mean and its standard error (0.0 for a single value)."""
+    arr = np.array(values)
+    sem = float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else 0.0
+    return float(arr.mean()), sem
 
 
 def compare_policies(
@@ -482,11 +475,12 @@ def sweep_gamma(
     template: LearningPolicy,
     jobs: int = 1,
 ) -> list[tuple[float, float, float]]:
-    """(gamma, mean welfare, standard error) per temperature, paired seeds."""
-    out = []
-    for g in gammas:
-        policy = replace(template, gamma=float(g))
-        report = compare_policies(scenario, [policy], replications, base_seed, jobs=jobs)
-        mean, sem, _ = report.summary()[policy.label()]
-        out.append((float(g), mean, sem))
-    return out
+    """(gamma, mean welfare, standard error) per temperature, paired seeds:
+    one comparison over a policy per gamma, its runs read back in blocks of
+    `replications`."""
+    policies = [replace(template, gamma=float(g)) for g in gammas]
+    runs = compare_policies(scenario, policies, replications, base_seed, jobs=jobs).runs
+    return [
+        (p.gamma, *_mean_sem([r.mean_welfare for r in runs[k * replications : (k + 1) * replications]]))
+        for k, p in enumerate(policies)
+    ]

@@ -148,7 +148,6 @@ def test_learning_settings_flow_into_policies(tmp_path):
     cfg = load_config(_write(tmp_path, doc))
     policy = cfg.policies[0]
     assert policy.gamma == 2.5 and policy.mu == 0.2 and policy.initial_perception == 3.0
-    assert policy.mu_schedule()(7) == 0.2
     p0 = policy.initial_matrix(cfg.scenario.game)
     assert p0.shape == (1, 1) and p0[0, 0] == 3.0
     from specaccess.simulator import run_policy

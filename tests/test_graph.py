@@ -1,8 +1,10 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specaccess.graph import InterferenceGraph, UserPlacement, classify, graph_from_locations
+from specaccess.graph import InterferenceGraph, UserPlacement, classify, graph_from_locations, skeleton_walk
 
 
 def test_edge_within_range_present():
@@ -145,6 +147,75 @@ def test_topological_order_respects_every_edge(g):
     assert sorted(pos) == list(range(1, g.n_users + 1))
     for i, j in g.edges:
         assert pos[i] < pos[j]
+
+
+def _union_find_components(n_users, edges):
+    """Union-find over the skeleton (oracle for the walk's component roots)."""
+    root = list(range(n_users + 1))
+
+    def find(u):
+        while root[u] != u:
+            u = root[u]
+        return u
+
+    for i, j in edges:
+        root[find(i)] = find(j)
+    return len({find(u) for u in range(1, n_users + 1)})
+
+
+def _has_odd_cycle(n_users, edges):
+    """Brute force over all 2^n colourings: an odd skeleton cycle exists iff none is proper."""
+    return not any(
+        all(c[i - 1] != c[j - 1] for i, j in edges)
+        for c in itertools.product((0, 1), repeat=n_users)
+    )
+
+
+def _symmetrised(g):
+    return InterferenceGraph.undirected(g.n_users, g.edges)
+
+
+_any_graphs = st.one_of(graphs(), graphs().map(_symmetrised))
+
+
+@given(_any_graphs)
+@settings(max_examples=150, deadline=None)
+def test_forest_flags_match_union_find_component_count(g):
+    n_links = len(g.skeleton())
+    components = _union_find_components(g.n_users, g.edges)
+    cls = classify(g)
+    assert cls.directed_forest == (n_links == g.n_users - components)
+    assert cls.directed_tree == (cls.directed_forest and components == 1)
+
+
+@given(_any_graphs)
+@settings(max_examples=150, deadline=None)
+def test_walk_coloring_is_none_exactly_on_odd_cycles(g):
+    odd = _has_odd_cycle(g.n_users, g.edges)
+    _, _, color = skeleton_walk(g)
+    assert (color is None) == odd
+    cls = classify(g)
+    if odd:
+        assert cls.bipartition is None and not (cls.complete_bipartite or cls.regular_bipartite)
+    if cls.bipartition is not None:
+        v1, v2 = cls.bipartition
+        assert sorted(v1 + v2) == list(range(1, g.n_users + 1))
+        assert all((i in v1) != (j in v1) for i, j in g.edges)
+
+
+@given(_any_graphs)
+@settings(max_examples=150, deadline=None)
+def test_skeleton_walk_is_a_proper_breadth_first_forest(g):
+    order, parent, color = skeleton_walk(g)
+    assert sorted(order) == list(range(1, g.n_users + 1))
+    pos = {n: k for k, n in enumerate(order)}
+    roots = [n for n in order if parent[n] is None]
+    assert roots == sorted(roots) and len(roots) == _union_find_components(g.n_users, g.edges)
+    for n in order:
+        if parent[n] is not None:
+            assert frozenset((n, parent[n])) in g.skeleton() and pos[parent[n]] < pos[n]
+    if color is not None:
+        assert set(color) == set(order) and all(color[i] != color[j] for i, j in g.edges)
 
 
 @given(graphs())

@@ -13,7 +13,6 @@ from specaccess.learning import (
     mean_dynamics_fixed_point,
     q_from_sigma,
     q_operator,
-    reciprocal_schedule,
     run_learning,
 )
 
@@ -71,14 +70,14 @@ def _one_user_game(n_channels=1):
 
 
 def _constant_observer(estimate):
-    return lambda a, T, rng: (np.array([estimate]), np.array([estimate]))
+    return lambda a: (np.array([estimate]), np.array([estimate]))
 
 
 def test_perception_update_basic():
     p0 = np.array([[4.0, 1.0]])
     # gamma * (4 - 1) = 150: channel 1 is chosen with probability 1 in floats
     out = run_learning(_one_user_game(2), gamma=50.0, periods=1, rng=np.random.default_rng(0),
-                       observer=_constant_observer(6.0), mu=lambda T: 0.5, p0=p0)
+                       observer=_constant_observer(6.0), mu=0.5, p0=p0)
     assert out.channels[0, 0] == 1
     assert out.perceptions[0, 0] == pytest.approx(5.0)
     assert out.perceptions[0, 1] == 1.0
@@ -87,7 +86,7 @@ def test_perception_update_basic():
 
 def test_perception_update_vanishing_mu_freezes():
     out = run_learning(_one_user_game(), gamma=1.0, periods=1, rng=np.random.default_rng(0),
-                       observer=_constant_observer(100.0), mu=lambda T: reciprocal_schedule(10**9),
+                       observer=_constant_observer(100.0), mu=1.0 / 10**9,
                        p0=np.array([[4.0]]))
     assert out.perceptions[0, 0] == pytest.approx(4.0, abs=1e-6)
 
@@ -99,7 +98,7 @@ def test_perception_update_is_convex_combination():
         est = float(rng.uniform(-5, 5))
         T = int(rng.integers(1, 100))
         out = run_learning(_one_user_game(), gamma=1.0, periods=1, rng=np.random.default_rng(0),
-                           observer=_constant_observer(est), mu=lambda _: reciprocal_schedule(T),
+                           observer=_constant_observer(est), mu=1.0 / T,
                            p0=np.array([[p0]]))
         new = out.perceptions[0, 0]
         lo, hi = min(p0, est), max(p0, est)
@@ -113,9 +112,13 @@ def test_repeated_updates_converge_to_constant_estimate():
 
 
 def test_mu_schedule_validation():
-    with pytest.raises(ValueError):
-        run_learning(_one_user_game(2), gamma=1.0, periods=1, rng=np.random.default_rng(0),
-                     mu=lambda T: 1.5)
+    # checked once before the first period: only "1/T" or a constant in (0, 1]
+    for mu in (1.5, 0.0, -0.1, "1/t", lambda T: 0.5, None):
+        with pytest.raises(ValueError):
+            run_learning(_one_user_game(2), gamma=1.0, periods=1, rng=np.random.default_rng(0), mu=mu)
+    out = run_learning(_one_user_game(), gamma=1.0, periods=1, rng=np.random.default_rng(0),
+                       observer=_constant_observer(6.0), mu=1, p0=np.array([[4.0]]))
+    assert out.perceptions[0, 0] == 6.0
 
 
 def test_contraction_bound_arithmetic():
@@ -245,12 +248,41 @@ def test_run_learning_respects_observer_skips():
     g = sa.InterferenceGraph.from_edges(1, [])
     spec = SpectrumGame.create(g, [0.5], [[4.0]], sa.RandomBackoff(4))
 
-    def observer(a, T, rng):
-        return (np.array([np.nan]), np.array([0.0])) if T % 2 == 0 else (np.array([2.0]), np.array([2.0]))
+    calls = []
+
+    def observer(a):
+        calls.append(a)
+        return (np.array([np.nan]), np.array([0.0])) if len(calls) % 2 == 0 else (np.array([2.0]), np.array([2.0]))
 
     out = run_learning(spec, gamma=1.0, periods=10, rng=np.random.default_rng(0), observer=observer)
     assert out.skipped_updates == 5
     assert np.isnan(out.estimates[1, 0]) and out.estimates[0, 0] == 2.0
+
+
+def test_noise_is_drawn_once_per_defined_estimate_in_user_order():
+    g = sa.InterferenceGraph.from_edges(4, [])
+    spec = SpectrumGame.create(g, [0.5, 0.5], [[4.0, 4.0]] * 4, sa.RandomBackoff(4))
+    base = np.array([1.0, 2.0, 3.0, 4.0])
+    masks = [np.array([True] * 4), np.array([True, False, True, False]), np.array([False] * 4)]
+    calls = []
+
+    def observer(a):
+        mask = masks[len(calls) % 3]
+        calls.append(a)
+        # all defined: one array as both values, as exact_observer returns it
+        return (base, base) if mask.all() else (np.where(mask, base, np.nan), base)
+
+    out = run_learning(spec, gamma=1.0, periods=9, rng=np.random.default_rng(5), observer=observer,
+                       noise=sa.UniformNoise(0.25))
+    ref = np.random.default_rng(5)
+    for T in range(9):
+        ref.random(4)  # the channel choices
+        mask = masks[T % 3]
+        for n in range(4):
+            expect = base[n] + ref.uniform(-0.25, 0.25) if mask[n] else np.nan
+            assert np.array_equal(out.estimates[T, n], expect, equal_nan=True), (T, n)
+    assert out.skipped_updates == 18
+    assert np.array_equal(base, [1.0, 2.0, 3.0, 4.0]) and np.all(out.welfare_trace == 10.0)
 
 
 def test_q_operator_scale_equivalence():

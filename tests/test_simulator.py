@@ -27,6 +27,7 @@ from specaccess.simulator import (
     compare_policies,
     make_mle_observer,
     run_policy,
+    sweep_gamma,
 )
 from specaccess.learning import run_learning
 
@@ -236,13 +237,13 @@ def test_random_access_blocked_chain_matches_per_period_loop():
     assert np.array_equal(res.per_user_mean, per_user)
 
 
-def _reference_mle_observer(scenario, streams, noise=None):
+def _reference_mle_observer(scenario, streams, noise=None, rng=None):
     """The MLE observer user by user: one_period, then the explicit-loop
-    estimates of each user's trace, NaN where undefined, and one scalar noise
-    draw per defined user in user order."""
+    estimates of each user's trace, NaN where undefined, and with noise one
+    scalar draw from rng per defined user in user order."""
     state_cell = [scenario.initial_channel_state(streams.channels)]
 
-    def observe(a, period, rng):
+    def observe(a):
         (S, I, b), state_cell[0] = one_period(scenario, a, state_cell[0], streams)
         est, realised = [], []
         for u in range(scenario.game.n_users):
@@ -268,20 +269,17 @@ def test_mle_observer_matches_per_user_estimates(kind, t_max):
     mech = sa.SlottedAloha((0.05,) * n) if kind == "aloha" else sa.RandomBackoff(4)
     sc = _scenario(random_directed_graph(rng, n, 0.5), channels, mech, rates=_mixed_rates(rng, n, 4),
                    t_max=t_max, periods=40)
-    for noise in (None, UniformNoise(0.3)):
-        streams, ref_streams = SimStreams.from_seed(3, n), SimStreams.from_seed(3, n)
-        observe, reference = make_mle_observer(sc, streams, noise), _reference_mle_observer(sc, ref_streams, noise)
-        obs_rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
-        skipped = 0
-        for period in range(1, sc.periods + 1):
-            a = tuple(int(c) for c in rng.integers(1, 5, size=n))
-            est, realised = observe(a, period, obs_rng)
-            ref_est, ref_realised = reference(a, period, ref_rng)
-            assert np.array_equal(est, ref_est, equal_nan=True), (period, a)
-            assert np.array_equal(realised, ref_realised)
-            skipped += int(np.isnan(est).sum())
-        assert obs_rng.random() == ref_rng.random()  # as many noise draws
-        assert 0 < skipped and (skipped < n * sc.periods or t_max < 3)  # one slot pair leaves one state
+    streams, ref_streams = SimStreams.from_seed(3, n), SimStreams.from_seed(3, n)
+    observe, reference = make_mle_observer(sc, streams), _reference_mle_observer(sc, ref_streams)
+    skipped = 0
+    for period in range(1, sc.periods + 1):
+        a = tuple(int(c) for c in rng.integers(1, 5, size=n))
+        est, realised = observe(a)
+        ref_est, ref_realised = reference(a)
+        assert np.array_equal(est, ref_est, equal_nan=True), (period, a)
+        assert np.array_equal(realised, ref_realised)
+        skipped += int(np.isnan(est).sum())
+    assert 0 < skipped and (skipped < n * sc.periods or t_max < 3)  # one slot pair leaves one state
 
 
 @pytest.mark.parametrize("noise_half_width", [0.0, 0.5])
@@ -296,9 +294,10 @@ def test_learning_rollout_matches_per_period_reference_observer(noise_half_width
 
     streams = SimStreams.from_seed((6, 1), n)
     noise = UniformNoise(noise_half_width) if noise_half_width > 0 else None
+    # the reference adds its own noise, drawn from the policy substream after the channel choices
     ref = run_learning(sc.game, policy.gamma, sc.periods, streams.policy,
-                       observer=_reference_mle_observer(sc, streams, noise),
-                       payoff_scale=policy.resolved_scale(sc.game), mu=policy.mu_schedule())
+                       observer=_reference_mle_observer(sc, streams, noise, streams.policy),
+                       payoff_scale=policy.resolved_scale(sc.game), mu=policy.mu)
     assert 0 < res.skipped_updates == ref.skipped_updates
     for field in ("perceptions", "welfare_trace", "per_user_mean", "dP_trace", "channels", "estimates"):
         assert np.array_equal(getattr(res, field), getattr(ref, field), equal_nan=True), field
@@ -530,3 +529,20 @@ def test_parallel_comparison_matches_serial():
     parallel = compare_policies(sc, cfg.policies, 2, base_seed=11, jobs=2)
     assert len(serial.runs) == 2 * 4
     assert parallel.runs == serial.runs
+
+
+def test_sweep_gamma_matches_per_gamma_comparisons():
+    # one comparison over a policy per gamma, read back by position: a
+    # repeated gamma gets its own entry, and --jobs changes nothing
+    cfg = load_config(CONFIGS / "dag_chain.json")
+    sc = replace(cfg.scenario, t_max=20, periods=6)
+    gammas = [0.5, 5, 5]
+    expect = []
+    for g in gammas:
+        policy = replace(cfg.learning, gamma=float(g))
+        mean, sem, n = compare_policies(sc, [policy], 3, base_seed=11).summary()[policy.label()]
+        assert n == 3
+        expect.append((float(g), mean, sem))
+    serial = sweep_gamma(sc, gammas, 3, 11, cfg.learning)
+    assert serial == expect and expect[1] == expect[2] and expect[0] != expect[1]
+    assert sweep_gamma(sc, gammas, 3, 11, cfg.learning, jobs=2) == serial
