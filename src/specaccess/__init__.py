@@ -17,13 +17,12 @@ from .contention import (
     WeightedShare,
     grab_probability,
 )
-from .equilibria import construct_ne_bipartite, construct_ne_dag, construct_ne_directed_tree
+from .equilibria import construct_ne_bipartite, construct_ne_dag, construct_ne_directed_tree, solve_pure_ne
 from .errors import (
     DegenerateModelError,
     PreconditionError,
     ResourceLimitError,
 )
-from .estimation import UniformNoise
 from .game import (
     PhysicalGame,
     SpectrumGame,

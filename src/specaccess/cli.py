@@ -27,11 +27,10 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig, load_config, load_graph, resolved_payoff_scale
-from .contention import RandomBackoff
-from .equilibria import construct_ne_bipartite, construct_ne_dag, construct_ne_directed_tree
+from .equilibria import solve_pure_ne
 from .errors import PreconditionError, ResourceLimitError
 from .estimation import estimate
-from .game import enumerate_pure_ne, is_pure_ne, social_welfare_and_poa, welfare
+from .game import is_pure_ne, social_welfare_and_poa, welfare
 from .graph import classify
 from .learning import contraction_temperature_bound
 from .potentials import applicable_variants, deviation_signs_match
@@ -157,29 +156,9 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def _solve_routine(cfg: ExperimentConfig):
-    spec = cfg.scenario.game
-    cls = classify(spec.graph)
-    if cls.directed_acyclic:
-        return "dag", construct_ne_dag(spec)
-    if cls.directed_forest:
-        return "directed_tree", construct_ne_directed_tree(
-            spec, cfg.solver.recursion_budget, enumeration_cap=cfg.solver.enumeration_cap
-        )
-    if (cls.complete_bipartite or cls.regular_bipartite) and isinstance(spec.mechanism, RandomBackoff):
-        try:
-            return "bipartite", construct_ne_bipartite(spec)
-        except PreconditionError:
-            pass
-    ne = enumerate_pure_ne(spec, cap=cfg.solver.enumeration_cap)
-    if not ne:
-        return "enumeration", None
-    return "enumeration", ne[0]
-
-
 def cmd_solve(args, cfg: ExperimentConfig, outdir: Path) -> int:
     spec = cfg.scenario.game
-    routine, profile = _solve_routine(cfg)
+    routine, profile = solve_pure_ne(spec, cfg.solver.recursion_budget, cfg.solver.enumeration_cap)
     if profile is None:
         print(f"routine: {routine}")
         print("no pure Nash equilibrium exists for this instance")
@@ -288,7 +267,7 @@ def _default_profile(cfg: ExperimentConfig):
 def cmd_estimate(args, cfg: ExperimentConfig, outdir: Path) -> int:
     scenario = cfg.scenario
     profile = _default_profile(cfg)
-    streams = SimStreams.from_seed(args.seed, scenario.game.n_users)
+    streams = SimStreams.from_seed(args.seed)
     rows = []
     for period, (_, s, i, b) in enumerate(_periods(scenario, FixedProfilePolicy(tuple(profile)), streams), 1):
         est = estimate(s, i, b)
@@ -297,7 +276,7 @@ def cmd_estimate(args, cfg: ExperimentConfig, outdir: Path) -> int:
                      else [fmt(x[u]) for x in (est.theta, est.grab, est.rate, est.throughput)])
             rows.append([period, u + 1, ch, int(est.sum_s[u]), int(est.sum_i[u]), fmt(est.sum_b[u])] + cells)
     path = write_csv(
-        outdir / "estimates.csv", "estimation-trace", 1,
+        outdir / "estimates.csv", "estimation-trace", 2,
         ["period", "user", "channel", "sum_S", "sum_I", "sum_b",
          "theta_hat", "grab_hat", "rate_hat", "throughput_hat"],
         rows, _meta(cfg, args.seed),
@@ -320,7 +299,7 @@ def cmd_learn(args, cfg: ExperimentConfig, outdir: Path) -> int:
     cols = (["period", "welfare", "dP_inf"]
             + [f"channel_{u}" for u in range(1, n + 1)]
             + [f"estimate_{u}" for u in range(1, n + 1)])
-    path = write_csv(outdir / "learning.csv", "learning-trace", 1, cols, rows, _meta(cfg, args.seed))
+    path = write_csv(outdir / "learning.csv", "learning-trace", 2, cols, rows, _meta(cfg, args.seed))
     bound = contraction_temperature_bound(scenario.game)
     scale = resolved_payoff_scale(cfg)
     print(f"wrote {path}")
@@ -346,7 +325,7 @@ def cmd_simulate(args, cfg: ExperimentConfig, outdir: Path) -> int:
     result = run_policy(scenario, policy, (args.seed, 0))
     rows = [[t + 1, fmt(result.welfare_trace[t])] for t in range(scenario.periods)]
     path = write_csv(
-        outdir / "periods.csv", "period-summary", 1,
+        outdir / "periods.csv", "period-summary", 2,
         ["period", "welfare"], rows, _meta(cfg, args.seed),
     )
     print(f"policy: {result.label}")
@@ -360,12 +339,12 @@ def cmd_simulate(args, cfg: ExperimentConfig, outdir: Path) -> int:
 def _write_slot_trace(cfg: ExperimentConfig, policy, outdir: Path, seed: int) -> None:
     """Period 1 of the rollout that periods.csv summarises, slot by slot."""
     scenario = cfg.scenario
-    streams = SimStreams.from_seed((seed, 0), scenario.game.n_users)
+    streams = SimStreams.from_seed((seed, 0))
     ch, s, i, b = next(_periods(scenario, policy, streams))
     rows = [[1, t + 1, u + 1, int(ch[t, u]), int(s[t, u]), int(i[t, u]), fmt(b[t, u])]
             for t in range(scenario.t_max) for u in range(scenario.game.n_users)]
     write_csv(
-        outdir / "slots.csv", "slot-trace", 2,
+        outdir / "slots.csv", "slot-trace", 3,
         ["period", "slot", "user", "channel", "S", "I", "b"],
         rows, _meta(cfg, seed),
     )
@@ -380,13 +359,13 @@ def cmd_compare(args, cfg: ExperimentConfig, outdir: Path) -> int:
         for r in report.runs
     ]
     write_csv(
-        outdir / "comparison.csv", "policy-comparison", 1,
+        outdir / "comparison.csv", "policy-comparison", 2,
         ["policy", "replication", "seed", "mean_welfare"], rows, _meta(cfg, args.seed),
     )
     summary = report.summary()
     srows = [[name, fmt(mean), fmt(sem), n] for name, (mean, sem, n) in sorted(summary.items())]
     write_csv(
-        outdir / "comparison_summary.csv", "policy-comparison-summary", 1,
+        outdir / "comparison_summary.csv", "policy-comparison-summary", 2,
         ["policy", "mean_welfare", "stderr", "replications"], srows, _meta(cfg, args.seed),
     )
     print(f"{'policy':32s} {'mean':>12s} {'stderr':>10s}")
@@ -401,7 +380,7 @@ def cmd_gamma_sweep(args, cfg: ExperimentConfig, outdir: Path) -> int:
     )
     rows = [[fmt(g), fmt(mean), fmt(sem), cfg.sweep_replications] for g, mean, sem in results]
     path = write_csv(
-        outdir / "gamma_sweep.csv", "gamma-sweep", 1,
+        outdir / "gamma_sweep.csv", "gamma-sweep", 2,
         ["gamma", "mean_welfare", "stderr", "replications"], rows, _meta(cfg, args.seed),
     )
     print(f"wrote {path}")

@@ -429,12 +429,14 @@ def load_config(path: str | Path) -> ExperimentConfig:
     policies = [
         _build_policy(p, learning, solver) for p in resolved.get("compare", {}).get("policies", [])
     ]
-    for p in policies:
+    for k, p in enumerate(policies):
         if isinstance(p, FixedProfilePolicy):
             if len(p.profile) != graph.n_users or any(
                 not (1 <= c <= scenario.game.n_channels) for c in p.profile
             ):
                 raise ValueError("compare policy fixed_profile must be a valid channel profile")
+        if p.label() in [q.label() for q in policies[:k]]:
+            raise ValueError(f"compare.policies lists two policies labelled {p.label()!r}")
 
     sweep = resolved.get("sweep")
     return ExperimentConfig(

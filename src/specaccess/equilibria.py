@@ -3,8 +3,8 @@
 Three constructions, each valid under explicit structural hypotheses:
 topological best responses on DAGs, recursive node addition on directed
 trees/forests, and the two-case channel assignment on complete/regular
-bipartite graphs under random backoff. Outputs are verified against the
-generic equilibrium check before returning.
+bipartite graphs under random backoff, tried in that order by solve_pure_ne
+before enumeration. Outputs are verified by the generic equilibrium check.
 """
 
 from __future__ import annotations
@@ -177,3 +177,22 @@ def construct_ne_bipartite(spec: SpectrumGame) -> Profile:
         assignment.update({n: second for n in v2})
         a = tuple(assignment[n] for n in range(1, spec.n_users + 1))
     return _verify(spec, a, "construct_ne_bipartite")
+
+
+def solve_pure_ne(spec: SpectrumGame, recursion_budget: int = 10_000,
+                  enumeration_cap: int = 10**7) -> tuple[str, Profile | None]:
+    """(routine, pure NE or None): the DAG, tree/forest and bipartite
+    constructions in that order, each skipped when its own preconditions
+    fail, then exhaustive enumeration (None when no pure NE exists)."""
+    constructions = (
+        ("dag", construct_ne_dag),
+        ("directed_tree", lambda s: construct_ne_directed_tree(s, recursion_budget, enumeration_cap)),
+        ("bipartite", construct_ne_bipartite),
+    )
+    for routine, construct in constructions:
+        try:
+            return routine, construct(spec)
+        except PreconditionError:
+            pass
+    ne = enumerate_pure_ne(spec, cap=enumeration_cap)
+    return "enumeration", ne[0] if ne else None

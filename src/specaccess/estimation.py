@@ -12,7 +12,6 @@ all users of a period at once.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,20 +37,3 @@ def estimate(S: np.ndarray, I: np.ndarray, b: np.ndarray) -> Estimates:
         grab = np.true_divide(sum_i, sum_s)
         rate = np.true_divide(sum_b, sum_i)
     return Estimates(sum_s, sum_i, sum_b, eps, xi, theta, grab, rate, theta * rate * grab)
-
-
-@dataclass(frozen=True)
-class UniformNoise:
-    """Zero-mean uniform estimation noise on (-half_width, half_width)."""
-
-    half_width: float
-
-    def __post_init__(self) -> None:
-        if self.half_width < 0:
-            raise ValueError("noise half-width must be nonnegative")
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """`size` draws in order; none are drawn at zero half-width."""
-        if self.half_width == 0.0:
-            return np.zeros(size)
-        return rng.uniform(-self.half_width, self.half_width, size)

@@ -24,7 +24,6 @@ from typing import Callable
 import numpy as np
 
 from .contention import SlottedAloha
-from .estimation import UniformNoise
 from .game import SpectrumGame, check_mixed_profile
 
 Observer = Callable[[tuple[int, ...]], tuple[np.ndarray, np.ndarray]]
@@ -235,7 +234,7 @@ def run_learning(
     observer: Observer | None = None,
     payoff_scale: float = 1.0,
     mu: float | str = "1/T",
-    noise: UniformNoise | None = None,
+    noise: float = 0.0,
     p0: np.ndarray | None = None,
     oracle: np.ndarray | None = None,
     record: bool = True,
@@ -244,17 +243,20 @@ def run_learning(
 
     Per period every user samples a channel from its Boltzmann row, the
     observer maps the profile to (estimates, realised values) as (N,) arrays,
-    ``noise`` adds one draw from ``rng`` to each defined estimate in user
-    order, and each user's chosen-channel perception absorbs its estimate
-    with weight mu_T: 1/T under "1/T" (sums diverge, squares converge),
-    otherwise the constant mu in (0, 1]. A NaN estimate (undefined MLE for
-    that user-period) skips the update.
+    a positive ``noise`` half-width adds one uniform draw on (-noise, noise)
+    from ``rng`` to each defined estimate in user order, and each user's
+    chosen-channel perception absorbs its estimate with weight mu_T: 1/T
+    under "1/T" (sums diverge, squares converge), otherwise the constant mu
+    in (0, 1]. A NaN estimate (undefined MLE for that user-period) skips the
+    update. mu and noise (finite, >= 0) are checked before the first period.
     """
     if periods < 1:
         raise ValueError("periods must be >= 1")
     decaying = mu == "1/T"
     if not (decaying or (isinstance(mu, (int, float)) and 0.0 < mu <= 1.0)):
         raise ValueError(f'smoothing factor mu must be "1/T" or in (0, 1], got {mu!r}')
+    if not (math.isfinite(noise) and noise >= 0.0):
+        raise ValueError(f"noise half-width must be finite and >= 0, got {noise!r}")
     if observer is None:
         observer = exact_observer(spec)
     gamma_eff = gamma / payoff_scale
@@ -277,9 +279,9 @@ def run_learning(
         a = np.minimum((cdf <= (u * cdf[:, -1])[:, None]).sum(axis=1) + 1, M)
         est, realised = (np.asarray(x, dtype=float) for x in observer(tuple(a.tolist())))
         ok = ~np.isnan(est)
-        if noise is not None:
+        if noise > 0.0:
             est = est.copy()  # an observer may return one array as both values
-            est[ok] += noise.sample(rng, int(ok.sum()))
+            est[ok] += rng.uniform(-noise, noise, int(ok.sum()))
         mu_T = 1.0 / T if decaying else mu
         cell = (np.flatnonzero(ok), a[ok] - 1)
         old = P[cell]

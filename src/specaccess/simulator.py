@@ -3,10 +3,11 @@
 Channel states persist across period boundaries (one continuing chain per
 channel); a user's success in a slot depends only on its in-neighbours'
 draws, so mutually non-interfering users can occupy the same channel
-simultaneously. All randomness flows through named substreams spawned from a
-single master seed - the channel substream is consumed identically by every
-policy, which pairs policy comparisons on the same primary-traffic sample
-paths.
+simultaneously. All randomness flows through four substreams spawned from a
+single master seed (SimStreams). Each period draws its contention races and
+its fading in one call each before the policy chooses, so every policy
+consumes all but the policy substream identically, which pairs policy
+comparisons on the same sample paths.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .channels import (
     sample_initial_state,
 )
 from .contention import AsymptoticBackoff, RandomBackoff, SlottedAloha, WeightedShare
-from .estimation import UniformNoise, estimate
+from .estimation import estimate
 from .game import Profile, SpectrumGame, better_response_dynamics, welfare
 from .graph import InterferenceGraph
 from .learning import LearningOutcome, Observer, exact_observer, run_learning
@@ -38,22 +39,18 @@ _CHAIN_BLOCK = 8192  # slots of channel chain drawn at once, rounded down to who
 
 @dataclass
 class SimStreams:
-    """Named RNG substreams: one for channel states, one per user, one for
-    policy-level decisions (channel choices, stage-game restarts, noise)."""
+    """Named RNG substreams, the four children of SeedSequence(seed) in this
+    order: channel states, contention races, fading, and policy-level
+    decisions (channel choices, stage-game restarts, noise)."""
 
     channels: np.random.Generator
-    users: tuple[np.random.Generator, ...]
+    contention: np.random.Generator
+    fading: np.random.Generator
     policy: np.random.Generator
 
     @classmethod
-    def from_seed(cls, seed, n_users: int) -> "SimStreams":
-        ss = np.random.SeedSequence(seed)
-        children = ss.spawn(n_users + 2)
-        return cls(
-            channels=np.random.default_rng(children[0]),
-            users=tuple(np.random.default_rng(c) for c in children[1 : n_users + 1]),
-            policy=np.random.default_rng(children[n_users + 1]),
-        )
+    def from_seed(cls, seed) -> "SimStreams":
+        return cls(*(np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(4)))
 
 
 @dataclass(frozen=True)
@@ -152,32 +149,26 @@ def _channel_periods(scenario: Scenario, streams: SimStreams):
 
 
 def _contention_draws(scenario: Scenario, streams: SimStreams, t: int) -> np.ndarray:
-    """Per-user contention race values, (t, N): lower wins, strictly. An Aloha
-    user races 0.0 when it transmits and inf when it stays silent."""
-    mech = scenario.game.mechanism
+    """Contention race values, (t, N), in one draw from the contention
+    substream: lower wins, strictly. An Aloha user races 0.0 when it transmits
+    and inf when it stays silent."""
+    mech, g, shape = scenario.game.mechanism, streams.contention, (t, scenario.game.n_users)
     if isinstance(mech, RandomBackoff):
-        draw = lambda g, i: g.integers(1, mech.max_counter + 1, size=t)
-    elif isinstance(mech, AsymptoticBackoff):
-        draw = lambda g, i: g.random(t)
-    elif isinstance(mech, WeightedShare):
-        draw = lambda g, i: g.exponential(1.0 / mech.weights[i], size=t)
-    elif isinstance(mech, SlottedAloha):
-        draw = lambda g, i: np.where(g.random(t) < mech.probs[i], 0.0, np.inf)
-    else:
-        raise TypeError(f"unknown mechanism {mech!r}")
-    out = np.empty((t, scenario.game.n_users))
-    for i, g in enumerate(streams.users):
-        out[:, i] = draw(g, i)
-    return out
+        return g.integers(1, mech.max_counter + 1, size=shape).astype(float)  # races against inf
+    if isinstance(mech, AsymptoticBackoff):
+        return g.random(shape)
+    if isinstance(mech, WeightedShare):
+        return g.exponential(1.0 / np.asarray(mech.weights), size=shape)
+    if isinstance(mech, SlottedAloha):
+        return np.where(g.random(shape) < np.asarray(mech.probs), 0.0, np.inf)
+    raise TypeError(f"unknown mechanism {mech!r}")
 
 
 def _rate_draws(scenario: Scenario, streams: SimStreams, t: int) -> np.ndarray:
-    """Standard-exponential fading draws, (t, N); scaled by the per-channel
-    mean gain at use time so the draw count never depends on outcomes."""
-    out = np.empty((t, scenario.game.n_users))
-    for i, g in enumerate(streams.users):
-        out[:, i] = g.standard_exponential(t)
-    return out
+    """Standard-exponential fading draws, (t, N), in one draw from the fading
+    substream; scaled by the per-channel mean gain at use time so the draw
+    count never depends on outcomes."""
+    return streams.fading.standard_exponential((t, scenario.game.n_users))
 
 
 def _success_matrix(
@@ -254,7 +245,7 @@ class FixedProfilePolicy:
     profile: tuple[int, ...]
 
     def label(self) -> str:
-        return "fixed_profile"
+        return f"fixed_profile({','.join(map(str, self.profile))})"
 
     def _chooser(self, scenario: Scenario, rng: np.random.Generator):
         ch = np.broadcast_to(np.array(self.profile, dtype=np.int64), (scenario.t_max, len(self.profile)))
@@ -348,10 +339,9 @@ def make_mle_observer(scenario: Scenario, streams: SimStreams) -> Observer:
 
 def run_policy(scenario: Scenario, policy: Policy, seed) -> PolicyResult:
     """Deterministic policy rollout over scenario.periods decision periods."""
-    streams = SimStreams.from_seed(seed, scenario.game.n_users)
+    streams = SimStreams.from_seed(seed)
     if isinstance(policy, LearningPolicy):
         scale = policy.resolved_scale(scenario.game)
-        noise = UniformNoise(policy.noise_half_width) if policy.noise_half_width > 0 else None
         if policy.estimator == "exact":
             observer = exact_observer(scenario.game)
         elif policy.estimator == "mle":
@@ -360,7 +350,7 @@ def run_policy(scenario: Scenario, policy: Policy, seed) -> PolicyResult:
             raise ValueError(f"unknown estimator '{policy.estimator}'")
         outcome = run_learning(
             scenario.game, policy.gamma, scenario.periods, streams.policy,
-            observer=observer, payoff_scale=scale, mu=policy.mu, noise=noise,
+            observer=observer, payoff_scale=scale, mu=policy.mu, noise=policy.noise_half_width,
             p0=policy.initial_matrix(scenario.game),
         )
         return PolicyResult(
@@ -421,10 +411,13 @@ class ComparisonReport:
     replications: int
 
     def summary(self) -> dict[str, tuple[float, float, int]]:
-        """policy -> (mean welfare, standard error, n runs)."""
+        """policy -> (mean welfare, standard error, n runs). Raises ValueError
+        when two policies share a label, rather than pooling their runs."""
         by_policy: dict[str, list[float]] = {}
         for r in self.runs:
             by_policy.setdefault(r.policy, []).append(r.mean_welfare)
+            if len(by_policy[r.policy]) > self.replications:
+                raise ValueError(f"two compared policies share the label {r.policy!r}")
         return {label: (*_mean_sem(vals), len(vals)) for label, vals in by_policy.items()}
 
 

@@ -257,7 +257,7 @@ def test_criterion_07_mle_consistency():
         g1, [sa.MarkovChannel(0.2, 0.3)], [[sa.FixedRate(1.0)]], sa.RandomBackoff(4),
         t_max=10**5, periods=1,
     )
-    st1 = SimStreams.from_seed(71, 1)
+    st1 = SimStreams.from_seed(71)
     blocks1, _ = one_period(sc1, (1,), sc1.initial_channel_state(st1.channels), st1)
     est = estimate(*blocks1)
     eps, xi, theta = est.epsilon[0], est.xi[0], est.theta[0]
@@ -269,7 +269,7 @@ def test_criterion_07_mle_consistency():
         g2, [sa.WhiteSpaceChannel(1)], [[sa.FixedRate(1.0)]] * 3, sa.RandomBackoff(10),
         t_max=10**5, periods=1,
     )
-    st2 = SimStreams.from_seed(72, 3)
+    st2 = SimStreams.from_seed(72)
     blocks2, _ = one_period(sc2, (1, 1, 1), (1,), st2)
     ghat = estimate(*blocks2).grab[0]
     gtrue = sa.grab_probability(sa.RandomBackoff(10), 1, {2, 3})

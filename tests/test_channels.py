@@ -103,9 +103,9 @@ def test_channel_periods_carry_state_across_blocks():
     for t_max in (100, 3000, 3 * _CHAIN_BLOCK // 2):
         sc = sa.Scenario.build(g, models, [[FixedRate(1.0)] * len(models)], sa.RandomBackoff(4), t_max=t_max)
         periods = 2 * max(1, _CHAIN_BLOCK // t_max) + 1  # two block boundaries; the last block partly used
-        chain = _channel_periods(sc, sa.SimStreams.from_seed(7, 1))
+        chain = _channel_periods(sc, sa.SimStreams.from_seed(7))
         got = np.concatenate([next(chain) for _ in range(periods)])
-        rng = sa.SimStreams.from_seed(7, 1).channels
+        rng = sa.SimStreams.from_seed(7).channels
         state = sc.initial_channel_state(rng)
         expect = []
         for _ in range(periods):

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -431,7 +432,7 @@ def test_cli_estimate_learn_simulate(tmp_path, capsys):
     p = _write(tmp_path, _tiny_learning_doc())
     assert cli_main(["estimate", str(p), "--out", str(tmp_path / "e"), "--seed", "1"]) == 0
     est = (tmp_path / "e" / "estimates.csv").read_text()
-    assert est.startswith("# schema: estimation-trace v1")
+    assert est.startswith("# schema: estimation-trace v2")
     assert len(est.strip().splitlines()) > 30
 
     assert cli_main(["learn", str(p), "--out", str(tmp_path / "l"), "--seed", "1"]) == 0
@@ -460,6 +461,27 @@ def test_cli_compare_and_sweep_artifacts(tmp_path, capsys):
           if l and not l.startswith("#")]
     assert sw[0] == "gamma,mean_welfare,stderr,replications"
     assert len(sw) == 3  # header + 2 gammas
+
+
+def test_cli_compare_keeps_distinct_fixed_profiles_apart(tmp_path, capsys):
+    # two fixed profiles used to share the label fixed_profile and be pooled into one n = 6 row
+    doc = json.loads((CONFIGS / "dag_chain.json").read_text())
+    doc["scenario"].update(periods=20)
+    doc["compare"] = {"policies": [{"kind": "fixed_profile", "profile": [1, 1, 1, 1]},
+                                   {"kind": "fixed_profile", "profile": [1, 2, 3, 1]}],
+                      "replications": 3}
+    p = _write(tmp_path, doc)
+    assert cli_main(["compare", str(p), "--out", str(tmp_path / "c"), "--seed", "1"]) == 0
+    text = (tmp_path / "c" / "comparison_summary.csv").read_text()
+    rows = list(csv.reader(l for l in text.splitlines() if not l.startswith("#")))[1:]
+    assert [(r[0], r[3]) for r in rows] == [("fixed_profile(1,1,1,1)", "3"), ("fixed_profile(1,2,3,1)", "3")]
+
+
+def test_repeated_compare_policy_is_rejected(tmp_path):
+    doc = _tiny_learning_doc()
+    doc["compare"]["policies"].append({"kind": "learning", "gamma": 3.0})
+    with pytest.raises(ValueError, match=r"'learning\(gamma=3\)'"):
+        load_config(_write(tmp_path, doc))
 
 
 @pytest.mark.parametrize("command, section", [("compare", "compare"), ("gamma-sweep", "sweep")])
@@ -532,7 +554,7 @@ def test_cli_slot_trace_replays_period_one(tmp_path, policy):
     assert len(slots) == 40 * 2
     period_one = float(_csv_rows(tmp_path / "periods.csv")[0][1])
     assert sum(float(r[6]) for r in slots) / 40 == pytest.approx(period_one, rel=1e-9)
-    assert (tmp_path / "slots.csv").read_text().startswith("# schema: slot-trace v2")
+    assert (tmp_path / "slots.csv").read_text().startswith("# schema: slot-trace v3")
     channels = {(int(r[2]), int(r[3])) for r in slots}
     assert len(channels) == 2  # each user holds one channel for the period
     if policy == "fixed_profile":

@@ -6,7 +6,12 @@ from conftest import random_dag, random_forest, random_game
 
 import specaccess as sa
 from specaccess.contention import backoff_success_probability
-from specaccess.equilibria import construct_ne_bipartite, construct_ne_dag, construct_ne_directed_tree
+from specaccess.equilibria import (
+    construct_ne_bipartite,
+    construct_ne_dag,
+    construct_ne_directed_tree,
+    solve_pure_ne,
+)
 from specaccess.errors import PreconditionError
 from specaccess.game import SpectrumGame, enumerate_pure_ne, is_pure_ne
 
@@ -180,3 +185,22 @@ def test_bipartite_gains_allowed():
     )
     a = construct_ne_bipartite(withgains)
     assert is_pure_ne(withgains, a).is_ne
+
+
+def test_solve_pure_ne_picks_the_first_construction_that_applies():
+    star = sa.InterferenceGraph.undirected(5, [(1, j) for j in range(2, 6)])
+    k23 = _bipartite_game((10.0, 9.0), sizes=(2, 3))
+    cases = [
+        (random_game(np.random.default_rng(3), random_dag(np.random.default_rng(4), 5), 3), "dag"),
+        (SpectrumGame.create(star, [0.6, 0.8], [[4.0, 3.0]] * 5, sa.RandomBackoff(6)), "directed_tree"),
+        (k23, "bipartite"),
+        (SpectrumGame.create(k23.graph, k23.idle_prob, k23.mean_rate, sa.SlottedAloha((0.5,) * 5)),
+         "enumeration"),
+    ]
+    for spec, routine in cases:
+        got, profile = solve_pure_ne(spec)
+        assert got == routine and is_pure_ne(spec, profile).is_ne
+    # the directed 3-cycle under Aloha on two equal channels has no pure NE
+    cycle = sa.InterferenceGraph.from_edges(3, [(1, 2), (2, 3), (3, 1)])
+    spec = SpectrumGame.create(cycle, [1.0, 1.0], [[1.0, 1.0]] * 3, sa.SlottedAloha((0.5,) * 3))
+    assert solve_pure_ne(spec) == ("enumeration", None)

@@ -7,7 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specaccess.channels import MarkovChannel, sample_initial_state
-from specaccess.estimation import UniformNoise, estimate
+from specaccess.contention import RandomBackoff
+from specaccess.estimation import estimate
+from specaccess.game import SpectrumGame
+from specaccess.graph import InterferenceGraph
+from specaccess.learning import run_learning
 from specaccess.simulator import _channel_states
 
 ESTIMATES = ("epsilon", "xi", "theta", "grab", "rate", "throughput")
@@ -64,21 +68,34 @@ def test_undefined_grab_and_rate():
     assert unlucky.grab == 0.0 and math.isnan(unlucky.rate)
 
 
+def _learn_with_noise(base, noise, rng, n_users, periods):
+    """run_learning of n_users isolated one-channel users whose observer
+    returns base for everyone: out.estimates holds base plus the noise."""
+    game = SpectrumGame.create(InterferenceGraph.from_edges(n_users, []), [0.5], [[4.0]] * n_users,
+                               RandomBackoff(4))
+    observe = lambda a: (np.full(n_users, base), np.full(n_users, base))
+    return run_learning(game, 1.0, periods, rng, observer=observe, noise=noise)
+
+
 def test_throughput_product_and_degenerate_noise():
     S = np.array([1, 0, 1, 1, 0, 1] * 10)
     I = np.array([1, 0, 0, 1, 0, 1] * 10)
     est = _one_user(S, I, np.where(I == 1, 12.0, 0.0))
     assert est.throughput == pytest.approx(est.theta * est.rate * est.grab)
     rng = np.random.default_rng(0)
-    assert UniformNoise(0.0).sample(rng, 3).tolist() == [0.0] * 3
-    assert rng.random() == np.random.default_rng(0).random()  # no draw at zero width
+    out = _learn_with_noise(est.throughput, 0.0, rng, n_users=3, periods=1)
+    assert out.estimates.tolist() == [[est.throughput] * 3]
+    ref = np.random.default_rng(0)
+    ref.random(3)  # the channel choices
+    assert rng.random() == ref.random()  # no draw at zero width
 
 
 def test_noise_is_zero_mean_and_bounded():
     S = np.array([1, 0] * 20)
     base = _one_user(S, S, np.where(S == 1, 4.0, 0.0)).throughput
-    draws = base + UniformNoise(0.5).sample(np.random.default_rng(11), 10**5)
-    assert np.all(np.abs(draws - base) <= 0.5)
+    out = _learn_with_noise(base, 0.5, np.random.default_rng(11), n_users=100, periods=1000)
+    draws = out.estimates.ravel()
+    assert len(draws) == 10**5 and np.all(np.abs(draws - base) <= 0.5)
     sem = 0.5 / np.sqrt(3.0) / np.sqrt(len(draws))
     assert abs(draws.mean() - base) < 3 * sem
 

@@ -116,6 +116,10 @@ def test_mu_schedule_validation():
     for mu in (1.5, 0.0, -0.1, "1/t", lambda T: 0.5, None):
         with pytest.raises(ValueError):
             run_learning(_one_user_game(2), gamma=1.0, periods=1, rng=np.random.default_rng(0), mu=mu)
+    # the noise half-width likewise: finite and >= 0
+    for noise in (-1.0, -1e-300, math.nan, math.inf):
+        with pytest.raises(ValueError, match="noise half-width"):
+            run_learning(_one_user_game(2), gamma=1.0, periods=1, rng=np.random.default_rng(0), noise=noise)
     out = run_learning(_one_user_game(), gamma=1.0, periods=1, rng=np.random.default_rng(0),
                        observer=_constant_observer(6.0), mu=1, p0=np.array([[4.0]]))
     assert out.perceptions[0, 0] == 6.0
@@ -273,7 +277,7 @@ def test_noise_is_drawn_once_per_defined_estimate_in_user_order():
         return (base, base) if mask.all() else (np.where(mask, base, np.nan), base)
 
     out = run_learning(spec, gamma=1.0, periods=9, rng=np.random.default_rng(5), observer=observer,
-                       noise=sa.UniformNoise(0.25))
+                       noise=0.25)
     ref = np.random.default_rng(5)
     for T in range(9):
         ref.random(4)  # the channel choices

@@ -6,9 +6,9 @@ import pytest
 from conftest import loop_estimates, one_period, random_directed_graph, random_mechanism, random_undirected_graph
 
 import specaccess as sa
+from specaccess import simulator
 from specaccess.config import learning_policy_from, load_config
 from specaccess.contention import backoff_success_probability, grab_probability
-from specaccess.estimation import UniformNoise
 from specaccess.simulator import (
     DynamicStageGamePolicy,
     FixedProfilePolicy,
@@ -57,7 +57,7 @@ def test_scenario_derives_game_from_models():
 def test_busy_channel_yields_zeros():
     g = sa.InterferenceGraph.from_edges(2, [(1, 2)])
     sc = _scenario(g, [sa.WhiteSpaceChannel(0)], sa.RandomBackoff(5), t_max=20)
-    streams = SimStreams.from_seed(0, 2)
+    streams = SimStreams.from_seed(0)
     (S, I, b), _ = one_period(sc, (1, 1), (0,), streams)
     assert not S.any() and not I.any() and not b.any()
 
@@ -65,7 +65,7 @@ def test_busy_channel_yields_zeros():
 def test_no_interferers_always_grab():
     g = sa.InterferenceGraph.from_edges(2, [(1, 2)])  # user 1 has no in-neighbours
     sc = _scenario(g, [sa.WhiteSpaceChannel(1)], sa.RandomBackoff(5), t_max=200)
-    streams = SimStreams.from_seed(1, 2)
+    streams = SimStreams.from_seed(1)
     (S, I, _), _ = one_period(sc, (1, 1), (1,), streams)
     assert I[:, 0].all()          # unchallenged user always wins
     assert not I[:, 1].all()      # challenged user sometimes loses
@@ -76,7 +76,7 @@ def test_spatial_reuse_both_succeed():
     # no interference edges: both users can hold the same channel every slot
     g = sa.InterferenceGraph.from_edges(2, [])
     sc = _scenario(g, [sa.WhiteSpaceChannel(1)], sa.RandomBackoff(3), t_max=50)
-    streams = SimStreams.from_seed(3, 2)
+    streams = SimStreams.from_seed(3)
     (_, I, _), _ = one_period(sc, (1, 1), (1,), streams)
     assert I.all()
 
@@ -99,7 +99,7 @@ def _run_dynamic_per_slot(scenario, policy, seed):
     """Reference for the dynamic stage-game policy: the per-slot loop, one
     memoised stage solve, one success check and one rate realisation per slot."""
     n = scenario.game.n_users
-    streams = SimStreams.from_seed(seed, n)
+    streams = SimStreams.from_seed(seed)
     memo = {}
     state = scenario.initial_channel_state(streams.channels)
     welfare_trace = np.zeros(scenario.periods)
@@ -135,7 +135,7 @@ def test_success_matrix_matches_per_slot_check():
         for kind in ("backoff", "asymptotic", "weighted", "aloha"):
             mech = random_mechanism(rng, n, kind)
             sc = _scenario(g, [sa.BernoulliChannel(0.5)] * m, mech, t_max=t)
-            draws = _contention_draws(sc, SimStreams.from_seed(int(rng.integers(1000)), n), t)
+            draws = _contention_draws(sc, SimStreams.from_seed(int(rng.integers(1000))), t)
             ch = rng.integers(1, m + 1, size=(t, n))
             s_user = rng.integers(0, 2, size=(t, n)).astype(np.int8)
             got = _success_matrix(sc, ch, s_user, draws)
@@ -184,7 +184,7 @@ def _run_policy_per_period(scenario, policy, seed):
     drawn, resolved and realised from the slot primitives, slots summed in order."""
     game = scenario.game
     n, t_max = game.n_users, scenario.t_max
-    streams = SimStreams.from_seed(seed, n)
+    streams = SimStreams.from_seed(seed)
     state = scenario.initial_channel_state(streams.channels)
     welfare_trace = np.zeros(scenario.periods)
     user_totals = np.zeros(n)
@@ -237,10 +237,10 @@ def test_random_access_blocked_chain_matches_per_period_loop():
     assert np.array_equal(res.per_user_mean, per_user)
 
 
-def _reference_mle_observer(scenario, streams, noise=None, rng=None):
+def _reference_mle_observer(scenario, streams, noise=0.0, rng=None):
     """The MLE observer user by user: one_period, then the explicit-loop
-    estimates of each user's trace, NaN where undefined, and with noise one
-    scalar draw from rng per defined user in user order."""
+    estimates of each user's trace, NaN where undefined, and with a positive
+    noise half-width one scalar draw from rng per defined user in user order."""
     state_cell = [scenario.initial_channel_state(streams.channels)]
 
     def observe(a):
@@ -249,8 +249,8 @@ def _reference_mle_observer(scenario, streams, noise=None, rng=None):
         for u in range(scenario.game.n_users):
             realised.append(float(b[:, u].sum()) / scenario.t_max)
             throughput = loop_estimates(S[:, u], I[:, u], b[:, u])[-1]
-            if noise is not None and not np.isnan(throughput):
-                throughput += rng.uniform(-noise.half_width, noise.half_width)
+            if noise > 0.0 and not np.isnan(throughput):
+                throughput += rng.uniform(-noise, noise)
             est.append(throughput)
         return np.array(est), np.array(realised)
 
@@ -269,7 +269,7 @@ def test_mle_observer_matches_per_user_estimates(kind, t_max):
     mech = sa.SlottedAloha((0.05,) * n) if kind == "aloha" else sa.RandomBackoff(4)
     sc = _scenario(random_directed_graph(rng, n, 0.5), channels, mech, rates=_mixed_rates(rng, n, 4),
                    t_max=t_max, periods=40)
-    streams, ref_streams = SimStreams.from_seed(3, n), SimStreams.from_seed(3, n)
+    streams, ref_streams = SimStreams.from_seed(3), SimStreams.from_seed(3)
     observe, reference = make_mle_observer(sc, streams), _reference_mle_observer(sc, ref_streams)
     skipped = 0
     for period in range(1, sc.periods + 1):
@@ -292,11 +292,10 @@ def test_learning_rollout_matches_per_period_reference_observer(noise_half_width
     policy = LearningPolicy(3.0, "auto", noise_half_width=noise_half_width)
     res = run_policy(sc, policy, (6, 1)).learning
 
-    streams = SimStreams.from_seed((6, 1), n)
-    noise = UniformNoise(noise_half_width) if noise_half_width > 0 else None
+    streams = SimStreams.from_seed((6, 1))
     # the reference adds its own noise, drawn from the policy substream after the channel choices
     ref = run_learning(sc.game, policy.gamma, sc.periods, streams.policy,
-                       observer=_reference_mle_observer(sc, streams, noise, streams.policy),
+                       observer=_reference_mle_observer(sc, streams, noise_half_width, streams.policy),
                        payoff_scale=policy.resolved_scale(sc.game), mu=policy.mu)
     assert 0 < res.skipped_updates == ref.skipped_updates
     for field in ("perceptions", "welfare_trace", "per_user_mean", "dP_trace", "channels", "estimates"):
@@ -325,7 +324,7 @@ def test_realise_rates_matches_per_slot_rate_values():
 def test_whitespace_idle_sequence():
     g = sa.InterferenceGraph.from_edges(1, [])
     sc = _scenario(g, [sa.WhiteSpaceChannel(1)], sa.RandomBackoff(2), t_max=30)
-    streams = SimStreams.from_seed(5, 1)
+    streams = SimStreams.from_seed(5)
     (S, _, _), _ = one_period(sc, (1,), (1,), streams)
     assert S.all()
 
@@ -335,7 +334,7 @@ def test_backoff_success_frequency_matches_formula(k):
     n = k + 1
     g = sa.InterferenceGraph.undirected(n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)])
     sc = _scenario(g, [sa.WhiteSpaceChannel(1)], sa.RandomBackoff(10), t_max=10**5)
-    streams = SimStreams.from_seed(11 + k, n)
+    streams = SimStreams.from_seed(11 + k)
     (_, I, _), _ = one_period(sc, (1,) * n, (1,), streams)
     exact = backoff_success_probability(10, k)
     emp = I[:, 0].mean()
@@ -347,7 +346,7 @@ def test_aloha_success_frequency_matches_formula():
     g = sa.InterferenceGraph.undirected(3, [(1, 2), (1, 3), (2, 3)])
     mech = sa.SlottedAloha((0.4, 0.5, 0.6))
     sc = _scenario(g, [sa.WhiteSpaceChannel(1)], mech, t_max=10**5)
-    streams = SimStreams.from_seed(17, 3)
+    streams = SimStreams.from_seed(17)
     (_, I, _), _ = one_period(sc, (1, 1, 1), (1,), streams)
     for n in (1, 2, 3):
         exact = grab_probability(mech, n, {1, 2, 3} - {n})
@@ -360,7 +359,7 @@ def test_weighted_and_asymptotic_race_frequencies():
     g = sa.InterferenceGraph.undirected(2, [(1, 2)])
     for mech in (sa.WeightedShare((2.0, 1.0)), sa.AsymptoticBackoff()):
         sc = _scenario(g, [sa.WhiteSpaceChannel(1)], mech, t_max=10**5)
-        streams = SimStreams.from_seed(23, 2)
+        streams = SimStreams.from_seed(23)
         (_, I, _), _ = one_period(sc, (1, 1), (1,), streams)
         for n in (1, 2):
             exact = grab_probability(mech, n, {3 - n})
@@ -372,7 +371,7 @@ def test_weighted_and_asymptotic_race_frequencies():
 def test_markov_idle_fraction_matches_stationary():
     g = sa.InterferenceGraph.from_edges(1, [])
     sc = _scenario(g, [sa.MarkovChannel(0.2, 0.3)], sa.RandomBackoff(2), t_max=10**5)
-    streams = SimStreams.from_seed(29, 1)
+    streams = SimStreams.from_seed(29)
     (S, _, _), _ = one_period(sc, (1,), sc.initial_channel_state(streams.channels), streams)
     assert abs(S.mean() - 0.4) < 0.01
 
@@ -389,7 +388,7 @@ def test_determinism_bit_identical():
     )
     runs = []
     for _ in range(2):
-        streams = SimStreams.from_seed(99, 3)
+        streams = SimStreams.from_seed(99)
         state = sc.initial_channel_state(streams.channels)
         blocks, _ = one_period(sc, (1, 2, 1), state, streams)
         runs.append(blocks)
@@ -405,7 +404,7 @@ def test_emitted_observations_satisfy_invariants():
             g, [sa.MarkovChannel(0.3, 0.3), sa.BernoulliChannel(0.4)],
             sa.RandomBackoff(6), t_max=200,
         )
-        streams = SimStreams.from_seed(seed, 4)
+        streams = SimStreams.from_seed(seed)
         state = sc.initial_channel_state(streams.channels)
         a = tuple(int(c) for c in rng.integers(1, 3, size=4))
         (S, I, b), state = one_period(sc, a, state, streams)
@@ -454,6 +453,52 @@ def test_identical_policies_paired_outputs():
         by_rep.setdefault(r.replication, []).append(r.mean_welfare)
     for vals in by_rep.values():
         assert vals[0] == vals[1]
+
+
+def test_policies_consume_channel_contention_and_fading_identically(monkeypatch):
+    # every policy draws a period's races and fading before it chooses, so
+    # run at one seed all four see the same states, races and fading
+    g = sa.InterferenceGraph.from_edges(4, [(1, 2), (2, 3), (1, 3), (3, 4)])
+    sc = _scenario(g, [sa.MarkovChannel(0.3, 0.1), sa.MarkovChannel(0.2, 0.4)], sa.RandomBackoff(6),
+                   rates=_mixed_rates(np.random.default_rng(5), 4, 2), t_max=30, periods=12)
+    seen = {}
+
+    def recording(name, fn, arg):
+        def wrapped(*args):
+            out = fn(*args)
+            seen.setdefault(name, []).append((out if arg is None else args[arg]).copy())
+            return out
+        return wrapped
+
+    monkeypatch.setattr(simulator, "_contention_draws", recording("races", simulator._contention_draws, None))
+    monkeypatch.setattr(simulator, "_rate_draws", recording("fading", simulator._rate_draws, None))
+    monkeypatch.setattr(simulator, "_play_period", recording("states", simulator._play_period, 2))
+    runs = []
+    for policy in (LearningPolicy(2.0, "auto"), RandomAccessPolicy(), FixedProfilePolicy((1, 2, 1, 2)),
+                   DynamicStageGamePolicy(restarts=2)):
+        seen.clear()
+        run_policy(sc, policy, (8, 3))
+        runs.append({name: np.array(v) for name, v in seen.items()})
+    for run in runs:
+        assert run.keys() == {"races", "fading", "states"}
+        assert run["states"].shape == (sc.periods, sc.t_max, 2) and run["races"].shape == (sc.periods, sc.t_max, 4)
+        for name, values in run.items():
+            assert np.array_equal(values, runs[0][name]), name
+
+
+def test_summary_refuses_to_pool_policies_sharing_a_label():
+    g = sa.InterferenceGraph.from_edges(2, [(1, 2)])
+    sc = _scenario(g, [sa.BernoulliChannel(0.5)], sa.RandomBackoff(4), t_max=10, periods=3)
+    rep = compare_policies(sc, [RandomAccessPolicy(), RandomAccessPolicy()], 2, base_seed=1)
+    with pytest.raises(ValueError, match="random_access"):
+        rep.summary()
+
+
+def test_negative_noise_half_width_is_rejected():
+    g = sa.InterferenceGraph.from_edges(2, [(1, 2)])
+    sc = _scenario(g, [sa.BernoulliChannel(0.5)], sa.RandomBackoff(4), t_max=10, periods=3)
+    with pytest.raises(ValueError, match="noise half-width"):
+        run_policy(sc, LearningPolicy(2.0, noise_half_width=-1.0), 0)
 
 
 def test_learning_policy_traces_welfare():
