@@ -29,7 +29,7 @@ from . import __version__
 from .config import ExperimentConfig, load_config, load_graph, resolved_payoff_scale
 from .equilibria import solve_pure_ne
 from .errors import PreconditionError, ResourceLimitError
-from .estimation import estimate
+from .estimation import chain_counts, estimate
 from .game import is_pure_ne, social_welfare_and_poa, welfare
 from .graph import classify
 from .learning import contraction_temperature_bound
@@ -270,7 +270,7 @@ def cmd_estimate(args, cfg: ExperimentConfig, outdir: Path) -> int:
     streams = SimStreams.from_seed(args.seed)
     rows = []
     for period, (_, s, i, b) in enumerate(_periods(scenario, FixedProfilePolicy(tuple(profile)), streams), 1):
-        est = estimate(s, i, b)
+        est = estimate(chain_counts(s), i, b)
         for u, ch in enumerate(profile):
             cells = ([""] * 4 if np.isnan(est.throughput[u])
                      else [fmt(x[u]) for x in (est.theta, est.grab, est.rate, est.throughput)])

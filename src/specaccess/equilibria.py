@@ -79,11 +79,11 @@ def construct_ne_directed_tree(
     budget falls back to exhaustive enumeration (logged), which raises
     ResourceLimitError beyond ``enumeration_cap`` profiles.
     """
-    cls = classify(spec.graph)
-    if not cls.directed_forest:
+    sequence, parent, _ = skeleton_walk(spec.graph)
+    components = sum(p is None for p in parent.values())
+    if len(spec.graph.skeleton()) != spec.n_users - components:
         raise PreconditionError("construct_ne_directed_tree requires a directed tree or forest")
 
-    sequence, parent, _ = skeleton_walk(spec.graph)
     solves = 0
     edges = spec.graph.edges
 

@@ -4,10 +4,14 @@ Channel states persist across period boundaries (one continuing chain per
 channel); a user's success in a slot depends only on its in-neighbours'
 draws, so mutually non-interfering users can occupy the same channel
 simultaneously. All randomness flows through four substreams spawned from a
-single master seed (SimStreams). Each period draws its contention races and
-its fading in one call each before the policy chooses, so every policy
-consumes all but the policy substream identically, which pairs policy
-comparisons on the same sample paths.
+single master seed (SimStreams). One block engine plays every policy: it
+draws blocks of whole periods (about _BLOCK_SLOTS slots), each block's
+channel states, contention races and fading in one call each on their own
+substreams, so every policy consumes all but the policy substream
+identically, which pairs policy comparisons on the same sample paths. A
+channel-choosing policy then picks the block's per-slot channels and all its
+periods resolve at once; the learning policy's MLE observer reads the block
+one period at a time, as its profile changes from period to period.
 """
 
 from __future__ import annotations
@@ -29,12 +33,12 @@ from .channels import (
     sample_initial_state,
 )
 from .contention import AsymptoticBackoff, RandomBackoff, SlottedAloha, WeightedShare
-from .estimation import estimate
+from .estimation import ChainCounts, chain_counts, estimate
 from .game import Profile, SpectrumGame, better_response_dynamics, welfare
 from .graph import InterferenceGraph
 from .learning import LearningOutcome, Observer, exact_observer, run_learning
 
-_CHAIN_BLOCK = 8192  # slots of channel chain drawn at once, rounded down to whole periods
+_BLOCK_SLOTS = 2048  # slots drawn at once, rounded down to whole periods (at least one)
 
 
 @dataclass
@@ -136,23 +140,30 @@ def _channel_states(
     return out, tuple(int(x) for x in out[-1])
 
 
-def _channel_periods(scenario: Scenario, streams: SimStreams):
-    """Each period's channel states, (t_max, M), from one chain drawn in
-    blocks of whole periods with the state carried over; the channel substream
-    feeds nothing else, so this equals drawing period by period."""
-    t = scenario.t_max
-    k = max(1, _CHAIN_BLOCK // t)
+def _blocks(scenario: Scenario, streams: SimStreams):
+    """The rollout's periods in blocks of k = max(1, _BLOCK_SLOTS // t_max)
+    whole periods, the last block cut at scenario.periods: the channel states
+    (k, t_max, M), with the chain state carried from block to block, the
+    contention races (k, t_max, N) and the standard-exponential fading
+    (k, t_max, N), each from one draw on its own substream. The generators
+    give the same values drawn split or joined, so a block equals its periods
+    drawn in turn, whatever k is, and every policy consumes these three
+    substreams identically."""
+    t, n = scenario.t_max, scenario.game.n_users
+    k = max(1, _BLOCK_SLOTS // t)
     state = scenario.initial_channel_state(streams.channels)
-    while True:
-        states, state = _channel_states(scenario.channel_models, state, k * t, streams.channels)
-        yield from states.reshape(k, t, -1)
+    for start in range(0, scenario.periods, k):
+        kb = min(k, scenario.periods - start)
+        states, state = _channel_states(scenario.channel_models, state, kb * t, streams.channels)
+        yield (states.reshape(kb, t, -1), _contention_draws(scenario, streams, (kb, t)),
+               streams.fading.standard_exponential((kb, t, n)))
 
 
-def _contention_draws(scenario: Scenario, streams: SimStreams, t: int) -> np.ndarray:
-    """Contention race values, (t, N), in one draw from the contention
+def _contention_draws(scenario: Scenario, streams: SimStreams, shape: tuple[int, ...]) -> np.ndarray:
+    """Contention race values, (*shape, N), in one draw from the contention
     substream: lower wins, strictly. An Aloha user races 0.0 when it transmits
     and inf when it stays silent."""
-    mech, g, shape = scenario.game.mechanism, streams.contention, (t, scenario.game.n_users)
+    mech, g, shape = scenario.game.mechanism, streams.contention, (*shape, scenario.game.n_users)
     if isinstance(mech, RandomBackoff):
         return g.integers(1, mech.max_counter + 1, size=shape).astype(float)  # races against inf
     if isinstance(mech, AsymptoticBackoff):
@@ -164,35 +175,32 @@ def _contention_draws(scenario: Scenario, streams: SimStreams, t: int) -> np.nda
     raise TypeError(f"unknown mechanism {mech!r}")
 
 
-def _rate_draws(scenario: Scenario, streams: SimStreams, t: int) -> np.ndarray:
-    """Standard-exponential fading draws, (t, N), in one draw from the fading
-    substream; scaled by the per-channel mean gain at use time so the draw
-    count never depends on outcomes."""
-    return streams.fading.standard_exponential((t, scenario.game.n_users))
-
-
 def _success_matrix(
     scenario: Scenario,
     ch: np.ndarray,
     s_user: np.ndarray,
     draws: np.ndarray,
+    rivals: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Grab indicators, (t, N), for per-slot channels ch (t, N). A user wins an
-    idle slot when its draw beats every co-channel in-neighbour's; under Aloha
-    that is when it alone among them transmits."""
+    """Grab indicators, (..., N), for channels ch (..., N) broadcast against
+    the idle indicators s_user and races draws. A user wins an idle slot when
+    its draw beats every co-channel in-neighbour's; under Aloha that is when
+    it alone among them transmits. The in-neighbours sit on axis -2, ahead of
+    the users, since numpy reduces a short last axis slowly; rivals is
+    draws[..., idx.T] for the in-neighbour index idx when the caller has
+    gathered it already."""
     idx, valid = scenario.game._in_index
-    co = valid & (ch[:, idx] == ch[:, :, None])
-    return (s_user == 1) & (draws < np.min(draws[:, idx], axis=2, where=co, initial=np.inf))
+    co = valid.T & (ch[..., idx.T] == ch[..., None, :])
+    if rivals is None:
+        rivals = draws[..., idx.T]
+    return (s_user == 1) & (draws < np.where(co, rivals, np.inf).min(axis=-2, initial=np.inf))
 
 
 def _realise_rates(scenario: Scenario, ch: np.ndarray, succ: np.ndarray, fading: np.ndarray) -> np.ndarray:
-    """b values, (t, N): the rate of each grabbed slot on its channel ch, zero
-    elsewhere; one gather of the (user, channel) rate parameters."""
-    t_idx, u_idx = np.nonzero(succ)
-    b = np.zeros(succ.shape)
-    params = scenario._rate_params[u_idx, ch[t_idx, u_idx] - 1]
-    b[t_idx, u_idx] = _rate_values(params, fading[t_idx, u_idx])
-    return b
+    """b values, (..., N): the rate of each grabbed slot on its channel ch
+    (broadcast against succ and fading), zero elsewhere."""
+    params = scenario._rate_params[np.arange(scenario.game.n_users), ch - 1]
+    return np.where(succ, _rate_values(params, fading), 0.0)
 
 
 def _rate_row(model: RateModel) -> tuple[float, float, float, float, float]:
@@ -207,22 +215,19 @@ def _rate_values(params, fading: np.ndarray) -> np.ndarray:
     """Per-slot rates for standard-exponential fading draws under rate rows
     (..., 5) from _rate_row, broadcast against the draws: the fixed rate, or
     W log2(1 + eta z / omega) with the power gain z = fading * mean gain."""
-    fixed, w, eta, omega, g = np.moveaxis(np.asarray(params, dtype=float), -1, 0)
+    params = np.asarray(params, dtype=float)
+    fixed, w, eta, omega, g = (params[..., j] for j in range(5))
     shannon = w * np.log2(1.0 + eta * (fading * g) / omega)
     return np.where(np.isnan(fixed), shannon, fixed)
 
 
-def _play_period(scenario: Scenario, streams: SimStreams, states: np.ndarray, choose) -> tuple:
-    """t_max slots over the period's channel states, (t_max, M). Contention
-    draws and fading draws come first, each substream in the same order under
-    every policy; then ch = choose(states), the (t_max, N) per-slot channels.
-    Returns (ch, S, I, b), each (t_max, N)."""
-    draws = _contention_draws(scenario, streams, scenario.t_max)
-    fading = _rate_draws(scenario, streams, scenario.t_max)
-    ch = choose(states)
-    s_user = np.take_along_axis(states, ch - 1, axis=1)
-    succ = _success_matrix(scenario, ch, s_user, draws)
-    return ch, s_user, succ, _realise_rates(scenario, ch, succ, fading)
+def _resolve(scenario: Scenario, states: np.ndarray, ch: np.ndarray, races: np.ndarray,
+             fading: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(S, I, b), each shaped like ch, for per-slot channels ch (..., N) over
+    channel states (..., M), with the slots' races and fading."""
+    s_user = np.take_along_axis(states, ch - 1, axis=-1)
+    succ = _success_matrix(scenario, ch, s_user, races)
+    return s_user, succ, _realise_rates(scenario, ch, succ, fading)
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +240,14 @@ class RandomAccessPolicy:
         return "random_access"
 
     def _chooser(self, scenario: Scenario, rng: np.random.Generator):
-        """Each user draws a uniform channel per period and holds it."""
-        n, m, t = scenario.game.n_users, scenario.game.n_channels, scenario.t_max
-        return lambda states: np.broadcast_to(rng.integers(1, m + 1, size=n), (t, n))
+        """Each user draws a uniform channel per period and holds it: one
+        (k, N) draw per block of k periods."""
+        n, m = scenario.game.n_users, scenario.game.n_channels
+
+        def choose(states: np.ndarray) -> np.ndarray:
+            return np.broadcast_to(rng.integers(1, m + 1, size=(len(states), 1, n)), (*states.shape[:-1], n))
+
+        return choose
 
 
 @dataclass(frozen=True)
@@ -248,8 +258,8 @@ class FixedProfilePolicy:
         return f"fixed_profile({','.join(map(str, self.profile))})"
 
     def _chooser(self, scenario: Scenario, rng: np.random.Generator):
-        ch = np.broadcast_to(np.array(self.profile, dtype=np.int64), (scenario.t_max, len(self.profile)))
-        return lambda states: ch
+        profile = np.array(self.profile, dtype=np.int64)
+        return lambda states: np.broadcast_to(profile, (*states.shape[:-1], len(profile)))
 
 
 @dataclass(frozen=True)
@@ -287,24 +297,29 @@ class DynamicStageGamePolicy:
     played at a stage-game profile solved with theta replaced by the realised
     states. Its chooser memoises one solution per state vector for the whole
     rollout and solves new state vectors in slot order, drawing restarts from
-    the policy substream; the period engine then resolves all slots of a
-    period at once, like any other policy's."""
+    the policy substream; the block engine then resolves all slots of a
+    block at once, like any other policy's."""
 
     restarts: int = 10
     max_rounds: int = 200
 
     def label(self) -> str:
-        return "dynamic_stage_game"
+        return "dynamic_stage_game" if self.restarts == 10 else f"dynamic_stage_game(restarts={self.restarts})"
 
     def _chooser(self, scenario: Scenario, rng: np.random.Generator):
         memo: dict[tuple[int, ...], Profile] = {}
 
         def choose(states: np.ndarray) -> np.ndarray:
-            keys = list(map(tuple, states.tolist()))
-            for key in dict.fromkeys(keys):  # first-seen slot order
-                if key not in memo:
-                    memo[key] = _solve_stage(scenario.game, key, rng, self)
-            return np.array([memo[key] for key in keys])
+            flat = np.ascontiguousarray(states.reshape(-1, states.shape[-1]))
+            # one opaque value per slot's state vector, so np.unique compares whole rows
+            rows = flat.view(np.dtype((np.void, flat.shape[1] * flat.itemsize))).ravel()
+            _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+            keys = [tuple(key) for key in flat[first].tolist()]
+            for j in np.argsort(first).tolist():  # first-seen slot order
+                if keys[j] not in memo:
+                    memo[keys[j]] = _solve_stage(scenario.game, keys[j], rng, self)
+            table = np.array([memo[key] for key in keys], dtype=np.int64)
+            return table[inverse.reshape(states.shape[:-1])]
 
         return choose
 
@@ -323,15 +338,26 @@ class PolicyResult:
 
 def make_mle_observer(scenario: Scenario, streams: SimStreams) -> Observer:
     """Observer of every user's MLE throughput estimate (NaN where undefined)
-    and empirical per-slot throughput, from each simulated period's per-user
-    statistics at once; the profile is held for all t_max slots."""
-    chain = _channel_periods(scenario, streams)
-    shape = (scenario.t_max, scenario.game.n_users)
+    and empirical per-slot throughput, one period of the block engine per
+    call with the profile held for all t_max slots. Per block it counts each
+    channel's idle slots and transitions once and gathers the in-neighbours'
+    races once; per period it reads them at the profile."""
+    idx, _ = scenario.game._in_index
+
+    def periods():
+        for states, races, fading in _blocks(scenario, streams):
+            # the gathered races and the (k, 5, M) counts live only as long as the zip
+            yield from zip(states, races, fading, races[..., idx.T], np.stack(chain_counts(states), axis=1))
+
+    source = periods()
 
     def observe(a: Profile):
-        ch = np.broadcast_to(np.array(a, dtype=np.int64), shape)
-        _, s, i, b = _play_period(scenario, streams, next(chain), lambda states: ch)
-        est = estimate(s, i, b)
+        states, races, fading, rivals, counts = next(source)
+        ch = np.array(a, dtype=np.int64)
+        s_user = states[:, ch - 1]
+        succ = _success_matrix(scenario, ch, s_user, races, rivals)
+        b = _realise_rates(scenario, ch, succ, fading)
+        est = estimate(ChainCounts(*counts[:, ch - 1]), succ, b)
         return est.throughput, est.sum_b / scenario.t_max
 
     return observe
@@ -358,22 +384,31 @@ def run_policy(scenario: Scenario, policy: Policy, seed) -> PolicyResult:
             float(outcome.welfare_trace.mean()), learning=outcome,
         )
 
-    welfare_trace = np.zeros(scenario.periods)
-    user_totals = np.zeros(scenario.game.n_users)
-    for t, (_, _, _, b) in enumerate(_periods(scenario, policy, streams)):
-        # slot-order sums; b.sum(axis=0) reduces pairwise when N = 1
-        per_user = np.cumsum(b, axis=0)[-1] / scenario.t_max
-        user_totals += per_user
-        welfare_trace[t] = per_user.sum()
+    # (periods, N): each period's slots summed in slot order; the last row is
+    # copied out so that each block's running sums are freed
+    per_user = np.concatenate(
+        [np.cumsum(b, axis=1)[:, -1].copy() for *_, b in _block_outcomes(scenario, policy, streams)]
+    ) / scenario.t_max
+    welfare_trace = per_user.sum(axis=1)  # users pairwise, as np.sum of each row
+    user_totals = np.cumsum(per_user, axis=0)[-1]  # periods in order
     return PolicyResult(policy.label(), welfare_trace, user_totals / scenario.periods, float(welfare_trace.mean()))
 
 
-def _periods(scenario: Scenario, policy: Policy, streams: SimStreams):
-    """Play the periods of a non-learning policy in order, yielding each
-    period's (ch, S, I, b) from _play_period."""
+def _block_outcomes(scenario: Scenario, policy: Policy, streams: SimStreams):
+    """Play a non-learning policy block by block, yielding each block's
+    (ch, S, I, b), each (k, t_max, N): the policy chooses the block's per-slot
+    channels from its channel states, then all k periods resolve at once."""
     choose = policy._chooser(scenario, streams.policy)
-    for _, states in zip(range(scenario.periods), _channel_periods(scenario, streams)):
-        yield _play_period(scenario, streams, states, choose)
+    for states, races, fading in _blocks(scenario, streams):
+        ch = choose(states)
+        yield (ch, *_resolve(scenario, states, ch, races, fading))
+
+
+def _periods(scenario: Scenario, policy: Policy, streams: SimStreams):
+    """Each period's (ch, S, I, b), (t_max, N) each: period slices of
+    _block_outcomes."""
+    for block in _block_outcomes(scenario, policy, streams):
+        yield from zip(*block)
 
 
 def _solve_stage(game: SpectrumGame, realised: tuple[int, ...], rng: np.random.Generator,

@@ -8,7 +8,7 @@ import numpy as np
 
 import specaccess as sa
 from specaccess.contention import grab_probability
-from specaccess.simulator import FixedProfilePolicy, _channel_states, _play_period
+from specaccess.simulator import _channel_states, _contention_draws, _resolve
 
 
 def random_directed_graph(rng, n, p=0.4):
@@ -105,12 +105,16 @@ def random_physical_game(rng):
 # --- references ----------------------------------------------------------------
 
 def one_period(scenario, a, state, streams):
-    """t_max consecutive slots with every user holding its channel in a: the
-    (S, I, b) blocks, each (t_max, N), and the carried channel state."""
-    states, final = _channel_states(scenario.channel_models, state, scenario.t_max, streams.channels)
-    choose = FixedProfilePolicy(tuple(a))._chooser(scenario, streams.policy)
-    _, S, I, b = _play_period(scenario, streams, states, choose)
-    return (S, I, b), final
+    """t_max consecutive slots after channel state `state`, with every user
+    holding its channel in a, drawn period by period (the chain, then one
+    (t_max, N) draw of races and of fading): the (S, I, b) blocks, each
+    (t_max, N), and the carried channel state."""
+    t, n = scenario.t_max, scenario.game.n_users
+    states, final = _channel_states(scenario.channel_models, state, t, streams.channels)
+    races = _contention_draws(scenario, streams, (t,))
+    fading = streams.fading.standard_exponential((t, n))
+    ch = np.broadcast_to(np.array(a, dtype=np.int64), (t, n))
+    return _resolve(scenario, states, ch, races, fading), final
 
 
 def loop_estimates(S, I, b):

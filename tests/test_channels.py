@@ -21,7 +21,7 @@ from specaccess.channels import (
     stationary_idle_probability,
 )
 from specaccess.errors import DegenerateModelError
-from specaccess.simulator import _CHAIN_BLOCK, _channel_periods, _channel_states, _rate_row, _rate_values
+from specaccess.simulator import _BLOCK_SLOTS, _blocks, _channel_states, _rate_row, _rate_values
 
 
 def test_stationary_idle_probability_values():
@@ -100,11 +100,12 @@ def test_channel_scan_matches_per_slot_loop():
 def test_channel_periods_carry_state_across_blocks():
     models = [MarkovChannel(0.3, 0.2), BernoulliChannel(0.6), WhiteSpaceChannel(1), MarkovChannel(0.05, 0.9)]
     g = sa.InterferenceGraph.from_edges(1, [])
-    for t_max in (100, 3000, 3 * _CHAIN_BLOCK // 2):
-        sc = sa.Scenario.build(g, models, [[FixedRate(1.0)] * len(models)], sa.RandomBackoff(4), t_max=t_max)
-        periods = 2 * max(1, _CHAIN_BLOCK // t_max) + 1  # two block boundaries; the last block partly used
-        chain = _channel_periods(sc, sa.SimStreams.from_seed(7))
-        got = np.concatenate([next(chain) for _ in range(periods)])
+    for t_max in (100, 3000, 3 * _BLOCK_SLOTS // 2):
+        periods = 2 * max(1, _BLOCK_SLOTS // t_max) + 1  # two block boundaries; the last block cut short
+        sc = sa.Scenario.build(g, models, [[FixedRate(1.0)] * len(models)], sa.RandomBackoff(4),
+                               t_max=t_max, periods=periods)
+        blocks = _blocks(sc, sa.SimStreams.from_seed(7))
+        got = np.concatenate([states.reshape(-1, len(models)) for states, _, _ in blocks])
         rng = sa.SimStreams.from_seed(7).channels
         state = sc.initial_channel_state(rng)
         expect = []

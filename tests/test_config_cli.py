@@ -477,6 +477,21 @@ def test_cli_compare_keeps_distinct_fixed_profiles_apart(tmp_path, capsys):
     assert [(r[0], r[3]) for r in rows] == [("fixed_profile(1,1,1,1)", "3"), ("fixed_profile(1,2,3,1)", "3")]
 
 
+def test_cli_compare_keeps_dynamic_policies_with_distinct_restarts_apart(tmp_path, capsys):
+    # both used to be labelled dynamic_stage_game, which load_config rejected as a repeat
+    doc = json.loads((CONFIGS / "dag_chain.json").read_text())
+    doc["scenario"].update(periods=20)
+    doc["compare"] = {"policies": [{"kind": "dynamic_stage_game"},
+                                   {"kind": "dynamic_stage_game", "restarts": 3}],
+                      "replications": 2}
+    p = _write(tmp_path, doc)
+    assert [q.label() for q in load_config(p).policies] == ["dynamic_stage_game", "dynamic_stage_game(restarts=3)"]
+    assert cli_main(["compare", str(p), "--out", str(tmp_path / "c"), "--seed", "1"]) == 0
+    text = (tmp_path / "c" / "comparison_summary.csv").read_text()
+    rows = list(csv.reader(l for l in text.splitlines() if not l.startswith("#")))[1:]
+    assert [(r[0], r[3]) for r in rows] == [("dynamic_stage_game", "2"), ("dynamic_stage_game(restarts=3)", "2")]
+
+
 def test_repeated_compare_policy_is_rejected(tmp_path):
     doc = _tiny_learning_doc()
     doc["compare"]["policies"].append({"kind": "learning", "gamma": 3.0})

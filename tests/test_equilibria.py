@@ -2,7 +2,7 @@ import logging
 
 import numpy as np
 import pytest
-from conftest import random_dag, random_forest, random_game
+from conftest import random_dag, random_directed_graph, random_forest, random_game
 
 import specaccess as sa
 from specaccess.contention import backoff_success_probability
@@ -14,6 +14,7 @@ from specaccess.equilibria import (
 )
 from specaccess.errors import PreconditionError
 from specaccess.game import SpectrumGame, enumerate_pure_ne, is_pure_ne
+from specaccess.graph import classify
 
 
 def test_dag_requires_acyclic():
@@ -75,6 +76,25 @@ def test_tree_requires_forest():
     spec = SpectrumGame.create(g, [1.0, 1.0], [[1.0, 1.0]] * 3, sa.RandomBackoff(4))
     with pytest.raises(PreconditionError):
         construct_ne_directed_tree(spec)
+
+
+def test_tree_precondition_matches_classification():
+    # the construction's own forest test (skeleton edges = N - components)
+    # accepts exactly the graphs classify calls directed forests
+    rng = np.random.default_rng(89)
+    accepted = 0
+    for case in range(300):
+        n = int(rng.integers(1, 8))
+        g = random_forest(rng, n) if case % 2 else random_directed_graph(rng, n, float(rng.uniform(0.05, 0.4)))
+        spec = random_game(rng, g, int(rng.integers(1, 4)))
+        try:
+            a = construct_ne_directed_tree(spec)
+        except PreconditionError:
+            assert not classify(g).directed_forest, case
+        else:
+            assert classify(g).directed_forest and is_pure_ne(spec, a).is_ne, case
+            accepted += 1
+    assert 150 < accepted < 300
 
 
 @pytest.mark.parametrize("leaves", [13, 16])

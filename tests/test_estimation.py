@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from specaccess.channels import MarkovChannel, sample_initial_state
 from specaccess.contention import RandomBackoff
-from specaccess.estimation import estimate
+from specaccess.estimation import ChainCounts, chain_counts, estimate
 from specaccess.game import SpectrumGame
 from specaccess.graph import InterferenceGraph
 from specaccess.learning import run_learning
@@ -23,7 +23,7 @@ def _one_user(S, I=None, b=None):
     S = np.asarray(S)
     I = np.zeros_like(S) if I is None else np.asarray(I)
     b = np.zeros(len(S)) if b is None else np.asarray(b, dtype=float)
-    est = estimate(S[:, None], I[:, None], b[:, None])
+    est = estimate(chain_counts(S[:, None]), I[:, None], b[:, None])
     return est._make(float(x[0]) for x in est)
 
 
@@ -118,12 +118,36 @@ def test_estimate_matches_explicit_loop_reference():
         t = 1 if case % 20 == 0 else int(rng.integers(2, 150))
         n = int(rng.integers(3, 10))
         S, I, b = _random_block(rng, t, n)
-        est = estimate(S, I, b)
+        est = estimate(chain_counts(S), I, b)
         assert np.isnan(est.throughput[:3]).all()
         got = np.array([getattr(est, f) for f in ESTIMATES]).T
         ref = np.array([loop_estimates(S[:, u], I[:, u], b[:, u]) for u in range(n)])
         assert np.array_equal(got, ref, equal_nan=True), case
         assert est.sum_b.tolist() == [b[:, u].sum() for u in range(n)]
+
+
+def test_chain_counts_gathered_at_a_profile_match_per_user_traces():
+    # counts of each channel over a (k, t, M) block, read at a profile, give
+    # every estimate field of the users' own (t, N) traces to the last bit
+    rng = np.random.default_rng(73)
+    for case in range(60):
+        k, m, n = int(rng.integers(1, 5)), int(rng.integers(2, 6)), int(rng.integers(2, 8))
+        t = 1 if case % 10 == 0 else int(rng.integers(2, 80))
+        states = (rng.random((k, t, m)) < rng.uniform(0.1, 0.9, m)).astype(np.int8)
+        states[..., 0], states[..., 1] = 0, 1  # an all-busy and an all-idle channel
+        counts = chain_counts(states)
+        assert all(c.shape == (k, m) for c in counts)
+        for p in range(k):
+            a = rng.integers(1, m + 1, size=n)
+            S = states[p][:, a - 1]
+            I = (S == 1) & (rng.random((t, n)) < 0.5)
+            b = np.where(I, rng.exponential(5.0, (t, n)), 0.0)
+            got = estimate(ChainCounts(*(c[p][a - 1] for c in counts)), I, b)
+            ref = estimate(chain_counts(S), I, b)
+            for field, x, y in zip(got._fields, got, ref):
+                assert x.dtype == y.dtype and np.array_equal(x, y, equal_nan=True), (case, field)
+            loops = np.array([loop_estimates(S[:, u], I[:, u], b[:, u]) for u in range(n)])
+            assert np.array_equal(np.array([getattr(got, f) for f in ESTIMATES]).T, loops, equal_nan=True)
 
 
 @given(st.permutations(list(range(12))))

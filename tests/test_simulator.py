@@ -1,4 +1,6 @@
+import hashlib
 from dataclasses import replace
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -16,9 +18,11 @@ from specaccess.simulator import (
     RandomAccessPolicy,
     Scenario,
     SimStreams,
+    _BLOCK_SLOTS,
+    _blocks,
     _channel_states,
     _contention_draws,
-    _rate_draws,
+    _periods,
     _rate_row,
     _rate_values,
     _realise_rates,
@@ -106,8 +110,8 @@ def _run_dynamic_per_slot(scenario, policy, seed):
     user_totals = np.zeros(n)
     for t in range(scenario.periods):
         states, state = _channel_states(scenario.channel_models, state, scenario.t_max, streams.channels)
-        draws = _contention_draws(scenario, streams, scenario.t_max)
-        fading = _rate_draws(scenario, streams, scenario.t_max)
+        draws = _contention_draws(scenario, streams, (scenario.t_max,))
+        fading = streams.fading.standard_exponential((scenario.t_max, n))
         b_total = np.zeros(n)
         for slot in range(scenario.t_max):
             key = tuple(int(x) for x in states[slot])
@@ -135,7 +139,7 @@ def test_success_matrix_matches_per_slot_check():
         for kind in ("backoff", "asymptotic", "weighted", "aloha"):
             mech = random_mechanism(rng, n, kind)
             sc = _scenario(g, [sa.BernoulliChannel(0.5)] * m, mech, t_max=t)
-            draws = _contention_draws(sc, SimStreams.from_seed(int(rng.integers(1000))), t)
+            draws = _contention_draws(sc, SimStreams.from_seed(int(rng.integers(1000))), (t,))
             ch = rng.integers(1, m + 1, size=(t, n))
             s_user = rng.integers(0, 2, size=(t, n)).astype(np.int8)
             got = _success_matrix(sc, ch, s_user, draws)
@@ -194,8 +198,8 @@ def _run_policy_per_period(scenario, policy, seed):
         else:
             a = np.array(policy.profile)
         states, state = _channel_states(scenario.channel_models, state, t_max, streams.channels)
-        draws = _contention_draws(scenario, streams, t_max)
-        fading = _rate_draws(scenario, streams, t_max)
+        draws = _contention_draws(scenario, streams, (t_max,))
+        fading = streams.fading.standard_exponential((t_max, n))
         succ = _success_matrix(scenario, np.tile(a, (t_max, 1)), states[:, a - 1], draws)
         b_total = np.zeros(n)
         for slot in range(t_max):
@@ -284,23 +288,142 @@ def test_mle_observer_matches_per_user_estimates(kind, t_max):
 
 @pytest.mark.parametrize("noise_half_width", [0.0, 0.5])
 def test_learning_rollout_matches_per_period_reference_observer(noise_half_width):
+    # 300 periods of 30 slots end in a cut block; t_max above _BLOCK_SLOTS
+    # gives one-period blocks
     rng = np.random.default_rng(71)
     n = 5
     channels = [sa.MarkovChannel(0.3, 0.2), sa.BernoulliChannel(0.6), sa.WhiteSpaceChannel(1)]
-    sc = _scenario(random_directed_graph(rng, n, 0.5), channels, sa.RandomBackoff(6),
-                   rates=_mixed_rates(rng, n, 3), t_max=30, periods=300)
-    policy = LearningPolicy(3.0, "auto", noise_half_width=noise_half_width)
-    res = run_policy(sc, policy, (6, 1)).learning
+    g = random_directed_graph(rng, n, 0.5)
+    rates = _mixed_rates(rng, n, 3)
+    for t_max, periods in ((30, 300), (_BLOCK_SLOTS + 48, 6)):
+        sc = _scenario(g, channels, sa.RandomBackoff(6), rates=rates, t_max=t_max, periods=periods)
+        policy = LearningPolicy(3.0, "auto", noise_half_width=noise_half_width)
+        res = run_policy(sc, policy, (6, 1)).learning
 
-    streams = SimStreams.from_seed((6, 1))
-    # the reference adds its own noise, drawn from the policy substream after the channel choices
-    ref = run_learning(sc.game, policy.gamma, sc.periods, streams.policy,
-                       observer=_reference_mle_observer(sc, streams, noise_half_width, streams.policy),
-                       payoff_scale=policy.resolved_scale(sc.game), mu=policy.mu)
-    assert 0 < res.skipped_updates == ref.skipped_updates
-    for field in ("perceptions", "welfare_trace", "per_user_mean", "dP_trace", "channels", "estimates"):
-        assert np.array_equal(getattr(res, field), getattr(ref, field), equal_nan=True), field
-    assert res.delta == ref.delta
+        streams = SimStreams.from_seed((6, 1))
+        # the reference adds its own noise, drawn from the policy substream after the channel choices
+        ref = run_learning(sc.game, policy.gamma, sc.periods, streams.policy,
+                           observer=_reference_mle_observer(sc, streams, noise_half_width, streams.policy),
+                           payoff_scale=policy.resolved_scale(sc.game), mu=policy.mu)
+        assert 0 < res.skipped_updates == ref.skipped_updates, t_max
+        for field in ("perceptions", "welfare_trace", "per_user_mean", "dP_trace", "channels", "estimates"):
+            assert np.array_equal(getattr(res, field), getattr(ref, field), equal_nan=True), (t_max, field)
+        assert res.delta == ref.delta
+
+
+def _reference_periods(scenario, policy, seed):
+    """Per-period reference for the block engine: each period's chain, races
+    and fading drawn in turn, channels chosen per period (the dynamic policy
+    per slot, memoised), grabs checked slot by slot and rates realised one by
+    one. Yields (ch, S, I, b), each (t_max, N)."""
+    game = scenario.game
+    n, m, t = game.n_users, game.n_channels, scenario.t_max
+    streams = SimStreams.from_seed(seed)
+    state = scenario.initial_channel_state(streams.channels)
+    memo = {}
+    for _ in range(scenario.periods):
+        states, state = _channel_states(scenario.channel_models, state, t, streams.channels)
+        races = _contention_draws(scenario, streams, (t,))
+        fading = streams.fading.standard_exponential((t, n))
+        if isinstance(policy, RandomAccessPolicy):
+            ch = np.tile(streams.policy.integers(1, m + 1, size=n), (t, 1))
+        elif isinstance(policy, FixedProfilePolicy):
+            ch = np.tile(policy.profile, (t, 1))
+        else:
+            for slot in range(t):
+                key = tuple(int(x) for x in states[slot])
+                if key not in memo:
+                    memo[key] = _solve_stage(game, key, streams.policy, policy)
+            ch = np.array([memo[tuple(int(x) for x in row)] for row in states])
+        S = np.array([row[c - 1] for row, c in zip(states, ch)])
+        I = np.array([_slot_success(scenario, ch[k], S[k], races[k]) for k in range(t)])
+        b = np.zeros((t, n))
+        for k, u in zip(*np.nonzero(I)):
+            b[k, u] = _rate_of(scenario, u, ch[k, u], fading[k, u])
+        yield ch, S, I, b
+
+
+def _assert_periods_match_reference(scenario, policy, seed):
+    count = 0
+    for got, ref in zip_longest(_periods(scenario, policy, SimStreams.from_seed(seed)),
+                                _reference_periods(scenario, policy, seed)):
+        assert got is not None and ref is not None, (scenario.t_max, policy)
+        for name, x, y in zip("ch S I b".split(), got, ref):
+            assert x.shape == y.shape and np.array_equal(x, y), (scenario.t_max, policy, count, name)
+        count += 1
+    assert count == scenario.periods
+
+
+@pytest.mark.parametrize("kind", ["backoff", "asymptotic", "weighted", "aloha"])
+def test_block_engine_matches_per_period_reference(kind):
+    # t_max above _BLOCK_SLOTS gives one-period blocks; 5 periods in blocks
+    # of 2 (t_max just above a third of _BLOCK_SLOTS) leave the last block cut short
+    rng = np.random.default_rng(79)
+    n = 4
+    channels = [sa.MarkovChannel(0.3, 0.2), sa.BernoulliChannel(0.6), sa.WhiteSpaceChannel(1)]
+    g = random_directed_graph(rng, n, 0.6)
+    mech = random_mechanism(rng, n, kind)
+    for t_max, periods in ((_BLOCK_SLOTS + 52, 2), (_BLOCK_SLOTS // 3 + 1, 5)):
+        sc = _scenario(g, channels, mech, rates=_mixed_rates(rng, n, 3), t_max=t_max, periods=periods)
+        for policy in (RandomAccessPolicy(), FixedProfilePolicy((1, 2, 1, 3)), DynamicStageGamePolicy(restarts=2)):
+            _assert_periods_match_reference(sc, policy, (3, 7))
+
+
+def test_dynamic_policy_solves_new_states_in_first_seen_slot_order():
+    # symmetric users on symmetric channels: every stage game has many pure
+    # equilibria, so which restarts a state vector gets decides its profile
+    g = sa.InterferenceGraph.undirected(3, [(1, 2), (1, 3), (2, 3)])
+    sc = _scenario(g, [sa.BernoulliChannel(0.5)] * 3, sa.RandomBackoff(4), t_max=_BLOCK_SLOTS // 3 + 1, periods=5)
+    _assert_periods_match_reference(sc, DynamicStageGamePolicy(restarts=2), 12)
+
+
+# sha256 of each rollout's welfare trace and per-user means (and, for
+# learning, final perceptions and skip count), recorded with the per-period
+# engine that the block engine replaced, which must reproduce them; fixed-rate
+# configs only, so no libm log2 or exp bits enter the pins
+_ROLLOUT_DIGESTS = {
+    "dag/learning(gamma=5)": "fa6478ba75dc77c9c5254e7cae292048f7ef2d08fa56911ad6f9e4467d90ac31",
+    "dag/random_access": "5bb9447025c539eee1a12a65aea5348b251460fe187d5f5a20b00e08df3372f9",
+    "dag/fixed_profile(1,2,3,1)": "6973468b097db56c2e7ccb03a5bb165fc8501a991dee862011923cc691c3d396",
+    "dag/dynamic_stage_game": "ef9bd002a26d0c0076cc24188ab2584908bf96a2395fc6069b9541b5f0f0fec1",
+    "triangle/learning": "db064630876b47161597d95126c07e0ec4926ee20df26820b5c3462b19603597",
+    "dag-aloha/learning(gamma=5)": "0e308610c0ed9aa5772b6fdea5e7cfb8632cd833183e37cf60bff899b2250f23",
+    "dag-aloha/random_access": "edf192f6d29a18bf7618de92ef328f2850288cf7ef82bbff8b7d44209d9cdb52",
+    "dag-aloha/fixed_profile(1,2,3,1)": "b9423970e2c94e3fb93ba12d140a5e114e1478d72068b9faab027308da29a7af",
+    "dag-aloha/dynamic_stage_game": "42bcca0d39cd5a27a0116501ebae333c1461f32f8665327dc1bd2f781bced323",
+    "dag-weighted/learning(gamma=5)": "865755b89865e09b7281a6895aa35670397b7296da9ef77d2156e713b9c60fa6",
+    "dag-weighted/random_access": "5ce5ef2d3f5ac826e1761eaef61f331a99e9968dd23e9ac95b6033f3f7467f42",
+    "dag-weighted/fixed_profile(1,2,3,1)": "6973468b097db56c2e7ccb03a5bb165fc8501a991dee862011923cc691c3d396",
+    "dag-weighted/dynamic_stage_game": "37049f279a29d0bdaf733e093f98d904781a15b12506e6995f5681b6b1c60ff3",
+}
+
+
+def _rollout_digest(res):
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(res.welfare_trace).tobytes())
+    h.update(np.ascontiguousarray(res.per_user_mean).tobytes())
+    if res.learning is not None:
+        h.update(np.ascontiguousarray(res.learning.perceptions).tobytes())
+        h.update(str(res.learning.skipped_updates).encode())
+    return h.hexdigest()
+
+
+def test_seeded_rollouts_keep_their_digest():
+    # 47 periods: two whole blocks of 20 periods of 100 slots and a cut one
+    dag = load_config(CONFIGS / "dag_chain.json")
+    tri = load_config(CONFIGS / "triangle_no_ne.json")
+    sc = replace(dag.scenario, periods=47)
+    got = {f"dag/{p.label()}": _rollout_digest(run_policy(sc, p, (4, 1))) for p in dag.policies}
+    got["triangle/learning"] = _rollout_digest(
+        run_policy(replace(tri.scenario, periods=47), learning_policy_from(tri), (4, 1)))
+    game = sc.game
+    for name, mech in (("aloha", sa.SlottedAloha((0.3, 0.5, 0.6, 0.8))),
+                       ("weighted", sa.WeightedShare((2.0, 1.0, 0.5, 1.5)))):
+        variant_game = sa.SpectrumGame.create(game.graph, game.idle_prob, game.mean_rate, mech, game.gain)
+        variant = replace(sc, game=variant_game)
+        for p in dag.policies:
+            got[f"dag-{name}/{p.label()}"] = _rollout_digest(run_policy(variant, p, (4, 1)))
+    assert got == _ROLLOUT_DIGESTS
 
 
 def test_realise_rates_matches_per_slot_rate_values():
@@ -456,32 +579,31 @@ def test_identical_policies_paired_outputs():
 
 
 def test_policies_consume_channel_contention_and_fading_identically(monkeypatch):
-    # every policy draws a period's races and fading before it chooses, so
-    # run at one seed all four see the same states, races and fading
+    # every policy plays the blocks of one generator, which draws the channel
+    # states, races and fading, so run at one seed all four see the same ones
     g = sa.InterferenceGraph.from_edges(4, [(1, 2), (2, 3), (1, 3), (3, 4)])
+    # 150 periods of 30 slots are three blocks, the last one cut short
     sc = _scenario(g, [sa.MarkovChannel(0.3, 0.1), sa.MarkovChannel(0.2, 0.4)], sa.RandomBackoff(6),
-                   rates=_mixed_rates(np.random.default_rng(5), 4, 2), t_max=30, periods=12)
+                   rates=_mixed_rates(np.random.default_rng(5), 4, 2), t_max=30, periods=150)
     seen = {}
 
-    def recording(name, fn, arg):
-        def wrapped(*args):
-            out = fn(*args)
-            seen.setdefault(name, []).append((out if arg is None else args[arg]).copy())
-            return out
-        return wrapped
+    def recording(scenario, streams):
+        for block in _blocks(scenario, streams):
+            for name, values in zip(("states", "races", "fading"), block):
+                seen.setdefault(name, []).append(values.copy())
+            yield block
 
-    monkeypatch.setattr(simulator, "_contention_draws", recording("races", simulator._contention_draws, None))
-    monkeypatch.setattr(simulator, "_rate_draws", recording("fading", simulator._rate_draws, None))
-    monkeypatch.setattr(simulator, "_play_period", recording("states", simulator._play_period, 2))
+    monkeypatch.setattr(simulator, "_blocks", recording)
     runs = []
     for policy in (LearningPolicy(2.0, "auto"), RandomAccessPolicy(), FixedProfilePolicy((1, 2, 1, 2)),
                    DynamicStageGamePolicy(restarts=2)):
         seen.clear()
         run_policy(sc, policy, (8, 3))
-        runs.append({name: np.array(v) for name, v in seen.items()})
+        runs.append({name: np.concatenate(v) for name, v in seen.items()})
     for run in runs:
-        assert run.keys() == {"races", "fading", "states"}
+        assert run.keys() == {"states", "races", "fading"}
         assert run["states"].shape == (sc.periods, sc.t_max, 2) and run["races"].shape == (sc.periods, sc.t_max, 4)
+        assert run["fading"].shape == (sc.periods, sc.t_max, 4)
         for name, values in run.items():
             assert np.array_equal(values, runs[0][name]), name
 
