@@ -307,6 +307,8 @@ def cmd_learn(args, cfg: ExperimentConfig, outdir: Path) -> int:
     print(f"delta gap at final strategies: {outcome.delta:.6g} {cfg.rate_unit}")
     print(f"effective temperature {cfg.learning.gamma / scale:.3g} vs contraction bound {bound:.3g}")
     write_json(outdir / "learning_summary.json", {
+        "schema": "learning-summary",
+        "version": 1,
         "mean_welfare": result.mean_welfare,
         "delta": outcome.delta,
         "skipped_updates": outcome.skipped_updates,

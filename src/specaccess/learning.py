@@ -28,20 +28,36 @@ from .game import SpectrumGame, check_mixed_profile
 
 Observer = Callable[[tuple[int, ...]], tuple[np.ndarray, np.ndarray]]
 
+_SNAPSHOT_FLOATS = 1 << 12  # perception snapshots held for one error_trace reduction
+
 
 def boltzmann_profile(P: np.ndarray, gamma: float) -> np.ndarray:
     """Row-wise softmax of an (N, M) perception array with temperature gamma:
     row n is user n's mixed strategy. Each row is max-subtracted for overflow
     safety."""
+    _check_temperature(gamma)
+    P = np.asarray(P, dtype=float)
+    _check_perceptions(P)
+    return _softmax(P, gamma)
+
+
+def _check_temperature(gamma: float) -> None:
     if not (gamma > 0 and math.isfinite(gamma)):
         raise ValueError("temperature must be positive and finite")
-    P = np.asarray(P, dtype=float)
+
+
+def _check_perceptions(P: np.ndarray) -> None:
     if not np.all(np.isfinite(P)):
         raise ValueError("perceptions must be finite")
+
+
+def _softmax(P: np.ndarray, gamma: float) -> np.ndarray:
+    """boltzmann_profile without its checks: P finite, gamma positive and finite."""
     z = gamma * P
-    z -= z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    z -= np.maximum.reduce(z, axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= np.add.reduce(z, axis=1, keepdims=True)
+    return z
 
 
 def contraction_temperature_bound(spec: SpectrumGame) -> float:
@@ -68,27 +84,57 @@ def q_from_sigma(spec: SpectrumGame, sigma: np.ndarray) -> np.ndarray:
     ResourceLimitError above 20 in-neighbours); g is its dot with the row.
     """
     sigma = check_mixed_profile(spec, sigma)
+    return _q_map(spec)(sigma)
+
+
+def _q_map(spec: SpectrumGame) -> Callable[[np.ndarray], np.ndarray]:
+    """q_from_sigma without its checks, as a map of a valid mixed profile,
+    with the game's gathers done once for every call of the map. Column j of
+    the in-neighbour index leads its arrays, so each step of the column loop
+    reads and writes whole contiguous blocks; every elementwise value, and
+    the layout of the final sum over keys, is q_from_sigma's."""
     idx, valid = spec._in_index
-    q = sigma[idx] * valid[:, :, None]  # (N, d_max, M)
+    n, m = spec.n_users, spec.n_channels
+    value = spec._value
+    cols = idx.T[:, :, None] * m + np.arange(m)  # (d_max, N, M) flat positions in sigma
+    live = np.repeat(valid.T[:, :, None], m, axis=2).astype(float)
+
+    def contend(sigma: np.ndarray) -> np.ndarray:
+        """(d_max, N, M): the chance that in-neighbour column j is on channel m."""
+        return sigma.take(cols) * live
+
     if isinstance(spec.mechanism, SlottedAloha):
         p = np.asarray(spec.mechanism.probs)
-        g = np.repeat(p[:, None], spec.n_channels, axis=1)
-        for j in range(idx.shape[1]):
-            g *= 1.0 - q[:, j] * p[idx[:, j], None]
-        return spec._value * g
+        own, rival = np.repeat(p[:, None], m, axis=1), p[idx.T][:, :, None]
+
+        def aloha(sigma: np.ndarray) -> np.ndarray:
+            g = own.copy()
+            for silent in 1.0 - contend(sigma) * rival:
+                g *= silent
+            return value * g
+
+        return aloha
     table, _, offset, step = spec._grab_table
-    dist = np.zeros((spec.n_users, spec.n_channels, int(step.sum()) + 1))
-    dist[..., 0] = 1.0
-    support = 1
-    for j, w in enumerate(step.tolist()):
-        qj = q[:, j, :, None]
-        moved = dist[..., :support] * qj
-        dist[..., :support] *= 1.0 - qj
-        dist[..., w : w + support] += moved
-        support += w
+    start = np.zeros((int(step.sum()) + 1, n, m))  # key-major distribution over contender keys
+    start[0] = 1.0
     # keys past a user's own row hold zero mass, so reading the next row there adds exact zeros
-    rows = table.take(offset[:, None] + np.arange(dist.shape[2]), mode="clip")
-    return spec._value * (dist * rows[:, None, :]).sum(axis=2)
+    rows = table.take(offset[:, None] + np.arange(len(start)), mode="clip")[:, None, :]
+    steps = step.tolist()
+
+    def keyed(sigma: np.ndarray) -> np.ndarray:
+        q = contend(sigma)
+        dist = start.copy()
+        support = 1
+        for qj, stay, w in zip(q, 1.0 - q, steps):
+            held = dist[:support]
+            moved = held * qj
+            held *= stay
+            dist[w : w + support] += moved
+            support += w
+        # the product in (N, M, key) memory order, so the key sum runs as in q_from_sigma
+        return value * np.multiply(dist.transpose(1, 2, 0), rows, order="C").sum(axis=2)
+
+    return keyed
 
 
 def q_operator(spec: SpectrumGame, P: np.ndarray, gamma: float, payoff_scale: float = 1.0) -> np.ndarray:
@@ -129,7 +175,13 @@ def mean_dynamics_fixed_point(
     the bound is sufficient, not necessary, and there neither uniqueness nor
     convergence is guaranteed. Non-convergence is reported through the
     result, not raised.
+
+    gamma and the start (finite, shaped (N, M)) are checked once, before the
+    warning; the iteration then runs on the unchecked softmax and Q map, whose
+    outputs are a valid mixed profile and finite perceptions by construction.
     """
+    P = initial_perceptions(spec, payoff_scale) if p0 is None else np.array(p0, dtype=float)
+    sigma = check_mixed_profile(spec, boltzmann_profile(P / payoff_scale, gamma))
     gamma_eff = gamma / payoff_scale
     bound = contraction_temperature_bound(spec)
     within = gamma_eff < bound
@@ -139,16 +191,15 @@ def mean_dynamics_fixed_point(
             "fixed-point iteration may not converge",
             stacklevel=2,
         )
-    P = initial_perceptions(spec, payoff_scale) if p0 is None else np.array(p0, dtype=float)
+    q = _q_map(spec)
     residual = math.inf
     for it in range(1, max_iter + 1):
-        Q = q_operator(spec, P, gamma, payoff_scale)
-        residual = float(np.max(np.abs(Q - P)))
+        Q = q(sigma)
+        residual = float(np.maximum.reduce(np.abs(Q - P), axis=None))
         P = Q
+        sigma = _softmax(P / payoff_scale, gamma)
         if residual < tol:
-            sigma = boltzmann_profile(P / payoff_scale, gamma)
             return FixedPointResult(P, sigma, it, residual, True, within)
-    sigma = boltzmann_profile(P / payoff_scale, gamma)
     return FixedPointResult(P, sigma, max_iter, residual, False, within)
 
 
@@ -201,10 +252,17 @@ def _entropy_gap(sigma: np.ndarray, gamma_eff: float) -> float:
 
 def exact_observer(spec: SpectrumGame) -> Observer:
     """Observer returning the true expected throughput of the realised profile
-    as both estimate and realised value - the zero-estimation-error hook."""
+    as both estimate and realised value - the zero-estimation-error hook. The
+    payoffs of each profile are computed once and kept, read-only, for the
+    observer's lifetime."""
+    seen: dict[tuple[int, ...], np.ndarray] = {}
 
     def observe(a: tuple[int, ...]):
-        u = np.array([spec.payoff(a, n) for n in range(1, spec.n_users + 1)])
+        u = seen.get(a)
+        if u is None:
+            u = np.array([spec.payoff(a, n) for n in range(1, spec.n_users + 1)])
+            u.flags.writeable = False
+            seen[a] = u
         return u, u
 
     return observe
@@ -248,7 +306,14 @@ def run_learning(
     chosen-channel perception absorbs its estimate with weight mu_T: 1/T
     under "1/T" (sums diverge, squares converge), otherwise the constant mu
     in (0, 1]. A NaN estimate (undefined MLE for that user-period) skips the
-    update. mu and noise (finite, >= 0) are checked before the first period.
+    update.
+
+    mu, noise (finite, >= 0), gamma and the start P (finite) are checked once,
+    before the observer is first called; the loop then runs on the unchecked
+    softmax, and a non-finite estimate that reaches P raises ValueError in the
+    period it arrives. The welfare trace (users summed left to right), the
+    per-user means (periods in order) and the distance to ``oracle`` are
+    computed from the kept per-period rows after the loop.
     """
     if periods < 1:
         raise ValueError("periods must be >= 1")
@@ -257,52 +322,73 @@ def run_learning(
         raise ValueError(f'smoothing factor mu must be "1/T" or in (0, 1], got {mu!r}')
     if not (math.isfinite(noise) and noise >= 0.0):
         raise ValueError(f"noise half-width must be finite and >= 0, got {noise!r}")
+    _check_temperature(gamma)
+    N, M = spec.n_users, spec.n_channels
+    P = initial_perceptions(spec, payoff_scale) if p0 is None else np.array(p0, dtype=float)
+    _check_perceptions(P / payoff_scale)
     if observer is None:
         observer = exact_observer(spec)
     gamma_eff = gamma / payoff_scale
-    N, M = spec.n_users, spec.n_channels
-    P = initial_perceptions(spec, payoff_scale) if p0 is None else np.array(p0, dtype=float)
+    users = np.arange(N)
 
-    welfare_trace = np.zeros(periods)
-    user_totals = np.zeros(N)
-    dP_trace = np.zeros(periods)
-    channels = np.zeros((periods, N), dtype=np.int64) if record else None
-    estimates = np.full((periods, N), np.nan) if record else None
-    error_trace = np.zeros(periods) if oracle is not None else None
+    realised_rows = np.empty((periods, N))
+    dP_trace = np.empty(periods)
+    channels = np.empty((periods, N), dtype=np.int64) if record else None
+    estimates = np.empty((periods, N)) if record else None
+    error_trace = None
+    if oracle is not None:
+        oracle = np.asarray(oracle, dtype=float)
+        error_trace = np.empty(periods)
+        snapshots = np.empty((max(1, _SNAPSHOT_FLOATS // (N * M)), N, M))
     skipped = 0
 
     for T in range(1, periods + 1):
-        sigma = boltzmann_profile(P / payoff_scale, gamma)
-        cdf = np.cumsum(sigma, axis=1)
+        cdf = _softmax(P / payoff_scale, gamma).cumsum(axis=1)
         u = rng.random(N)
         # per row, the number of cdf entries <= u * total: searchsorted(side="right")
-        a = np.minimum((cdf <= (u * cdf[:, -1])[:, None]).sum(axis=1) + 1, M)
-        est, realised = (np.asarray(x, dtype=float) for x in observer(tuple(a.tolist())))
-        ok = ~np.isnan(est)
-        if noise > 0.0:
-            est = est.copy()  # an observer may return one array as both values
-            est[ok] += rng.uniform(-noise, noise, int(ok.sum()))
+        a = np.minimum(np.add.reduce(cdf <= (u * cdf[:, -1])[:, None], axis=1) + 1, M)
+        est, realised = observer(tuple(a.tolist()))
+        est = np.asarray(est, dtype=float)
+        ok = est == est  # defined: not NaN
+        n_ok = np.count_nonzero(ok)
         mu_T = 1.0 / T if decaying else mu
-        cell = (np.flatnonzero(ok), a[ok] - 1)
+        if n_ok == N:
+            if noise > 0.0:
+                est = est + rng.uniform(-noise, noise, N)
+            cell, defined = (users, a - 1), est
+        else:
+            if noise > 0.0:
+                est = est.copy()  # an observer may return one array as both values
+                est[ok] += rng.uniform(-noise, noise, n_ok)
+            cell, defined = (np.flatnonzero(ok), a[ok] - 1), est[ok]
+            skipped += N - n_ok
         old = P[cell]
-        new = (1.0 - mu_T) * old + mu_T * est[ok]
+        new = (1.0 - mu_T) * old + mu_T * defined
         P[cell] = new
-        skipped += N - int(ok.sum())
-        user_totals += realised
+        dP = np.maximum.reduce(np.abs(new - old), initial=0.0)
+        # old is finite, so a finite dP means finite new cells
+        if not dP < math.inf and not np.isfinite(new).all():
+            raise ValueError("perceptions must be finite")
+        dP_trace[T - 1] = dP
+        realised_rows[T - 1] = realised
         if record:
             channels[T - 1] = a
-            estimates[T - 1, ok] = est[ok]
-        welfare_trace[T - 1] = np.cumsum(realised)[-1]  # left to right, as np.sum would not
-        dP_trace[T - 1] = np.abs(new - old).max(initial=0.0)
+            estimates[T - 1] = est
         if error_trace is not None:
-            error_trace[T - 1] = float(np.max(np.abs(P - oracle)))
+            k = (T - 1) % len(snapshots)
+            snapshots[k] = P
+            if k + 1 == len(snapshots) or T == periods:
+                error_trace[T - k - 1 : T] = np.abs(snapshots[: k + 1] - oracle).max(axis=(1, 2))
 
+    if record:
+        estimates[np.isnan(estimates)] = np.nan  # one NaN for every skip, whatever the observer's payload
     sigma = boltzmann_profile(P / payoff_scale, gamma)
     return LearningOutcome(
         perceptions=P,
         sigma=sigma,
-        welfare_trace=welfare_trace,
-        per_user_mean=user_totals / periods,
+        welfare_trace=np.cumsum(realised_rows, axis=1)[:, -1],  # left to right, as np.sum would not
+        # periods in order from a running total that starts at +0.0
+        per_user_mean=(np.cumsum(realised_rows, axis=0)[-1] + 0.0) / periods,
         dP_trace=dP_trace,
         channels=channels,
         estimates=estimates,

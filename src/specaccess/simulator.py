@@ -111,6 +111,13 @@ class Scenario:
         """(N, M, 5): rate_models[u][m] as _rate_row gives it."""
         return np.array([[_rate_row(r) for r in row] for row in self.rate_models])
 
+    @cached_property
+    def _fixed_rates(self) -> np.ndarray | None:
+        """(N, M) rates when every rate model is a FixedRate, else None."""
+        if all(isinstance(r, FixedRate) for row in self.rate_models for r in row):
+            return self._rate_params[..., 0]
+        return None
+
 
 def _channel_states(
     models: Sequence[ChannelModel],
@@ -198,14 +205,18 @@ def _success_matrix(
 
 def _realise_rates(scenario: Scenario, ch: np.ndarray, succ: np.ndarray, fading: np.ndarray) -> np.ndarray:
     """b values, (..., N): the rate of each grabbed slot on its channel ch
-    (broadcast against succ and fading), zero elsewhere."""
-    params = scenario._rate_params[np.arange(scenario.game.n_users), ch - 1]
-    return np.where(succ, _rate_values(params, fading), 0.0)
+    (broadcast against succ and fading), zero elsewhere. A scenario whose
+    rates are all fixed reads them directly, without the Shannon terms."""
+    users = np.arange(scenario.game.n_users)
+    if scenario._fixed_rates is not None:
+        return np.where(succ, scenario._fixed_rates[users, ch - 1], 0.0)
+    return np.where(succ, _rate_values(scenario._rate_params[users, ch - 1], fading), 0.0)
 
 
 def _rate_row(model: RateModel) -> tuple[float, float, float, float, float]:
     """A rate model as (fixed rate or NaN, W, eta, omega, mean gain); a
-    FixedRate's Shannon terms are 1.0, evaluated and discarded."""
+    FixedRate's Shannon terms are 1.0, evaluated and discarded where fixed
+    and fading rates mix in one scenario."""
     if isinstance(model, FixedRate):
         return (model.mean_rate, 1.0, 1.0, 1.0, 1.0)
     return (math.nan, model.bandwidth, model.tx_power, model.noise_power, model.mean_gain)

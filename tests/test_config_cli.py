@@ -440,6 +440,10 @@ def test_cli_estimate_learn_simulate(tmp_path, capsys):
     header = [l for l in lrn.splitlines() if not l.startswith("#")][0]
     assert header.split(",")[:3] == ["period", "welfare", "dP_inf"]
     assert "channel_1" in header and "estimate_2" in header
+    summary = json.loads((tmp_path / "l" / "learning_summary.json").read_text())
+    assert (summary["schema"], summary["version"]) == ("learning-summary", 1)
+    assert set(summary) == {"schema", "version", "mean_welfare", "delta", "skipped_updates", "final_sigma",
+                            "final_perceptions", "payoff_scale", "config_sha256", "seed"}
 
     assert cli_main(["simulate", str(p), "--out", str(tmp_path / "s"), "--seed", "1"]) == 0
     per = (tmp_path / "s" / "periods.csv").read_text()

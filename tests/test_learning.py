@@ -1,15 +1,20 @@
+import dataclasses
+import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
 from conftest import random_directed_graph, random_game
 
 import specaccess as sa
+from specaccess import learning
 from specaccess.game import SpectrumGame
 from specaccess.learning import (
     approx_ne_gap,
     boltzmann_profile,
     contraction_temperature_bound,
+    exact_observer,
     mean_dynamics_fixed_point,
     q_from_sigma,
     q_operator,
@@ -320,3 +325,185 @@ def test_run_learning_delta_equals_certificate_delta():
         spec = random_game(rng, random_directed_graph(rng, 5, 0.5), 3, kind)
         out = run_learning(spec, 1.5, 20, np.random.default_rng(3), payoff_scale=2.0)
         assert out.delta == approx_ne_gap(spec, out.sigma, 1.5, payoff_scale=2.0).delta
+
+
+# sha256 of every LearningOutcome field, and of a fixed point's perceptions,
+# sigma, iterations, residual and convergence flag, recorded before the
+# learning loop and the fixed-point iteration were rewritten, which must
+# reproduce them; seeded random games with fixed rates
+_LEARNING_DIGESTS = {
+    "learning/exact-oracle": "764e506c7ec97c0c23042e079b0cd93bc2fbccdb85e917737fcf05a19fe53a91",
+    "learning/noise": "2953e60ad29dc1fc8058bac63789030403b9d4d737c88ec9f5641a0bcb9b2878",
+    "learning/constant-mu": "531a1d443b2b54c2a95f60e4e0264cbf9faa8fa6f635df1091020f333a0b2c93",
+    "learning/nan-observer": "40eb6c14ab3e17bc02aaadf50f584c8ec20f6076f5aed1a63e6dc2028cbc0b41",
+    "learning/unrecorded": "c905ac625f56a67d06dd706fa2e054e42ea9ec79f30913fe2d1a25edf3f0a7af",
+    "fixed-point/backoff": "0e95e366500ea885da16742f85f0a019db7d958092c28c3679e89155c09f0f61",
+    "fixed-point/asymptotic": "3d6614469a5239e9a531d64f3ced8005e10e467d80de1d479dbf8ffc8776398e",
+    "fixed-point/weighted": "d041cfba9f858d8ccb0654f0e88bfef3d8ac5ef54c3080462fe6f63312703681",
+    "fixed-point/aloha": "c0cee3c64c4cb0d76bd174e3a764c9e9c6a114ae4116fd727f7be88ec1bffc6a",
+    "fixed-point/above-bound": "2a0a4a335c3c62956728202673e775f20529986757049c0deb57dd654489a48d",
+}
+
+
+def _sha256(*values):
+    h = hashlib.sha256()
+    for v in values:
+        h.update(b"None" if v is None else np.ascontiguousarray(v).tobytes())
+    return h.hexdigest()
+
+
+def _some_users_undefined(spec):
+    # NaN estimates for a rotating subset of users (every user in some periods);
+    # LearningOutcome.estimates holds one NaN for every skip, whatever the payload
+    exact, calls = exact_observer(spec), []
+
+    def observe(a):
+        est, realised = exact(a)
+        k = len(calls)
+        calls.append(a)
+        mask = (np.arange(spec.n_users) + k) % 3 == 0 if k % 7 else np.ones(spec.n_users, dtype=bool)
+        return np.where(mask, -np.nan, est), realised  # sign bit set, as a 0/0 leaves it on x86
+
+    return observe
+
+
+def test_seeded_learning_and_fixed_points_keep_their_digest():
+    rng = np.random.default_rng(2027)
+    games = {kind: random_game(rng, random_directed_graph(rng, 5, 0.5), 3, kind)
+             for kind in ("backoff", "asymptotic", "weighted", "aloha")}
+    got = {}
+    for kind, spec in games.items():
+        gamma = 0.9 * contraction_temperature_bound(spec)
+        fp = mean_dynamics_fixed_point(spec, gamma, tol=1e-12, p0=rng.uniform(0, 4, (5, 3)))
+        got[f"fixed-point/{kind}"] = _sha256(fp.perceptions, fp.sigma, fp.iterations, fp.residual, fp.converged)
+    # a dense two-channel game that keeps cycling at this temperature
+    dense_rng = np.random.default_rng([2027, 1])
+    dense = random_game(dense_rng, random_directed_graph(dense_rng, 5, 0.9), 2, "weighted")
+    with pytest.warns(UserWarning, match="contraction bound"):
+        fp = mean_dynamics_fixed_point(dense, 30.0, max_iter=400, payoff_scale=3.0, p0=dense_rng.uniform(0, 4, (5, 2)))
+    assert not fp.converged and fp.iterations == 400
+    got["fixed-point/above-bound"] = _sha256(fp.perceptions, fp.sigma, fp.iterations, fp.residual, fp.converged)
+
+    spec = games["backoff"]
+    gamma = 0.9 * contraction_temperature_bound(spec)
+    oracle = mean_dynamics_fixed_point(spec, gamma, tol=1e-12).perceptions
+    runs = {
+        "exact-oracle": dict(oracle=oracle),
+        "noise": dict(noise=0.25, payoff_scale=2.0, oracle=oracle),
+        "constant-mu": dict(mu=0.3, p0=rng.uniform(0, 4, (5, 3))),
+        "nan-observer": dict(observer=_some_users_undefined(spec), noise=0.25, oracle=oracle),
+        "unrecorded": dict(record=False, oracle=oracle),
+    }
+    for name, kwargs in runs.items():
+        out = run_learning(spec, 4.0 * gamma, 700, np.random.default_rng([9, len(got)]), **kwargs)
+        got[f"learning/{name}"] = _sha256(*(getattr(out, f.name) for f in dataclasses.fields(out)))
+    assert got == _LEARNING_DIGESTS
+
+
+def test_run_learning_raises_once_an_estimate_makes_perceptions_non_finite():
+    spec = _one_user_game(2)
+    for bad in (math.inf, -math.inf):
+        calls = []
+
+        def observer(a):
+            calls.append(a)
+            return (np.array([bad if len(calls) == 3 else 1.0]), np.array([1.0]))
+
+        with pytest.raises(ValueError, match="perceptions must be finite"):
+            run_learning(spec, 1.0, 10, np.random.default_rng(0), observer=observer)
+        assert len(calls) == 3  # raised in the period the estimate arrived
+
+
+def test_invalid_temperature_or_start_raises_before_any_work():
+    spec = _one_user_game(2)
+    calls = []
+
+    def observer(a):
+        calls.append(a)
+        return np.array([1.0]), np.array([1.0])
+
+    cases = [dict(gamma=0.0), dict(gamma=-1.0), dict(gamma=math.nan), dict(gamma=math.inf),
+             dict(gamma=1.0, p0=np.array([[0.0, math.nan]])), dict(gamma=1.0, p0=np.array([[math.inf, 0.0]]))]
+    for kwargs in cases:
+        with pytest.raises(ValueError):
+            run_learning(spec, rng=np.random.default_rng(0), periods=5, observer=observer, **kwargs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # raised before the contraction-bound warning
+            with pytest.raises(ValueError):
+                mean_dynamics_fixed_point(spec, **kwargs)
+    assert calls == []
+
+
+def test_exact_observer_returns_payoff_bits_in_read_only_arrays():
+    rng = np.random.default_rng(31)
+    for kind in ("backoff", "asymptotic", "weighted", "aloha"):
+        spec = random_game(rng, random_directed_graph(rng, 5, 0.5), 3, kind)
+        observe = exact_observer(spec)
+        for a in {tuple(int(c) for c in rng.integers(1, 4, 5)) for _ in range(40)}:
+            est, realised = observe(a)
+            assert est is realised and est is observe(a)[0]
+            assert est.tolist() == [spec.payoff(a, n) for n in range(1, 6)]
+            assert not est.flags.writeable
+    # a noisy run perturbs copies: the arrays it was handed keep their values
+    observe = exact_observer(spec)
+    held = {}
+
+    def watched(a):
+        est, realised = observe(a)
+        held[a] = (est, est.copy())
+        return est, realised
+
+    out = run_learning(spec, 2.0, 200, np.random.default_rng(4), observer=watched, noise=0.5)
+    assert not np.array_equal(out.estimates[0], observe(tuple(out.channels[0].tolist()))[0])
+    assert all(np.array_equal(est, copy) for est, copy in held.values())
+
+
+def _q_user_major(spec, sigma):
+    # reference: Q with the (user, channel, key) layout throughout, one
+    # in-neighbour column at a time
+    idx, valid = spec._in_index
+    q = sigma[idx] * valid[:, :, None]
+    if isinstance(spec.mechanism, sa.SlottedAloha):
+        p = np.asarray(spec.mechanism.probs)
+        g = np.repeat(p[:, None], spec.n_channels, axis=1)
+        for j in range(idx.shape[1]):
+            g *= 1.0 - q[:, j] * p[idx[:, j], None]
+        return spec._value * g
+    table, _, offset, step = spec._grab_table
+    dist = np.zeros((spec.n_users, spec.n_channels, int(step.sum()) + 1))
+    dist[..., 0] = 1.0
+    support = 1
+    for j, w in enumerate(step.tolist()):
+        qj = q[:, j, :, None]
+        moved = dist[..., :support] * qj
+        dist[..., :support] *= 1.0 - qj
+        dist[..., w : w + support] += moved
+        support += w
+    rows = table.take(offset[:, None] + np.arange(dist.shape[2]), mode="clip")
+    return spec._value * (dist * rows[:, None, :]).sum(axis=2)
+
+
+def test_q_from_sigma_matches_the_user_major_reference_bit_for_bit():
+    # the column-major loop must leave every bit, the key sum's order included
+    rng = np.random.default_rng(77)
+    for trial in range(200):
+        kind = ("backoff", "asymptotic", "weighted", "aloha")[trial % 4]
+        n, m = int(rng.integers(1, 10)), int(rng.integers(1, 5))
+        spec = random_game(rng, random_directed_graph(rng, n, rng.uniform(0.0, 1.0)), m, kind)
+        sigma = rng.dirichlet(np.ones(m), n) if trial % 5 else np.eye(m)[rng.integers(0, m, n)]
+        assert np.array_equal(q_from_sigma(spec, sigma), _q_user_major(spec, sigma)), (trial, kind)
+
+
+def test_error_trace_does_not_depend_on_the_snapshot_chunk(monkeypatch):
+    rng = np.random.default_rng(41)
+    spec = random_game(rng, random_directed_graph(rng, 4, 0.5), 3, "weighted")
+    oracle = rng.uniform(0, 5, (4, 3))
+    runs = []
+    for floats in (learning._SNAPSHOT_FLOATS, 7 * 4 * 3, 1):  # one chunk; chunks of 7 periods, the last cut; one period
+        monkeypatch.setattr(learning, "_SNAPSHOT_FLOATS", floats)
+        runs.append(run_learning(spec, 2.0, 50, np.random.default_rng(6), oracle=oracle, record=False))
+    for out in runs[1:]:
+        assert np.array_equal(out.error_trace, runs[0].error_trace)
+        assert np.array_equal(out.perceptions, runs[0].perceptions)
+    # the last entry is the final perceptions' distance
+    assert runs[0].error_trace[-1] == np.max(np.abs(runs[0].perceptions - oracle))

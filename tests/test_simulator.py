@@ -444,6 +444,34 @@ def test_realise_rates_matches_per_slot_rate_values():
                 assert b[k, u] == expect, (k, u)
 
 
+def test_resolve_on_fixed_rates_matches_the_mixed_rate_path():
+    # an all-fixed scenario reads its rates without the Shannon terms; a mixed
+    # one keeps them: both give the per-slot reference's (S, I, b), and agree
+    # wherever the fading row goes unused
+    rng = np.random.default_rng(61)
+    n, m, t = 5, 3, 300
+    g = random_directed_graph(rng, n, 0.5)
+    fixed = [[sa.FixedRate(float(rng.uniform(1.0, 9.0))) for _ in range(m)] for _ in range(n)]
+    mixed = [row[:] for row in fixed]
+    mixed[2][1] = sa.RayleighShannonRate(10.0, 0.1, 1e-13, 1e-12)
+    channels = [sa.BernoulliChannel(0.6)] * m
+    a = _scenario(g, channels, sa.RandomBackoff(5), rates=fixed, t_max=t)
+    b = _scenario(g, channels, sa.RandomBackoff(5), rates=mixed, t_max=t)
+    assert a._fixed_rates is not None and b._fixed_rates is None
+    states = (rng.random((t, m)) < 0.6).astype(np.int8)
+    ch = rng.integers(1, m + 1, size=(t, n))
+    races = rng.integers(1, 6, size=(t, n)).astype(float)
+    fading = rng.standard_exponential((t, n))
+    S, I, b_fixed = simulator._resolve(a, states, ch, races, fading)
+    S2, I2, b_mixed = simulator._resolve(b, states, ch, races, fading)
+    assert np.array_equal(S, S2) and np.array_equal(I, I2)
+    for sc, got in ((a, b_fixed), (b, b_mixed)):
+        expect = [[_rate_of(sc, u, ch[k, u], fading[k, u]) if I[k, u] else 0.0 for u in range(n)] for k in range(t)]
+        assert np.array_equal(got, expect)
+    rayleigh = (np.arange(n) == 2) & (ch == 2)
+    assert rayleigh.any() and np.array_equal(b_fixed[~rayleigh], b_mixed[~rayleigh])
+
+
 def test_whitespace_idle_sequence():
     g = sa.InterferenceGraph.from_edges(1, [])
     sc = _scenario(g, [sa.WhiteSpaceChannel(1)], sa.RandomBackoff(2), t_max=30)
