@@ -65,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory (default: config output.dir)")
         if jobs:
             p.add_argument("--jobs", type=int, default=1, help="parallel replications")
-        p.add_argument("--verbose", action="store_true")
+        p.add_argument("--verbose", action="store_true", help="log at DEBUG (profiles scanned and scan seconds)")
         p.set_defaults(func=func, section=section, loads_config=loads_config)
 
     add("classify", "report the structural classes of an interference graph", cmd_classify,
@@ -84,10 +84,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.INFO,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    level = logging.DEBUG if args.verbose else logging.INFO
+    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+    # basicConfig leaves a root logger that already has handlers alone
+    logging.getLogger("specaccess").setLevel(level)
     try:
         if not args.loads_config:
             return args.func(args)

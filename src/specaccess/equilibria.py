@@ -13,7 +13,7 @@ import logging
 
 from .contention import RandomBackoff, backoff_success_probability
 from .errors import PreconditionError
-from .game import Profile, SpectrumGame, enumerate_pure_ne, is_pure_ne
+from .game import Profile, SpectrumGame, first_pure_ne, is_pure_ne
 from .graph import classify, skeleton_walk
 
 logger = logging.getLogger(__name__)
@@ -76,8 +76,9 @@ def construct_ne_directed_tree(
     interferer; if it lands on the channel of a node it interferes with, the
     placed prefix is re-solved with that node's payoff carrying the newcomer
     as a phantom contender on the conflicted channel. Exceeding the recursion
-    budget falls back to exhaustive enumeration (logged), which raises
-    ResourceLimitError beyond ``enumeration_cap`` profiles.
+    budget falls back to the lexicographically first pure NE of the profile
+    scan (logged), which raises ResourceLimitError beyond ``enumeration_cap``
+    profiles.
     """
     sequence, parent, _ = skeleton_walk(spec.graph)
     components = sum(p is None for p in parent.values())
@@ -127,10 +128,9 @@ def construct_ne_directed_tree(
             "tree construction exceeded its recursion budget (%d solves); "
             "falling back to exhaustive enumeration", recursion_budget,
         )
-        ne = enumerate_pure_ne(spec, cap=enumeration_cap)
-        if not ne:
+        a = first_pure_ne(spec, cap=enumeration_cap)
+        if a is None:
             raise RuntimeError("enumeration fallback found no pure NE on a forest instance")
-        a = ne[0]
     return _verify(spec, a, "construct_ne_directed_tree")
 
 
@@ -183,7 +183,8 @@ def solve_pure_ne(spec: SpectrumGame, recursion_budget: int = 10_000,
                   enumeration_cap: int = 10**7) -> tuple[str, Profile | None]:
     """(routine, pure NE or None): the DAG, tree/forest and bipartite
     constructions in that order, each skipped when its own preconditions
-    fail, then exhaustive enumeration (None when no pure NE exists)."""
+    fail, then the lexicographically first pure NE of the profile scan, which
+    stops at the first block holding one (None when no pure NE exists)."""
     constructions = (
         ("dag", construct_ne_dag),
         ("directed_tree", lambda s: construct_ne_directed_tree(s, recursion_budget, enumeration_cap)),
@@ -194,5 +195,4 @@ def solve_pure_ne(spec: SpectrumGame, recursion_budget: int = 10_000,
             return routine, construct(spec)
         except PreconditionError:
             pass
-    ne = enumerate_pure_ne(spec, cap=enumeration_cap)
-    return "enumeration", ne[0] if ne else None
+    return "enumeration", first_pure_ne(spec, cap=enumeration_cap)

@@ -9,7 +9,9 @@ user; mixed strategies are row-stochastic N x M arrays.
 from __future__ import annotations
 
 import itertools
+import logging
 import math
+import time
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Protocol, Sequence
@@ -29,6 +31,8 @@ from .errors import ResourceLimitError
 from .graph import InterferenceGraph
 
 Profile = tuple[int, ...]
+
+logger = logging.getLogger(__name__)
 
 IMPROVEMENT_RTOL = 1e-12
 
@@ -269,12 +273,27 @@ def is_pure_ne(game: GameLike, a: Profile) -> NeCheck:
 def enumerate_pure_ne(spec: SpectrumGame, cap: int = 10**7) -> list[Profile]:
     """All pure Nash equilibria, in lexicographic profile order.
 
-    Scans the M^N profiles in blocks of about SCAN_BLOCK = 512, at roughly a
-    million profiles per second. Memory is a few (block, N, M) arrays plus the
-    game's grab table of sum_n 2^|in(n)| floats (|in(n)| + 1 under the backoff
-    mechanisms or with one channel), built once and kept with the game.
+    Scans the M^N profiles in channel-major blocks of K <= SCAN_BLOCK = 512
+    profiles (K = M beyond 512 channels; see _scan), at about 2.3-3.4
+    million profiles per second on one core of a 2-core Xeon VM
+    (10^6-profile games at 10 users x 4 channels and 20 x 2). Memory is a
+    few (M, N, K) arrays, about 1.2 MB at peak at 16 users x 2 channels,
+    plus the game's grab table of sum_n 2^|in(n)| floats (|in(n)| + 1 under
+    the backoff mechanisms or with one channel), built once and kept with
+    the game.
     """
-    return [tuple(a) for block in _scan(spec, cap) for a in block.profiles[block.is_ne].tolist()]
+    return list(_pure_ne(spec, cap))
+
+
+def first_pure_ne(spec: SpectrumGame, cap: int = 10**7) -> Profile | None:
+    """enumerate_pure_ne(spec, cap)[0], or None when there is no pure NE; the
+    scan stops at the first block that holds an NE."""
+    return next(_pure_ne(spec, cap), None)
+
+
+def _pure_ne(spec: SpectrumGame, cap: int) -> Iterator[Profile]:
+    for block in _scan(spec, cap):
+        yield from map(tuple, block.profiles[block.is_ne].tolist())
 
 
 SCAN_BLOCK = 512
@@ -282,47 +301,71 @@ SCAN_BLOCK = 512
 
 class _ScanBlock(NamedTuple):
     profiles: np.ndarray         # (K, N) 1-based channels
-    payoffs: np.ndarray          # (K, N, M) user n's payoff after moving to channel m
-    welfare: np.ndarray          # (K,)
+    payoffs: np.ndarray          # (M, N, K) user n's payoff after moving to channel m
+    own: np.ndarray              # (N, K) user n's payoff at the profile
     is_ne: np.ndarray            # (K,)
-    witness: np.ndarray          # (K, 2) user, channel of the first strictly improving
-    gain: np.ndarray             # (K,) move and its gain; meaningless where is_ne
 
 
 def _scan(spec: SpectrumGame, cap: int) -> Iterator[_ScanBlock]:
     """Every pure profile in lexicographic order, in blocks where the first
-    N - L users stay fixed and the last L cycle through all M^L <= SCAN_BLOCK
-    channel combinations. Welfare is summed over users left to right and the
-    NE test is strictly_better on every unilateral move, as in welfare and
+    N - L users stay fixed and the last L >= 1 cycle through all K = M^L
+    channel combinations, L as large as keeps K <= SCAN_BLOCK. Payoffs are
+    channel-major, so the per-channel work is elementwise over (N, K) slabs.
+    The NE test is strictly_better on every unilateral move, as in
     is_pure_ne; g comes from the sorted contender tuple (see _grab_table).
+    Logs the profiles scanned and the wall seconds at DEBUG when the scan
+    ends or is abandoned.
     """
     n_users, m = spec.n_users, spec.n_channels
-    if m ** n_users > cap:
-        raise ResourceLimitError(f"{m ** n_users} profiles exceed the enumeration cap {cap}")
+    total = m ** n_users
+    if total > cap:
+        raise ResourceLimitError(f"{total} profiles exceed the enumeration cap {cap}")
     table, weight, offset, _ = spec._grab_table
     tail = max(t for t in range(1, n_users + 1) if t == 1 or m ** t <= SCAN_BLOCK)
     head = n_users - tail
     cycling = np.array(list(itertools.product(range(m), repeat=tail)))
-    k, channels, rows = len(cycling), np.arange(m), np.arange(len(cycling))
-    tail_key = offset[:, None] + sum(weight[:, head + j, None] * (cycling[:, j, None, None] == channels)
+    k, channels = len(cycling), np.arange(m)
+    value = spec._value.T[:, :, None].copy()                     # (M, N, 1)
+    tail_key = offset[:, None] + sum(weight[:, head + j, None] * (cycling[:, j] == channels[:, None, None])
                                      for j in range(tail))
     profiles = np.empty((k, n_users), dtype=np.int64)
-    profiles[:, head:] = cycling
-    own_at = rows[:, None] * (n_users * m) + np.arange(n_users) * m
-    for fixed in itertools.product(range(m), repeat=head):
-        profiles[:, :head] = fixed
-        key = tail_key + (weight[:, :head, None] * (profiles[0, :head, None] == channels)).sum(axis=1)
-        payoffs = spec._value * table[key]
-        own = payoffs.take(own_at + profiles)[:, :, None]
-        welfare = own[:, 0, 0].copy()
-        for n in range(1, n_users):
-            welfare += own[:, n, 0]
-        # payoffs are non-negative, so strictly_better's abs() is the identity
-        improving = (payoffs - own > IMPROVEMENT_RTOL * np.maximum(np.maximum(payoffs, own), 1.0)).reshape(k, -1)
-        first = improving.argmax(axis=1)
-        user = first // m
-        yield _ScanBlock(profiles + 1, payoffs, welfare, ~improving.any(axis=1), np.stack((user, first % m), 1) + 1,
-                         payoffs.reshape(k, -1)[rows, first] - own[rows, user, 0])
+    profiles[:, head:] = cycling + 1
+    # own[n, k] = payoffs[channel of user n in profile k, n, k]
+    own_at = np.arange(n_users)[:, None] * k + np.arange(k)
+    own_at[head:] += cycling.T * (n_users * k)
+    head_at = own_at[:head].copy()
+    start, scanned = time.perf_counter(), 0
+    try:
+        for fixed in itertools.product(range(m), repeat=head):
+            fixed = np.array(fixed, dtype=np.int64)
+            profiles[:, :head] = fixed + 1
+            own_at[:head] = head_at + fixed[:, None] * (n_users * k)
+            key = tail_key + ((fixed == channels[:, None]) @ weight[:, :head].T)[:, :, None]
+            payoffs = value * table.take(key)
+            own = payoffs.take(own_at)
+            # strictly_better(new, own) is increasing in new (payoffs are
+            # non-negative, so its abs() is the identity), hence some channel
+            # improves on own iff the best one does; and best >= own, so
+            # max(best, own, 1) is max(best, 1)
+            best = payoffs.max(axis=0)
+            improving = best - own > IMPROVEMENT_RTOL * np.maximum(best, 1.0)
+            scanned += k
+            yield _ScanBlock(profiles.copy(), payoffs, own, ~improving.any(axis=0))
+    finally:
+        logger.debug("scanned %d of %d profiles in %.3f s", scanned, total, time.perf_counter() - start)
+
+
+def _witnesses(block: _ScanBlock, count: int) -> list[DeviationWitness]:
+    """The first strictly improving move of each of the block's first count
+    profiles, by ascending (user, channel) as in is_pure_ne, with its gain;
+    meaningless for a profile that is an NE."""
+    payoffs, own = block.payoffs[:, :, :count], block.own[:, :count]
+    m, _, count = payoffs.shape
+    improving = payoffs - own > IMPROVEMENT_RTOL * np.maximum(np.maximum(payoffs, own), 1.0)
+    first = improving.transpose(2, 1, 0).reshape(count, -1).argmax(axis=1)
+    user, channel, rows = first // m, first % m, np.arange(count)
+    gain = payoffs[channel, user, rows] - own[user, rows]
+    return [DeviationWitness(*w) for w in zip((user + 1).tolist(), (channel + 1).tolist(), gain.tolist())]
 
 
 @dataclass
@@ -425,28 +468,41 @@ _CERTIFICATE_LIMIT = 64  # profiles witnessed in a no-NE certificate
 def social_welfare_and_poa(spec: SpectrumGame, cap: int = 10**7) -> PoaReport:
     """Exhaustive welfare optimum, worst pure NE, and their ratio.
 
-    One scan as in enumerate_pure_ne (lexicographic order, blocks of about
-    512 profiles, same memory bound); the first profile wins welfare ties.
+    One scan as in enumerate_pure_ne (lexicographic order, the same blocks
+    and memory bound), at about 1.8-2.6 million profiles per second on the
+    same games, as it also sums welfare; the first profile wins welfare ties,
+    for the optimum and the worst NE alike. Deviation witnesses are built
+    only for the certificate's first _CERTIFICATE_LIMIT = 64 profiles.
     Raises RuntimeError if the computed PoA falls below the structural lower
     bound by more than 1e-9 (which would indicate an implementation bug).
     """
     best_w, best_a = -math.inf, None
+    worst_w, worst_a = math.inf, None
     ne: list[Profile] = []
     certificate: list[tuple[Profile, DeviationWitness]] = []
     for block in _scan(spec, cap):
-        k = int(block.welfare.argmax())
-        if block.welfare[k] > best_w:
-            best_w, best_a = float(block.welfare[k]), tuple(block.profiles[k].tolist())
-        ne += map(tuple, block.profiles[block.is_ne].tolist())
+        # users summed left to right, as in welfare, so totals holds its bits
+        totals = block.own[0].copy()
+        for row in block.own[1:]:
+            totals += row
+        k = int(totals.argmax())
+        if totals[k] > best_w:
+            best_w, best_a = float(totals[k]), tuple(block.profiles[k].tolist())
+        rows = np.flatnonzero(block.is_ne)
+        if rows.size:
+            ne += map(tuple, block.profiles[rows].tolist())
+            k = rows[totals[rows].argmin()]
+            if totals[k] < worst_w:
+                worst_w, worst_a = totals[k], tuple(block.profiles[k].tolist())
         # the certificate is reported only when no profile is an NE, and then
         # every profile has a witness
-        room = max(0, _CERTIFICATE_LIMIT - len(certificate))
-        certificate += [(tuple(a), DeviationWitness(u, c, g)) for a, (u, c), g in zip(
-            block.profiles[:room].tolist(), block.witness[:room].tolist(), block.gain[:room].tolist())]
+        room = _CERTIFICATE_LIMIT - len(certificate)
+        if room > 0:
+            certificate += zip(map(tuple, block.profiles[:room].tolist()), _witnesses(block, room))
     bound = poa_lower_bound(spec)
     if not ne:
         return PoaReport(best_w, best_a, [], None, None, None, bound, certificate)
-    worst_w, worst_a = min((welfare(spec, a), a) for a in ne)  # ne is sorted: first wins ties
+    worst_w = welfare(spec, worst_a)  # equals its scan total, in welfare()'s float type
     poa = worst_w / best_w if best_w > 0 else 1.0
     if poa < bound - 1e-9:
         raise RuntimeError(

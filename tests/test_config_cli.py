@@ -1,6 +1,8 @@
 import csv
 import json
+import logging
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -334,6 +336,26 @@ def test_cli_poa_without_pure_ne(tmp_path, capsys):
     data = json.loads((tmp_path / "poa.json").read_text())
     assert data["poa"] is None and data["pure_ne_count"] == 0
     assert len(data["certificate"]) == 2 ** 3  # every profile witnessed
+
+
+def test_cli_verbose_logs_the_profile_scan(tmp_path, caplog):
+    # --verbose logs the scan's profile count and wall seconds at DEBUG and
+    # leaves the artifacts as they are
+    config = str(CONFIGS / "triangle_no_ne.json")
+    for command, artifact in (("poa", "poa.json"), ("solve", "solution.json")):
+        written = []
+        for verbose in (["--verbose"], []):  # quiet last: main leaves its level set
+            caplog.clear()
+            out = tmp_path / f"{command}{len(verbose)}"
+            assert cli_main([command, config, "--out", str(out)] + verbose) == 0
+            scans = [(r.levelno, r.getMessage()) for r in caplog.records if r.name == "specaccess.game"]
+            if verbose:
+                assert len(scans) == 1 and scans[0][0] == logging.DEBUG
+                assert re.fullmatch(r"scanned 8 of 8 profiles in \d+\.\d{3} s", scans[0][1])
+            else:
+                assert scans == []
+            written.append((out / artifact).read_bytes())
+        assert written[0] == written[1]
 
 
 def test_cli_poa_beyond_subset_cap_is_an_error(tmp_path, capsys):

@@ -1,10 +1,13 @@
 import logging
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import random_dag, random_directed_graph, random_forest, random_game
 
 import specaccess as sa
+from specaccess import game
+from specaccess.config import load_config
 from specaccess.contention import backoff_success_probability
 from specaccess.equilibria import (
     construct_ne_bipartite,
@@ -13,8 +16,10 @@ from specaccess.equilibria import (
     solve_pure_ne,
 )
 from specaccess.errors import PreconditionError
-from specaccess.game import SpectrumGame, enumerate_pure_ne, is_pure_ne
+from specaccess.game import SCAN_BLOCK, SpectrumGame, enumerate_pure_ne, is_pure_ne
 from specaccess.graph import classify
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def test_dag_requires_acyclic():
@@ -224,3 +229,39 @@ def test_solve_pure_ne_picks_the_first_construction_that_applies():
     cycle = sa.InterferenceGraph.from_edges(3, [(1, 2), (2, 3), (3, 1)])
     spec = SpectrumGame.create(cycle, [1.0, 1.0], [[1.0, 1.0]] * 3, sa.SlottedAloha((0.5,) * 3))
     assert solve_pure_ne(spec) == ("enumeration", None)
+
+
+def test_enumeration_fallbacks_stop_at_the_first_equilibrium(monkeypatch):
+    # solve's enumeration and the tree routine's budget fallback return
+    # enumerate_pure_ne(spec)[0], or None without an NE, and scan no block
+    # after the one that holds it
+    blocks = []
+    scan = game._scan
+    monkeypatch.setattr(game, "_scan", lambda spec, cap: (blocks.append(b) or b for b in scan(spec, cap)))
+
+    def first_block_with(spec, a):
+        # profiles are scanned in lexicographic order, blocks of M^L <= SCAN_BLOCK
+        m = spec.n_channels
+        rank = sum((ch - 1) * m ** (spec.n_users - 1 - i) for i, ch in enumerate(a))
+        return rank // max(m ** t for t in range(1, spec.n_users + 1) if m ** t <= SCAN_BLOCK) + 1
+
+    rng = np.random.default_rng(41)
+    seen = {"enumeration": 0, "directed_tree": 0, "none": 0}
+    for trial in range(16):
+        kind = ("backoff", "asymptotic", "weighted", "aloha")[trial % 4]
+        n, m = ((12, 2), (7, 3))[trial // 4 % 2]
+        graph = random_forest(rng, n) if trial >= 8 else random_directed_graph(rng, n, 0.4)
+        spec = random_game(rng, graph, m, kind)
+        ne = enumerate_pure_ne(spec)
+        blocks.clear()
+        if trial >= 8:
+            routine, a = "directed_tree", construct_ne_directed_tree(spec, recursion_budget=1)
+        else:
+            routine, a = solve_pure_ne(spec)
+        assert a == (ne[0] if ne else None)
+        assert len(blocks) == (first_block_with(spec, a) if ne else m ** n // len(blocks[0].profiles))
+        seen[routine if ne else "none"] += 1
+    assert seen == {"enumeration": 7, "directed_tree": 8, "none": 1}
+    blocks.clear()
+    assert solve_pure_ne(load_config(CONFIGS / "triangle_no_ne.json").scenario.game) == ("enumeration", None)
+    assert len(blocks) == 1

@@ -1,4 +1,8 @@
+import dataclasses
+import hashlib
 import itertools
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,11 +15,14 @@ from conftest import (
 )
 
 import specaccess as sa
+from specaccess.config import load_config
 from specaccess.errors import ResourceLimitError
 from specaccess.game import (
+    IMPROVEMENT_RTOL,
     PhysicalGame,
     SpectrumGame,
     _scan,
+    _witnesses,
     better_response_dynamics,
     enumerate_pure_ne,
     is_pure_ne,
@@ -23,6 +30,8 @@ from specaccess.game import (
     welfare,
 )
 from specaccess.learning import q_from_sigma
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def cycle3_game(p=0.5):
@@ -264,17 +273,21 @@ def _assert_scan_matches_brute_force(spec):
     rep = social_welfare_and_poa(spec)
     assert rep.pure_ne == ne
     assert rep.optimal_profile == profiles[best] and rep.optimal_welfare == welfares[best]
+    if ne:  # the first profile wins ties
+        assert (rep.worst_ne_welfare, rep.worst_ne_profile) == min((welfare(spec, a), a) for a in ne)
     blocks = list(_scan(spec, 10**7))
     assert [tuple(a) for b in blocks for a in b.profiles.tolist()] == profiles
     first = blocks[0]
+    witnesses = _witnesses(first, 64)
     for k, (a, check) in enumerate(zip(profiles[:64], checks)):
         for n in range(1, spec.n_users + 1):
+            assert first.own[n - 1, k] == spec.payoff(a, n)
             for m in range(1, spec.n_channels + 1):
                 moved = a[: n - 1] + (m,) + a[n:]
-                assert first.payoffs[k, n - 1, m - 1] == spec.payoff(moved, n)
+                assert first.payoffs[m - 1, n - 1, k] == spec.payoff(moved, n)
         assert bool(first.is_ne[k]) == check.is_ne
         if not check.is_ne:
-            assert (*first.witness[k].tolist(), first.gain[k]) == check.witness
+            assert witnesses[k] == check.witness
     if not ne:
         assert rep.no_ne_certificate == [(a, c.witness) for a, c in zip(profiles[:64], checks)]
 
@@ -287,6 +300,38 @@ def test_scan_matches_brute_force():
         _assert_scan_matches_brute_force(random_game(rng, random_directed_graph(rng, n, 0.5), m, kind))
     for p in (0.3, 0.5):  # no pure NE: the certificate path
         _assert_scan_matches_brute_force(cycle3_game(p))
+
+
+def _dead_band_games():
+    """(label, improving, game): two users without edges; user 1 sits on
+    channel 1 and would gain on channel 3 exactly the dead band
+    IMPROVEMENT_RTOL * max(new, old, 1), one payoff ulp less or one more.
+    Channel 2 pays in between; user 2 is best off on channel 3."""
+    graph = sa.InterferenceGraph.from_edges(2, [])
+    # payoffs below 1, where the band is IMPROVEMENT_RTOL; channel 1 is never idle
+    band = IMPROVEMENT_RTOL * 1.0
+    for label, new in (("at", band), ("below", math.nextafter(band, 0.0)), ("above", math.nextafter(band, 1.0))):
+        rates = [[1.0, new / 2, new], [1.0, 2.0, 3.0]]
+        yield f"{label} 1", label == "above", SpectrumGame.create(graph, [0.0, 1.0, 1.0], rates, sa.RandomBackoff(5))
+    # payoffs above 1: this new makes the band exactly 2^-38, a multiple of
+    # new's ulp, so old = new - band is exact
+    new = 2.0**-38 / IMPROVEMENT_RTOL
+    band = IMPROVEMENT_RTOL * new
+    assert band == 2.0**-38 and new - (new - band) == band
+    for label, old in (("at", new - band), ("below", math.nextafter(new - band, 4.0)),
+                       ("above", math.nextafter(new - band, 0.0))):
+        rates = [[old, (old + new) / 2, new], [1.0, 2.0, 3.0]]
+        yield f"{label} {new}", label == "above", SpectrumGame.create(graph, [1.0] * 3, rates, sa.RandomBackoff(5))
+
+
+def test_best_channel_ne_flag_agrees_with_is_pure_ne_in_the_dead_band():
+    for label, improving, spec in _dead_band_games():
+        a = (1, 3)
+        assert spec.payoff((3, 3), 1) == spec.mean_rate[0][2], label  # payoffs are the rates
+        assert is_pure_ne(spec, a).is_ne is not improving, label
+        block = next(_scan(spec, 10**7))
+        assert bool(block.is_ne[block.profiles.tolist().index(list(a))]) is not improving, label
+        _assert_scan_matches_brute_force(spec)
 
 
 @pytest.mark.parametrize("n, m, zero_theta", [(1, 1, False), (1, 3, False), (4, 1, False), (3, 3, True), (7, 3, False)])
@@ -340,7 +385,51 @@ def test_payoff_matches_scan_bit_for_bit(kind):
             for n in range(1, 17):
                 for m in (1, 2):
                     moved = a[: n - 1] + (m,) + a[n:]
-                    assert spec.payoff(moved, n) == block.payoffs[k, n - 1, m - 1]
+                    assert spec.payoff(moved, n) == block.payoffs[m - 1, n - 1, k]
+
+
+_SCAN_DIGESTS = {
+    "8x4_backoff": "61e08cb0bb450bdc0903bd31cef38bfe470bc3774ccab9e8d1917860863c7dc0",
+    "8x4_asymptotic": "c587856157adbbe829caa751759ef29ba8db5dfac94ddc10bef087d1b0205dd4",
+    "8x4_weighted": "eaecf4db0ddebcc663d7dc0a0c8c4559dc323e58b8bc9b707d7b174600e2783a",
+    "8x4_aloha": "3c226dfecc1dbbcb9a72076f3877def624c6de3f8f4fa32c89a49c2abd8bceb9",
+    "16x2_backoff": "6550eb677933b02b7e1b7f9f2865d8e0be296ed5b10350a7b097c3a77e765334",
+    "16x2_asymptotic": "59833cf3990d989ca0c7b65e97a0d958801cdfdb24cb205fd83f9691fbffe723",
+    "16x2_weighted": "5910def8212f3edc7d195b1d43e7acc47a809edf80d308ad1c839bf20b0a0354",
+    "16x2_aloha": "858063be706edf36e699a84246504c1afb3fca4c7ad644d0d15d43dbd74a0b07",
+    "16x1_weighted": "7137f58cbad984f58ec90c52274b6a2960ccf435730b852fb840551bd9f872c7",
+    "triangle": "7bf898a52b402038edb7ea9a207d30e49fcd262a1fd595445754753dcf1b8b98",
+    "10x2_every_profile_ne": "f4bb5193db717a76559e6f940726c57ad0bfe74c53c51a6a1a40b0c8be83c68b",
+}
+
+
+def _scan_digest(spec):
+    # repr of a Python float round-trips, so equal text means equal bits
+    text = repr((dataclasses.astuple(social_welfare_and_poa(spec)), enumerate_pure_ne(spec)))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_seeded_scans_keep_their_digest():
+    # every PoaReport field (the certificate's gains included) and the NE list,
+    # on 65,536-profile games of both bench shapes, one channel at N = 16
+    # (blocks of one profile, where a pairwise sum over users moves the
+    # welfare bits) and the no-NE triangle
+    rng = np.random.default_rng(16)
+    got = {}
+    for n, m in ((8, 4), (16, 2)):
+        for kind in ("backoff", "asymptotic", "weighted", "aloha"):
+            spec = random_game(rng, random_directed_graph(rng, n, 0.3), m, kind, gains=True)
+            got[f"{n}x{m}_{kind}"] = _scan_digest(spec)
+    one_channel = random_game(rng, random_directed_graph(rng, 16, 0.5), 1, "weighted", gains=True)
+    got["16x1_weighted"] = _scan_digest(one_channel)
+    got["triangle"] = _scan_digest(load_config(CONFIGS / "triangle_no_ne.json").scenario.game)
+    # no edges and equal channels: all 1024 profiles are NE of one welfare, so
+    # the first profile must win the worst-NE tie across both blocks
+    rates = np.random.default_rng(10).uniform(1.0, 10.0, 10)
+    edgeless = SpectrumGame.create(sa.InterferenceGraph.from_edges(10, []), [0.5, 0.5], [[r, r] for r in rates],
+                                   sa.RandomBackoff(5))
+    got["10x2_every_profile_ne"] = _scan_digest(edgeless)
+    assert got == _SCAN_DIGESTS
 
 
 def test_poa_enumeration_cap():
