@@ -305,6 +305,7 @@ def cmd_learn(args, cfg: ExperimentConfig, outdir: Path) -> int:
     print(f"wrote {path}")
     print(f"mean welfare: {result.mean_welfare:.6g} {cfg.rate_unit}")
     print(f"delta gap at final strategies: {outcome.delta:.6g} {cfg.rate_unit}")
+    print(f"skipped updates: {outcome.skipped_updates} of {scenario.periods * n} (undefined MLE)")
     print(f"effective temperature {cfg.learning.gamma / scale:.3g} vs contraction bound {bound:.3g}")
     write_json(outdir / "learning_summary.json", {
         "schema": "learning-summary",

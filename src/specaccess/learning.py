@@ -324,12 +324,13 @@ def run_learning(
         raise ValueError(f"noise half-width must be finite and >= 0, got {noise!r}")
     _check_temperature(gamma)
     N, M = spec.n_users, spec.n_channels
-    P = initial_perceptions(spec, payoff_scale) if p0 is None else np.array(p0, dtype=float)
+    P = initial_perceptions(spec, payoff_scale) if p0 is None else np.array(p0, dtype=float, order="C")
     _check_perceptions(P / payoff_scale)
     if observer is None:
         observer = exact_observer(spec)
     gamma_eff = gamma / payoff_scale
-    users = np.arange(N)
+    flat = P.reshape(-1)  # a view: cell (n, m) of P is flat[n * M + m]
+    rows = np.arange(N) * M - 1  # flat index of user n's channel a is rows[n] + a
 
     realised_rows = np.empty((periods, N))
     dP_trace = np.empty(periods)
@@ -352,19 +353,20 @@ def run_learning(
         ok = est == est  # defined: not NaN
         n_ok = np.count_nonzero(ok)
         mu_T = 1.0 / T if decaying else mu
+        cell = rows + a
         if n_ok == N:
             if noise > 0.0:
                 est = est + rng.uniform(-noise, noise, N)
-            cell, defined = (users, a - 1), est
+            defined = est
         else:
             if noise > 0.0:
                 est = est.copy()  # an observer may return one array as both values
                 est[ok] += rng.uniform(-noise, noise, n_ok)
-            cell, defined = (np.flatnonzero(ok), a[ok] - 1), est[ok]
+            cell, defined = cell[ok], est[ok]
             skipped += N - n_ok
-        old = P[cell]
+        old = flat.take(cell)
         new = (1.0 - mu_T) * old + mu_T * defined
-        P[cell] = new
+        flat.put(cell, new)
         dP = np.maximum.reduce(np.abs(new - old), initial=0.0)
         # old is finite, so a finite dP means finite new cells
         if not dP < math.inf and not np.isfinite(new).all():

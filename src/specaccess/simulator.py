@@ -9,9 +9,10 @@ draws blocks of whole periods (about _BLOCK_SLOTS slots), each block's
 channel states, contention races and fading in one call each on their own
 substreams, so every policy consumes all but the policy substream
 identically, which pairs policy comparisons on the same sample paths. A
-channel-choosing policy then picks the block's per-slot channels and all its
-periods resolve at once; the learning policy's MLE observer reads the block
-one period at a time, as its profile changes from period to period.
+channel-choosing policy then picks the block's channels, per period (k, 1, N)
+or per slot (k, t, N), and all its periods resolve at once; the learning
+policy's MLE observer reads the block one period at a time, as its profile
+changes from period to period.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .channels import (
     sample_initial_state,
 )
 from .contention import AsymptoticBackoff, RandomBackoff, SlottedAloha, WeightedShare
-from .estimation import ChainCounts, chain_counts, estimate
+from .estimation import ChannelEstimates, chain_counts, channel_estimates, user_estimates
 from .game import Profile, SpectrumGame, better_response_dynamics, welfare
 from .graph import InterferenceGraph
 from .learning import LearningOutcome, Observer, exact_observer, run_learning
@@ -108,15 +109,22 @@ class Scenario:
 
     @cached_property
     def _rate_params(self) -> np.ndarray:
-        """(N, M, 5): rate_models[u][m] as _rate_row gives it."""
-        return np.array([[_rate_row(r) for r in row] for row in self.rate_models])
+        """(5, N, M): rate_models as _rate_row gives them, one contiguous (N, M)
+        array per field (fixed rate or NaN, W, eta, omega, mean gain)."""
+        table = np.array([[_rate_row(r) for r in row] for row in self.rate_models])
+        return np.ascontiguousarray(np.moveaxis(table, -1, 0))
 
     @cached_property
     def _fixed_rates(self) -> np.ndarray | None:
         """(N, M) rates when every rate model is a FixedRate, else None."""
         if all(isinstance(r, FixedRate) for row in self.rate_models for r in row):
-            return self._rate_params[..., 0]
+            return self._rate_params[0]
         return None
+
+    @cached_property
+    def _mixes_fixed_rates(self) -> bool:
+        """Whether some, but not every, rate model is a FixedRate."""
+        return self._fixed_rates is None and not np.isnan(self._rate_params[0]).all()
 
 
 def _channel_states(
@@ -155,7 +163,9 @@ def _blocks(scenario: Scenario, streams: SimStreams):
     (k, t_max, N), each from one draw on its own substream. The generators
     give the same values drawn split or joined, so a block equals its periods
     drawn in turn, whatever k is, and every policy consumes these three
-    substreams identically."""
+    substreams identically. A policy's channels for the block are (k, 1, N)
+    when they are held for each period, or (k, t_max, N) per slot; the
+    kernels broadcast either against the block's (k, t_max, .) draws."""
     t, n = scenario.t_max, scenario.game.n_users
     k = max(1, _BLOCK_SLOTS // t)
     state = scenario.initial_channel_state(streams.channels)
@@ -190,27 +200,39 @@ def _success_matrix(
     rivals: np.ndarray | None = None,
 ) -> np.ndarray:
     """Grab indicators, (..., N), for channels ch (..., N) broadcast against
-    the idle indicators s_user and races draws. A user wins an idle slot when
-    its draw beats every co-channel in-neighbour's; under Aloha that is when
-    it alone among them transmits. The in-neighbours sit on axis -2, ahead of
-    the users, since numpy reduces a short last axis slowly; rivals is
-    draws[..., idx.T] for the in-neighbour index idx when the caller has
-    gathered it already."""
+    the idle indicators s_user and races draws: per-period channels
+    (k, 1, N) build the co-channel mask once per period. A user wins an idle
+    slot when its draw beats every co-channel in-neighbour's; under Aloha
+    that is when it alone among them transmits. The rivals' minimum is a
+    masked min over the co-channel in-neighbours (inf when there are none),
+    which is exact, so no masked copy of the races is built. The
+    in-neighbours sit on axis -2, ahead of the users, since numpy reduces a
+    short last axis slowly; rivals is draws[..., idx.T] for the in-neighbour
+    index idx when the caller has gathered it already."""
     idx, valid = scenario.game._in_index
     co = valid.T & (ch[..., idx.T] == ch[..., None, :])
     if rivals is None:
         rivals = draws[..., idx.T]
-    return (s_user == 1) & (draws < np.where(co, rivals, np.inf).min(axis=-2, initial=np.inf))
+    return (s_user == 1) & (draws < np.minimum.reduce(rivals, axis=-2, where=co, initial=np.inf))
 
 
 def _realise_rates(scenario: Scenario, ch: np.ndarray, succ: np.ndarray, fading: np.ndarray) -> np.ndarray:
     """b values, (..., N): the rate of each grabbed slot on its channel ch
-    (broadcast against succ and fading), zero elsewhere. A scenario whose
-    rates are all fixed reads them directly, without the Shannon terms."""
-    users = np.arange(scenario.game.n_users)
+    (broadcast against succ and fading), zero elsewhere. The rate parameters
+    are read at (users, ch - 1), so per-period channels (k, 1, N) read them
+    once per period. A scenario whose rates are all fixed reads them
+    directly, without the Shannon terms; fixed rates are mixed into Shannon
+    ones only in a scenario that has both."""
+    n, m = scenario.game.n_users, scenario.game.n_channels
+    cell = np.arange(0, n * m, m) + (ch - 1)  # flat (users, ch - 1) positions in an (N, M) array
+    fixed, shannon = scenario._rate_params[0], scenario._rate_params[1:].reshape(4, n * m)
     if scenario._fixed_rates is not None:
-        return np.where(succ, scenario._fixed_rates[users, ch - 1], 0.0)
-    return np.where(succ, _rate_values(scenario._rate_params[users, ch - 1], fading), 0.0)
+        return np.where(succ, fixed.take(cell), 0.0)
+    rate = _shannon_rate(*shannon.take(cell, axis=1), fading)
+    if scenario._mixes_fixed_rates:
+        fixed = fixed.take(cell)
+        rate = np.where(np.isnan(fixed), rate, fixed)
+    return np.where(succ, rate, 0.0)
 
 
 def _rate_row(model: RateModel) -> tuple[float, float, float, float, float]:
@@ -228,15 +250,22 @@ def _rate_values(params, fading: np.ndarray) -> np.ndarray:
     W log2(1 + eta z / omega) with the power gain z = fading * mean gain."""
     params = np.asarray(params, dtype=float)
     fixed, w, eta, omega, g = (params[..., j] for j in range(5))
-    shannon = w * np.log2(1.0 + eta * (fading * g) / omega)
-    return np.where(np.isnan(fixed), shannon, fixed)
+    return np.where(np.isnan(fixed), _shannon_rate(w, eta, omega, g, fading), fixed)
+
+
+def _shannon_rate(w, eta, omega, g, fading: np.ndarray) -> np.ndarray:
+    """W log2(1 + eta z / omega) with the power gain z = fading * mean gain."""
+    return w * np.log2(1.0 + eta * (fading * g) / omega)
 
 
 def _resolve(scenario: Scenario, states: np.ndarray, ch: np.ndarray, races: np.ndarray,
              fading: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(S, I, b), each shaped like ch, for per-slot channels ch (..., N) over
-    channel states (..., M), with the slots' races and fading."""
-    s_user = np.take_along_axis(states, ch - 1, axis=-1)
+    """(S, I, b), each shaped like races, for channels ch (..., N) over
+    channel states (..., M), with the slots' races and fading; ch may hold
+    one row per period, (k, 1, N), broadcast against the (k, t, .) slots."""
+    m = states.shape[-1]
+    rows = np.arange(0, states.size, m).reshape(*states.shape[:-1], 1)  # each slot's first flat position
+    s_user = states.reshape(-1).take(rows + (ch - 1))
     succ = _success_matrix(scenario, ch, s_user, races)
     return s_user, succ, _realise_rates(scenario, ch, succ, fading)
 
@@ -252,13 +281,10 @@ class RandomAccessPolicy:
 
     def _chooser(self, scenario: Scenario, rng: np.random.Generator):
         """Each user draws a uniform channel per period and holds it: one
-        (k, N) draw per block of k periods."""
+        draw per block of k periods, returned as the (k, 1, N) per-period
+        channels, which the kernels broadcast against the block's slots."""
         n, m = scenario.game.n_users, scenario.game.n_channels
-
-        def choose(states: np.ndarray) -> np.ndarray:
-            return np.broadcast_to(rng.integers(1, m + 1, size=(len(states), 1, n)), (*states.shape[:-1], n))
-
-        return choose
+        return lambda states: rng.integers(1, m + 1, size=(len(states), 1, n))
 
 
 @dataclass(frozen=True)
@@ -270,7 +296,7 @@ class FixedProfilePolicy:
 
     def _chooser(self, scenario: Scenario, rng: np.random.Generator):
         profile = np.array(self.profile, dtype=np.int64)
-        return lambda states: np.broadcast_to(profile, (*states.shape[:-1], len(profile)))
+        return lambda states: np.broadcast_to(profile, (len(states), 1, len(profile)))
 
 
 @dataclass(frozen=True)
@@ -350,25 +376,28 @@ class PolicyResult:
 def make_mle_observer(scenario: Scenario, streams: SimStreams) -> Observer:
     """Observer of every user's MLE throughput estimate (NaN where undefined)
     and empirical per-slot throughput, one period of the block engine per
-    call with the profile held for all t_max slots. Per block it counts each
-    channel's idle slots and transitions once and gathers the in-neighbours'
-    races once; per period it reads them at the profile."""
+    call with the profile held for all t_max slots. Per block it computes
+    the channel half of the estimator (idle slots, epsilon, xi, theta) once
+    per channel and gathers the in-neighbours' races once; per period it
+    reads the channel half at the profile and adds the user half (grabs,
+    rate sums, grab probability, rate, throughput)."""
     idx, _ = scenario.game._in_index
 
     def periods():
         for states, races, fading in _blocks(scenario, streams):
-            # the gathered races and the (k, 5, M) counts live only as long as the zip
-            yield from zip(states, races, fading, races[..., idx.T], np.stack(chain_counts(states), axis=1))
+            # the gathered races and the (k, 4, M) channel estimates live only as long as the zip
+            channels = np.stack(channel_estimates(chain_counts(states)), axis=1)
+            yield from zip(states, races, fading, races[..., idx.T], channels)
 
     source = periods()
 
     def observe(a: Profile):
-        states, races, fading, rivals, counts = next(source)
+        states, races, fading, rivals, channels = next(source)
         ch = np.array(a, dtype=np.int64)
-        s_user = states[:, ch - 1]
+        s_user = states.take(ch - 1, axis=1)
         succ = _success_matrix(scenario, ch, s_user, races, rivals)
         b = _realise_rates(scenario, ch, succ, fading)
-        est = estimate(ChainCounts(*counts[:, ch - 1]), succ, b)
+        est = user_estimates(ChannelEstimates(*channels.take(ch - 1, axis=1)), succ, b)
         return est.throughput, est.sum_b / scenario.t_max
 
     return observe
@@ -407,8 +436,9 @@ def run_policy(scenario: Scenario, policy: Policy, seed) -> PolicyResult:
 
 def _block_outcomes(scenario: Scenario, policy: Policy, streams: SimStreams):
     """Play a non-learning policy block by block, yielding each block's
-    (ch, S, I, b), each (k, t_max, N): the policy chooses the block's per-slot
-    channels from its channel states, then all k periods resolve at once."""
+    (ch, S, I, b): the policy chooses the block's channels from its channel
+    states, (k, 1, N) per period or (k, t_max, N) per slot, then all k
+    periods resolve at once into (k, t_max, N) S, I and b."""
     choose = policy._chooser(scenario, streams.policy)
     for states, races, fading in _blocks(scenario, streams):
         ch = choose(states)
@@ -417,9 +447,9 @@ def _block_outcomes(scenario: Scenario, policy: Policy, streams: SimStreams):
 
 def _periods(scenario: Scenario, policy: Policy, streams: SimStreams):
     """Each period's (ch, S, I, b), (t_max, N) each: period slices of
-    _block_outcomes."""
-    for block in _block_outcomes(scenario, policy, streams):
-        yield from zip(*block)
+    _block_outcomes, with per-period channels broadcast to every slot."""
+    for ch, *block in _block_outcomes(scenario, policy, streams):
+        yield from zip(np.broadcast_to(ch, block[0].shape), *block)
 
 
 def _solve_stage(game: SpectrumGame, realised: tuple[int, ...], rng: np.random.Generator,

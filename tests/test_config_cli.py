@@ -472,6 +472,16 @@ def test_cli_estimate_learn_simulate(tmp_path, capsys):
     assert "period,welfare" in per
 
 
+def test_cli_learn_reports_skipped_updates(tmp_path, capsys):
+    # every period of the white-space triangle stays idle, so the MLE of theta
+    # is undefined for every user: learn says so instead of exiting quietly
+    assert cli_main(["learn", str(CONFIGS / "triangle_no_ne.json"), "--out", str(tmp_path), "--seed", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    summary = json.loads((tmp_path / "learning_summary.json").read_text())
+    assert summary["skipped_updates"] == 600
+    assert "skipped updates: 600 of 600 (undefined MLE)" in lines
+
+
 def test_cli_compare_and_sweep_artifacts(tmp_path, capsys):
     p = _write(tmp_path, _tiny_learning_doc())
     assert cli_main(["compare", str(p), "--out", str(tmp_path / "c"), "--seed", "2"]) == 0

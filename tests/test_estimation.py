@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,9 +7,9 @@ from conftest import loop_estimates
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specaccess.channels import MarkovChannel, sample_initial_state
+from specaccess.channels import BernoulliChannel, MarkovChannel, WhiteSpaceChannel, sample_initial_state
 from specaccess.contention import RandomBackoff
-from specaccess.estimation import ChainCounts, chain_counts, estimate
+from specaccess.estimation import ChainCounts, ChannelEstimates, chain_counts, channel_estimates, estimate, user_estimates
 from specaccess.game import SpectrumGame
 from specaccess.graph import InterferenceGraph
 from specaccess.learning import run_learning
@@ -148,6 +149,45 @@ def test_chain_counts_gathered_at_a_profile_match_per_user_traces():
                 assert x.dtype == y.dtype and np.array_equal(x, y, equal_nan=True), (case, field)
             loops = np.array([loop_estimates(S[:, u], I[:, u], b[:, u]) for u in range(n)])
             assert np.array_equal(np.array([getattr(got, f) for f in ESTIMATES]).T, loops, equal_nan=True)
+
+
+def test_channel_half_at_a_profile_then_user_half_is_estimate():
+    # the channel half of a (k, t, M) block, read at each period's profile,
+    # then the user half, gives estimate's fields bit for bit, NaNs included:
+    # white-space channels give all-idle and all-busy traces, and user 0 never grabs
+    rng = np.random.default_rng(79)
+    models = [MarkovChannel(0.2, 0.3), WhiteSpaceChannel(1), WhiteSpaceChannel(0), BernoulliChannel(0.5),
+              MarkovChannel(0.01, 0.01)]
+    for case in range(40):
+        k, n = int(rng.integers(1, 5)), int(rng.integers(2, 8))
+        t = 1 if case % 10 == 0 else int(rng.integers(2, 80))
+        state0 = [sample_initial_state(c, rng) for c in models]
+        states = _channel_states(models, state0, k * t, rng)[0].reshape(k, t, len(models))
+        halves = channel_estimates(chain_counts(states))
+        assert all(x.shape == (k, len(models)) for x in halves)
+        for p in range(k):
+            a = rng.permutation(np.arange(1, len(models) + 1).repeat(2))[:n]
+            S = states[p][:, a - 1]
+            I = (S == 1) & (rng.random((t, n)) < 0.5)
+            I[:, 0] = False
+            b = np.where(I, rng.exponential(5.0, (t, n)), 0.0)
+            got = user_estimates(ChannelEstimates(*(x[p][a - 1] for x in halves)), I, b)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                ref = estimate(chain_counts(S), I, b)
+            for field, x, y in zip(got._fields, got, ref):
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (case, field)
+            assert np.isnan(ref.rate[0]) and np.isnan(ref.throughput[0])
+        assert np.isnan(halves.theta[:, 1:3]).all()  # white space never leaves its state
+
+
+def test_estimate_raises_no_floating_point_warning():
+    # every 0/0 of the estimators lands as NaN without a RuntimeWarning
+    for S, I in (([1] * 6, [0] * 6), ([0] * 6, [0] * 6), ([1], [1]), ([1, 0, 1, 1], [0, 0, 1, 0])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = _one_user(S, I, np.where(np.asarray(I) == 1, 3.0, 0.0))
+        assert math.isnan(est.throughput) == (S != [1, 0, 1, 1])
 
 
 @given(st.permutations(list(range(12))))

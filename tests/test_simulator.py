@@ -1,4 +1,5 @@
 import hashlib
+import math
 from dataclasses import replace
 from itertools import zip_longest
 from pathlib import Path
@@ -146,6 +147,18 @@ def test_success_matrix_matches_per_slot_check():
             assert got.shape == (t, n) and got.dtype == bool
             for k in range(t):
                 assert np.array_equal(got[k], _slot_success(sc, ch[k], s_user[k], draws[k])), (n, kind, k)
+            # per-period channels, (k, 1, N) as the random-access and fixed-profile
+            # choosers return them, against the same channels broadcast to every slot
+            held = rng.integers(1, m + 1, size=(6, 1, n))
+            blocks = [x.reshape(6, t // 6, n) for x in (s_user, draws)]
+            got = _success_matrix(sc, held, *blocks)
+            broadcast = _success_matrix(sc, np.broadcast_to(held, blocks[0].shape), *blocks)
+            assert got.shape == blocks[0].shape and np.array_equal(got, broadcast), (n, kind)
+            for k, j in np.ndindex(blocks[0].shape[:2]):
+                ref = _slot_success(sc, held[k, 0], blocks[0][k, j], blocks[1][k, j])
+                assert np.array_equal(got[k, j], ref), (n, kind, k, j)
+            if kind == "aloha":
+                assert set(np.unique(draws).tolist()) == {0.0, math.inf}
 
 
 @pytest.mark.parametrize("kind", ["backoff", "asymptotic", "weighted", "aloha"])
@@ -378,9 +391,11 @@ def test_dynamic_policy_solves_new_states_in_first_seen_slot_order():
 
 
 # sha256 of each rollout's welfare trace and per-user means (and, for
-# learning, final perceptions and skip count), recorded with the per-period
-# engine that the block engine replaced, which must reproduce them; fixed-rate
-# configs only, so no libm log2 or exp bits enter the pins
+# learning, final perceptions and skip count). The fixed-rate pins were
+# recorded with the per-period engine that the block engine replaced, which
+# must reproduce them. The 9-user pins run Rayleigh-Shannon rates, so they
+# also hold the libm log2 bits of the rate realisation; they were recorded
+# with the block engine before its kernels took per-period channels
 _ROLLOUT_DIGESTS = {
     "dag/learning(gamma=5)": "fa6478ba75dc77c9c5254e7cae292048f7ef2d08fa56911ad6f9e4467d90ac31",
     "dag/random_access": "5bb9447025c539eee1a12a65aea5348b251460fe187d5f5a20b00e08df3372f9",
@@ -395,6 +410,9 @@ _ROLLOUT_DIGESTS = {
     "dag-weighted/random_access": "5ce5ef2d3f5ac826e1761eaef61f331a99e9968dd23e9ac95b6033f3f7467f42",
     "dag-weighted/fixed_profile(1,2,3,1)": "6973468b097db56c2e7ccb03a5bb165fc8501a991dee862011923cc691c3d396",
     "dag-weighted/dynamic_stage_game": "37049f279a29d0bdaf733e093f98d904781a15b12506e6995f5681b6b1c60ff3",
+    "9user/learning(gamma=5)": "0819f47c6ce46b45bda10d557bfb1b5057088309e65fea90ea2165475adcf461",
+    "9user/random_access": "b1999f5e7c8ded6e7ae37a2d92c7bc12434dd3f67e1a40a7d4ed47ef4e8e401a",
+    "9user-aloha/learning(gamma=5)": "09abcfe42f5c95f19b8954655c1cc2fff38ad506f3e2e4f0dee255b41725bd93",
 }
 
 
@@ -423,6 +441,11 @@ def test_seeded_rollouts_keep_their_digest():
         variant = replace(sc, game=variant_game)
         for p in dag.policies:
             got[f"dag-{name}/{p.label()}"] = _rollout_digest(run_policy(variant, p, (4, 1)))
+    for name, file, policies in (("9user", "learning_9user.json", [RandomAccessPolicy()]),
+                                 ("9user-aloha", "learning_9user_aloha.json", [])):
+        cfg = load_config(CONFIGS / file)
+        for p in [learning_policy_from(cfg), *policies]:
+            got[f"{name}/{p.label()}"] = _rollout_digest(run_policy(replace(cfg.scenario, periods=47), p, (4, 1)))
     assert got == _ROLLOUT_DIGESTS
 
 
