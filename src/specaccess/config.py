@@ -7,6 +7,13 @@ the resolved document is hashed so every artifact can name the exact
 configuration that produced it. The JSON schema itself is defined
 here (authoritative) and shipped verbatim as config.schema.json at the repo
 root for reference.
+
+Documents are checked against it by ``_schema``, an in-package interpreter of
+the Draft 2020-12 keywords these schemas use, which gives jsonschema's
+verdicts and messages. One deviation from Draft 2020-12: ``"integer"`` accepts
+only JSON integer literals, so ``"n_users": 4.0`` is rejected
+(``scenario.graph.n_users: 4.0 is not of type 'integer'``) instead of
+carrying a float into ``range``, the resolved document's hash and policy labels.
 """
 
 from __future__ import annotations
@@ -17,8 +24,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
 
-import jsonschema
-
+from ._schema import iter_errors
 from .channels import (
     BernoulliChannel,
     FixedRate,
@@ -276,13 +282,12 @@ class ExperimentConfig:
 
 
 def _schema_errors(instance: dict, schema: dict) -> list[str]:
-    validator = jsonschema.Draft202012Validator(schema)
     msgs = []
-    for err in sorted(validator.iter_errors(instance), key=lambda e: list(e.absolute_path)):
-        loc = ".".join(str(p) for p in err.absolute_path) or "<root>"
+    for path, message, context in sorted(iter_errors(instance, schema), key=lambda e: e[0]):
+        loc = ".".join(str(p) for p in path) or "<root>"
         # a failed oneOf/anyOf: say what each alternative found wrong
-        why = "; ".join(dict.fromkeys(e.message for e in err.context))
-        msgs.append(f"{loc}: {err.message}" + (f" ({why})" if why else ""))
+        why = "; ".join(dict.fromkeys(context))
+        msgs.append(f"{loc}: {message}" + (f" ({why})" if why else ""))
     return msgs
 
 

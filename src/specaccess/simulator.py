@@ -426,6 +426,7 @@ def run_policy(scenario: Scenario, policy: Policy, seed) -> PolicyResult:
 
     # (periods, N): each period's slots summed in slot order; the last row is
     # copied out so that each block's running sums are freed
+    # not b.sum(axis=1): it sums a contiguous (N = 1) slot axis pairwise, other bits on 17 of 120 shapes, for 20 us a block
     per_user = np.concatenate(
         [np.cumsum(b, axis=1)[:, -1].copy() for *_, b in _block_outcomes(scenario, policy, streams)]
     ) / scenario.t_max

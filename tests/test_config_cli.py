@@ -47,17 +47,46 @@ def _minimal_doc():
 ])
 def test_scipy_stays_off_the_import_path(configs, absent):
     # fixed-rate configs never load scipy; calibrating Rayleigh rates loads
-    # scipy.special for E1 but never scipy.optimize
+    # scipy.special for E1 but never scipy.optimize; no config loads jsonschema
     script = (
         "import sys, specaccess, specaccess.cli\n"
         "from specaccess.config import load_config\n"
         f"for name in {configs!r}:\n"
         f"    load_config({str(CONFIGS)!r} + '/' + name)\n"
-        f"print({absent!r} in sys.modules)\n"
+        f"print({absent!r} in sys.modules, 'jsonschema' in sys.modules)\n"
     )
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
+
+
+def test_configs_load_and_fail_without_jsonschema(tmp_path):
+    # with jsonschema made unimportable, every shipped config and graph still
+    # loads, and a bad config fails in the CLI with the in-process message
+    doc = _minimal_doc()
+    doc["scenario"]["rates"] = {"kind": "rayleigh_shannon", "bandwidth": 1.0, "tx_power": 1.0,
+                                "noise_power": 1.0, "mean": [[1.0]]}
+    doc["scenario"]["graph"]["n_users"] = 1.0
+    bad = _write(tmp_path, doc)
+    with pytest.raises(ValueError) as rejected:
+        load_config(bad)
+    script = (
+        "import sys\n"
+        "sys.modules['jsonschema'] = None\n"
+        "from specaccess.cli import main\n"
+        "from specaccess.config import load_config, load_graph\n"
+        f"for name in {sorted(p.name for p in CONFIGS.glob('*.json'))!r}:\n"
+        f"    load_config({str(CONFIGS)!r} + '/' + name)\n"
+        f"for name in {sorted(p.name for p in (CONFIGS / 'graphs').glob('*.json'))!r}:\n"
+        f"    load_graph({str(CONFIGS / 'graphs')!r} + '/' + name)\n"
+        f"sys.exit(main(['solve', {str(bad)!r}, '--out', {str(tmp_path / 'never')!r}]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert out.returncode == 1, out.stderr
+    assert out.stderr == f"error: {rejected.value}\n"
+    assert "mean_gain' is a required property; 'mean_rate' is a required property" in out.stderr
+    assert "scenario.graph.n_users: 1.0 is not of type 'integer'" in out.stderr
 
 
 def test_minimal_config_gets_defaults(tmp_path):
@@ -222,6 +251,52 @@ def test_failed_alternative_names_the_missing_keys(tmp_path):
     with pytest.raises(ValueError, match="'mean_gain' is a required property; "
                                          "'mean_rate' is a required property"):
         load_config(_write(tmp_path, doc))
+
+
+def _set(doc, dotted, value):
+    *parents, last = [int(k) if k.isdigit() else k for k in dotted.split(".")]
+    node = doc
+    for k in parents:
+        node = node[k]
+    node[last] = value
+
+
+@pytest.mark.parametrize("key", [
+    "scenario.graph.n_users",
+    "scenario.graph.edges.0.1",
+    "scenario.t_max",
+    "scenario.periods",
+    "scenario.profile.2",
+    "scenario.mechanism.max_counter",
+    "solver.enumeration_cap",
+    "solver.recursion_budget",
+    "solver.max_rounds",
+    "compare.replications",
+    "compare.policies.2.profile.0",
+    "compare.policies.3.restarts",
+    "sweep.replications",
+])
+def test_integer_key_written_as_float_is_rejected(tmp_path, key):
+    # Draft 2020-12 counts 4.0 as an integer; these used to load, carrying a
+    # float into the resolved document, or crash with a TypeError
+    doc = json.loads((CONFIGS / "dag_chain.json").read_text())
+    doc["solver"] = {"enumeration_cap": 1000, "recursion_budget": 100, "max_rounds": 50}
+    doc["compare"]["policies"][3]["restarts"] = 2
+    doc["sweep"] = {"gammas": [1.0], "replications": 2}
+    load_config(_write(tmp_path, doc))
+    _set(doc, key, 2.0)
+    with pytest.raises(ValueError, match=re.escape(f"{key}: 2.0 is not of type 'integer'")):
+        load_config(_write(tmp_path, doc))
+
+
+@pytest.mark.parametrize("key", ["scenario.graph.n_users", "compare.replications"])
+def test_cli_rejects_integer_key_written_as_float(tmp_path, capsys, key):
+    doc = json.loads((CONFIGS / "dag_chain.json").read_text())
+    _set(doc, key, 4.0)
+    out = tmp_path / "never"
+    assert cli_main(["compare", str(_write(tmp_path, doc)), "--out", str(out)]) == 1
+    assert f"{key}: 4.0 is not of type 'integer'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_schema_file_matches_embedded():
