@@ -65,7 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory (default: config output.dir)")
         if jobs:
             p.add_argument("--jobs", type=int, default=1, help="parallel replications")
-        p.add_argument("--verbose", action="store_true", help="log at DEBUG (profiles scanned and scan seconds)")
+        p.add_argument("--verbose", action="store_true",
+                       help="log at DEBUG (profiles scanned, scan seconds, user rows evaluated)")
         p.set_defaults(func=func, section=section, loads_config=loads_config)
 
     add("classify", "report the structural classes of an interference graph", cmd_classify,

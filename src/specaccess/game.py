@@ -176,7 +176,9 @@ def welfare(game: GameLike, a: Profile) -> float:
 def _check_profile(game: GameLike, a: Sequence[int]) -> None:
     if len(a) != game.n_users:
         raise ValueError("profile length must equal the number of users")
-    if any(not (1 <= ch <= game.n_channels) for ch in a):
+    # integers only: a float or bool entry is no channel index (numpy integers are)
+    if any(isinstance(ch, bool) or not isinstance(ch, (int, np.integer)) or not 1 <= ch <= game.n_channels
+           for ch in a):
         raise ValueError("profile entries must be valid channel indices")
 
 
@@ -273,14 +275,17 @@ def is_pure_ne(game: GameLike, a: Profile) -> NeCheck:
 def enumerate_pure_ne(spec: SpectrumGame, cap: int = 10**7) -> list[Profile]:
     """All pure Nash equilibria, in lexicographic profile order.
 
-    Scans the M^N profiles in channel-major blocks of K <= SCAN_BLOCK = 512
-    profiles (K = M beyond 512 channels; see _scan), at about 2.3-3.4
-    million profiles per second on one core of a 2-core Xeon VM
-    (10^6-profile games at 10 users x 4 channels and 20 x 2). Memory is a
-    few (M, N, K) arrays, about 1.2 MB at peak at 16 users x 2 channels,
-    plus the game's grab table of sum_n 2^|in(n)| floats (|in(n)| + 1 under
-    the backoff mechanisms or with one channel), built once and kept with
-    the game.
+    Scans the M^N profiles in blocks that evaluate each user once per
+    assignment of its in-neighbourhood's cycling users (see _scan), at about
+    18-36 million profiles per second on sparse graphs and 2-5 million on
+    complete ones, on one core of a 2-core Xeon VM (10^6-profile games at
+    10 users x 4 channels and 20 x 2; 30% of ordered pairs are edges in the
+    sparse ones). Memory is a few arrays of at most SCAN_ROWS (N K) or
+    SCAN_PAYOFFS (M E) values, about 1.1 MB at peak at 16 users x 2
+    channels, plus the game's grab table of sum_n 2^|in(n)| floats
+    (|in(n)| + 1 under the backoff mechanisms or with one channel), built
+    once and kept with the game, and the scan's M value-weighted copies of
+    it.
     """
     return list(_pure_ne(spec, cap))
 
@@ -293,56 +298,157 @@ def first_pure_ne(spec: SpectrumGame, cap: int = 10**7) -> Profile | None:
 
 def _pure_ne(spec: SpectrumGame, cap: int) -> Iterator[Profile]:
     for block in _scan(spec, cap):
-        yield from map(tuple, block.profiles[block.is_ne].tolist())
+        yield from map(tuple, block.profiles(block.is_ne).tolist())
 
 
-SCAN_BLOCK = 512
+SCAN_ROWS = 49152  # N K: user rows a scan block expands, at most
+SCAN_PAYOFFS = 16384  # M E: payoffs a scan block evaluates, at most
 
 
 class _ScanBlock(NamedTuple):
-    profiles: np.ndarray         # (K, N) 1-based channels
-    payoffs: np.ndarray          # (M, N, K) user n's payoff after moving to channel m
+    head: np.ndarray             # (N - L,) 0-based channels of the fixed users
+    tail: np.ndarray             # (K, L) 0-based channels of the cycling users, shared by all blocks
+    payoffs: np.ndarray          # (M, E) entry e's payoff after its user moves to channel m
+    index: np.ndarray            # (N, K) user n's entry at profile k, shared by all blocks
     own: np.ndarray              # (N, K) user n's payoff at the profile
     is_ne: np.ndarray            # (K,)
+
+    def profiles(self, rows=slice(None)) -> np.ndarray:
+        """(len(rows), N) 1-based channels of the block's profiles at rows, all by default."""
+        tail = self.tail[rows]
+        profiles = np.hstack((np.broadcast_to(self.head, (len(tail), len(self.head))), tail))
+        profiles += 1
+        return profiles
+
+    def moves(self, count: int) -> np.ndarray:
+        """(M, N, count): user n's payoff after moving to channel m, at each
+        of the block's first count profiles."""
+        return self.payoffs[:, self.index[:, :count]]
+
+
+def _tail_length(near: np.ndarray, m: int) -> int:
+    """The number L of cycling users in a scan block: the largest L whose
+    block of K = M^L profiles has N K <= SCAN_ROWS user rows and M E <=
+    SCAN_PAYOFFS payoffs, E = sum_n M^|C_n & tail| entries; or 1. A complete
+    graph has E = N K, so its blocks stay small; a sparse graph's E grows far
+    more slowly than N K, so its blocks grow until N K binds."""
+    n_users = len(near)
+    within = np.cumsum(near[:, ::-1], axis=1)  # column t-1: |C_n & last t users|
+    return max(t for t in range(1, n_users + 1)
+               if t == 1 or (n_users * m ** t <= SCAN_ROWS
+                             and m * sum(m ** s for s in within[:, t - 1].tolist()) <= SCAN_PAYOFFS))
+
+
+def _value_table(spec: SpectrumGame) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(value_table, weight, offset): _grab_table's keys, with
+    value_table[c * size + key] = value[n, c] * table[key] for each key of
+    user n and every channel c, the product payoff computes. Bitmask rows are
+    bit-reversed, in-neighbour column j of d keyed by 1 << (d - 1 - j), so
+    that a scan block's cycling users, the last ones, move a user's low bits
+    and the keys one block reads lie close together."""
+    table, weight, offset, step = spec._grab_table
+    size = len(table)
+    bounds = offset.tolist() + [size]
+    bitmask = bool((step > 1).any())
+    if bitmask:
+        reversal = np.zeros(1, dtype=np.intp)  # reversal[x]: the len(step) bits of x reversed
+        for _ in step:
+            reversal = np.concatenate((2 * reversal, 2 * reversal + 1))
+        degree = (weight != 0).sum(axis=1)
+        weight = np.where(weight != 0, (1 << degree)[:, None] // np.maximum(2 * weight, 1), 0)
+    value_table = np.empty((spec.n_channels, size))
+    for n, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        row = table[lo:hi]
+        if bitmask:  # 2^d entries: key x reads the entry at x's d bits reversed
+            row = row.take(reversal[: hi - lo] >> (len(step) + 1 - (hi - lo).bit_length()))
+        np.multiply(spec._value[n, :, None], row, out=value_table[:, lo:hi])
+    return value_table.ravel(), weight, offset
 
 
 def _scan(spec: SpectrumGame, cap: int) -> Iterator[_ScanBlock]:
     """Every pure profile in lexicographic order, in blocks where the first
-    N - L users stay fixed and the last L >= 1 cycle through all K = M^L
-    channel combinations, L as large as keeps K <= SCAN_BLOCK. Payoffs are
-    channel-major, so the per-channel work is elementwise over (N, K) slabs.
-    The NE test is strictly_better on every unilateral move, as in
-    is_pure_ne; g comes from the sorted contender tuple (see _grab_table).
-    Logs the profiles scanned and the wall seconds at DEBUG when the scan
-    ends or is abandoned.
+    N - L users (the head) stay fixed and the last L >= 1 (the tail) cycle
+    through all K = M^L channel combinations, L from _tail_length.
+
+    User n's payoffs and NE flag depend only on the channels of C_n = {n} |
+    in(n), so within a block they take one value per assignment of C_n's
+    tail members: E = sum_n M^|C_n & tail| entries. A block computes the
+    (M, E) payoffs of those entries channel-major, by one gather from the
+    value table (_value_table), then each entry's own payoff, best payoff
+    and strict-improvement flag, and expands own and the flags to the
+    (N, K) profiles through one (N, K) entry index built once per scan.
+    Users whose C_n covers the tail (every user of a complete graph) have K
+    entries each, laid out as (rows, K) after the others; when every user is
+    such a row, the expansion is a reshape. The NE test is strictly_better
+    on every unilateral move, as in is_pure_ne; g comes from the sorted
+    contender tuple (see _grab_table). Logs the profiles scanned, the wall
+    seconds and the entries evaluated per block against N K at DEBUG when
+    the scan ends or is abandoned.
     """
     n_users, m = spec.n_users, spec.n_channels
     total = m ** n_users
     if total > cap:
         raise ResourceLimitError(f"{total} profiles exceed the enumeration cap {cap}")
-    table, weight, offset, _ = spec._grab_table
-    tail = max(t for t in range(1, n_users + 1) if t == 1 or m ** t <= SCAN_BLOCK)
+    value_table, weight, offset = _value_table(spec)
+    size = len(value_table) // m
+    near = (weight != 0) | np.eye(n_users, dtype=bool)            # row n-1: C_n
+    tail = _tail_length(near, m)
     head = n_users - tail
-    cycling = np.array(list(itertools.product(range(m), repeat=tail)))
-    k, channels = len(cycling), np.arange(m)
-    value = spec._value.T[:, :, None].copy()                     # (M, N, 1)
-    tail_key = offset[:, None] + sum(weight[:, head + j, None] * (cycling[:, j] == channels[:, None, None])
-                                     for j in range(tail))
-    profiles = np.empty((k, n_users), dtype=np.int64)
-    profiles[:, head:] = cycling + 1
-    # own[n, k] = payoffs[channel of user n in profile k, n, k]
-    own_at = np.arange(n_users)[:, None] * k + np.arange(k)
-    own_at[head:] += cycling.T * (n_users * k)
-    head_at = own_at[:head].copy()
+    k, channels = m ** tail, np.arange(m)
+    cycling = np.arange(k)[:, None] // m ** np.arange(tail - 1, -1, -1) % m    # (K, L), lexicographic
+    # user n's entries: one per assignment of its tail members, in
+    # lexicographic order; users whose C_n covers the tail come last
+    local = near[:, head:]
+    members = local.sum(axis=1)
+    full = members == tail
+    order = np.concatenate([np.flatnonzero(~full), np.flatnonzero(full)])
+    count = m ** members
+    first = np.empty(n_users, dtype=np.intp)
+    first[order] = np.cumsum(count[order]) - count[order]
+    # radix[n, j]: the place of tail user j in user n's entry number, 0 off C_n
+    radix = np.where(local, m ** (np.cumsum(local[:, ::-1], axis=1)[:, ::-1] - local), 0)
+    index = first[:, None]                                                    # (N, K), built digit by digit
+    for j in range(tail):
+        index = (index[:, :, None] + radix[:, j, None, None] * channels).reshape(n_users, -1)
+    user = np.repeat(order, count[order])
+    e = len(user)
+    # each entry's key on every channel from the tail users in its C_n, and
+    # where its own payoff sits in the (M, E) payoffs
+    rank = np.arange(e) - first[user]
+    tail_key = offset[user] + size * channels[:, None]                        # (M, E)
+    own_at = np.arange(e)
+    for j in range(tail):
+        channel = rank // np.maximum(radix[user, j], 1) % m  # tail user j's channel; off C_n its weight is 0
+        tail_key += weight[user, head + j] * (channel == channels[:, None])
+        own_at += e * channel * (user == head + j)
+    # per block, key = tail_key + the head users' terms, and own is read at
+    # own_at + e * (the user's channel when it is in the head): entries before
+    # `compressed` gather the head terms entry by entry, the (rows, K) entries
+    # of the users covering the tail broadcast them over K
+    key, at = np.empty((m, e), dtype=np.intp), np.empty(e, dtype=np.intp)
+    compressed = e - int(full.sum()) * k
+    spans = [(slice(0, compressed), user[:compressed], (compressed,)),
+             (slice(compressed, e), np.flatnonzero(full)[:, None], (-1, k))]
+    parts = [(cols, key[:, span].reshape(m, *shape), tail_key[:, span].reshape(m, *shape),
+              at[span].reshape(shape), own_at[span].reshape(shape))
+             for span, cols, shape in spans if span.stop > span.start]
+    head_weight = weight[:, :head].T.copy()
+    head_channel = np.zeros(n_users, dtype=np.intp)
+
+    def expand(x: np.ndarray) -> np.ndarray:
+        return x.take(index) if compressed else x.reshape(n_users, k)
+
     start, scanned = time.perf_counter(), 0
     try:
         for fixed in itertools.product(range(m), repeat=head):
-            fixed = np.array(fixed, dtype=np.int64)
-            profiles[:, :head] = fixed + 1
-            own_at[:head] = head_at + fixed[:, None] * (n_users * k)
-            key = tail_key + ((fixed == channels[:, None]) @ weight[:, :head].T)[:, :, None]
-            payoffs = value * table.take(key)
-            own = payoffs.take(own_at)
+            fixed = np.array(fixed, dtype=np.intp)
+            head_key = (fixed == channels[:, None]) @ head_weight                  # (M, N)
+            head_channel[:head] = e * fixed
+            for cols, key_part, tail_part, at_part, own_part in parts:
+                np.add(tail_part, head_key.take(cols, axis=1), out=key_part)
+                np.add(own_part, head_channel.take(cols), out=at_part)
+            payoffs = value_table.take(key)
+            own = payoffs.take(at)
             # strictly_better(new, own) is increasing in new (payoffs are
             # non-negative, so its abs() is the identity), hence some channel
             # improves on own iff the best one does; and best >= own, so
@@ -350,16 +456,17 @@ def _scan(spec: SpectrumGame, cap: int) -> Iterator[_ScanBlock]:
             best = payoffs.max(axis=0)
             improving = best - own > IMPROVEMENT_RTOL * np.maximum(best, 1.0)
             scanned += k
-            yield _ScanBlock(profiles.copy(), payoffs, own, ~improving.any(axis=0))
+            yield _ScanBlock(fixed, cycling, payoffs, index, expand(own), ~expand(improving).any(axis=0))
     finally:
-        logger.debug("scanned %d of %d profiles in %.3f s", scanned, total, time.perf_counter() - start)
+        logger.debug("scanned %d of %d profiles in %.3f s, evaluated %d of %d user rows per block",
+                     scanned, total, time.perf_counter() - start, e, n_users * k)
 
 
 def _witnesses(block: _ScanBlock, count: int) -> list[DeviationWitness]:
     """The first strictly improving move of each of the block's first count
     profiles, by ascending (user, channel) as in is_pure_ne, with its gain;
     meaningless for a profile that is an NE."""
-    payoffs, own = block.payoffs[:, :, :count], block.own[:, :count]
+    payoffs, own = block.moves(count), block.own[:, :count]
     m, _, count = payoffs.shape
     improving = payoffs - own > IMPROVEMENT_RTOL * np.maximum(np.maximum(payoffs, own), 1.0)
     first = improving.transpose(2, 1, 0).reshape(count, -1).argmax(axis=1)
@@ -469,8 +576,9 @@ def social_welfare_and_poa(spec: SpectrumGame, cap: int = 10**7) -> PoaReport:
     """Exhaustive welfare optimum, worst pure NE, and their ratio.
 
     One scan as in enumerate_pure_ne (lexicographic order, the same blocks
-    and memory bound), at about 1.8-2.6 million profiles per second on the
-    same games, as it also sums welfare; the first profile wins welfare ties,
+    and memory bound), at about 17-33 million profiles per second on the
+    same sparse games and 1.8-5 million on the complete ones, as it also sums
+    welfare; the first profile wins welfare ties,
     for the optimum and the worst NE alike. Deviation witnesses are built
     only for the certificate's first _CERTIFICATE_LIMIT = 64 profiles.
     Raises RuntimeError if the computed PoA falls below the structural lower
@@ -487,18 +595,18 @@ def social_welfare_and_poa(spec: SpectrumGame, cap: int = 10**7) -> PoaReport:
             totals += row
         k = int(totals.argmax())
         if totals[k] > best_w:
-            best_w, best_a = float(totals[k]), tuple(block.profiles[k].tolist())
+            best_w, best_a = float(totals[k]), tuple(block.profiles([k])[0].tolist())
         rows = np.flatnonzero(block.is_ne)
         if rows.size:
-            ne += map(tuple, block.profiles[rows].tolist())
+            ne += map(tuple, block.profiles(rows).tolist())
             k = rows[totals[rows].argmin()]
             if totals[k] < worst_w:
-                worst_w, worst_a = totals[k], tuple(block.profiles[k].tolist())
+                worst_w, worst_a = totals[k], tuple(block.profiles([k])[0].tolist())
         # the certificate is reported only when no profile is an NE, and then
         # every profile has a witness
         room = _CERTIFICATE_LIMIT - len(certificate)
         if room > 0:
-            certificate += zip(map(tuple, block.profiles[:room].tolist()), _witnesses(block, room))
+            certificate += zip(map(tuple, block.profiles(slice(room)).tolist()), _witnesses(block, room))
     bound = poa_lower_bound(spec)
     if not ne:
         return PoaReport(best_w, best_a, [], None, None, None, bound, certificate)

@@ -426,11 +426,37 @@ def test_cli_verbose_logs_the_profile_scan(tmp_path, caplog):
             scans = [(r.levelno, r.getMessage()) for r in caplog.records if r.name == "specaccess.game"]
             if verbose:
                 assert len(scans) == 1 and scans[0][0] == logging.DEBUG
-                assert re.fullmatch(r"scanned 8 of 8 profiles in \d+\.\d{3} s", scans[0][1])
+                assert re.fullmatch(r"scanned 8 of 8 profiles in \d+\.\d{3} s, evaluated 12 of 24 user rows per block",
+                                    scans[0][1])
             else:
                 assert scans == []
             written.append((out / artifact).read_bytes())
         assert written[0] == written[1]
+
+
+def test_cli_verbose_logs_the_payoff_rows_a_scan_evaluates(tmp_path, caplog):
+    # the scan evaluates each user once per assignment of its neighbourhood's
+    # cycling members: 385 of the 9 x 5^5 user rows of a block on the sparse
+    # 9-user graph, and all 12 x 2^9 on a complete graph
+    n = 12
+    doc = _minimal_doc()
+    doc["scenario"].update({
+        "graph": {"n_users": n, "edges": [[i, j] for i in range(1, n + 1) for j in range(1, n + 1) if i != j]},
+        "channels": [{"kind": "bernoulli", "theta": 0.5}, {"kind": "bernoulli", "theta": 0.7}],
+        "rates": {"kind": "fixed", "mean": [[4.0, 2.0]] * n},
+    })
+    cases = [(CONFIGS / "learning_9user.json", 5 ** 9, 385, 9 * 5 ** 5),
+             (_write(tmp_path, doc), 2 ** n, n * 2 ** 9, n * 2 ** 9)]
+    level = logging.getLogger("specaccess").level
+    try:
+        for config, profiles, evaluated, rows in cases:
+            caplog.clear()
+            assert cli_main(["poa", str(config), "--out", str(tmp_path / "poa"), "--verbose"]) == 0
+            (scan,) = [r.getMessage() for r in caplog.records if r.name == "specaccess.game"]
+            assert re.fullmatch(rf"scanned {profiles} of {profiles} profiles in \d+\.\d{{3}} s, "
+                                rf"evaluated {evaluated} of {rows} user rows per block", scan)
+    finally:  # main leaves its level set
+        logging.getLogger("specaccess").setLevel(level)
 
 
 def test_cli_poa_beyond_subset_cap_is_an_error(tmp_path, capsys):

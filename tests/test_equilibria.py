@@ -16,7 +16,7 @@ from specaccess.equilibria import (
     solve_pure_ne,
 )
 from specaccess.errors import PreconditionError
-from specaccess.game import SCAN_BLOCK, SpectrumGame, enumerate_pure_ne, is_pure_ne
+from specaccess.game import SpectrumGame, enumerate_pure_ne, is_pure_ne
 from specaccess.graph import classify
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -240,10 +240,10 @@ def test_enumeration_fallbacks_stop_at_the_first_equilibrium(monkeypatch):
     monkeypatch.setattr(game, "_scan", lambda spec, cap: (blocks.append(b) or b for b in scan(spec, cap)))
 
     def first_block_with(spec, a):
-        # profiles are scanned in lexicographic order, blocks of M^L <= SCAN_BLOCK
+        # profiles are scanned in lexicographic order, in blocks of equal size
         m = spec.n_channels
         rank = sum((ch - 1) * m ** (spec.n_users - 1 - i) for i, ch in enumerate(a))
-        return rank // max(m ** t for t in range(1, spec.n_users + 1) if m ** t <= SCAN_BLOCK) + 1
+        return rank // len(blocks[0].is_ne) + 1
 
     rng = np.random.default_rng(41)
     seen = {"enumeration": 0, "directed_tree": 0, "none": 0}
@@ -259,7 +259,7 @@ def test_enumeration_fallbacks_stop_at_the_first_equilibrium(monkeypatch):
         else:
             routine, a = solve_pure_ne(spec)
         assert a == (ne[0] if ne else None)
-        assert len(blocks) == (first_block_with(spec, a) if ne else m ** n // len(blocks[0].profiles))
+        assert len(blocks) == (first_block_with(spec, a) if ne else m ** n // len(blocks[0].is_ne))
         seen[routine if ne else "none"] += 1
     assert seen == {"enumeration": 7, "directed_tree": 8, "none": 1}
     blocks.clear()

@@ -15,6 +15,7 @@ from conftest import (
 )
 
 import specaccess as sa
+from specaccess import game
 from specaccess.config import load_config
 from specaccess.errors import ResourceLimitError
 from specaccess.game import (
@@ -25,6 +26,7 @@ from specaccess.game import (
     _witnesses,
     better_response_dynamics,
     enumerate_pure_ne,
+    first_pure_ne,
     is_pure_ne,
     social_welfare_and_poa,
     welfare,
@@ -219,6 +221,21 @@ def test_cycle3_has_witness_everywhere():
     assert enumerate_pure_ne(spec) == []
 
 
+def test_profile_entries_must_be_integer_channels():
+    # floats used to fail inside payoff with a TypeError, and True passed as
+    # channel 1; numpy integers are channels
+    spec = load_config(CONFIGS / "dag_chain.json").scenario.game
+    for bad in (1.5, 1.0, np.float64(1.0), True, np.True_, 0, 4):
+        a = (bad, 2, 3, 1)
+        with pytest.raises(ValueError, match="valid channel indices"):
+            is_pure_ne(spec, a)
+        with pytest.raises(ValueError, match="valid channel indices"):
+            better_response_dynamics(spec, a)
+    a = tuple(np.array([1, 2, 3, 1]))
+    assert is_pure_ne(spec, a) == is_pure_ne(spec, (1, 2, 3, 1))
+    assert better_response_dynamics(spec, a) == better_response_dynamics(spec, (1, 2, 3, 1))
+
+
 def test_enumeration_cap():
     spec = cycle3_game()
     with pytest.raises(ResourceLimitError):
@@ -276,30 +293,61 @@ def _assert_scan_matches_brute_force(spec):
     if ne:  # the first profile wins ties
         assert (rep.worst_ne_welfare, rep.worst_ne_profile) == min((welfare(spec, a), a) for a in ne)
     blocks = list(_scan(spec, 10**7))
-    assert [tuple(a) for b in blocks for a in b.profiles.tolist()] == profiles
-    first = blocks[0]
-    witnesses = _witnesses(first, 64)
-    for k, (a, check) in enumerate(zip(profiles[:64], checks)):
+    assert [tuple(a) for b in blocks for a in b.profiles().tolist()] == profiles
+    # every block's own payoffs, expanded per-move payoffs, NE flags and
+    # witnesses, profile by profile
+    rows = itertools.chain.from_iterable(
+        zip(b.own.T, b.moves(len(b.is_ne)).transpose(2, 0, 1), b.is_ne.tolist(), _witnesses(b, len(b.is_ne)))
+        for b in blocks)
+    for a, check, (own, moves, is_ne, witness) in zip(profiles, checks, rows, strict=True):
         for n in range(1, spec.n_users + 1):
-            assert first.own[n - 1, k] == spec.payoff(a, n)
+            assert own[n - 1] == spec.payoff(a, n)
             for m in range(1, spec.n_channels + 1):
                 moved = a[: n - 1] + (m,) + a[n:]
-                assert first.payoffs[m - 1, n - 1, k] == spec.payoff(moved, n)
-        assert bool(first.is_ne[k]) == check.is_ne
+                assert moves[m - 1, n - 1] == spec.payoff(moved, n)
+        assert is_ne == check.is_ne
         if not check.is_ne:
-            assert witnesses[k] == check.witness
+            assert witness == check.witness
     if not ne:
         assert rep.no_ne_certificate == [(a, c.witness) for a, c in zip(profiles[:64], checks)]
 
 
-def test_scan_matches_brute_force():
+def _brute_force_games():
     rng = np.random.default_rng(2)
     for trial in range(24):
         kind = ("backoff", "aloha", "weighted", "asymptotic")[trial % 4]
         n, m = int(rng.integers(2, 6)), int(rng.integers(2, 4))
-        _assert_scan_matches_brute_force(random_game(rng, random_directed_graph(rng, n, 0.5), m, kind))
+        yield random_game(rng, random_directed_graph(rng, n, 0.5), m, kind)
     for p in (0.3, 0.5):  # no pure NE: the certificate path
-        _assert_scan_matches_brute_force(cycle3_game(p))
+        yield cycle3_game(p)
+
+
+def test_scan_matches_brute_force():
+    for spec in _brute_force_games():
+        _assert_scan_matches_brute_force(spec)
+
+
+@pytest.mark.parametrize("rows, payoffs", [(16, game.SCAN_PAYOFFS), (game.SCAN_ROWS, 24)])
+def test_scan_matches_brute_force_in_small_blocks(monkeypatch, rows, payoffs):
+    # blocks of at most 16 user rows, or of at most 24 payoffs: a fixed head
+    # and a cycling tail in nearly every game below, with users whose
+    # neighbourhood covers the tail (all of a complete graph's, a star's
+    # centre) and users whose neighbourhood does not
+    monkeypatch.setattr(game, "SCAN_ROWS", rows)
+    monkeypatch.setattr(game, "SCAN_PAYOFFS", payoffs)
+    rng = np.random.default_rng(19)
+    star = sa.InterferenceGraph.undirected(6, [(1, i) for i in range(2, 7)])
+    specs = [*_brute_force_games(),
+             random_game(rng, complete_undirected_graph(5), 3, "weighted", gains=True),
+             random_game(rng, complete_undirected_graph(6), 2, "backoff"),
+             random_game(rng, star, 2, "aloha", gains=True),
+             random_game(rng, star, 3, "weighted"),
+             random_game(rng, random_directed_graph(rng, 7, 0.3), 3, "aloha")]
+    for spec in specs:
+        _assert_scan_matches_brute_force(spec)
+        block = next(_scan(spec, 10**7))
+        assert len(block.is_ne) == spec.n_channels or (spec.n_users * len(block.is_ne) <= rows
+                                                       and block.payoffs.size <= payoffs)
 
 
 def _dead_band_games():
@@ -330,7 +378,7 @@ def test_best_channel_ne_flag_agrees_with_is_pure_ne_in_the_dead_band():
         assert spec.payoff((3, 3), 1) == spec.mean_rate[0][2], label  # payoffs are the rates
         assert is_pure_ne(spec, a).is_ne is not improving, label
         block = next(_scan(spec, 10**7))
-        assert bool(block.is_ne[block.profiles.tolist().index(list(a))]) is not improving, label
+        assert bool(block.is_ne[block.profiles().tolist().index(list(a))]) is not improving, label
         _assert_scan_matches_brute_force(spec)
 
 
@@ -380,12 +428,13 @@ def test_payoff_matches_scan_bit_for_bit(kind):
     rng = np.random.default_rng(2)
     spec = random_game(rng, random_directed_graph(rng, 16, 0.5), 2, kind)
     for block in _scan(spec, 10**7):
-        for k in rng.choice(len(block.profiles), 8, replace=False):
-            a = tuple(block.profiles[k].tolist())
+        moves = block.moves(len(block.is_ne))
+        for k in rng.choice(len(block.is_ne), 8, replace=False):
+            a = tuple(block.profiles([k])[0].tolist())
             for n in range(1, 17):
                 for m in (1, 2):
                     moved = a[: n - 1] + (m,) + a[n:]
-                    assert spec.payoff(moved, n) == block.payoffs[m - 1, n - 1, k]
+                    assert spec.payoff(moved, n) == moves[m - 1, n - 1, k]
 
 
 _SCAN_DIGESTS = {
@@ -400,6 +449,10 @@ _SCAN_DIGESTS = {
     "16x1_weighted": "7137f58cbad984f58ec90c52274b6a2960ccf435730b852fb840551bd9f872c7",
     "triangle": "7bf898a52b402038edb7ea9a207d30e49fcd262a1fd595445754753dcf1b8b98",
     "10x2_every_profile_ne": "f4bb5193db717a76559e6f940726c57ad0bfe74c53c51a6a1a40b0c8be83c68b",
+    "learning_9user": "5e646d17dbaeef6bdd1ddbf03cf52cab0cd1fb1998e4a20b3ff5d887a77d6f05",
+    "learning_9user_aloha": "839454beb17a962aa364869f530b4699070a7c15a5df130dffc21a98f557320d",
+    "9x3_complete_weighted": "0a26af753835781c927f69e01510826bf450274f0cd24db92faf6651290dddb7",
+    "14x2_star_aloha": "cf1e808e16b117fa3d386ec73bf9ad3e58f43e0b09c59c074d2506bbcfa899e0",
 }
 
 
@@ -429,6 +482,19 @@ def test_seeded_scans_keep_their_digest():
     edgeless = SpectrumGame.create(sa.InterferenceGraph.from_edges(10, []), [0.5, 0.5], [[r, r] for r in rates],
                                    sa.RandomBackoff(5))
     got["10x2_every_profile_ne"] = _scan_digest(edgeless)
+    # the 9-user configs (1.95 M profiles in many blocks), a complete graph,
+    # where every user's neighbourhood covers the cycling users, and a star,
+    # where only the centre's does; first_pure_ne is the first NE of each
+    specs = {name: load_config(CONFIGS / f"{name}.json").scenario.game
+             for name in ("learning_9user", "learning_9user_aloha")}
+    rng = np.random.default_rng(19)
+    specs["9x3_complete_weighted"] = random_game(rng, complete_undirected_graph(9), 3, "weighted", gains=True)
+    star = sa.InterferenceGraph.undirected(14, [(1, i) for i in range(2, 15)])
+    specs["14x2_star_aloha"] = random_game(rng, star, 2, "aloha", gains=True)
+    for name, spec in specs.items():
+        got[name] = _scan_digest(spec)
+        ne = enumerate_pure_ne(spec)
+        assert first_pure_ne(spec) == (ne[0] if ne else None), name
     assert got == _SCAN_DIGESTS
 
 
