@@ -86,9 +86,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     level = logging.DEBUG if args.verbose else logging.INFO
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
-    # basicConfig leaves a root logger that already has handlers alone
-    logging.getLogger("specaccess").setLevel(level)
+    # a handler for the package's records, added only when the root logger has
+    # none; the root level is left alone, and the package level is set for
+    # this command and restored after it
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    package = logging.getLogger("specaccess")
+    caller_level = package.level
+    package.setLevel(level)
     try:
         if not args.loads_config:
             return args.func(args)
@@ -101,6 +105,8 @@ def main(argv=None) -> int:
     except (ValueError, PreconditionError, ResourceLimitError, OSError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    finally:
+        package.setLevel(caller_level)
 
 
 def _outdir(out: str) -> Path:

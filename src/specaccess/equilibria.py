@@ -13,7 +13,7 @@ import logging
 
 from .contention import RandomBackoff, backoff_success_probability
 from .errors import PreconditionError
-from .game import Profile, SpectrumGame, first_pure_ne, is_pure_ne
+from .game import Profile, SpectrumGame, channel_wise_rates, first_pure_ne, is_pure_ne
 from .graph import classify, skeleton_walk
 
 logger = logging.getLogger(__name__)
@@ -148,8 +148,7 @@ def construct_ne_bipartite(spec: SpectrumGame) -> Profile:
         )
     if not isinstance(spec.mechanism, RandomBackoff):
         raise PreconditionError("construct_ne_bipartite requires the random backoff mechanism")
-    first = spec.mean_rate[0]
-    if any(abs(row[m] - first[m]) > 1e-12 * first[m] for row in spec.mean_rate for m in range(spec.n_channels)):
+    if not channel_wise_rates(spec):
         raise PreconditionError(
             "construct_ne_bipartite requires channel-wise rates (identical mean-rate rows; "
             "user specificity only through gains)"
@@ -163,6 +162,7 @@ def construct_ne_bipartite(spec: SpectrumGame) -> Profile:
     else:
         contention = cls.regular_degree
 
+    first = spec.mean_rate[0]
     value = [spec.idle_prob[m] * first[m] for m in range(spec.n_channels)]
     ranked = sorted(range(1, spec.n_channels + 1), key=lambda m: (-value[m - 1], m))
     top = ranked[0]

@@ -37,9 +37,24 @@ logger = logging.getLogger(__name__)
 IMPROVEMENT_RTOL = 1e-12
 
 
-def strictly_better(new: float, old: float) -> bool:
-    """Strict improvement with a relative dead band against float churn."""
-    return new - old > IMPROVEMENT_RTOL * max(1.0, abs(new), abs(old))
+def strictly_better(new, old):
+    """Strict improvement by more than IMPROVEMENT_RTOL relative to new, with
+    no absolute floor, so the verdict does not depend on the rate unit; on
+    floats or elementwise on arrays. On non-negative payoffs it is
+    new - old > IMPROVEMENT_RTOL * max(|new|, |old|)."""
+    return new - old > IMPROVEMENT_RTOL * abs(new)
+
+
+def rates_agree(rates: Iterable[float]) -> bool:
+    """True when the positive rates are equal up to IMPROVEMENT_RTOL of the
+    largest: the tolerance of the channel-wise and homogeneous rate hypotheses."""
+    rates = list(rates)
+    return max(rates) - min(rates) <= IMPROVEMENT_RTOL * max(rates)
+
+
+def channel_wise_rates(spec: SpectrumGame) -> bool:
+    """Every user has the same mean rate on each channel, up to rates_agree."""
+    return all(rates_agree(column) for column in zip(*spec.mean_rate))
 
 
 class GameLike(Protocol):
@@ -219,6 +234,17 @@ class PhysicalGame:
             raise ValueError("primary_interference must be N x M")
         if len(self.idle_prob) != self.n_channels:
             raise ValueError("idle_prob length must equal n_channels")
+        # with these, every payoff is finite and non-negative, the domain of strictly_better
+        if not (self.bandwidth > 0 and math.isfinite(self.bandwidth)):
+            raise ValueError("bandwidth must be positive and finite")
+        if any(not (p > 0 and math.isfinite(p)) for p in self.tx_power):
+            raise ValueError("transmit powers must be positive and finite")
+        if not (self.noise > 0 and math.isfinite(self.noise)):
+            raise ValueError("noise must be positive and finite")
+        if any(not (w >= 0 and math.isfinite(w)) for row in self.primary_interference for w in row):
+            raise ValueError("primary interference must be finite and non-negative")
+        if any(not (0.0 <= t <= 1.0) for t in self.idle_prob):
+            raise ValueError("idle probabilities must lie in [0, 1]")
 
     @property
     def n_users(self) -> int:
@@ -320,11 +346,6 @@ class _ScanBlock(NamedTuple):
         profiles += 1
         return profiles
 
-    def moves(self, count: int) -> np.ndarray:
-        """(M, N, count): user n's payoff after moving to channel m, at each
-        of the block's first count profiles."""
-        return self.payoffs[:, self.index[:, :count]]
-
 
 def _tail_length(near: np.ndarray, m: int) -> int:
     """The number L of cycling users in a scan block: the largest L whose
@@ -379,11 +400,13 @@ def _scan(spec: SpectrumGame, cap: int) -> Iterator[_ScanBlock]:
     (N, K) profiles through one (N, K) entry index built once per scan.
     Users whose C_n covers the tail (every user of a complete graph) have K
     entries each, laid out as (rows, K) after the others; when every user is
-    such a row, the expansion is a reshape. The NE test is strictly_better
-    on every unilateral move, as in is_pure_ne; g comes from the sorted
-    contender tuple (see _grab_table). Logs the profiles scanned, the wall
-    seconds and the entries evaluated per block against N K at DEBUG when
-    the scan ends or is abandoned.
+    such a row, the expansion is a reshape. The NE flag is strictly_better
+    of each entry's best payoff over its own, which is is_pure_ne's test of
+    every unilateral move; g comes from the sorted contender tuple (see
+    _grab_table). Blocks carry no deviation witnesses: the no-NE
+    certificate asks is_pure_ne (see social_welfare_and_poa). Logs the
+    profiles scanned, the wall seconds and the entries evaluated per block
+    against N K at DEBUG when the scan ends or is abandoned.
     """
     n_users, m = spec.n_users, spec.n_channels
     total = m ** n_users
@@ -451,28 +474,13 @@ def _scan(spec: SpectrumGame, cap: int) -> Iterator[_ScanBlock]:
             own = payoffs.take(at)
             # strictly_better(new, own) is increasing in new (payoffs are
             # non-negative, so its abs() is the identity), hence some channel
-            # improves on own iff the best one does; and best >= own, so
-            # max(best, own, 1) is max(best, 1)
-            best = payoffs.max(axis=0)
-            improving = best - own > IMPROVEMENT_RTOL * np.maximum(best, 1.0)
+            # improves on own iff the best one does
+            improving = strictly_better(payoffs.max(axis=0), own)
             scanned += k
             yield _ScanBlock(fixed, cycling, payoffs, index, expand(own), ~expand(improving).any(axis=0))
     finally:
         logger.debug("scanned %d of %d profiles in %.3f s, evaluated %d of %d user rows per block",
                      scanned, total, time.perf_counter() - start, e, n_users * k)
-
-
-def _witnesses(block: _ScanBlock, count: int) -> list[DeviationWitness]:
-    """The first strictly improving move of each of the block's first count
-    profiles, by ascending (user, channel) as in is_pure_ne, with its gain;
-    meaningless for a profile that is an NE."""
-    payoffs, own = block.moves(count), block.own[:, :count]
-    m, _, count = payoffs.shape
-    improving = payoffs - own > IMPROVEMENT_RTOL * np.maximum(np.maximum(payoffs, own), 1.0)
-    first = improving.transpose(2, 1, 0).reshape(count, -1).argmax(axis=1)
-    user, channel, rows = first // m, first % m, np.arange(count)
-    gain = payoffs[channel, user, rows] - own[user, rows]
-    return [DeviationWitness(*w) for w in zip((user + 1).tolist(), (channel + 1).tolist(), gain.tolist())]
 
 
 @dataclass
@@ -579,15 +587,15 @@ def social_welfare_and_poa(spec: SpectrumGame, cap: int = 10**7) -> PoaReport:
     and memory bound), at about 17-33 million profiles per second on the
     same sparse games and 1.8-5 million on the complete ones, as it also sums
     welfare; the first profile wins welfare ties,
-    for the optimum and the worst NE alike. Deviation witnesses are built
-    only for the certificate's first _CERTIFICATE_LIMIT = 64 profiles.
+    for the optimum and the worst NE alike. When the scan finds no NE, the
+    no-NE certificate is is_pure_ne's witness on each of the first
+    _CERTIFICATE_LIMIT = 64 profiles in lexicographic order.
     Raises RuntimeError if the computed PoA falls below the structural lower
     bound by more than 1e-9 (which would indicate an implementation bug).
     """
     best_w, best_a = -math.inf, None
     worst_w, worst_a = math.inf, None
     ne: list[Profile] = []
-    certificate: list[tuple[Profile, DeviationWitness]] = []
     for block in _scan(spec, cap):
         # users summed left to right, as in welfare, so totals holds its bits
         totals = block.own[0].copy()
@@ -602,13 +610,11 @@ def social_welfare_and_poa(spec: SpectrumGame, cap: int = 10**7) -> PoaReport:
             k = rows[totals[rows].argmin()]
             if totals[k] < worst_w:
                 worst_w, worst_a = totals[k], tuple(block.profiles([k])[0].tolist())
-        # the certificate is reported only when no profile is an NE, and then
-        # every profile has a witness
-        room = _CERTIFICATE_LIMIT - len(certificate)
-        if room > 0:
-            certificate += zip(map(tuple, block.profiles(slice(room)).tolist()), _witnesses(block, room))
     bound = poa_lower_bound(spec)
     if not ne:
+        profiles = itertools.islice(itertools.product(range(1, spec.n_channels + 1), repeat=spec.n_users),
+                                    _CERTIFICATE_LIMIT)
+        certificate = [(a, is_pure_ne(spec, a).witness) for a in profiles]
         return PoaReport(best_w, best_a, [], None, None, None, bound, certificate)
     worst_w = welfare(spec, worst_a)  # equals its scan total, in welfare()'s float type
     poa = worst_w / best_w if best_w > 0 else 1.0

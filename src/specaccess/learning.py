@@ -137,13 +137,6 @@ def _q_map(spec: SpectrumGame) -> Callable[[np.ndarray], np.ndarray]:
     return keyed
 
 
-def q_operator(spec: SpectrumGame, P: np.ndarray, gamma: float, payoff_scale: float = 1.0) -> np.ndarray:
-    """Mean-dynamics map: perceptions -> expected throughputs under the
-    Boltzmann strategies they induce."""
-    sigma = boltzmann_profile(np.asarray(P, dtype=float) / payoff_scale, gamma)
-    return q_from_sigma(spec, sigma)
-
-
 def initial_perceptions(spec: SpectrumGame, payoff_scale: float = 1.0) -> np.ndarray:
     """Uniform 1/M starting point (in payoff_scale units)."""
     return np.full((spec.n_users, spec.n_channels), payoff_scale / spec.n_channels)

@@ -30,7 +30,7 @@ from typing import Iterable
 
 from .contention import AsymptoticBackoff, RandomBackoff, SlottedAloha, WeightedShare, backoff_success_probability
 from .errors import PreconditionError
-from .game import PhysicalGame, Profile, SpectrumGame, _check_profile
+from .game import IMPROVEMENT_RTOL, PhysicalGame, Profile, SpectrumGame, _check_profile, channel_wise_rates, rates_agree
 from .graph import classify
 
 VARIANTS = (
@@ -46,15 +46,6 @@ VARIANTS = (
 def _require(cond: bool, variant: str, what: str) -> None:
     if not cond:
         raise PreconditionError(f"potential variant '{variant}' requires {what}")
-
-
-def _rows_equal(spec: SpectrumGame) -> bool:
-    first = spec.mean_rate[0]
-    return all(
-        math.isclose(row[m], first[m], rel_tol=1e-12, abs_tol=0.0)
-        for row in spec.mean_rate
-        for m in range(spec.n_channels)
-    )
 
 
 def _positive_theta(spec: SpectrumGame) -> bool:
@@ -78,20 +69,19 @@ def check_hypotheses(game: SpectrumGame | PhysicalGame, variant: str) -> None:
     elif variant == "backoff_asymptotic":
         _require(cls.undirected, variant, "an undirected interference graph")
         _require(isinstance(game.mechanism, AsymptoticBackoff), variant, "the asymptotic backoff mechanism")
-        _require(_rows_equal(game), variant, "channel-wise rates (identical mean-rate rows; use gains for user specificity)")
+        _require(channel_wise_rates(game), variant, "channel-wise rates (identical mean-rate rows; use gains for user specificity)")
         _require(_positive_theta(game), variant, "strictly positive channel idle probabilities")
     elif variant == "weighted_share":
         _require(cls.undirected, variant, "an undirected interference graph")
         _require(isinstance(game.mechanism, WeightedShare), variant, "the weighted sharing mechanism")
-        _require(_rows_equal(game), variant, "channel-wise rates (identical mean-rate rows; use gains for user specificity)")
+        _require(channel_wise_rates(game), variant, "channel-wise rates (identical mean-rate rows; use gains for user specificity)")
         _require(_positive_theta(game), variant, "strictly positive channel idle probabilities")
     elif variant == "homogeneous_backoff":
         _require(cls.undirected, variant, "an undirected interference graph")
         _require(isinstance(game.mechanism, RandomBackoff), variant, "the random backoff mechanism")
         _require(len(set(game.idle_prob)) == 1, variant, "homogeneous channel idle probabilities")
-        rates = {b for row in game.mean_rate for b in row}
         _require(
-            max(rates) - min(rates) <= 1e-12 * max(rates), variant,
+            rates_agree(b for row in game.mean_rate for b in row), variant,
             "one mean rate shared by all users and channels (use gains for user specificity)",
         )
         _require(_positive_theta(game), variant, "strictly positive channel idle probabilities")
@@ -195,14 +185,13 @@ def potential_value(game: SpectrumGame | PhysicalGame, a: Profile, variant: str)
     raise ValueError(f"unknown potential variant '{variant}'")
 
 
-_SIGN_BAND = 1e-12
-
-
 def signed(delta: float, reference: Iterable[float]) -> int:
-    """Sign of delta with a dead band of _SIGN_BAND times the largest reference
-    magnitude; relative at every scale, as potentials can be tiny."""
+    """Sign of delta with a dead band of IMPROVEMENT_RTOL times the largest
+    reference magnitude, relative at every scale as in strictly_better: for
+    non-negative payoffs, signed(new - old, (new, old)) == 1 exactly when
+    strictly_better(new, old)."""
     scale = max((abs(r) for r in reference), default=0.0)
-    if abs(delta) <= _SIGN_BAND * scale:
+    if abs(delta) <= IMPROVEMENT_RTOL * scale:
         return 0
     return 1 if delta > 0 else -1
 

@@ -244,15 +244,6 @@ def _rate_row(model: RateModel) -> tuple[float, float, float, float, float]:
     return (math.nan, model.bandwidth, model.tx_power, model.noise_power, model.mean_gain)
 
 
-def _rate_values(params, fading: np.ndarray) -> np.ndarray:
-    """Per-slot rates for standard-exponential fading draws under rate rows
-    (..., 5) from _rate_row, broadcast against the draws: the fixed rate, or
-    W log2(1 + eta z / omega) with the power gain z = fading * mean gain."""
-    params = np.asarray(params, dtype=float)
-    fixed, w, eta, omega, g = (params[..., j] for j in range(5))
-    return np.where(np.isnan(fixed), _shannon_rate(w, eta, omega, g, fading), fixed)
-
-
 def _shannon_rate(w, eta, omega, g, fading: np.ndarray) -> np.ndarray:
     """W log2(1 + eta z / omega) with the power gain z = fading * mean gain."""
     return w * np.log2(1.0 + eta * (fading * g) / omega)

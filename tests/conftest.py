@@ -140,6 +140,16 @@ def loop_estimates(S, I, b):
     return eps, xi, theta, grab, rate, theta * rate * grab
 
 
+def rate_values(params, fading):
+    """Per-slot rates for standard-exponential fading draws under rate rows
+    (..., 5) from simulator._rate_row, broadcast against the draws: the fixed
+    rate, or W log2(1 + eta z / omega) with the power gain z = fading * mean
+    gain. The reference for the simulator's rate realisation."""
+    params = np.asarray(params, dtype=float)
+    fixed, w, eta, omega, g = (params[..., j] for j in range(5))
+    return np.where(np.isnan(fixed), w * np.log2(1.0 + eta * (fading * g) / omega), fixed)
+
+
 def expected_grab(mech, n, membership):
     """E over independent contender memberships of g_n(S), by enumerating the
     subsets of the potential contenders: the reference for Q.

@@ -34,9 +34,10 @@ from specaccess.game import (
 )
 from specaccess.learning import (
     approx_ne_gap,
+    boltzmann_profile,
     contraction_temperature_bound,
     mean_dynamics_fixed_point,
-    q_operator,
+    q_from_sigma,
     run_learning,
 )
 from specaccess.potentials import potential_value, signed
@@ -313,7 +314,8 @@ def test_criterion_08_contraction_and_fixed_point():
         for _ in range(100):
             p1 = rng.uniform(0, vmax, (spec.n_users, spec.n_channels))
             p2 = rng.uniform(0, vmax, (spec.n_users, spec.n_channels))
-            num = float(np.max(np.abs(q_operator(spec, p1, gamma) - q_operator(spec, p2, gamma))))
+            num = float(np.max(np.abs(q_from_sigma(spec, boltzmann_profile(p1 / 1.0, gamma))
+                                      - q_from_sigma(spec, boltzmann_profile(p2 / 1.0, gamma)))))
             den = float(np.max(np.abs(p1 - p2)))
             worst_lip = max(worst_lip, num / den)
         if worst_lip >= 1.0 or not fp.converged or fp.residual >= 1e-10:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
+from conftest import rate_values
 
 import specaccess as sa
 from specaccess.channels import (
@@ -21,7 +22,7 @@ from specaccess.channels import (
     stationary_idle_probability,
 )
 from specaccess.errors import DegenerateModelError
-from specaccess.simulator import _BLOCK_SLOTS, _blocks, _channel_states, _rate_row, _rate_values
+from specaccess.simulator import _BLOCK_SLOTS, _blocks, _channel_states, _rate_row
 
 
 def test_stationary_idle_probability_values():
@@ -128,7 +129,7 @@ def test_markov_ergodic_frequency_matches_stationary():
 
 def test_fixed_rate_identity():
     rng = np.random.default_rng(0)
-    assert np.all(_rate_values(_rate_row(FixedRate(2e6)), rng.standard_exponential(5)) == 2e6)
+    assert np.all(rate_values(_rate_row(FixedRate(2e6)), rng.standard_exponential(5)) == 2e6)
     assert mean_rate(FixedRate(2e6)) == 2e6
 
 
@@ -136,7 +137,7 @@ def test_unit_snr_pins_rate_to_bandwidth():
     # a unit standard-exponential fading draw puts the gain z at its mean
     model = RayleighShannonRate(bandwidth=10.0, tx_power=0.1, noise_power=1e-13, mean_gain=1e-12)
     # eta * z / omega = 0.1 * 1e-12 / 1e-13 = 1  ->  b = W log2(2) = W
-    assert _rate_values(_rate_row(model), np.array([1.0]))[0] == pytest.approx(10.0)
+    assert rate_values(_rate_row(model), np.array([1.0]))[0] == pytest.approx(10.0)
 
 
 def _quad_mean(model: RayleighShannonRate) -> float:
@@ -156,7 +157,7 @@ def test_mean_rate_against_quadrature_and_samples():
     oracle = _quad_mean(model)
     assert mean_rate(model) == pytest.approx(oracle, rel=1e-9)
     rng = np.random.default_rng(7)
-    draws = _rate_values(_rate_row(model), rng.standard_exponential(10**5))
+    draws = rate_values(_rate_row(model), rng.standard_exponential(10**5))
     assert abs(draws.mean() - oracle) / oracle < 0.02
 
 

@@ -413,15 +413,45 @@ def test_cli_poa_without_pure_ne(tmp_path, capsys):
     assert len(data["certificate"]) == 2 ** 3  # every profile witnessed
 
 
+def test_cli_solve_and_poa_do_not_depend_on_the_rate_unit(tmp_path):
+    # rates far below one payoff unit: 1e-300 on a complete 3-user graph, where
+    # [1, 1, 1] is no NE (user 1 gains on the empty channel 2), and dag_chain
+    # with every rate times 2^-990, an exact rescaling; solve and poa answer
+    # as on the same games at unit scale
+    doc = _minimal_doc()
+    doc["scenario"].update({
+        "graph": {"n_users": 3, "edges": [[i, j] for i in (1, 2, 3) for j in (1, 2, 3) if i != j]},
+        "channels": [{"kind": "bernoulli", "theta": 0.5}] * 2,
+        "rates": {"kind": "fixed", "mean": [[1e-300, 1e-300]] * 3},
+    })
+    tiny = _write(tmp_path, doc, "tiny.json")
+    doc["scenario"]["rates"]["mean"] = [[1.0, 1.0]] * 3
+    unit = _write(tmp_path, doc, "unit.json")
+    dag = json.loads((CONFIGS / "dag_chain.json").read_text())
+    dag["scenario"]["rates"]["mean"] = [[b * 2.0**-990 for b in row] for row in dag["scenario"]["rates"]["mean"]]
+    dag_tiny = _write(tmp_path, dag, "dag_tiny.json")
+    got = {}
+    for config in (tiny, unit, dag_tiny, CONFIGS / "dag_chain.json"):
+        out = tmp_path / config.stem
+        for command in ("solve", "poa"):
+            assert cli_main([command, str(config), "--out", str(out)]) == 0, (command, config)
+        solution = json.loads((out / "solution.json").read_text())
+        poa = json.loads((out / "poa.json").read_text())
+        got[config.stem] = (solution["routine"], solution["profile"], solution["verified"], poa["pure_ne_count"],
+                            poa["poa"], poa["lower_bound"], poa["optimal_profile"], poa["worst_ne_profile"])
+    assert got["tiny"] == got["unit"] and got["tiny"][:3] == ("enumeration", [1, 1, 2], True)
+    assert got["dag_tiny"] == got["dag_chain"] and got["dag_chain"][3] == 1
+
+
 def test_cli_verbose_logs_the_profile_scan(tmp_path, caplog):
     # --verbose logs the scan's profile count and wall seconds at DEBUG and
     # leaves the artifacts as they are
     config = str(CONFIGS / "triangle_no_ne.json")
     for command, artifact in (("poa", "poa.json"), ("solve", "solution.json")):
         written = []
-        for verbose in (["--verbose"], []):  # quiet last: main leaves its level set
+        for verbose in ([], ["--verbose"], []):
             caplog.clear()
-            out = tmp_path / f"{command}{len(verbose)}"
+            out = tmp_path / f"{command}{len(written)}"
             assert cli_main([command, config, "--out", str(out)] + verbose) == 0
             scans = [(r.levelno, r.getMessage()) for r in caplog.records if r.name == "specaccess.game"]
             if verbose:
@@ -431,7 +461,7 @@ def test_cli_verbose_logs_the_profile_scan(tmp_path, caplog):
             else:
                 assert scans == []
             written.append((out / artifact).read_bytes())
-        assert written[0] == written[1]
+        assert written[0] == written[1] == written[2]
 
 
 def test_cli_verbose_logs_the_payoff_rows_a_scan_evaluates(tmp_path, caplog):
@@ -447,16 +477,30 @@ def test_cli_verbose_logs_the_payoff_rows_a_scan_evaluates(tmp_path, caplog):
     })
     cases = [(CONFIGS / "learning_9user.json", 5 ** 9, 385, 9 * 5 ** 5),
              (_write(tmp_path, doc), 2 ** n, n * 2 ** 9, n * 2 ** 9)]
-    level = logging.getLogger("specaccess").level
+    for config, profiles, evaluated, rows in cases:
+        caplog.clear()
+        assert cli_main(["poa", str(config), "--out", str(tmp_path / "poa"), "--verbose"]) == 0
+        (scan,) = [r.getMessage() for r in caplog.records if r.name == "specaccess.game"]
+        assert re.fullmatch(rf"scanned {profiles} of {profiles} profiles in \d+\.\d{{3}} s, "
+                            rf"evaluated {evaluated} of {rows} user rows per block", scan)
+
+
+@pytest.mark.parametrize("level", [logging.NOTSET, logging.WARNING, logging.DEBUG])
+def test_cli_leaves_the_package_log_level_as_it_found_it(tmp_path, level, capsys):
+    # an in-process call sets the package level for its command only, also
+    # when the command fails
+    package = logging.getLogger("specaccess")
+    root = logging.getLogger().level
+    before = package.level
+    package.setLevel(level)
     try:
-        for config, profiles, evaluated, rows in cases:
-            caplog.clear()
-            assert cli_main(["poa", str(config), "--out", str(tmp_path / "poa"), "--verbose"]) == 0
-            (scan,) = [r.getMessage() for r in caplog.records if r.name == "specaccess.game"]
-            assert re.fullmatch(rf"scanned {profiles} of {profiles} profiles in \d+\.\d{{3}} s, "
-                                rf"evaluated {evaluated} of {rows} user rows per block", scan)
-    finally:  # main leaves its level set
-        logging.getLogger("specaccess").setLevel(level)
+        for argv in (["solve", str(CONFIGS / "triangle_no_ne.json"), "--verbose"],
+                     ["solve", str(CONFIGS / "triangle_no_ne.json")],
+                     ["solve", str(tmp_path / "missing.json"), "--verbose"]):
+            cli_main(argv + ["--out", str(tmp_path / "out")])
+            assert package.level == level and logging.getLogger().level == root, argv
+    finally:
+        package.setLevel(before)
 
 
 def test_cli_poa_beyond_subset_cap_is_an_error(tmp_path, capsys):

@@ -23,15 +23,16 @@ from specaccess.game import (
     PhysicalGame,
     SpectrumGame,
     _scan,
-    _witnesses,
     better_response_dynamics,
     enumerate_pure_ne,
     first_pure_ne,
     is_pure_ne,
     social_welfare_and_poa,
+    strictly_better,
     welfare,
 )
 from specaccess.learning import q_from_sigma
+from specaccess.potentials import signed
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -294,20 +295,17 @@ def _assert_scan_matches_brute_force(spec):
         assert (rep.worst_ne_welfare, rep.worst_ne_profile) == min((welfare(spec, a), a) for a in ne)
     blocks = list(_scan(spec, 10**7))
     assert [tuple(a) for b in blocks for a in b.profiles().tolist()] == profiles
-    # every block's own payoffs, expanded per-move payoffs, NE flags and
-    # witnesses, profile by profile
+    # every block's own payoffs, per-move payoffs (entry payoffs expanded
+    # through the index) and NE flags, profile by profile
     rows = itertools.chain.from_iterable(
-        zip(b.own.T, b.moves(len(b.is_ne)).transpose(2, 0, 1), b.is_ne.tolist(), _witnesses(b, len(b.is_ne)))
-        for b in blocks)
-    for a, check, (own, moves, is_ne, witness) in zip(profiles, checks, rows, strict=True):
+        zip(b.own.T, b.payoffs[:, b.index].transpose(2, 0, 1), b.is_ne.tolist()) for b in blocks)
+    for a, check, (own, moves, is_ne) in zip(profiles, checks, rows, strict=True):
         for n in range(1, spec.n_users + 1):
             assert own[n - 1] == spec.payoff(a, n)
             for m in range(1, spec.n_channels + 1):
                 moved = a[: n - 1] + (m,) + a[n:]
                 assert moves[m - 1, n - 1] == spec.payoff(moved, n)
         assert is_ne == check.is_ne
-        if not check.is_ne:
-            assert witness == check.witness
     if not ne:
         assert rep.no_ne_certificate == [(a, c.witness) for a, c in zip(profiles[:64], checks)]
 
@@ -353,23 +351,20 @@ def test_scan_matches_brute_force_in_small_blocks(monkeypatch, rows, payoffs):
 def _dead_band_games():
     """(label, improving, game): two users without edges; user 1 sits on
     channel 1 and would gain on channel 3 exactly the dead band
-    IMPROVEMENT_RTOL * max(new, old, 1), one payoff ulp less or one more.
+    IMPROVEMENT_RTOL * new, one payoff ulp less or one more, at payoffs
+    above 1 and, scaled by 2^-42, below 1, where the band has no floor.
     Channel 2 pays in between; user 2 is best off on channel 3."""
     graph = sa.InterferenceGraph.from_edges(2, [])
-    # payoffs below 1, where the band is IMPROVEMENT_RTOL; channel 1 is never idle
-    band = IMPROVEMENT_RTOL * 1.0
-    for label, new in (("at", band), ("below", math.nextafter(band, 0.0)), ("above", math.nextafter(band, 1.0))):
-        rates = [[1.0, new / 2, new], [1.0, 2.0, 3.0]]
-        yield f"{label} 1", label == "above", SpectrumGame.create(graph, [0.0, 1.0, 1.0], rates, sa.RandomBackoff(5))
-    # payoffs above 1: this new makes the band exactly 2^-38, a multiple of
-    # new's ulp, so old = new - band is exact
-    new = 2.0**-38 / IMPROVEMENT_RTOL
-    band = IMPROVEMENT_RTOL * new
-    assert band == 2.0**-38 and new - (new - band) == band
-    for label, old in (("at", new - band), ("below", math.nextafter(new - band, 4.0)),
-                       ("above", math.nextafter(new - band, 0.0))):
-        rates = [[old, (old + new) / 2, new], [1.0, 2.0, 3.0]]
-        yield f"{label} {new}", label == "above", SpectrumGame.create(graph, [1.0] * 3, rates, sa.RandomBackoff(5))
+    for scale in (1.0, 2.0**-42):
+        # this new makes the band exactly 2^-38 * scale, a multiple of new's
+        # ulp, so old = new - band is exact
+        new = 2.0**-38 / IMPROVEMENT_RTOL * scale
+        band = IMPROVEMENT_RTOL * new
+        assert band == 2.0**-38 * scale and new - (new - band) == band
+        for label, old in (("at", new - band), ("below", math.nextafter(new - band, 4.0)),
+                           ("above", math.nextafter(new - band, 0.0))):
+            rates = [[old, (old + new) / 2, new], [1.0, 2.0, 3.0]]
+            yield f"{label} {new}", label == "above", SpectrumGame.create(graph, [1.0] * 3, rates, sa.RandomBackoff(5))
 
 
 def test_best_channel_ne_flag_agrees_with_is_pure_ne_in_the_dead_band():
@@ -380,6 +375,58 @@ def test_best_channel_ne_flag_agrees_with_is_pure_ne_in_the_dead_band():
         block = next(_scan(spec, 10**7))
         assert bool(block.is_ne[block.profiles().tolist().index(list(a))]) is not improving, label
         _assert_scan_matches_brute_force(spec)
+
+
+_EXACT_SCALES = (2.0**-40, 2.0**40, 2.0**-990)  # powers of two: every payoff scales exactly
+
+
+def _rescaled(spec, scale):
+    rates = [[b * scale for b in row] for row in spec.mean_rate]
+    return SpectrumGame.create(spec.graph, spec.idle_prob, rates, spec.mechanism, spec.gain)
+
+
+@pytest.mark.parametrize("scale", _EXACT_SCALES)
+def test_equilibria_and_poa_do_not_depend_on_the_rate_unit(scale):
+    # the NE list, the optimum, the PoA bits and the certificate's moves of a
+    # game whose rates are all scaled exactly, including below payoff 1
+    rng = np.random.default_rng(21)
+    specs = [random_game(rng, random_directed_graph(rng, 5, 0.4), 3, kind, gains=True)
+             for kind in ("backoff", "weighted", "aloha", "asymptotic") for _ in range(3)]
+    specs += [cycle3_game(0.3), cycle3_game(0.5)]  # no pure NE: the certificate
+    for spec in specs:
+        scaled = _rescaled(spec, scale)
+        rep, got = social_welfare_and_poa(spec), social_welfare_and_poa(scaled)
+        assert got.pure_ne == rep.pure_ne == enumerate_pure_ne(scaled)
+        assert first_pure_ne(scaled) == first_pure_ne(spec)
+        assert got.optimal_profile == rep.optimal_profile and got.optimal_welfare == rep.optimal_welfare * scale
+        assert got.worst_ne_profile == rep.worst_ne_profile
+        assert got.poa == rep.poa and got.lower_bound == rep.lower_bound
+        if rep.no_ne_certificate is None:
+            assert got.no_ne_certificate is None
+        else:
+            assert ([(a, w.user, w.better_channel) for a, w in got.no_ne_certificate]
+                    == [(a, w.user, w.better_channel) for a, w in rep.no_ne_certificate])
+    assert sum(social_welfare_and_poa(spec).poa is None for spec in specs) >= 2
+
+
+def test_strictly_better_is_a_positive_sign_on_non_negative_pairs():
+    # strictly_better(new, old) == (signed(new - old, (new, old)) == 1) on
+    # pairs at, within and just outside the dead band, ties and zeros, at
+    # every exact scale; elementwise on arrays as on floats
+    rng = np.random.default_rng(12)
+    pairs = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
+    for x in rng.uniform(0.5, 10.0, 50).tolist():
+        near = x * (1.0 - IMPROVEMENT_RTOL)
+        for old in (x, 0.0, near, math.nextafter(near, 0.0), math.nextafter(near, x),
+                    x * (1.0 - 0.5 * IMPROVEMENT_RTOL), x * (1.0 - 2.0 * IMPROVEMENT_RTOL), x / 2):
+            pairs += [(x, old), (old, x)]
+    for scale in (1.0, *_EXACT_SCALES):
+        scaled = [(new * scale, old * scale) for new, old in pairs]
+        verdicts = [strictly_better(new, old) for new, old in scaled]
+        assert verdicts == [signed(new - old, (new, old)) == 1 for new, old in scaled]
+        news, olds = np.array(scaled).T
+        assert strictly_better(news, olds).tolist() == verdicts
+        assert 0 < sum(verdicts) < len(verdicts)
 
 
 @pytest.mark.parametrize("n, m, zero_theta", [(1, 1, False), (1, 3, False), (4, 1, False), (3, 3, True), (7, 3, False)])
@@ -428,7 +475,7 @@ def test_payoff_matches_scan_bit_for_bit(kind):
     rng = np.random.default_rng(2)
     spec = random_game(rng, random_directed_graph(rng, 16, 0.5), 2, kind)
     for block in _scan(spec, 10**7):
-        moves = block.moves(len(block.is_ne))
+        moves = block.payoffs[:, block.index]
         for k in rng.choice(len(block.is_ne), 8, replace=False):
             a = tuple(block.profiles([k])[0].tolist())
             for n in range(1, 17):
@@ -537,6 +584,24 @@ def test_physical_symmetry_validation():
             cross_distance=((0.0, 2.0), (3.0, 0.0)), path_loss=2.0, noise=1e-9,
             primary_interference=((0.0,), (0.0,)), idle_prob=(1.0,),
         )
+
+
+@pytest.mark.parametrize("field, bad, message", [
+    ("bandwidth", -1.0, "bandwidth"), ("bandwidth", 0.0, "bandwidth"), ("bandwidth", math.inf, "bandwidth"),
+    ("tx_power", (-1.0, 2e-7), "transmit powers"), ("tx_power", (1e-7, 0.0), "transmit powers"),
+    ("tx_power", (math.nan, 2e-7), "transmit powers"),
+    ("noise", 0.0, "noise"), ("noise", -1e-7, "noise"), ("noise", math.inf, "noise"),
+    ("primary_interference", ((0.0, -1e-9), (0.0, 0.0)), "primary interference"),
+    ("primary_interference", ((0.0, 0.0), (math.inf, 0.0)), "primary interference"),
+    ("idle_prob", (0.5, 1.5), "idle probabilities"), ("idle_prob", (-0.1, 0.5), "idle probabilities"),
+    ("idle_prob", (math.nan, 0.5), "idle probabilities"),
+])
+def test_physical_scalars_are_validated(field, bad, message):
+    # each would make a payoff raise (noise 0 with no primary interference,
+    # a negative power's logarithm) or fall below 0, outside strictly_better's domain
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(_simple_physical(), **{field: bad})
+    assert all(_simple_physical().payoff(a, n) >= 0 for a in itertools.product((1, 2), repeat=2) for n in (1, 2))
 
 
 # --- welfare / PoA -----------------------------------------------------------

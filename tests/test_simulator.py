@@ -6,7 +6,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import loop_estimates, one_period, random_directed_graph, random_mechanism, random_undirected_graph
+from conftest import (
+    loop_estimates,
+    one_period,
+    random_directed_graph,
+    random_mechanism,
+    random_undirected_graph,
+    rate_values,
+)
 
 import specaccess as sa
 from specaccess import simulator
@@ -25,7 +32,6 @@ from specaccess.simulator import (
     _contention_draws,
     _periods,
     _rate_row,
-    _rate_values,
     _realise_rates,
     _solve_stage,
     _success_matrix,
@@ -193,7 +199,7 @@ def _mixed_rates(rng, n, m):
 
 def _rate_of(scenario, u, m, f):
     """One slot's rate for user u (0-based) on channel m (1-based)."""
-    return _rate_values(_rate_row(scenario.rate_models[u][m - 1]), np.array([f]))[0]
+    return rate_values(_rate_row(scenario.rate_models[u][m - 1]), np.array([f]))[0]
 
 
 def _run_policy_per_period(scenario, policy, seed):
