@@ -29,7 +29,6 @@ from . import __version__
 from .config import ExperimentConfig, load_config, load_graph, resolved_payoff_scale
 from .equilibria import solve_pure_ne
 from .errors import PreconditionError, ResourceLimitError
-from .estimation import chain_counts, estimate
 from .game import is_pure_ne, social_welfare_and_poa, welfare
 from .graph import classify
 from .learning import contraction_temperature_bound
@@ -39,7 +38,8 @@ from .simulator import (
     FixedProfilePolicy,
     RandomAccessPolicy,
     SimStreams,
-    _periods,
+    _block_outcomes,
+    _mle_period,
     compare_policies,
     run_policy,
     sweep_gamma,
@@ -169,7 +169,8 @@ def cmd_solve(args, cfg: ExperimentConfig, outdir: Path) -> int:
     if profile is None:
         print(f"routine: {routine}")
         print("no pure Nash equilibrium exists for this instance")
-        write_json(outdir / "solution.json", {"routine": routine, "pure_ne": None})
+        write_json(outdir / "solution.json", {"routine": routine, "pure_ne": None,
+                                              "rate_unit": cfg.rate_unit, "config_sha256": cfg.sha256})
         return 0
     check = is_pure_ne(spec, profile)
     payoffs = [spec.payoff(profile, n) for n in range(1, spec.n_users + 1)]
@@ -274,10 +275,10 @@ def _default_profile(cfg: ExperimentConfig):
 def cmd_estimate(args, cfg: ExperimentConfig, outdir: Path) -> int:
     scenario = cfg.scenario
     profile = _default_profile(cfg)
-    streams = SimStreams.from_seed(args.seed)
+    estimate = _mle_period(scenario, SimStreams.from_seed(args.seed))
     rows = []
-    for period, (_, s, i, b) in enumerate(_periods(scenario, FixedProfilePolicy(tuple(profile)), streams), 1):
-        est = estimate(chain_counts(s), i, b)
+    for period in range(1, scenario.periods + 1):
+        est = estimate(profile)
         for u, ch in enumerate(profile):
             cells = ([""] * 4 if np.isnan(est.throughput[u])
                      else [fmt(x[u]) for x in (est.theta, est.grab, est.rate, est.throughput)])
@@ -349,8 +350,8 @@ def cmd_simulate(args, cfg: ExperimentConfig, outdir: Path) -> int:
 def _write_slot_trace(cfg: ExperimentConfig, policy, outdir: Path, seed: int) -> None:
     """Period 1 of the rollout that periods.csv summarises, slot by slot."""
     scenario = cfg.scenario
-    streams = SimStreams.from_seed((seed, 0))
-    ch, s, i, b = next(_periods(scenario, policy, streams))
+    ch, s, i, b = (x[0] for x in next(_block_outcomes(scenario, policy, SimStreams.from_seed((seed, 0)))))
+    ch = np.broadcast_to(ch, s.shape)  # a per-period (1, N) row to every slot
     rows = [[1, t + 1, u + 1, int(ch[t, u]), int(s[t, u]), int(i[t, u]), fmt(b[t, u])]
             for t in range(scenario.t_max) for u in range(scenario.game.n_users)]
     write_csv(

@@ -35,6 +35,7 @@ from .channels import (
     mean_rate,
 )
 from .contention import AsymptoticBackoff, RandomBackoff, SlottedAloha, WeightedShare
+from .game import _check_profile
 from .graph import InterferenceGraph, UserPlacement, graph_from_locations
 from .simulator import (
     DynamicStageGamePolicy,
@@ -112,7 +113,10 @@ def _by_kind(**kinds: dict) -> dict:
 
 _CHANNEL_SCHEMA = _by_kind(
     markov={"required": ["epsilon", "xi"], "properties": {"epsilon": _PROB, "xi": _PROB}},
-    bernoulli={"required": ["theta"], "properties": {"theta": _PROB}},
+    bernoulli={
+        "required": ["theta"],
+        "properties": {"theta": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1}},
+    },
     white_space={"required": ["theta"], "properties": {"theta": _PROB}},
 )
 
@@ -343,10 +347,7 @@ def _build_channels(defs: list[dict]):
         elif d["kind"] == "bernoulli":
             out.append(BernoulliChannel(d["theta"]))
         else:
-            theta = d["theta"]
-            if theta not in (0, 1):
-                raise ValueError("white_space channels need theta 0 or 1")
-            out.append(WhiteSpaceChannel(int(theta)))
+            out.append(WhiteSpaceChannel(d["theta"]))
     return out
 
 
@@ -369,18 +370,14 @@ def _build_rates(d: dict, n_users: int, n_channels: int):
     ]
 
 
-def _build_mechanism(d: dict, n_users: int):
+def _build_mechanism(d: dict):
     kind = d["kind"]
     if kind == "backoff":
         return RandomBackoff(d["max_counter"])
     if kind == "asymptotic_backoff":
         return AsymptoticBackoff()
     if kind == "weighted_share":
-        if len(d["weights"]) != n_users:
-            raise ValueError("mechanism.weights must list one weight per user")
         return WeightedShare(tuple(d["weights"]))
-    if len(d["probs"]) != n_users:
-        raise ValueError("mechanism.probs must list one probability per user")
     return SlottedAloha(tuple(d["probs"]))
 
 
@@ -411,21 +408,14 @@ def load_config(path: str | Path) -> ExperimentConfig:
     graph = load_graph_document(sc["graph"], base=path.parent)
     channels = _build_channels(sc["channels"])
     rates = _build_rates(sc["rates"], graph.n_users, len(channels))
-    mechanism = _build_mechanism(sc["mechanism"], graph.n_users)
-    gains = sc.get("gains")
-    if gains is not None and len(gains) != graph.n_users:
-        raise ValueError("scenario.gains must list one gain per user")
     scenario = Scenario.build(
-        graph, channels, rates, mechanism, gains,
+        graph, channels, rates, _build_mechanism(sc["mechanism"]), sc.get("gains"),
         t_max=sc["t_max"], periods=sc["periods"],
     )
 
     profile = tuple(sc["profile"]) if "profile" in sc else None
     if profile is not None:
-        if len(profile) != graph.n_users or any(
-            not (1 <= c <= scenario.game.n_channels) for c in profile
-        ):
-            raise ValueError("scenario.profile must assign a valid channel to every user")
+        _check_profile(scenario.game, profile)
 
     solver = SolverSettings(**resolved["solver"])
     learning = LearningPolicy(**{**resolved["learning"], "gamma": float(resolved["learning"]["gamma"])})
@@ -436,10 +426,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     ]
     for k, p in enumerate(policies):
         if isinstance(p, FixedProfilePolicy):
-            if len(p.profile) != graph.n_users or any(
-                not (1 <= c <= scenario.game.n_channels) for c in p.profile
-            ):
-                raise ValueError("compare policy fixed_profile must be a valid channel profile")
+            _check_profile(scenario.game, p.profile)
         if p.label() in [q.label() for q in policies[:k]]:
             raise ValueError(f"compare.policies lists two policies labelled {p.label()!r}")
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable
 
 import numpy as np
@@ -57,9 +58,8 @@ class SlottedAloha:
 
 ContentionMechanism = RandomBackoff | AsymptoticBackoff | WeightedShare | SlottedAloha
 
-_backoff_cache: dict[tuple[int, int], float] = {}
 
-
+@cache
 def backoff_success_probability(max_counter: int, n_contenders: int) -> float:
     """P(own uniform counter is strictly the minimum among 1 + K contenders).
 
@@ -67,17 +67,10 @@ def backoff_success_probability(max_counter: int, n_contenders: int) -> float:
     """
     if n_contenders < 0:
         raise ValueError("contender count must be nonnegative")
-    key = (max_counter, n_contenders)
-    hit = _backoff_cache.get(key)
-    if hit is not None:
-        return hit
     if n_contenders == 0:
-        val = 1.0
-    else:
-        lam = np.arange(1, max_counter + 1, dtype=float)
-        val = float(np.mean(((max_counter - lam) / max_counter) ** n_contenders))
-    _backoff_cache[key] = val
-    return val
+        return 1.0
+    lam = np.arange(1, max_counter + 1, dtype=float)
+    return float(np.mean(((max_counter - lam) / max_counter) ** n_contenders))
 
 
 def _param_for(values: tuple[float, ...], user: int, what: str) -> float:

@@ -80,10 +80,9 @@ def construct_ne_directed_tree(
     scan (logged), which raises ResourceLimitError beyond ``enumeration_cap``
     profiles.
     """
-    sequence, parent, _ = skeleton_walk(spec.graph)
-    components = sum(p is None for p in parent.values())
-    if len(spec.graph.skeleton()) != spec.n_users - components:
+    if not classify(spec.graph).directed_forest:
         raise PreconditionError("construct_ne_directed_tree requires a directed tree or forest")
+    sequence, parent, _ = skeleton_walk(spec.graph)
 
     solves = 0
     edges = spec.graph.edges

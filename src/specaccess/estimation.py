@@ -9,9 +9,9 @@ and the success-conditioned mean for the rate. chain_counts sums a trace's
 idle slots and transitions over the slot axis for any leading shape. The
 estimator comes in two halves: channel_estimates turns a channel's counts
 into its (epsilon, xi, theta), and user_estimates adds each user's grabs and
-rates of one period. The simulator runs the channel half once per channel of
-a block of periods and reads it at each period's profile; estimate is the
-two halves in turn on a period's counts, for all users at once.
+rates of one period. The simulator's per-period MLE runs the channel half
+once per channel of a block of periods and reads it at each period's
+profile before the user half.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ def chain_counts(S: np.ndarray) -> ChainCounts:
 
 
 def channel_estimates(counts: ChainCounts) -> ChannelEstimates:
-    """The channel half of estimate, elementwise over counts of any shape:
+    """The channel half, elementwise over counts of any shape:
     the idle slots, the chain's (epsilon, xi) from transition counts (the
     initial-state likelihood factor is dropped) and its stationary idle
     probability theta, NaN where a trace never leaves one state."""
@@ -55,7 +55,7 @@ def channel_estimates(counts: ChainCounts) -> ChannelEstimates:
 
 
 def user_estimates(channel: ChannelEstimates, I: np.ndarray, b: np.ndarray) -> Estimates:
-    """The user half of estimate: every user's channel half, (N,) fields read
+    """The user half: every user's channel half, (N,) fields read
     at the profile, with one period's (t, N) grab and rate blocks, gives its
     grabs and rate sum, the grab probability, the mean rate over grabbed
     slots and throughput theta * rate * grab. Grab probability and rate are
@@ -71,9 +71,3 @@ def user_estimates(channel: ChannelEstimates, I: np.ndarray, b: np.ndarray) -> E
         rate = np.true_divide(sum_b, sum_i)
     return Estimates(sum_s, sum_i, sum_b, eps, xi, theta, grab, rate, theta * rate * grab)
 
-
-def estimate(counts: ChainCounts, I: np.ndarray, b: np.ndarray) -> Estimates:
-    """The closed-form MLEs of every user from its channel's chain_counts and
-    one period's (t, N) grab and rate blocks: channel_estimates, then
-    user_estimates. NaN exactly where an estimate is undefined."""
-    return user_estimates(channel_estimates(counts), I, b)

@@ -14,6 +14,8 @@ import json
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 
 def render_csv(
     schema: str,
@@ -55,17 +57,10 @@ def write_json(path: str | Path, payload: Mapping) -> Path:
 
 
 def _coerce(x):
-    try:
-        import numpy as np
-
-        if isinstance(x, np.ndarray):
-            return x.tolist()
-        if isinstance(x, (np.floating, np.integer)):
-            return x.item()
-    except ImportError:
-        pass
-    if isinstance(x, (set, frozenset, tuple)):
-        return sorted(x) if isinstance(x, (set, frozenset)) else list(x)
+    if isinstance(x, np.ndarray):
+        return x.tolist()
+    if isinstance(x, (np.floating, np.integer)):
+        return x.item()
     raise TypeError(f"cannot serialise {type(x)}")
 
 

@@ -10,9 +10,9 @@ channel states, contention races and fading in one call each on their own
 substreams, so every policy consumes all but the policy substream
 identically, which pairs policy comparisons on the same sample paths. A
 channel-choosing policy then picks the block's channels, per period (k, 1, N)
-or per slot (k, t, N), and all its periods resolve at once; the learning
-policy's MLE observer reads the block one period at a time, as its profile
-changes from period to period.
+or per slot (k, t, N), and all its periods resolve at once; the per-period
+MLE behind the learning policy's observer and the estimate command reads the
+block one period at a time, as the profile may change from period to period.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .channels import (
     sample_initial_state,
 )
 from .contention import AsymptoticBackoff, RandomBackoff, SlottedAloha, WeightedShare
-from .estimation import ChannelEstimates, chain_counts, channel_estimates, user_estimates
+from .estimation import ChannelEstimates, Estimates, chain_counts, channel_estimates, user_estimates
 from .game import Profile, SpectrumGame, better_response_dynamics, welfare
 from .graph import InterferenceGraph
 from .learning import LearningOutcome, Observer, exact_observer, run_learning
@@ -364,14 +364,13 @@ class PolicyResult:
     learning: LearningOutcome | None = None
 
 
-def make_mle_observer(scenario: Scenario, streams: SimStreams) -> Observer:
-    """Observer of every user's MLE throughput estimate (NaN where undefined)
-    and empirical per-slot throughput, one period of the block engine per
-    call with the profile held for all t_max slots. Per block it computes
-    the channel half of the estimator (idle slots, epsilon, xi, theta) once
-    per channel and gathers the in-neighbours' races once; per period it
-    reads the channel half at the profile and adds the user half (grabs,
-    rate sums, grab probability, rate, throughput)."""
+def _mle_period(scenario: Scenario, streams: SimStreams):
+    """A function that plays the next period of the block engine at a profile
+    held for its t_max slots and returns every user's Estimates (NaN where
+    undefined). Per block it computes the channel half of the estimator (idle
+    slots, epsilon, xi, theta) once per channel and gathers the in-neighbours'
+    races once; per period it reads the channel half at the profile and adds
+    the user half (grabs, rate sums, grab probability, rate, throughput)."""
     idx, _ = scenario.game._in_index
 
     def periods():
@@ -382,13 +381,24 @@ def make_mle_observer(scenario: Scenario, streams: SimStreams) -> Observer:
 
     source = periods()
 
-    def observe(a: Profile):
+    def period(a: Profile) -> Estimates:
         states, races, fading, rivals, channels = next(source)
         ch = np.array(a, dtype=np.int64)
         s_user = states.take(ch - 1, axis=1)
         succ = _success_matrix(scenario, ch, s_user, races, rivals)
         b = _realise_rates(scenario, ch, succ, fading)
-        est = user_estimates(ChannelEstimates(*channels.take(ch - 1, axis=1)), succ, b)
+        return user_estimates(ChannelEstimates(*channels.take(ch - 1, axis=1)), succ, b)
+
+    return period
+
+
+def make_mle_observer(scenario: Scenario, streams: SimStreams) -> Observer:
+    """Observer of every user's MLE throughput estimate (NaN where undefined)
+    and empirical per-slot throughput, one _mle_period per call."""
+    period = _mle_period(scenario, streams)
+
+    def observe(a: Profile):
+        est = period(a)
         return est.throughput, est.sum_b / scenario.t_max
 
     return observe
@@ -435,13 +445,6 @@ def _block_outcomes(scenario: Scenario, policy: Policy, streams: SimStreams):
     for states, races, fading in _blocks(scenario, streams):
         ch = choose(states)
         yield (ch, *_resolve(scenario, states, ch, races, fading))
-
-
-def _periods(scenario: Scenario, policy: Policy, streams: SimStreams):
-    """Each period's (ch, S, I, b), (t_max, N) each: period slices of
-    _block_outcomes, with per-period channels broadcast to every slot."""
-    for ch, *block in _block_outcomes(scenario, policy, streams):
-        yield from zip(np.broadcast_to(ch, block[0].shape), *block)
 
 
 def _solve_stage(game: SpectrumGame, realised: tuple[int, ...], rng: np.random.Generator,
@@ -492,8 +495,11 @@ class ComparisonReport:
 def _mean_sem(values: Sequence[float]) -> tuple[float, float]:
     """Sample mean and its standard error (0.0 for a single value)."""
     arr = np.array(values)
-    sem = float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else 0.0
-    return float(arr.mean()), sem
+    if len(arr) < 2:
+        return float(arr.mean()), 0.0
+    # std of the values times 2^-e: exact, and no square overflows near 1e300
+    e = math.frexp(np.abs(arr).max())[1]
+    return float(arr.mean()), math.ldexp(float(np.ldexp(arr, -e).std(ddof=1)) / math.sqrt(len(arr)), e)
 
 
 def compare_policies(

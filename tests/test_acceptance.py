@@ -24,7 +24,7 @@ from conftest import (
 import specaccess as sa
 from specaccess.config import load_config
 from specaccess.equilibria import construct_ne_dag, construct_ne_directed_tree
-from specaccess.estimation import chain_counts, estimate
+from specaccess.estimation import chain_counts, channel_estimates, user_estimates
 from specaccess.game import (
     SpectrumGame,
     better_response_dynamics,
@@ -260,7 +260,7 @@ def test_criterion_07_mle_consistency():
     )
     st1 = SimStreams.from_seed(71)
     (S1, I1, b1), _ = one_period(sc1, (1,), sc1.initial_channel_state(st1.channels), st1)
-    est = estimate(chain_counts(S1), I1, b1)
+    est = user_estimates(channel_estimates(chain_counts(S1)), I1, b1)
     eps, xi, theta = est.epsilon[0], est.xi[0], est.theta[0]
     markov_ok = abs(eps - 0.2) <= 0.01 and abs(xi - 0.3) <= 0.01 and abs(theta - 0.4) <= 0.01
 
@@ -272,7 +272,7 @@ def test_criterion_07_mle_consistency():
     )
     st2 = SimStreams.from_seed(72)
     (S2, I2, b2), _ = one_period(sc2, (1, 1, 1), (1,), st2)
-    ghat = estimate(chain_counts(S2), I2, b2).grab[0]
+    ghat = user_estimates(channel_estimates(chain_counts(S2)), I2, b2).grab[0]
     gtrue = sa.grab_probability(sa.RandomBackoff(10), 1, {2, 3})
     grab_ok = abs(ghat - gtrue) <= 0.01
     elapsed = time.time() - t0

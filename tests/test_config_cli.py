@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import logging
 import os
@@ -709,6 +710,40 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, key, value, message", [
+    ("scenario", "gains", [1.0, 2.0, 3.0], "gains"),                         # two users
+    ("scenario", "mechanism", {"kind": "weighted_share", "weights": [1.0]}, "one weight per user"),
+    ("scenario", "profile", [1, 3], "valid channel"),                        # two channels
+    ("compare", "policies", [{"kind": "fixed_profile", "profile": [2, 3]}], "valid channel"),
+])
+def test_cli_rejects_counts_and_channels_the_model_refuses(tmp_path, capsys, section, key, value, message):
+    doc = _tiny_learning_doc()
+    doc[section][key] = value
+    assert cli_main(["compare", str(_write(tmp_path, doc)), "--out", str(tmp_path / "c")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("theta", [0, 1])
+def test_cli_rejects_a_bernoulli_channel_that_never_changes(tmp_path, capsys, theta):
+    # always idle or always busy is a white_space channel
+    doc = _minimal_doc()
+    doc["scenario"]["channels"] = [{"kind": "bernoulli", "theta": theta}]
+    assert cli_main(["solve", str(_write(tmp_path, doc)), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "configuration rejected" in err and "scenario.channels.0.theta" in err
+
+
+def test_cli_solution_without_pure_ne_names_its_config(tmp_path):
+    solutions = []
+    for name in ("learning_9user_aloha.json", "triangle_no_ne.json"):
+        assert cli_main(["solve", str(CONFIGS / name), "--out", str(tmp_path / name)]) == 0
+        solutions.append((tmp_path / name / "solution.json").read_bytes())
+        doc, cfg = json.loads(solutions[-1]), load_config(CONFIGS / name)
+        assert (doc["pure_ne"], doc["config_sha256"], doc["rate_unit"]) == (None, cfg.sha256, cfg.rate_unit)
+    assert solutions[0] != solutions[1]
+
+
 def test_cli_unreadable_path_is_an_error(tmp_path, capsys):
     # a directory raises IsADirectoryError, an OSError like FileNotFoundError
     assert cli_main(["solve", str(tmp_path)]) == 1
@@ -755,6 +790,35 @@ def test_cli_slot_trace_replays_period_one(tmp_path, policy):
     assert len(channels) == 2  # each user holds one channel for the period
     if policy == "fixed_profile":
         assert channels == {(1, 1), (2, 2)}
+
+
+# sha256 of the data rows (comment lines dropped) of estimates.csv and, with
+# output.slot_trace, slots.csv on each shipped config at seed 3
+_TRACE_DIGESTS = {
+    "dag_chain.json": ("a7cc265bd00cc014804f63d085d8d46c535b671653ff9f0e8ce4782736069f10",
+                       "ff59651b1c48755ef0b73ca634606fbf2de7cf9c8d2d23375b9643cd98da2342"),
+    "learning_9user.json": ("dd702a71c35dbc56778daa4cc1ad5d50632c236d1a389502cc6f2ce46825b7bb",
+                            "47f21343dc5137ece03acb6eda530bd63cb572fe9efeca726ef5f6f4f8a98bf9"),
+    "learning_9user_aloha.json": ("e0159a0e56fde7be12a5064277b55955e28aa83105ff8283802d368c51a25103",
+                                  "d35884e434a73f4e1aa0d651b2ad3c16b55c6157aa324badff31e062591f7a2a"),
+    "triangle_no_ne.json": ("c2aa5038b22197e698bd46ed791f5f6742005409d5511b240f8a92b154e2f978",
+                            "87c2d0e20d56ba10880211bd8bc2413701e27c78269ef32ad963f66c8c921adc"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TRACE_DIGESTS))
+def test_cli_estimates_and_slot_trace_keep_their_digest(tmp_path, name):
+    doc = json.loads((CONFIGS / name).read_text())
+    doc["output"] = {"slot_trace": True}
+    p = _write(tmp_path, doc)
+    for command in ("estimate", "simulate"):
+        assert cli_main([command, str(p), "--out", str(tmp_path), "--seed", "3"]) == 0
+    digests = tuple(
+        hashlib.sha256("".join(l for l in (tmp_path / f).read_text().splitlines(keepends=True)
+                               if not l.startswith("#")).encode()).hexdigest()
+        for f in ("estimates.csv", "slots.csv")
+    )
+    assert digests == _TRACE_DIGESTS[name]
 
 
 def _never_idle_doc(payoff_scale):

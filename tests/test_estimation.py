@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from specaccess.channels import BernoulliChannel, MarkovChannel, WhiteSpaceChannel, sample_initial_state
 from specaccess.contention import RandomBackoff
-from specaccess.estimation import ChainCounts, ChannelEstimates, chain_counts, channel_estimates, estimate, user_estimates
+from specaccess.estimation import ChainCounts, ChannelEstimates, chain_counts, channel_estimates, user_estimates
 from specaccess.game import SpectrumGame
 from specaccess.graph import InterferenceGraph
 from specaccess.learning import run_learning
@@ -19,12 +19,12 @@ ESTIMATES = ("epsilon", "xi", "theta", "grab", "rate", "throughput")
 
 
 def _one_user(S, I=None, b=None):
-    """estimate on one user's trace as a (t, 1) block, each field a float;
-    I and b default to a trace without grabs."""
+    """Both estimator halves on one user's trace as a (t, 1) block, each
+    field a float; I and b default to a trace without grabs."""
     S = np.asarray(S)
     I = np.zeros_like(S) if I is None else np.asarray(I)
     b = np.zeros(len(S)) if b is None else np.asarray(b, dtype=float)
-    est = estimate(chain_counts(S[:, None]), I[:, None], b[:, None])
+    est = user_estimates(channel_estimates(chain_counts(S[:, None])), I[:, None], b[:, None])
     return est._make(float(x[0]) for x in est)
 
 
@@ -119,7 +119,7 @@ def test_estimate_matches_explicit_loop_reference():
         t = 1 if case % 20 == 0 else int(rng.integers(2, 150))
         n = int(rng.integers(3, 10))
         S, I, b = _random_block(rng, t, n)
-        est = estimate(chain_counts(S), I, b)
+        est = user_estimates(channel_estimates(chain_counts(S)), I, b)
         assert np.isnan(est.throughput[:3]).all()
         got = np.array([getattr(est, f) for f in ESTIMATES]).T
         ref = np.array([loop_estimates(S[:, u], I[:, u], b[:, u]) for u in range(n)])
@@ -143,8 +143,8 @@ def test_chain_counts_gathered_at_a_profile_match_per_user_traces():
             S = states[p][:, a - 1]
             I = (S == 1) & (rng.random((t, n)) < 0.5)
             b = np.where(I, rng.exponential(5.0, (t, n)), 0.0)
-            got = estimate(ChainCounts(*(c[p][a - 1] for c in counts)), I, b)
-            ref = estimate(chain_counts(S), I, b)
+            got = user_estimates(channel_estimates(ChainCounts(*(c[p][a - 1] for c in counts))), I, b)
+            ref = user_estimates(channel_estimates(chain_counts(S)), I, b)
             for field, x, y in zip(got._fields, got, ref):
                 assert x.dtype == y.dtype and np.array_equal(x, y, equal_nan=True), (case, field)
             loops = np.array([loop_estimates(S[:, u], I[:, u], b[:, u]) for u in range(n)])
@@ -153,7 +153,8 @@ def test_chain_counts_gathered_at_a_profile_match_per_user_traces():
 
 def test_channel_half_at_a_profile_then_user_half_is_estimate():
     # the channel half of a (k, t, M) block, read at each period's profile,
-    # then the user half, gives estimate's fields bit for bit, NaNs included:
+    # then the user half, gives the halves' fields on the users' own traces
+    # bit for bit, NaNs included:
     # white-space channels give all-idle and all-busy traces, and user 0 never grabs
     rng = np.random.default_rng(79)
     models = [MarkovChannel(0.2, 0.3), WhiteSpaceChannel(1), WhiteSpaceChannel(0), BernoulliChannel(0.5),
@@ -174,7 +175,7 @@ def test_channel_half_at_a_profile_then_user_half_is_estimate():
             got = user_estimates(ChannelEstimates(*(x[p][a - 1] for x in halves)), I, b)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                ref = estimate(chain_counts(S), I, b)
+                ref = user_estimates(channel_estimates(chain_counts(S)), I, b)
             for field, x, y in zip(got._fields, got, ref):
                 assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (case, field)
             assert np.isnan(ref.rate[0]) and np.isnan(ref.throughput[0])

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 from dataclasses import replace
 from itertools import zip_longest
 from pathlib import Path
@@ -27,10 +28,10 @@ from specaccess.simulator import (
     Scenario,
     SimStreams,
     _BLOCK_SLOTS,
+    _block_outcomes,
     _blocks,
     _channel_states,
     _contention_draws,
-    _periods,
     _rate_row,
     _realise_rates,
     _solve_stage,
@@ -364,8 +365,10 @@ def _reference_periods(scenario, policy, seed):
 
 def _assert_periods_match_reference(scenario, policy, seed):
     count = 0
-    for got, ref in zip_longest(_periods(scenario, policy, SimStreams.from_seed(seed)),
-                                _reference_periods(scenario, policy, seed)):
+    # each block's periods, per-period channels broadcast to every slot
+    periods = (period for ch, *block in _block_outcomes(scenario, policy, SimStreams.from_seed(seed))
+               for period in zip(np.broadcast_to(ch, block[0].shape), *block))
+    for got, ref in zip_longest(periods, _reference_periods(scenario, policy, seed)):
         assert got is not None and ref is not None, (scenario.t_max, policy)
         for name, x, y in zip("ch S I b".split(), got, ref):
             assert x.shape == y.shape and np.array_equal(x, y), (scenario.t_max, policy, count, name)
@@ -671,6 +674,22 @@ def test_summary_refuses_to_pool_policies_sharing_a_label():
     rep = compare_policies(sc, [RandomAccessPolicy(), RandomAccessPolicy()], 2, base_seed=1)
     with pytest.raises(ValueError, match="random_access"):
         rep.summary()
+
+
+def test_standard_error_does_not_overflow_near_the_float_limit():
+    # squared deviations of rates near 1e300 overflowed to an inf standard error
+    values = [1e300, 3e300, 2.5e300]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mean, sem = simulator._mean_sem(values)
+        small_mean, small_sem = simulator._mean_sem([v * 2.0**-1000 for v in values])
+    assert math.isfinite(sem) and sem > 0
+    assert (mean, sem) == (small_mean * 2.0**1000, small_sem * 2.0**1000)
+    # in range, the power-of-two scaling keeps numpy's bits
+    rng = np.random.default_rng(5)
+    for _ in range(500):
+        x = rng.exponential(10.0 ** rng.uniform(-3, 6), size=int(rng.integers(2, 12)))
+        assert simulator._mean_sem(x) == (float(x.mean()), float(x.std(ddof=1) / math.sqrt(len(x))))
 
 
 def test_negative_noise_half_width_is_rejected():
