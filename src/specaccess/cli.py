@@ -9,15 +9,16 @@ interferes with user j; undirected links appear in both directions),
 ...]}`` from which edges are derived geometrically, or ``{"file": "path"}``
 referencing another graph file. Every command takes ``--out`` and
 ``--verbose``; ``--seed`` only potential-check, estimate, learn, simulate,
-compare and gamma-sweep, which draw random numbers; ``--jobs`` only compare
-and gamma-sweep, which run replications in parallel. Artifacts embed the
-resolved-config hash and the seed, so reruns with identical inputs are
-byte-identical.
+compare and gamma-sweep, which draw random numbers; ``--jobs`` (at least 1)
+only compare and gamma-sweep, which run replications in parallel. Artifacts
+embed their schema and ``_meta``'s provenance, so reruns with identical
+inputs are byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import logging
 import sys
@@ -33,7 +34,7 @@ from .game import is_pure_ne, social_welfare_and_poa, welfare
 from .graph import classify
 from .learning import contraction_temperature_bound
 from .potentials import applicable_variants, deviation_signs_match
-from .reporting import fmt, write_csv, write_json
+from .reporting import fmt, write_csv, write_json, write_text
 from .simulator import (
     FixedProfilePolicy,
     RandomAccessPolicy,
@@ -64,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
         p.add_argument("--out", default=None, help="output directory (default: config output.dir)")
         if jobs:
-            p.add_argument("--jobs", type=int, default=1, help="parallel replications")
+            p.add_argument("--jobs", type=positive_int, default=1, help="parallel replications (at least 1)")
         p.add_argument("--verbose", action="store_true",
                        help="log at DEBUG (profiles scanned, scan seconds, user rows evaluated)")
         p.set_defaults(func=func, section=section, loads_config=loads_config)
@@ -100,7 +101,7 @@ def main(argv=None) -> int:
         if args.section is not None and args.section not in cfg.resolved:
             raise ValueError(f"config has no {args.section} section")
         outdir = _outdir(args.out or cfg.output.dir)
-        write_json(outdir / "resolved_config.json", cfg.resolved)
+        write_text(outdir / "resolved_config.json", json.dumps(cfg.resolved, indent=2, sort_keys=True) + "\n")
         return args.func(args, cfg, outdir)
     except (ValueError, PreconditionError, ResourceLimitError, OSError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)
@@ -115,14 +116,21 @@ def _outdir(out: str) -> Path:
     return path
 
 
-def _meta(cfg: ExperimentConfig, seed: int) -> dict:
-    return {
-        "config_sha256": cfg.sha256,
-        "seed": seed,
-        "source": cfg.source,
-        "rate_unit": cfg.rate_unit,
-        "generator": f"specaccess {__version__}",
-    }
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _meta(cfg: ExperimentConfig | None, seed: int | None = None, source: str | None = None) -> dict:
+    """Every artifact's provenance: the config's hash, source and rate unit
+    (a bare graph file gives only its ``source``), the generator, and the
+    master seed on the commands that take one."""
+    meta = {"source": source, "generator": f"specaccess {__version__}"}
+    if cfg is not None:
+        meta.update(config_sha256=cfg.sha256, source=cfg.source, rate_unit=cfg.rate_unit)
+    return meta if seed is None else {**meta, "seed": seed}
 
 
 # ---------------------------------------------------------------------------
@@ -152,82 +160,61 @@ def cmd_classify(args) -> int:
     if cls.bipartition:
         print(f"bipartition: {list(cls.bipartition[0])} | {list(cls.bipartition[1])}")
     outdir = _outdir(args.out or (cfg.output.dir if cfg else "out"))
-    write_json(outdir / "classification.json", {
+    write_json(outdir / "classification.json", "classification", 1, {
         "n_users": graph.n_users,
         "edges": sorted(graph.edges),
         "classes": names,
         "topological_order": cls.topological_order,
         "bipartition": cls.bipartition,
         "regular_degree": cls.regular_degree,
-    })
+    }, _meta(cfg, source=str(Path(args.graph))))
     return 0
 
 
 def cmd_solve(args, cfg: ExperimentConfig, outdir: Path) -> int:
     spec = cfg.scenario.game
     routine, profile = solve_pure_ne(spec, cfg.solver.recursion_budget, cfg.solver.enumeration_cap)
-    if profile is None:
-        print(f"routine: {routine}")
-        print("no pure Nash equilibrium exists for this instance")
-        write_json(outdir / "solution.json", {"routine": routine, "pure_ne": None,
-                                              "rate_unit": cfg.rate_unit, "config_sha256": cfg.sha256})
-        return 0
-    check = is_pure_ne(spec, profile)
-    payoffs = [spec.payoff(profile, n) for n in range(1, spec.n_users + 1)]
     print(f"routine: {routine}")
-    print(f"profile: {list(profile)}")
-    print(f"verified pure NE: {check.is_ne}")
-    print(f"welfare: {welfare(spec, profile):.6g} {cfg.rate_unit}")
-    write_json(outdir / "solution.json", {
-        "routine": routine,
-        "profile": list(profile),
-        "verified": check.is_ne,
-        "payoffs": payoffs,
-        "welfare": welfare(spec, profile),
-        "rate_unit": cfg.rate_unit,
-        "config_sha256": cfg.sha256,
-    })
-    return 0 if check.is_ne else 1
+    if profile is None:
+        print("no pure Nash equilibrium exists for this instance")
+        solution = {"routine": routine, "pure_ne": None}
+    else:
+        solution = {
+            "routine": routine,
+            "profile": list(profile),
+            "verified": is_pure_ne(spec, profile).is_ne,
+            "payoffs": [spec.payoff(profile, n) for n in range(1, spec.n_users + 1)],
+            "welfare": welfare(spec, profile),
+        }
+        print(f"profile: {solution['profile']}")
+        print(f"verified pure NE: {solution['verified']}")
+        print(f"welfare: {solution['welfare']:.6g} {cfg.rate_unit}")
+    write_json(outdir / "solution.json", "solution", 1, solution, _meta(cfg))
+    return 0 if solution.get("verified", True) else 1
 
 
 def cmd_potential_check(args, cfg: ExperimentConfig, outdir: Path) -> int:
     spec = cfg.scenario.game
+    n_users, n_channels = spec.n_users, spec.n_channels
     variants = applicable_variants(spec)
     if not variants:
         print("no potential variant's hypotheses hold for this instance")
-        write_json(outdir / "potential_check.json", {"variants": {}})
-        return 0
     rng = np.random.default_rng(args.seed)
-    total_profiles = spec.n_channels ** spec.n_users
     results = {}
-    failed = False
     for variant in variants:
-        checked = ok = 0
-        if total_profiles <= 2000:
-            import itertools
-
-            profiles = itertools.product(range(1, spec.n_channels + 1), repeat=spec.n_users)
-            for a in profiles:
-                for n in range(1, spec.n_users + 1):
-                    for m in range(1, spec.n_channels + 1):
-                        if m != a[n - 1]:
-                            checked += 1
-                            ok += deviation_signs_match(spec, variant, a, n, m)
+        # every deviation (profile, user, channel) up to 2,000 profiles, else 500 draws per variant
+        if n_channels ** n_users <= 2000:
+            draws = ((a, n, m) for a in itertools.product(range(1, n_channels + 1), repeat=n_users)
+                     for n in range(1, n_users + 1) for m in range(1, n_channels + 1))
         else:
-            for _ in range(500):
-                a = tuple(int(c) for c in rng.integers(1, spec.n_channels + 1, size=spec.n_users))
-                n = int(rng.integers(1, spec.n_users + 1))
-                m = int(rng.integers(1, spec.n_channels + 1))
-                if m == a[n - 1]:
-                    continue
-                checked += 1
-                ok += deviation_signs_match(spec, variant, a, n, m)
+            draws = ((tuple(int(c) for c in rng.integers(1, n_channels + 1, size=n_users)),
+                      int(rng.integers(1, n_users + 1)), int(rng.integers(1, n_channels + 1))) for _ in range(500))
+        matches = [deviation_signs_match(spec, variant, a, n, m) for a, n, m in draws if m != a[n - 1]]
+        ok, checked = sum(matches), len(matches)
         results[variant] = {"deviations_checked": checked, "sign_matches": ok}
-        status = "OK" if ok == checked else "MISMATCH"
-        failed |= ok != checked
-        print(f"{variant}: {ok}/{checked} deviation signs match [{status}]")
-    write_json(outdir / "potential_check.json", {"variants": results})
-    return 1 if failed else 0
+        print(f"{variant}: {ok}/{checked} deviation signs match [{'OK' if ok == checked else 'MISMATCH'}]")
+    write_json(outdir / "potential_check.json", "potential-check", 1, {"variants": results}, _meta(cfg, args.seed))
+    return 0 if all(r["sign_matches"] == r["deviations_checked"] for r in results.values()) else 1
 
 
 def cmd_poa(args, cfg: ExperimentConfig, outdir: Path) -> int:
@@ -260,7 +247,7 @@ def cmd_poa(args, cfg: ExperimentConfig, outdir: Path) -> int:
             "poa": rep.poa,
             "lower_bound": rep.lower_bound,
         }
-    write_json(outdir / "poa.json", report)
+    write_json(outdir / "poa.json", "poa-report", 1, report, _meta(cfg))
     return 0
 
 
@@ -315,18 +302,14 @@ def cmd_learn(args, cfg: ExperimentConfig, outdir: Path) -> int:
     print(f"delta gap at final strategies: {outcome.delta:.6g} {cfg.rate_unit}")
     print(f"skipped updates: {outcome.skipped_updates} of {scenario.periods * n} (undefined MLE)")
     print(f"effective temperature {cfg.learning.gamma / scale:.3g} vs contraction bound {bound:.3g}")
-    write_json(outdir / "learning_summary.json", {
-        "schema": "learning-summary",
-        "version": 1,
+    write_json(outdir / "learning_summary.json", "learning-summary", 2, {
         "mean_welfare": result.mean_welfare,
         "delta": outcome.delta,
         "skipped_updates": outcome.skipped_updates,
         "final_sigma": outcome.sigma,
         "final_perceptions": outcome.perceptions,
         "payoff_scale": scale,
-        "config_sha256": cfg.sha256,
-        "seed": args.seed,
-    })
+    }, _meta(cfg, args.seed))
     return 0
 
 

@@ -415,7 +415,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
     profile = tuple(sc["profile"]) if "profile" in sc else None
     if profile is not None:
-        _check_profile(scenario.game, profile)
+        _check_profile(scenario.game, profile, "scenario.profile")
 
     solver = SolverSettings(**resolved["solver"])
     learning = LearningPolicy(**{**resolved["learning"], "gamma": float(resolved["learning"]["gamma"])})
@@ -426,7 +426,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     ]
     for k, p in enumerate(policies):
         if isinstance(p, FixedProfilePolicy):
-            _check_profile(scenario.game, p.profile)
+            _check_profile(scenario.game, p.profile, f"compare.policies.{k}.profile")
         if p.label() in [q.label() for q in policies[:k]]:
             raise ValueError(f"compare.policies lists two policies labelled {p.label()!r}")
 

@@ -12,9 +12,9 @@ from __future__ import annotations
 import logging
 
 from .contention import RandomBackoff, backoff_success_probability
-from .errors import PreconditionError
+from .errors import PreconditionError, ResourceLimitError
 from .game import Profile, SpectrumGame, channel_wise_rates, first_pure_ne, is_pure_ne
-from .graph import classify, skeleton_walk
+from .graph import classify
 
 logger = logging.getLogger(__name__)
 
@@ -56,15 +56,7 @@ def construct_ne_dag(spec: SpectrumGame) -> Profile:
     return _verify(spec, a, "construct_ne_dag")
 
 
-class _BudgetExceeded(Exception):
-    pass
-
-
-def construct_ne_directed_tree(
-    spec: SpectrumGame,
-    recursion_budget: int = 10_000,
-    enumeration_cap: int = 10**7,
-) -> Profile:
+def construct_ne_directed_tree(spec: SpectrumGame, recursion_budget: int = 10_000) -> Profile:
     """Pure NE on a directed tree or forest.
 
     The construction needs the congestion property (an added contender never
@@ -75,14 +67,12 @@ def construct_ne_directed_tree(
     (each new node touches exactly one placed node, its parent). A new node best-responds to its placed
     interferer; if it lands on the channel of a node it interferes with, the
     placed prefix is re-solved with that node's payoff carrying the newcomer
-    as a phantom contender on the conflicted channel. Exceeding the recursion
-    budget falls back to the lexicographically first pure NE of the profile
-    scan (logged), which raises ResourceLimitError beyond ``enumeration_cap``
-    profiles.
+    as a phantom contender on the conflicted channel. More than
+    ``recursion_budget`` solves raise ResourceLimitError.
     """
     if not classify(spec.graph).directed_forest:
         raise PreconditionError("construct_ne_directed_tree requires a directed tree or forest")
-    sequence, parent, _ = skeleton_walk(spec.graph)
+    sequence, parent, _ = spec.graph._walk
 
     solves = 0
     edges = spec.graph.edges
@@ -102,7 +92,7 @@ def construct_ne_directed_tree(
         nonlocal solves
         solves += 1
         if solves > recursion_budget:
-            raise _BudgetExceeded
+            raise ResourceLimitError(f"tree construction exceeded its recursion budget ({recursion_budget} solves)")
         if k == 0:
             return {}
         prefix = solve(k - 1, mods)
@@ -119,17 +109,8 @@ def construct_ne_directed_tree(
         prefix[v] = choice
         return prefix
 
-    try:
-        assignment = solve(len(sequence), {})
-        a = tuple(assignment[n] for n in range(1, spec.n_users + 1))
-    except _BudgetExceeded:
-        logger.warning(
-            "tree construction exceeded its recursion budget (%d solves); "
-            "falling back to exhaustive enumeration", recursion_budget,
-        )
-        a = first_pure_ne(spec, cap=enumeration_cap)
-        if a is None:
-            raise RuntimeError("enumeration fallback found no pure NE on a forest instance")
+    assignment = solve(len(sequence), {})
+    a = tuple(assignment[n] for n in range(1, spec.n_users + 1))
     return _verify(spec, a, "construct_ne_directed_tree")
 
 
@@ -180,13 +161,14 @@ def construct_ne_bipartite(spec: SpectrumGame) -> Profile:
 
 def solve_pure_ne(spec: SpectrumGame, recursion_budget: int = 10_000,
                   enumeration_cap: int = 10**7) -> tuple[str, Profile | None]:
-    """(routine, pure NE or None): the DAG, tree/forest and bipartite
-    constructions in that order, each skipped when its own preconditions
-    fail, then the lexicographically first pure NE of the profile scan, which
-    stops at the first block holding one (None when no pure NE exists)."""
+    """(routine that found it, pure NE or None): the DAG, tree/forest and
+    bipartite constructions in that order, each skipped when its own
+    preconditions fail or, logged, its budget runs out, then the
+    lexicographically first pure NE of the profile scan, which stops at the
+    first block holding one (None when no pure NE exists)."""
     constructions = (
         ("dag", construct_ne_dag),
-        ("directed_tree", lambda s: construct_ne_directed_tree(s, recursion_budget, enumeration_cap)),
+        ("directed_tree", lambda s: construct_ne_directed_tree(s, recursion_budget)),
         ("bipartite", construct_ne_bipartite),
     )
     for routine, construct in constructions:
@@ -194,4 +176,9 @@ def solve_pure_ne(spec: SpectrumGame, recursion_budget: int = 10_000,
             return routine, construct(spec)
         except PreconditionError:
             pass
-    return "enumeration", first_pure_ne(spec, cap=enumeration_cap)
+        except ResourceLimitError as e:
+            logger.warning("%s; trying the next routine", e)
+    a = first_pure_ne(spec, cap=enumeration_cap)
+    if a is None and classify(spec.graph).directed_forest:
+        raise RuntimeError("enumeration found no pure NE on a forest instance")
+    return "enumeration", a

@@ -188,13 +188,14 @@ def welfare(game: GameLike, a: Profile) -> float:
     return sum(game.payoff(a, n) for n in range(1, game.n_users + 1))
 
 
-def _check_profile(game: GameLike, a: Sequence[int]) -> None:
+def _check_profile(game: GameLike, a: Sequence[int], key: str = "profile") -> None:
+    """``key``, which starts each message, names the profile: a config key in load_config."""
     if len(a) != game.n_users:
-        raise ValueError("profile length must equal the number of users")
+        raise ValueError(f"{key} length must equal the number of users")
     # integers only: a float or bool entry is no channel index (numpy integers are)
     if any(isinstance(ch, bool) or not isinstance(ch, (int, np.integer)) or not 1 <= ch <= game.n_channels
            for ch in a):
-        raise ValueError("profile entries must be valid channel indices")
+        raise ValueError(f"{key} entries must be valid channel indices")
 
 
 @dataclass(frozen=True)

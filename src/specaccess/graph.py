@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import Iterable, Sequence
 
 Edge = tuple[int, int]
@@ -95,6 +96,10 @@ class InterferenceGraph:
     @property
     def max_in_degree(self) -> int:
         return max(len(self._in[n]) for n in range(1, self.n_users + 1))
+
+    # computed once and kept with the graph (read-only): classify and the tree construction read them
+    _walk = cached_property(lambda self: skeleton_walk(self))
+    _classification = cached_property(lambda self: _classify(self))
 
 
 def graph_from_locations(placements: Sequence[UserPlacement]) -> InterferenceGraph:
@@ -185,16 +190,20 @@ def skeleton_walk(g: InterferenceGraph) -> tuple[list[int], dict[int, int | None
 
 
 def classify(g: InterferenceGraph) -> GraphClassification:
-    """Report every structural class the graph satisfies.
+    """Report every structural class the graph satisfies (computed once, kept with the graph).
 
     Bipartite completeness/regularity is only assessed on fully undirected
     graphs; any graph with at least one one-way edge is tagged
     ``general_directed`` (possibly alongside DAG/tree flags).
     """
+    return g._classification
+
+
+def _classify(g: InterferenceGraph) -> GraphClassification:
     topo = _topological_order(g)
     undirected = g.is_undirected
     skeleton = g.skeleton()
-    _, parent, color = skeleton_walk(g)
+    _, parent, color = g._walk
     n_components = sum(p is None for p in parent.values())
     n_skel_edges = len(skeleton)
     is_forest = n_skel_edges == g.n_users - n_components

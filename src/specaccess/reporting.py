@@ -1,7 +1,7 @@
 """CSV/JSON artifact writers with versioned schemas and embedded provenance.
 
-Every artifact starts with comment lines naming its schema version, the
-sha256 of the resolved configuration, and the master seed, so a rerun with
+Every artifact names its schema version and carries the caller's ``meta``
+(comment lines of a CSV, top-level keys of a JSON document), so a rerun with
 identical inputs is byte-identical and self-describing. Units for rate-like
 columns are whatever the configuration declares (``rate_unit``).
 """
@@ -17,24 +17,6 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 
-def render_csv(
-    schema: str,
-    version: int,
-    columns: Sequence[str],
-    rows: Iterable[Sequence],
-    meta: Mapping[str, object],
-) -> str:
-    buf = io.StringIO()
-    buf.write(f"# schema: {schema} v{version}\n")
-    for key in sorted(meta):
-        buf.write(f"# {key}: {meta[key]}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()
-
-
 def write_csv(
     path: str | Path,
     schema: str,
@@ -43,16 +25,32 @@ def write_csv(
     rows: Iterable[Sequence],
     meta: Mapping[str, object],
 ) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(render_csv(schema, version, columns, rows, meta))
-    return path
+    buf = io.StringIO()
+    buf.write(f"# schema: {schema} v{version}\n")
+    for key in sorted(meta):
+        buf.write(f"# {key}: {meta[key]}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(rows)
+    return write_text(path, buf.getvalue())
 
 
-def write_json(path: str | Path, payload: Mapping) -> Path:
+def write_json(
+    path: str | Path,
+    schema: str,
+    version: int,
+    payload: Mapping,
+    meta: Mapping[str, object],
+) -> Path:
+    """One flat document, ``{"schema", "version", **meta, **payload}``, keys sorted."""
+    doc = {"schema": schema, "version": version, **meta, **payload}
+    return write_text(path, json.dumps(doc, indent=2, sort_keys=True, default=_coerce) + "\n")
+
+
+def write_text(path: str | Path, text: str) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=_coerce) + "\n")
+    path.write_text(text)
     return path
 
 

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import specaccess as sa
+from specaccess import graph as graph_module
 from specaccess import simulator
 from specaccess.cli import main as cli_main
 from specaccess.config import (
@@ -20,6 +21,8 @@ from specaccess.config import (
     load_graph,
     resolved_payoff_scale,
 )
+from specaccess.equilibria import solve_pure_ne
+from specaccess.potentials import applicable_variants
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
@@ -357,6 +360,22 @@ def test_cli_solve_tree_fallback_honours_enumeration_cap(tmp_path, capsys):
     assert "exceed the enumeration cap 4" in capsys.readouterr().err
 
 
+def test_cli_solve_names_the_routine_after_a_tree_budget_fallback(tmp_path, capsys, caplog):
+    # the forest of the test above: one solve is over budget, so the scan finds the NE
+    doc = _minimal_doc()
+    doc["scenario"].update({
+        "graph": {"n_users": 3, "edges": [[1, 2], [2, 1], [2, 3]]},
+        "channels": [{"kind": "bernoulli", "theta": 0.5}, {"kind": "bernoulli", "theta": 0.4}],
+        "rates": {"kind": "fixed", "mean": [[4.0, 3.0]] * 3},
+    })
+    doc["solver"] = {"recursion_budget": 1}
+    assert cli_main(["solve", str(_write(tmp_path, doc)), "--out", str(tmp_path)]) == 0
+    assert "routine: enumeration" in capsys.readouterr().out.splitlines()
+    assert "exceeded its recursion budget (1 solves); trying the next routine" in caplog.text
+    sol = json.loads((tmp_path / "solution.json").read_text())
+    assert (sol["routine"], sol["verified"]) == ("enumeration", True)
+
+
 @pytest.mark.parametrize("argv", [
     [command, "--seed", "1"] for command in ("classify", "solve", "poa")
 ] + [
@@ -609,9 +628,10 @@ def test_cli_estimate_learn_simulate(tmp_path, capsys):
     assert header.split(",")[:3] == ["period", "welfare", "dP_inf"]
     assert "channel_1" in header and "estimate_2" in header
     summary = json.loads((tmp_path / "l" / "learning_summary.json").read_text())
-    assert (summary["schema"], summary["version"]) == ("learning-summary", 1)
+    assert (summary["schema"], summary["version"]) == ("learning-summary", 2)
     assert set(summary) == {"schema", "version", "mean_welfare", "delta", "skipped_updates", "final_sigma",
-                            "final_perceptions", "payoff_scale", "config_sha256", "seed"}
+                            "final_perceptions", "payoff_scale", "config_sha256", "seed", "source",
+                            "rate_unit", "generator"}
 
     assert cli_main(["simulate", str(p), "--out", str(tmp_path / "s"), "--seed", "1"]) == 0
     per = (tmp_path / "s" / "periods.csv").read_text()
@@ -732,6 +752,81 @@ def test_cli_rejects_a_bernoulli_channel_that_never_changes(tmp_path, capsys, th
     assert cli_main(["solve", str(_write(tmp_path, doc)), "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "configuration rejected" in err and "scenario.channels.0.theta" in err
+
+
+@pytest.mark.parametrize("key", ["scenario.profile", "compare.policies.2.profile"])
+def test_cli_names_the_key_of_a_bad_profile(tmp_path, capsys, key):
+    # dag_chain.json has both a scenario profile and a fixed_profile policy
+    doc = json.loads((CONFIGS / "dag_chain.json").read_text())
+    entry = doc["scenario"] if key == "scenario.profile" else doc["compare"]["policies"][2]
+    entry["profile"] = [1, 2, 4, 1]  # three channels
+    assert cli_main(["solve", str(_write(tmp_path, doc)), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {key} entries must be valid channel indices\n"
+
+
+@pytest.mark.parametrize("command", ["compare", "gamma-sweep"])
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_cli_rejects_fewer_than_one_job(command, jobs, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main([command, str(CONFIGS / "learning_9user.json"), "--jobs", jobs])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and f"argument --jobs: must be at least 1, got {jobs}" in err
+
+
+def test_cli_json_artifacts_carry_their_schema_and_provenance(tmp_path):
+    # every JSON artifact but the resolved_config.json echo: schema, version
+    # and _meta's provenance, the seed exactly on the seeded commands
+    path = CONFIGS / "dag_chain.json"
+    cfg = load_config(path)
+    artifacts = {
+        "solve": ("solution.json", "solution", 1),
+        "poa": ("poa.json", "poa-report", 1),
+        "potential-check": ("potential_check.json", "potential-check", 1),
+        "learn": ("learning_summary.json", "learning-summary", 2),
+        "classify": ("classification.json", "classification", 1),
+    }
+    for command, (name, schema, version) in artifacts.items():
+        seeded = command in ("potential-check", "learn")
+        out = tmp_path / command
+        assert cli_main([command, str(path), "--out", str(out)] + (["--seed", "4"] if seeded else [])) == 0
+        doc = json.loads((out / name).read_text())
+        assert (doc["schema"], doc["version"], doc["source"], doc["generator"]) == (
+            schema, version, str(path), f"specaccess {sa.__version__}")
+        assert (doc["config_sha256"], doc["rate_unit"]) == (cfg.sha256, cfg.rate_unit)
+        assert ("seed" in doc, doc.get("seed")) == ((True, 4) if seeded else (False, None))
+        if command != "classify":  # the one command that also reads bare graphs
+            assert load_config(out / "resolved_config.json").sha256 == cfg.sha256
+    graph = CONFIGS / "graphs" / "star5.json"
+    assert cli_main(["classify", str(graph), "--out", str(tmp_path / "graph")]) == 0
+    doc = json.loads((tmp_path / "graph" / "classification.json").read_text())
+    assert (doc["schema"], doc["version"], doc["source"], doc["generator"]) == (
+        "classification", 1, str(graph), f"specaccess {sa.__version__}")
+    assert not {"config_sha256", "rate_unit", "seed"} & set(doc)
+
+
+def test_each_graph_is_walked_once(tmp_path, monkeypatch):
+    # classify keeps its answer with the graph: solve's three constructions,
+    # the potential hypotheses and potential-check's per-deviation checks all
+    # read it, and the tree construction reads the same walk
+    walked = []
+    walk = graph_module.skeleton_walk
+    monkeypatch.setattr(graph_module, "skeleton_walk", lambda g: walked.append(g) or walk(g))
+    star = sa.InterferenceGraph.undirected(5, [(1, j) for j in range(2, 6)])
+    spec = sa.SpectrumGame.create(star, [0.6, 0.8], [[4.0, 3.0]] * 5, sa.AsymptoticBackoff())
+    assert solve_pure_ne(spec)[0] == "directed_tree"
+    assert applicable_variants(spec) == ["backoff_asymptotic"]
+    assert walked == [star]
+    doc = _minimal_doc()
+    doc["scenario"].update({
+        "graph": {"n_users": 4, "edges": [[i, j] for i in range(1, 5) for j in range(1, 5) if i != j]},
+        "channels": [{"kind": "bernoulli", "theta": 0.5}, {"kind": "bernoulli", "theta": 0.4}],
+        "rates": {"kind": "fixed", "mean": [[4.0, 3.0], [3.0, 5.0], [2.0, 2.5], [6.0, 1.0]]},
+    })
+    assert cli_main(["potential-check", str(_write(tmp_path, doc)), "--out", str(tmp_path)]) == 0
+    checked = json.loads((tmp_path / "potential_check.json").read_text())["variants"]
+    assert checked == {"backoff_complete": {"deviations_checked": 64, "sign_matches": 64}}
+    assert len(walked) == 2 and walked[1] is not star
 
 
 def test_cli_solution_without_pure_ne_names_its_config(tmp_path):

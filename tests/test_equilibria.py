@@ -6,7 +6,7 @@ import pytest
 from conftest import random_dag, random_directed_graph, random_forest, random_game
 
 import specaccess as sa
-from specaccess import game
+from specaccess import equilibria, game
 from specaccess.config import load_config
 from specaccess.contention import backoff_success_probability
 from specaccess.equilibria import (
@@ -15,7 +15,7 @@ from specaccess.equilibria import (
     construct_ne_directed_tree,
     solve_pure_ne,
 )
-from specaccess.errors import PreconditionError
+from specaccess.errors import PreconditionError, ResourceLimitError
 from specaccess.game import SpectrumGame, enumerate_pure_ne, is_pure_ne
 from specaccess.graph import classify
 
@@ -125,14 +125,32 @@ def test_tree_random_instances_verified(caplog):
         assert a in enumerate_pure_ne(spec)
 
 
+def _forest_with_a_2cycle(rng, n):
+    # a forest without a 2-cycle is a DAG, which solve hands to the DAG routine
+    while True:
+        g = random_forest(rng, n)
+        if not classify(g).directed_acyclic:
+            return g
+
+
 def test_tree_budget_fallback_logs_and_verifies(caplog):
     rng = np.random.default_rng(5)
-    g = random_forest(rng, 6)
-    spec = random_game(rng, g, 2, "backoff")
+    spec = random_game(rng, _forest_with_a_2cycle(rng, 6), 2, "backoff")
+    with pytest.raises(ResourceLimitError, match="recursion budget"):
+        construct_ne_directed_tree(spec, recursion_budget=1)
     with caplog.at_level(logging.WARNING):
-        a = construct_ne_directed_tree(spec, recursion_budget=1)
-    assert is_pure_ne(spec, a).is_ne
+        routine, a = solve_pure_ne(spec, recursion_budget=1)
+    assert routine == "enumeration" and is_pure_ne(spec, a).is_ne
     assert any("recursion budget" in rec.message for rec in caplog.records)
+
+
+def test_enumerated_forest_without_an_equilibrium_is_an_error(monkeypatch):
+    # every forest has a pure NE, so an enumeration that finds none is a bug
+    rng = np.random.default_rng(5)
+    spec = random_game(rng, _forest_with_a_2cycle(rng, 6), 2, "backoff")
+    monkeypatch.setattr(equilibria, "first_pure_ne", lambda spec, cap: None)
+    with pytest.raises(RuntimeError, match="no pure NE on a forest"):
+        solve_pure_ne(spec, recursion_budget=1)
 
 
 def _bipartite_game(theta_b, lam=10, sizes=(2, 2)):
@@ -232,9 +250,9 @@ def test_solve_pure_ne_picks_the_first_construction_that_applies():
 
 
 def test_enumeration_fallbacks_stop_at_the_first_equilibrium(monkeypatch):
-    # solve's enumeration and the tree routine's budget fallback return
-    # enumerate_pure_ne(spec)[0], or None without an NE, and scan no block
-    # after the one that holds it
+    # solve's enumeration, on general graphs and on forests past the tree
+    # routine's budget, returns enumerate_pure_ne(spec)[0], or None without an
+    # NE, and scans no block after the one that holds it
     blocks = []
     scan = game._scan
     monkeypatch.setattr(game, "_scan", lambda spec, cap: (blocks.append(b) or b for b in scan(spec, cap)))
@@ -246,22 +264,19 @@ def test_enumeration_fallbacks_stop_at_the_first_equilibrium(monkeypatch):
         return rank // len(blocks[0].is_ne) + 1
 
     rng = np.random.default_rng(41)
-    seen = {"enumeration": 0, "directed_tree": 0, "none": 0}
+    seen = {"general": 0, "forest": 0, "none": 0}
     for trial in range(16):
         kind = ("backoff", "asymptotic", "weighted", "aloha")[trial % 4]
         n, m = ((12, 2), (7, 3))[trial // 4 % 2]
-        graph = random_forest(rng, n) if trial >= 8 else random_directed_graph(rng, n, 0.4)
+        graph = _forest_with_a_2cycle(rng, n) if trial >= 8 else random_directed_graph(rng, n, 0.4)
         spec = random_game(rng, graph, m, kind)
         ne = enumerate_pure_ne(spec)
         blocks.clear()
-        if trial >= 8:
-            routine, a = "directed_tree", construct_ne_directed_tree(spec, recursion_budget=1)
-        else:
-            routine, a = solve_pure_ne(spec)
-        assert a == (ne[0] if ne else None)
+        routine, a = solve_pure_ne(spec, recursion_budget=1)
+        assert routine == "enumeration" and a == (ne[0] if ne else None)
         assert len(blocks) == (first_block_with(spec, a) if ne else m ** n // len(blocks[0].is_ne))
-        seen[routine if ne else "none"] += 1
-    assert seen == {"enumeration": 7, "directed_tree": 8, "none": 1}
+        seen["none" if not ne else "forest" if trial >= 8 else "general"] += 1
+    assert seen == {"general": 7, "forest": 8, "none": 1}
     blocks.clear()
     assert solve_pure_ne(load_config(CONFIGS / "triangle_no_ne.json").scenario.game) == ("enumeration", None)
     assert len(blocks) == 1
