@@ -153,8 +153,11 @@ def cmd_classify(args) -> int:
         print(f"topological order: {list(cls.topological_order)}")
     elif cls.directed_forest:
         print("pure NE guaranteed under the congestion property (tree/forest structure)")
-    elif cls.undirected:
-        print("undirected: pure NE guaranteed for backoff/Aloha/weighted sharing (potential game)")
+    elif cls.undirected:  # a potential game only where a variant's hypotheses hold, which takes a config
+        variants = cfg and applicable_variants(cfg.scenario.game)
+        print("undirected: " + (f"pure NE guaranteed (potential game: {', '.join(variants)})" if variants else
+              "no potential variant's hypotheses hold for this instance" if cfg else
+              "a potential game, with a pure NE, only under a variant's hypotheses (see potential-check)"))
     else:
         print("no structural pure-NE guarantee")
     if cls.bipartition:

@@ -295,15 +295,19 @@ def _schema_errors(instance: dict, schema: dict) -> list[str]:
     return msgs
 
 
-def load_graph_document(doc: dict, base: Path | None = None) -> InterferenceGraph:
+def _inline_graph(doc: dict, base: Path = Path()) -> dict:
+    """The inline graph document at the end of doc's ``file`` references, each
+    checked and a relative one read from the referring file's directory."""
     errors = _schema_errors(doc, GRAPH_SCHEMA)
     if errors:
         raise ValueError("invalid graph document:\n  " + "\n  ".join(errors))
-    if "file" in doc:
-        path = Path(doc["file"])
-        if base is not None and not path.is_absolute():
-            path = base / path
-        return load_graph(path)
+    if "file" not in doc:
+        return doc
+    path = base / doc["file"]  # an absolute path replaces base
+    return _inline_graph(json.loads(path.read_text()), path.parent)
+
+
+def _build_graph(doc: dict) -> InterferenceGraph:
     if "placements" in doc:
         placements = [
             UserPlacement(tuple(p["tx"]), tuple(p["rx"]), p["interference_range"])
@@ -314,9 +318,7 @@ def load_graph_document(doc: dict, base: Path | None = None) -> InterferenceGrap
 
 
 def load_graph(path: str | Path) -> InterferenceGraph:
-    path = Path(path)
-    doc = json.loads(path.read_text())
-    return load_graph_document(doc, base=path.parent)
+    return _build_graph(_inline_graph({"file": str(path)}))
 
 
 def _merge_defaults(raw: dict) -> dict:
@@ -388,7 +390,7 @@ def _build_policy(d: dict, learning: LearningPolicy, solver: SolverSettings) -> 
     if kind == "fixed_profile":
         return FixedProfilePolicy(tuple(d["profile"]))
     if kind == "dynamic_stage_game":
-        return DynamicStageGamePolicy(restarts=d.get("restarts", 10), max_rounds=solver.max_rounds)
+        return DynamicStageGamePolicy(**{k: v for k, v in d.items() if k != "kind"}, max_rounds=solver.max_rounds)
     return replace(learning, gamma=float(d.get("gamma", learning.gamma)))
 
 
@@ -405,7 +407,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
     resolved = _merge_defaults(raw)
 
     sc = resolved["scenario"]
-    graph = load_graph_document(sc["graph"], base=path.parent)
+    sc["graph"] = _inline_graph(sc["graph"], path.parent)  # echoed and hashed by content
+    graph = _build_graph(sc["graph"])
     channels = _build_channels(sc["channels"])
     rates = _build_rates(sc["rates"], graph.n_users, len(channels))
     scenario = Scenario.build(

@@ -251,14 +251,20 @@ class PhysicalGame:
     def n_users(self) -> int:
         return len(self.tx_power)
 
+    @cached_property
+    def _coupling(self) -> list[list[float]]:
+        """1-based [n][i] = eta_i * d_in^-alpha, user i's power at user n's receiver; 0 where i = n."""
+        eta, d, alpha = self.tx_power, self.cross_distance, self.path_loss
+        return [[float(eta[i - 1] * d[i - 1][n - 1] ** (-alpha)) if i and n and i != n else 0.0
+                 for i in range(self.n_users + 1)] for n in range(self.n_users + 1)]
+
     def payoff(self, a: Profile, n: int) -> float:
         ch = a[n - 1]
-        alpha = self.path_loss
-        signal = self.tx_power[n - 1] * self.own_distance[n - 1] ** (-alpha)
+        signal = self.tx_power[n - 1] * self.own_distance[n - 1] ** (-self.path_loss)
         interference = self.noise + self.primary_interference[n - 1][ch - 1]
         for i in range(1, self.n_users + 1):
             if i != n and a[i - 1] == ch:
-                interference += self.tx_power[i - 1] * self.cross_distance[i - 1][n - 1] ** (-alpha)
+                interference += self._coupling[n][i]
         return self.idle_prob[ch - 1] * self.bandwidth * math.log2(1.0 + signal / interference)
 
 

@@ -1,31 +1,33 @@
 """Potential functions for the game classes that admit them.
 
-Each variant couples a closed-form potential with the structural hypotheses
-under which the sign of a unilateral potential change matches the sign of the
-deviating user's payoff change. Hypotheses are validated, not trusted: every
-theorem here has a narrow scope and silent misuse would be undetectable.
+Each variant couples a closed-form potential with the hypotheses, one table,
+under which a unilateral move changes the potential and the mover's payoff
+with the same sign. Hypotheses are validated, not trusted: each theorem has a
+narrow scope and silent misuse would be undetectable. Every variant needs θ > 0.
 
-Variants:
-  backoff_complete     complete undirected graph, finite-window random backoff,
-                       fully user-specific rates. Returned as the log of the
-                       product-form potential (a positive potential and its
-                       log order deviations identically; the log form avoids
-                       catastrophic cancellation at throughput scale).
-  backoff_asymptotic   any undirected graph, infinite-window backoff,
-                       channel-wise rates with per-user gains.
-  weighted_share       any undirected graph, weight-proportional sharing,
-                       channel-wise rates with per-user gains.
-  homogeneous_backoff  any undirected graph, finite-window backoff, one theta
-                       and one rate shared by every channel and user.
-  aloha                any undirected graph, slotted Aloha, fully
-                       user-specific rates.
-  physical             SINR payoffs with accumulated interference and a
-                       channel-independent idle probability.
+``backoff_complete`` (complete undirected graph, finite-window backoff, fully
+user-specific rates) is the log of the product-form potential: a positive
+potential and its log order deviations identically, and the log avoids
+catastrophic cancellation at throughput scale. The other five are pairwise,
+Φ(a) = −Σ_n term_n(c_n, R_n), R_n being user n's co-channel interferers (its
+in-neighbours on c_n; in the physical game every other user on c_n); with
+V_c = θ_c·B_c and ρ = ln(1 − p):
+
+  weighted_share       (w_n² + ½·w_n·Σ_R w_i) / V_c; undirected graph,
+                       channel-wise rates with per-user gains
+  backoff_asymptotic   the same with w ≡ 1; infinite-window backoff
+  homogeneous_backoff  the same with w ≡ 1 and 1 for ½; finite-window backoff,
+                       one θ and one rate for every channel and user
+  aloha                ρ_n·(½·Σ_R ρ_i + ln(θ_c·h_n·B_c^n·p_n)); undirected graph,
+                       fully user-specific rates
+  physical             η_n·(2(ω_c^n + ω_0) + Σ_R η_i·d_ni^−α); SINR payoffs, one θ
 """
 
 from __future__ import annotations
 
 import math
+from itertools import repeat
+from operator import mul
 from typing import Iterable
 
 from .contention import AsymptoticBackoff, RandomBackoff, SlottedAloha, WeightedShare, backoff_success_probability
@@ -33,14 +35,27 @@ from .errors import PreconditionError
 from .game import IMPROVEMENT_RTOL, PhysicalGame, Profile, SpectrumGame, _check_profile, channel_wise_rates, rates_agree
 from .graph import classify
 
-VARIANTS = (
-    "backoff_complete",
-    "backoff_asymptotic",
-    "weighted_share",
-    "homogeneous_backoff",
-    "aloha",
-    "physical",
-)
+_CHANNEL_WISE = (channel_wise_rates, "channel-wise rates (identical mean-rate rows; use gains for user specificity)")
+_ONE_THETA = (lambda game: len(set(game.idle_prob)) == 1, "homogeneous channel idle probabilities")
+_ONE_RATE = (lambda spec: rates_agree(b for row in spec.mean_rate for b in row),
+             "one mean rate shared by all users and channels (use gains for user specificity)")
+_POSITIVE_THETA = (lambda game: all(t > 0.0 for t in game.idle_prob), "strictly positive channel idle probabilities")
+
+# variant -> (graph class, mechanism, further hypotheses); the physical game has no graph or mechanism
+_HYPOTHESES = {
+    "backoff_complete": ("complete_undirected", RandomBackoff, ()),
+    "backoff_asymptotic": ("undirected", AsymptoticBackoff, (_CHANNEL_WISE,)),
+    "weighted_share": ("undirected", WeightedShare, (_CHANNEL_WISE,)),
+    "homogeneous_backoff": ("undirected", RandomBackoff, (_ONE_THETA, _ONE_RATE)),
+    "aloha": ("undirected", SlottedAloha, ()),
+    "physical": (None, None, (_ONE_THETA,)),
+}
+_NAMES = {"complete_undirected": "a complete undirected interference graph",
+          "undirected": "an undirected interference graph",
+          RandomBackoff: "the random backoff mechanism", AsymptoticBackoff: "the asymptotic backoff mechanism",
+          WeightedShare: "the weighted sharing mechanism", SlottedAloha: "the Aloha mechanism"}
+
+VARIANTS = tuple(_HYPOTHESES)
 
 
 def _require(cond: bool, variant: str, what: str) -> None:
@@ -48,47 +63,19 @@ def _require(cond: bool, variant: str, what: str) -> None:
         raise PreconditionError(f"potential variant '{variant}' requires {what}")
 
 
-def _positive_theta(spec: SpectrumGame) -> bool:
-    return all(t > 0.0 for t in spec.idle_prob)
-
-
 def check_hypotheses(game: SpectrumGame | PhysicalGame, variant: str) -> None:
-    """Raise PreconditionError naming the violated hypothesis, if any."""
-    if variant not in VARIANTS:
+    """Raise PreconditionError naming the first violated hypothesis, if any."""
+    if variant not in _HYPOTHESES:
         raise ValueError(f"unknown potential variant '{variant}'")
-    if variant == "physical":
+    graph_class, mechanism, further = _HYPOTHESES[variant]
+    if graph_class is None:
         _require(isinstance(game, PhysicalGame), variant, "a physical-interference game")
-        _require(len(set(game.idle_prob)) == 1, variant, "homogeneous channel idle probabilities")
-        return
-    _require(isinstance(game, SpectrumGame), variant, "a graph-based spectrum game")
-    cls = classify(game.graph)
-    if variant == "backoff_complete":
-        _require(cls.complete_undirected, variant, "a complete undirected interference graph")
-        _require(isinstance(game.mechanism, RandomBackoff), variant, "the random backoff mechanism")
-        _require(_positive_theta(game), variant, "strictly positive channel idle probabilities")
-    elif variant == "backoff_asymptotic":
-        _require(cls.undirected, variant, "an undirected interference graph")
-        _require(isinstance(game.mechanism, AsymptoticBackoff), variant, "the asymptotic backoff mechanism")
-        _require(channel_wise_rates(game), variant, "channel-wise rates (identical mean-rate rows; use gains for user specificity)")
-        _require(_positive_theta(game), variant, "strictly positive channel idle probabilities")
-    elif variant == "weighted_share":
-        _require(cls.undirected, variant, "an undirected interference graph")
-        _require(isinstance(game.mechanism, WeightedShare), variant, "the weighted sharing mechanism")
-        _require(channel_wise_rates(game), variant, "channel-wise rates (identical mean-rate rows; use gains for user specificity)")
-        _require(_positive_theta(game), variant, "strictly positive channel idle probabilities")
-    elif variant == "homogeneous_backoff":
-        _require(cls.undirected, variant, "an undirected interference graph")
-        _require(isinstance(game.mechanism, RandomBackoff), variant, "the random backoff mechanism")
-        _require(len(set(game.idle_prob)) == 1, variant, "homogeneous channel idle probabilities")
-        _require(
-            rates_agree(b for row in game.mean_rate for b in row), variant,
-            "one mean rate shared by all users and channels (use gains for user specificity)",
-        )
-        _require(_positive_theta(game), variant, "strictly positive channel idle probabilities")
-    elif variant == "aloha":
-        _require(cls.undirected, variant, "an undirected interference graph")
-        _require(isinstance(game.mechanism, SlottedAloha), variant, "the Aloha mechanism")
-        _require(_positive_theta(game), variant, "strictly positive channel idle probabilities")
+    else:
+        _require(isinstance(game, SpectrumGame), variant, "a graph-based spectrum game")
+        _require(getattr(classify(game.graph), graph_class), variant, _NAMES[graph_class])
+        _require(isinstance(game.mechanism, mechanism), variant, _NAMES[mechanism])
+    for holds, what in further + (_POSITIVE_THETA,):
+        _require(holds(game), variant, what)
 
 
 def applicable_variants(game: SpectrumGame | PhysicalGame) -> list[str]:
@@ -102,87 +89,63 @@ def applicable_variants(game: SpectrumGame | PhysicalGame) -> list[str]:
     return out
 
 
-def _channel_loads(game, a: Profile) -> list[int]:
-    loads = [0] * game.n_channels
-    for ch in a:
-        loads[ch - 1] += 1
-    return loads
+def _interferers(game: SpectrumGame | PhysicalGame, variant: str, a: Profile) -> Iterable:
+    """R_n for n = 1..N: user n's co-channel in-neighbours, or in the physical
+    game every user on c_n (n itself too: its zero coupling adds nothing)."""
+    if variant != "physical":
+        return map(game.co_channel_in_neighbors, repeat(a), range(1, game.n_users + 1))
+    on: dict[int, list[int]] = {}
+    for i, c in enumerate(a, 1):
+        on.setdefault(c, []).append(i)
+    return map(on.__getitem__, a)
+
+
+def _pairwise_term(game: SpectrumGame | PhysicalGame, variant: str):
+    """term(n, c, R): user n's term of a pairwise potential on channel c
+    against its co-channel interferers R, with the game's constants bound once."""
+    if variant == "physical":
+        eta, omega, omega0, k = (0.0,) + game.tx_power, game.primary_interference, game.noise, game._coupling
+        return lambda n, c, rivals: eta[n] * (2.0 * (omega[n - 1][c - 1] + omega0) + sum(map(k[n].__getitem__, rivals)))
+    if variant == "aloha":
+        p, value = game.mechanism.probs, game._value
+        rho = [0.0] + [math.log(1.0 - pi) for pi in p]  # 1-based, as are eta above and w and v below
+        return lambda n, c, rivals: rho[n] * (0.5 * sum(map(rho.__getitem__, rivals))
+                                              + math.log(value.item(n - 1, c - 1) * p[n - 1]))
+    w = (0.0,) + (game.mechanism.weights if variant == "weighted_share" else (1.0,) * game.n_users)
+    weigh = (lambda rivals: sum(map(w.__getitem__, rivals))) if variant == "weighted_share" else len  # Σ_R 1 = |R|
+    half = 1.0 if variant == "homogeneous_backoff" else 0.5
+    v = [0.0, *map(mul, game.idle_prob, game.mean_rate[0])]
+    return lambda n, c, rivals: (w[n] ** 2 + half * w[n] * weigh(rivals)) / v[c]
 
 
 def potential_value(game: SpectrumGame | PhysicalGame, a: Profile, variant: str) -> float:
     """Evaluate the variant's potential at profile a (hypotheses enforced)."""
+    return _potentials(game, variant, a)[0]
+
+
+def _potentials(game: SpectrumGame | PhysicalGame, variant: str, *profiles: Profile) -> list[float]:
+    """The variant's potential at each profile, hypotheses checked and constants bound once."""
     check_hypotheses(game, variant)
-    _check_profile(game, a)
-
-    if variant == "physical":
-        alpha = game.path_loss
-        pair = 0.0
-        for i in range(1, game.n_users + 1):
-            for j in range(1, game.n_users + 1):
-                if i != j and a[i - 1] == a[j - 1]:
-                    pair += (
-                        game.tx_power[i - 1]
-                        * game.tx_power[j - 1]
-                        * game.cross_distance[i - 1][j - 1] ** (-alpha)
-                    )
-        primary = sum(
-            2.0 * game.tx_power[n - 1] * (game.primary_interference[n - 1][a[n - 1] - 1] + game.noise)
-            for n in range(1, game.n_users + 1)
-        )
-        return -pair - primary
-
-    spec: SpectrumGame = game
+    for a in profiles:
+        _check_profile(game, a)
     if variant == "backoff_complete":
-        # log of prod_n theta h B * prod_m prod_{c=0}^{K_m - 1} f(c); the
-        # per-channel product telescopes exactly against one user's move.
-        lam = spec.mechanism.max_counter
-        val = sum(
-            math.log(spec._value.item(n - 1, a[n - 1] - 1))
-            for n in range(1, spec.n_users + 1)
-        )
-        for load in _channel_loads(spec, a):
-            for c in range(load):
-                val += math.log(backoff_success_probability(lam, c))
-        return val
+        return [_log_product_potential(game, a) for a in profiles]
+    term, users = _pairwise_term(game, variant), range(1, game.n_users + 1)
+    return [-sum(map(term, users, a, _interferers(game, variant, a))) for a in profiles]
 
-    if variant == "backoff_asymptotic":
-        base = spec.mean_rate[0]
-        return -sum(
-            (1.0 + 0.5 * len(spec.co_channel_in_neighbors(a, n)))
-            / (spec.idle_prob[a[n - 1] - 1] * base[a[n - 1] - 1])
-            for n in range(1, spec.n_users + 1)
-        )
 
-    if variant == "weighted_share":
-        base = spec.mean_rate[0]
-        w = spec.mechanism.weights
-        total = 0.0
-        for n in range(1, spec.n_users + 1):
-            cross = sum(w[i - 1] for i in spec.co_channel_in_neighbors(a, n))
-            total -= (w[n - 1] ** 2 + 0.5 * w[n - 1] * cross) / (
-                spec.idle_prob[a[n - 1] - 1] * base[a[n - 1] - 1]
-            )
-        return total
-
-    if variant == "homogeneous_backoff":
-        theta_b = spec.idle_prob[0] * spec.mean_rate[0][0]
-        return -sum(
-            (1.0 + len(spec.co_channel_in_neighbors(a, n))) / theta_b
-            for n in range(1, spec.n_users + 1)
-        )
-
-    if variant == "aloha":
-        p = spec.mechanism.probs
-        rho = [math.log(1.0 - pi) for pi in p]
-        total = 0.0
-        for i in range(1, spec.n_users + 1):
-            ch = a[i - 1]
-            cross = sum(rho[j - 1] for j in spec.co_channel_in_neighbors(a, i))
-            xi = math.log(spec._value.item(i - 1, ch - 1) * p[i - 1])
-            total -= rho[i - 1] * (0.5 * cross + xi)
-        return total
-
-    raise ValueError(f"unknown potential variant '{variant}'")
+def _log_product_potential(spec: SpectrumGame, a: Profile) -> float:
+    # log of prod_n theta h B * prod_m prod_{c=0}^{K_m - 1} f(c); the
+    # per-channel product telescopes exactly against one user's move.
+    lam = spec.mechanism.max_counter
+    val = sum(math.log(spec._value.item(n - 1, a[n - 1] - 1)) for n in range(1, spec.n_users + 1))
+    loads = [0] * spec.n_channels
+    for ch in a:
+        loads[ch - 1] += 1
+    for load in loads:
+        for c in range(load):
+            val += math.log(backoff_success_probability(lam, c))
+    return val
 
 
 def signed(delta: float, reference: Iterable[float]) -> int:
@@ -196,17 +159,11 @@ def signed(delta: float, reference: Iterable[float]) -> int:
     return 1 if delta > 0 else -1
 
 
-def deviation_signs_match(
-    game: SpectrumGame | PhysicalGame,
-    variant: str,
-    a: Profile,
-    user: int,
-    new_channel: int,
-) -> bool:
+def deviation_signs_match(game: SpectrumGame | PhysicalGame, variant: str, a: Profile, user: int,
+                          new_channel: int) -> bool:
     """sgn(Phi(a') - Phi(a)) == sgn(U_user(a') - U_user(a)) for one deviation."""
     a2 = a[: user - 1] + (new_channel,) + a[user:]
-    phi0 = potential_value(game, a, variant)
-    phi1 = potential_value(game, a2, variant)
+    phi0, phi1 = _potentials(game, variant, a, a2)
     u0 = game.payoff(a, user)
     u1 = game.payoff(a2, user)
     return signed(phi1 - phi0, (phi0, phi1)) == signed(u1 - u0, (u0, u1))

@@ -329,10 +329,10 @@ class DynamicStageGamePolicy:
     block at once, like any other policy's."""
 
     restarts: int = 10
-    max_rounds: int = 200
+    max_rounds: int = 1000  # better_response_dynamics' own default, and the config's solver.max_rounds
 
-    def label(self) -> str:
-        return "dynamic_stage_game" if self.restarts == 10 else f"dynamic_stage_game(restarts={self.restarts})"
+    def label(self) -> str:  # names restarts where it differs from the field's default
+        return "dynamic_stage_game" if self.restarts == type(self).restarts else f"dynamic_stage_game(restarts={self.restarts})"
 
     def _chooser(self, scenario: Scenario, rng: np.random.Generator):
         memo: dict[tuple[int, ...], Profile] = {}

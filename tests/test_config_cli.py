@@ -4,10 +4,13 @@ import json
 import logging
 import os
 import re
+import shutil
 import subprocess
 import sys
+from inspect import signature
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import specaccess as sa
@@ -15,6 +18,7 @@ from specaccess import graph as graph_module
 from specaccess import simulator
 from specaccess.cli import main as cli_main
 from specaccess.config import (
+    _DEFAULTS,
     CONFIG_SCHEMA,
     config_hash,
     load_config,
@@ -557,6 +561,11 @@ def test_dynamic_policy_gets_solver_max_rounds(tmp_path, monkeypatch):
     assert budgets and set(budgets) == {17}
 
 
+def test_dynamic_policy_defaults_to_the_solver_budget():
+    budget = signature(sa.better_response_dynamics).parameters["max_rounds"].default
+    assert simulator.DynamicStageGamePolicy().max_rounds == budget == _DEFAULTS["solver"]["max_rounds"]
+
+
 def test_cli_potential_check(tmp_path, capsys):
     doc = {
         "scenario": {
@@ -592,6 +601,111 @@ def test_cli_potential_check_samples_large_games(tmp_path, capsys):
     assert 0 < checked["deviations_checked"] <= 500
     assert checked["sign_matches"] == checked["deviations_checked"]
     assert reports[0] == reports[1]
+
+
+def _ring(n):
+    return {"n_users": n, "edges": [e for i in range(1, n + 1) for e in ([i, i % n + 1], [i % n + 1, i])]}
+
+
+def _complete(n):
+    return {"n_users": n, "edges": [[i, j] for i in range(1, n + 1) for j in range(1, n + 1) if i != j]}
+
+
+def _undirected_doc(seed, graph, m, mechanism, rates="user"):
+    """Bernoulli channels and fixed rates drawn from seed: user-specific rates,
+    channel-wise ("channel") or one theta and one rate everywhere ("one")."""
+    rng = np.random.default_rng(seed)
+    n = graph["n_users"]
+    draw = lambda *shape: np.round(rng.uniform(1.0, 10.0, shape), 3).tolist()  # noqa: E731
+    theta = [0.6] * m if rates == "one" else np.round(rng.uniform(0.2, 0.9, m), 3).tolist()
+    mean = {"one": [[4.5] * m] * n, "channel": [draw(m)] * n}.get(rates) or draw(n, m)
+    return {"scenario": {
+        "graph": graph,
+        "channels": [{"kind": "bernoulli", "theta": t} for t in theta],
+        "rates": {"kind": "fixed", "mean": mean},
+        "mechanism": mechanism,
+        "gains": np.round(rng.uniform(0.5, 2.0, n), 3).tolist(),
+    }}
+
+
+# potential-check --seed 3 on one undirected config per graph variant: the
+# stdout and the variants payload recorded when each potential had a loop of its own
+_RECORDED_POTENTIAL_CHECKS = {
+    "complete4x2_backoff": (
+        _undirected_doc(1, _complete(4), 2, {"kind": "backoff", "max_counter": 8}),
+        "backoff_complete", 64, 64),
+    "complete7x3_backoff": (
+        _undirected_doc(2, _complete(7), 3, {"kind": "backoff", "max_counter": 12}),
+        "backoff_complete", 339, 339),
+    "ring8_aloha": (
+        _undirected_doc(3, _ring(8), 2, {"kind": "aloha", "probs": [0.2, 0.35, 0.5, 0.65, 0.3, 0.45, 0.6, 0.75]}),
+        "aloha", 2048, 2048),
+    "ring12_weighted": (
+        _undirected_doc(4, _ring(12), 2, {"kind": "weighted_share", "weights": [0.5 + 0.25 * k for k in range(12)]},
+                        rates="channel"),
+        "weighted_share", 259, 259),
+    "ring9_asymptotic": (
+        _undirected_doc(5, _ring(9), 2, {"kind": "asymptotic_backoff"}, rates="channel"),
+        "backoff_asymptotic", 4608, 4608),
+    "ring6_homogeneous": (
+        _undirected_doc(6, _ring(6), 3, {"kind": "backoff", "max_counter": 5}, rates="one"),
+        "homogeneous_backoff", 8748, 8748),
+}
+
+
+@pytest.mark.parametrize("name", _RECORDED_POTENTIAL_CHECKS)
+def test_cli_potential_check_keeps_its_recorded_verdicts(tmp_path, capsys, name):
+    doc, variant, matches, checked = _RECORDED_POTENTIAL_CHECKS[name]
+    assert cli_main(["potential-check", str(_write(tmp_path, doc)), "--seed", "3", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == f"{variant}: {matches}/{checked} deviation signs match [OK]\n"
+    payload = json.loads((tmp_path / "potential_check.json").read_text())["variants"]
+    assert payload == {variant: {"deviations_checked": checked, "sign_matches": matches}}
+
+
+def test_cli_classify_names_only_the_potential_variants_that_hold(tmp_path, capsys):
+    # an undirected ring is a potential game only under a variant's hypotheses:
+    # finite backoff with user-specific rates meets none, Aloha its own, and a
+    # bare graph cannot say
+    backoff = _undirected_doc(7, _ring(6), 2, {"kind": "backoff", "max_counter": 6})
+    aloha = _undirected_doc(7, _ring(6), 2, {"kind": "aloha", "probs": [0.3] * 6})
+    verdicts = {
+        "backoff": (backoff, "undirected: no potential variant's hypotheses hold for this instance"),
+        "aloha": (aloha, "undirected: pure NE guaranteed (potential game: aloha)"),
+        "graph": (_ring(6), "undirected: a potential game, with a pure NE, only under a variant's hypotheses "
+                            "(see potential-check)"),
+    }
+    for name, (doc, verdict) in verdicts.items():
+        assert cli_main(["classify", str(_write(tmp_path, doc, f"{name}.json")), "--out", str(tmp_path / name)]) == 0
+        assert verdict in capsys.readouterr().out.splitlines()
+    reports = [json.loads((tmp_path / name / "classification.json").read_text()) for name in verdicts]
+    assert {r["classes"] == ["regular_bipartite", "undirected"] for r in reports} == {True}
+    assert cli_main(["potential-check", str(tmp_path / "backoff.json"), "--out", str(tmp_path / "check")]) == 0
+    assert "no potential variant's hypotheses hold for this instance" in capsys.readouterr().out
+
+
+def test_resolved_config_of_a_graph_file_reloads_from_its_output_dir(tmp_path, monkeypatch, capsys):
+    # the echo holds the graph's document inline, following a nested file
+    # reference, so it loads from any directory and hashes the graph's content
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(CONFIGS / "graphs" / "star5.json", tmp_path / "star5.json")
+    (tmp_path / "graphs").mkdir()
+    _write(tmp_path / "graphs", {"file": "../star5.json"}, "star.json")
+    doc = _minimal_doc()
+    doc["scenario"].update({
+        "graph": {"file": "graphs/star.json"},
+        "channels": [{"kind": "bernoulli", "theta": t} for t in (0.5, 0.7)],
+        "rates": {"kind": "fixed", "mean": [[4.0, 2.0], [3.0, 5.0], [2.0, 2.5], [6.0, 1.0], [1.5, 4.5]]},
+    })
+    _write(tmp_path, doc)
+    assert cli_main(["solve", "cfg.json", "--out", "deep/er"]) == 0
+    echo = Path("deep/er/resolved_config.json")
+    star = json.loads((CONFIGS / "graphs" / "star5.json").read_text())
+    assert json.loads(echo.read_text())["scenario"]["graph"] == star
+    assert cli_main(["solve", str(echo), "--out", "again"]) == 0
+    first, again = (json.loads(Path(out, "solution.json").read_text()) for out in ("deep/er", "again"))
+    assert again["profile"] == first["profile"]
+    doc["scenario"]["graph"] = star
+    assert load_config(echo).sha256 == load_config("cfg.json").sha256 == load_config(_write(tmp_path, doc, "inline.json")).sha256
 
 
 def _tiny_learning_doc():

@@ -169,3 +169,73 @@ def test_fip_strict_potential_increase():
             after = potential_value(spec, tuple(a), variant)
             assert after > before
         assert tuple(a) == res.profile
+
+
+def _seeded_instance(variant):
+    rng = np.random.default_rng(53 + VARIANTS.index(variant))
+    if variant == "physical":
+        return random_physical_game(rng)
+    g = complete_undirected_graph(4) if variant == "backoff_complete" else random_undirected_graph(rng, 4, 0.7)
+    kind = {"backoff_complete": "backoff", "backoff_asymptotic": "asymptotic", "weighted_share": "weighted",
+            "homogeneous_backoff": "backoff", "aloha": "aloha"}[variant]
+    return random_game(rng, g, 2, kind, gains=True, channel_rates=variant in ("backoff_asymptotic", "weighted_share"),
+                       homogeneous=variant == "homogeneous_backoff")
+
+
+# Phi at every profile (lexicographic) of _seeded_instance, as the closed forms
+# evaluated it when each variant was a hand-written loop of its own
+_RECORDED_POTENTIALS = {
+    "backoff_complete": [
+        -5.47264757718915, -2.1670755210927126, -2.0829294096304487, 0.06340573598144417,
+        -0.6541425283210727, 1.4921926172908204, 1.5763387287530843, 2.7974268304687504,
+        -1.0761488270341093, 1.0701863185777833, 1.1543324300400473, 2.375420531755714,
+        2.5831193113494244, 3.8042074130650905, 3.8883535245273544, 3.9502047157584776],
+    "backoff_asymptotic": [
+        -1.5279526550056435, -1.4107547833362413, -1.4107547833362413, -1.9403353675002586,
+        -1.4107547833362413, -1.9403353675002586, -1.9403353675002584, -3.116694407497695,
+        -1.4107547833362413, -1.9403353675002586, -1.9403353675002584, -3.116694407497695,
+        -1.9403353675002584, -3.116694407497695, -3.1166944074976954, -4.939831903328551],
+    "weighted_share": [
+        -23.943420605246995, -16.461359044756417, -16.518360597703488, -9.036299037212912,
+        -9.075895050217499, -6.982075378472043, -7.656590436538347, -5.562770764792891,
+        -22.565153650533517, -16.379042046720517, -15.140093642990012, -8.953982039177012,
+        -7.697628095504022, -6.899758380436143, -6.278323481824871, -5.480453766756991],
+    "homogeneous_backoff": [
+        -3.65674929701824, -2.194049578210944, -2.194049578210944, -2.194049578210944,
+        -2.925399437614592, -2.925399437614592, -1.462699718807296, -2.925399437614592,
+        -2.925399437614592, -1.462699718807296, -2.925399437614592, -2.925399437614592,
+        -2.194049578210944, -2.194049578210944, -2.194049578210944, -3.65674929701824],
+    "aloha": [
+        -3.3445358922835977, -0.4317109421813603, 1.8336577870801218, 1.8985337873822221,
+        1.787272054279679, 2.6684268871938617, 2.726368486441081, 0.7595743695551251,
+        -1.5997125801342107, 1.3131123699680272, 1.8600457507852441, 1.9249217510873442,
+        2.306197779325594, 3.187352612239776, 1.5268588630427302, -0.4399352538432251],
+    "physical": [
+        -1.0257757660664541e-06, -8.877484337314743e-07, -6.117302597057953e-07, -1.068208725063607e-06,
+        -7.838415462554369e-07, -8.422975486530613e-07, -3.8325723632505925e-07, -1.0362190364154753e-06,
+        -9.236785184719822e-07, -7.957036703063994e-07, -5.157267218007079e-07, -9.822576713279167e-07,
+        -6.85934545817598e-07, -7.544430323846198e-07, -2.9144394557660517e-07, -9.544582298364183e-07],
+}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_potential_values_match_the_recorded_closed_forms(variant):
+    game = _seeded_instance(variant)
+    profiles = list(itertools.product(range(1, game.n_channels + 1), repeat=game.n_users))
+    assert [potential_value(game, a, variant) for a in profiles] == pytest.approx(
+        _RECORDED_POTENTIALS[variant], rel=1e-12)
+
+
+def test_every_variant_requires_positive_idle_probabilities():
+    rng = np.random.default_rng(11)
+    spec = random_game(rng, random_undirected_graph(rng, 3, 1.0), 2, "aloha")
+    zero = sa.SpectrumGame.create(spec.graph, (0.0, 0.5), spec.mean_rate, spec.mechanism)
+    with pytest.raises(PreconditionError, match="strictly positive"):
+        check_hypotheses(zero, "aloha")
+    phys = PhysicalGame(
+        n_channels=2, bandwidth=5.0, tx_power=(2.0,), own_distance=(1.0,),
+        cross_distance=((0.0,),), path_loss=2.0, noise=0.5,
+        primary_interference=((0.3, 0.1),), idle_prob=(0.0, 0.0),
+    )
+    with pytest.raises(PreconditionError, match="strictly positive"):
+        check_hypotheses(phys, "physical")
