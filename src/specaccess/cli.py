@@ -33,7 +33,7 @@ from .errors import PreconditionError, ResourceLimitError
 from .game import is_pure_ne, social_welfare_and_poa, welfare
 from .graph import classify
 from .learning import contraction_temperature_bound
-from .potentials import applicable_variants, deviation_signs_match
+from .potentials import applicable_variants, deviation_checker
 from .reporting import fmt, write_csv, write_json, write_text
 from .simulator import (
     FixedProfilePolicy,
@@ -205,19 +205,27 @@ def cmd_potential_check(args, cfg: ExperimentConfig, outdir: Path) -> int:
     rng = np.random.default_rng(args.seed)
     results = {}
     for variant in variants:
-        # every deviation (profile, user, channel) up to 2,000 profiles, else 500 draws per variant
+        signs_match = deviation_checker(spec, variant)
+        # every deviation (profile, user, other channel) up to 2,000 profiles, else 500 drawn per variant
         if n_channels ** n_users <= 2000:
             draws = ((a, n, m) for a in itertools.product(range(1, n_channels + 1), repeat=n_users)
-                     for n in range(1, n_users + 1) for m in range(1, n_channels + 1))
+                     for n in range(1, n_users + 1) for m in range(1, n_channels + 1) if m != a[n - 1])
         else:
-            draws = ((tuple(int(c) for c in rng.integers(1, n_channels + 1, size=n_users)),
-                      int(rng.integers(1, n_users + 1)), int(rng.integers(1, n_channels + 1))) for _ in range(500))
-        matches = [deviation_signs_match(spec, variant, a, n, m) for a, n, m in draws if m != a[n - 1]]
+            draws = (_draw_deviation(rng, n_users, n_channels) for _ in range(500))
+        matches = [signs_match(a, n, m) for a, n, m in draws]
         ok, checked = sum(matches), len(matches)
         results[variant] = {"deviations_checked": checked, "sign_matches": ok}
         print(f"{variant}: {ok}/{checked} deviation signs match [{'OK' if ok == checked else 'MISMATCH'}]")
-    write_json(outdir / "potential_check.json", "potential-check", 1, {"variants": results}, _meta(cfg, args.seed))
+    write_json(outdir / "potential_check.json", "potential-check", 2, {"variants": results}, _meta(cfg, args.seed))
     return 0 if all(r["sign_matches"] == r["deviations_checked"] for r in results.values()) else 1
+
+
+def _draw_deviation(rng: np.random.Generator, n_users: int, n_channels: int) -> tuple[tuple[int, ...], int, int]:
+    """A uniform (profile, user, new channel), the new channel among the user's M - 1 others."""
+    a = tuple(int(c) for c in rng.integers(1, n_channels + 1, size=n_users))
+    n = int(rng.integers(1, n_users + 1))
+    m = int(rng.integers(1, n_channels))
+    return a, n, m + (m >= a[n - 1])
 
 
 def cmd_poa(args, cfg: ExperimentConfig, outdir: Path) -> int:

@@ -297,14 +297,22 @@ def _schema_errors(instance: dict, schema: dict) -> list[str]:
 
 def _inline_graph(doc: dict, base: Path = Path()) -> dict:
     """The inline graph document at the end of doc's ``file`` references, each
-    checked and a relative one read from the referring file's directory."""
-    errors = _schema_errors(doc, GRAPH_SCHEMA)
-    if errors:
-        raise ValueError("invalid graph document:\n  " + "\n  ".join(errors))
-    if "file" not in doc:
-        return doc
-    path = base / doc["file"]  # an absolute path replaces base
-    return _inline_graph(json.loads(path.read_text()), path.parent)
+    checked and a relative one read from the referring file's directory. A
+    reference to a file already on the chain raises ValueError naming the cycle."""
+    chain: list[Path] = []
+    while True:
+        errors = _schema_errors(doc, GRAPH_SCHEMA)
+        if errors:
+            raise ValueError("invalid graph document:\n  " + "\n  ".join(errors))
+        if "file" not in doc:
+            return doc
+        path = base / doc["file"]  # an absolute path replaces base
+        target = path.resolve()
+        if target in chain:
+            cycle = chain[chain.index(target):] + [target]
+            raise ValueError("graph file references form a cycle: " + " -> ".join(map(str, cycle)))
+        chain.append(target)
+        doc, base = json.loads(path.read_text()), path.parent
 
 
 def _build_graph(doc: dict) -> InterferenceGraph:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable
 
@@ -323,11 +324,12 @@ def run_learning(
         observer = exact_observer(spec)
     gamma_eff = gamma / payoff_scale
     flat = P.reshape(-1)  # a view: cell (n, m) of P is flat[n * M + m]
-    rows = np.arange(N) * M - 1  # flat index of user n's channel a is rows[n] + a
+    rows = range(-1, N * M - 1, M)  # flat index of user n's channel c is rows[n] + c
+    mirror = P.tolist()  # P as Python floats, written in step with it
 
     realised_rows = np.empty((periods, N))
     dP_trace = np.empty(periods)
-    channels = np.empty((periods, N), dtype=np.int64) if record else None
+    chosen: list[tuple[int, ...]] = []
     estimates = np.empty((periods, N)) if record else None
     error_trace = None
     if oracle is not None:
@@ -337,37 +339,42 @@ def run_learning(
     skipped = 0
 
     for T in range(1, periods + 1):
-        cdf = _softmax(P / payoff_scale, gamma).cumsum(axis=1)
-        u = rng.random(N)
-        # per row, the number of cdf entries <= u * total: searchsorted(side="right")
-        a = np.minimum(np.add.reduce(cdf <= (u * cdf[:, -1])[:, None], axis=1) + 1, M)
-        est, realised = observer(tuple(a.tolist()))
-        est = np.asarray(est, dtype=float)
-        ok = est == est  # defined: not NaN
-        n_ok = np.count_nonzero(ok)
+        # numpy for the softmax and its running row sums, whose exp and row totals
+        # Python cannot match bit for bit; the rest is per-user work on Python
+        # floats, whose + - * / give numpy's elementwise bits
+        a = []
+        for cdf, u in zip(np.add.accumulate(_softmax(P / payoff_scale, gamma), axis=1).tolist(),
+                          rng.random(N).tolist()):
+            bar = u * cdf[-1]
+            # 1 + the entries <= bar, capped at M; a NaN row (an overflowed exponent) has none
+            below = bisect_right(cdf, bar) if bar == bar else 0
+            a.append(below + 1 if below < M else M)
+        a = tuple(a)
+        est, realised = observer(a)
+        est = np.asarray(est, dtype=float).tolist()
+        if noise > 0.0:
+            # one draw per defined estimate, in user order
+            draws = iter(rng.uniform(-noise, noise, sum(x == x for x in est)).tolist())
+            est = [x + next(draws) if x == x else x for x in est]
         mu_T = 1.0 / T if decaying else mu
-        cell = rows + a
-        if n_ok == N:
-            if noise > 0.0:
-                est = est + rng.uniform(-noise, noise, N)
-            defined = est
-        else:
-            if noise > 0.0:
-                est = est.copy()  # an observer may return one array as both values
-                est[ok] += rng.uniform(-noise, noise, n_ok)
-            cell, defined = cell[ok], est[ok]
-            skipped += N - n_ok
-        old = flat.take(cell)
-        new = (1.0 - mu_T) * old + mu_T * defined
-        flat.put(cell, new)
-        dP = np.maximum.reduce(np.abs(new - old), initial=0.0)
-        # old is finite, so a finite dP means finite new cells
-        if not dP < math.inf and not np.isfinite(new).all():
-            raise ValueError("perceptions must be finite")
+        keep = 1.0 - mu_T
+        dP = 0.0
+        for row, first, x, c in zip(mirror, rows, est, a):
+            if x != x:  # NaN: undefined estimate, no update
+                skipped += 1
+                continue
+            old = row[c - 1]
+            new = keep * old + mu_T * x
+            if not -math.inf < new < math.inf:
+                raise ValueError("perceptions must be finite")
+            row[c - 1] = flat[first + c] = new
+            d = abs(new - old)
+            if d > dP:
+                dP = d
         dP_trace[T - 1] = dP
         realised_rows[T - 1] = realised
         if record:
-            channels[T - 1] = a
+            chosen.append(a)
             estimates[T - 1] = est
         if error_trace is not None:
             k = (T - 1) % len(snapshots)
@@ -385,7 +392,7 @@ def run_learning(
         # periods in order from a running total that starts at +0.0
         per_user_mean=(np.cumsum(realised_rows, axis=0)[-1] + 0.0) / periods,
         dP_trace=dP_trace,
-        channels=channels,
+        channels=np.array(chosen, dtype=np.int64) if record else None,
         estimates=estimates,
         error_trace=error_trace,
         delta=_entropy_gap(sigma, gamma_eff),

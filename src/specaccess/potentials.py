@@ -26,9 +26,10 @@ V_c = θ_c·B_c and ρ = ln(1 − p):
 from __future__ import annotations
 
 import math
+from functools import partial
 from itertools import repeat
 from operator import mul
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .contention import AsymptoticBackoff, RandomBackoff, SlottedAloha, WeightedShare, backoff_success_probability
 from .errors import PreconditionError
@@ -120,18 +121,18 @@ def _pairwise_term(game: SpectrumGame | PhysicalGame, variant: str):
 
 def potential_value(game: SpectrumGame | PhysicalGame, a: Profile, variant: str) -> float:
     """Evaluate the variant's potential at profile a (hypotheses enforced)."""
-    return _potentials(game, variant, a)[0]
-
-
-def _potentials(game: SpectrumGame | PhysicalGame, variant: str, *profiles: Profile) -> list[float]:
-    """The variant's potential at each profile, hypotheses checked and constants bound once."""
     check_hypotheses(game, variant)
-    for a in profiles:
-        _check_profile(game, a)
+    _check_profile(game, a)
+    return _potential(game, variant)(a)
+
+
+def _potential(game: SpectrumGame | PhysicalGame, variant: str) -> Callable[[Profile], float]:
+    """The variant's potential as a function of a valid profile, the game's
+    constants bound once; the hypotheses are the caller's to check."""
     if variant == "backoff_complete":
-        return [_log_product_potential(game, a) for a in profiles]
+        return partial(_log_product_potential, game)
     term, users = _pairwise_term(game, variant), range(1, game.n_users + 1)
-    return [-sum(map(term, users, a, _interferers(game, variant, a))) for a in profiles]
+    return lambda a: -sum(map(term, users, a, _interferers(game, variant, a)))
 
 
 def _log_product_potential(spec: SpectrumGame, a: Profile) -> float:
@@ -162,8 +163,23 @@ def signed(delta: float, reference: Iterable[float]) -> int:
 def deviation_signs_match(game: SpectrumGame | PhysicalGame, variant: str, a: Profile, user: int,
                           new_channel: int) -> bool:
     """sgn(Phi(a') - Phi(a)) == sgn(U_user(a') - U_user(a)) for one deviation."""
-    a2 = a[: user - 1] + (new_channel,) + a[user:]
-    phi0, phi1 = _potentials(game, variant, a, a2)
-    u0 = game.payoff(a, user)
-    u1 = game.payoff(a2, user)
-    return signed(phi1 - phi0, (phi0, phi1)) == signed(u1 - u0, (u0, u1))
+    return deviation_checker(game, variant)(a, user, new_channel)
+
+
+def deviation_checker(game: SpectrumGame | PhysicalGame, variant: str) -> Callable[[Profile, int, int], bool]:
+    """deviation_signs_match for one game and variant, as a function of
+    (a, user, new_channel): the hypotheses are checked and the potential's
+    constants bound once, each deviation's profiles checked per call."""
+    check_hypotheses(game, variant)
+    phi = _potential(game, variant)
+
+    def matches(a: Profile, user: int, new_channel: int) -> bool:
+        a2 = a[: user - 1] + (new_channel,) + a[user:]
+        _check_profile(game, a)
+        _check_profile(game, a2)
+        phi0, phi1 = phi(a), phi(a2)
+        u0 = game.payoff(a, user)
+        u1 = game.payoff(a2, user)
+        return signed(phi1 - phi0, (phi0, phi1)) == signed(u1 - u0, (u0, u1))
+
+    return matches

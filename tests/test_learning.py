@@ -400,17 +400,160 @@ def test_seeded_learning_and_fixed_points_keep_their_digest():
     assert got == _LEARNING_DIGESTS
 
 
+def _numpy_cdf(P, gamma, payoff_scale):
+    z = gamma * (P / payoff_scale)
+    z -= np.maximum.reduce(z, axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= np.add.reduce(z, axis=1, keepdims=True)
+    return z.cumsum(axis=1)
+
+
+def _numpy_period_loop(spec, gamma, periods, rng, *, observer=None, payoff_scale=1.0, mu="1/T", noise=0.0,
+                       p0=None, oracle=None, record=True):
+    """Reference: run_learning's period loop on (N, M) numpy arrays, one
+    softmax, cumsum and searchsorted-by-count per period, as it stood before
+    the loop moved to Python floats."""
+    N, M = spec.n_users, spec.n_channels
+    P = learning.initial_perceptions(spec, payoff_scale) if p0 is None else np.array(p0, dtype=float)
+    observer = observer or exact_observer(spec)
+    flat, rows = P.reshape(-1), np.arange(N) * M - 1
+    realised_rows, dP_trace = np.empty((periods, N)), np.empty(periods)
+    channels, estimates = np.empty((periods, N), dtype=np.int64), np.empty((periods, N))
+    error_trace = np.empty(periods) if oracle is not None else None
+    skipped = 0
+    for T in range(1, periods + 1):
+        cdf = _numpy_cdf(P, gamma, payoff_scale)
+        u = rng.random(N)
+        a = np.minimum(np.add.reduce(cdf <= (u * cdf[:, -1])[:, None], axis=1) + 1, M)
+        est, realised = observer(tuple(a.tolist()))
+        est = np.array(est, dtype=float)
+        ok = est == est
+        if noise > 0.0:
+            est[ok] += rng.uniform(-noise, noise, np.count_nonzero(ok))
+        skipped += N - np.count_nonzero(ok)
+        mu_T = 1.0 / T if mu == "1/T" else mu
+        cell = (rows + a)[ok]
+        old = flat.take(cell)
+        new = (1.0 - mu_T) * old + mu_T * est[ok]
+        flat.put(cell, new)
+        if not np.isfinite(new).all():
+            raise ValueError("perceptions must be finite")
+        dP_trace[T - 1] = np.maximum.reduce(np.abs(new - old), initial=0.0)
+        realised_rows[T - 1], channels[T - 1], estimates[T - 1] = realised, a, est
+        if oracle is not None:
+            error_trace[T - 1] = np.abs(P - oracle).max()
+    estimates[np.isnan(estimates)] = np.nan
+    sigma = boltzmann_profile(P / payoff_scale, gamma)
+    return learning.LearningOutcome(
+        perceptions=P, sigma=sigma, welfare_trace=np.cumsum(realised_rows, axis=1)[:, -1],
+        per_user_mean=(np.cumsum(realised_rows, axis=0)[-1] + 0.0) / periods, dP_trace=dP_trace,
+        channels=channels if record else None, estimates=estimates if record else None,
+        error_trace=error_trace, delta=learning._entropy_gap(sigma, gamma / payoff_scale),
+        periods=periods, skipped_updates=skipped,
+    )
+
+
+def _drawing_observer(spec, rng):
+    # draws from the learner's own generator between its channel and noise draws
+    exact = exact_observer(spec)
+
+    def observe(a):
+        est, realised = exact(a)
+        return est * rng.uniform(0.5, 1.5, spec.n_users), realised
+
+    return observe
+
+
+@pytest.mark.parametrize("case", ["exact", "auto-scale", "nine-channels", "nan-noise", "constant-mu", "p0",
+                                  "oracle-chunks", "drawing-observer"])
+def test_run_learning_keeps_the_numpy_loop_bits(case):
+    rng = np.random.default_rng([2028, len(case)])
+    m = 9 if case == "nine-channels" else 3  # row totals summed pairwise from 8 channels on
+    spec = random_game(rng, random_directed_graph(rng, 5, 0.5), m, ("backoff", "weighted", "aloha")[len(case) % 3])
+    gamma = 4.0 * contraction_temperature_bound(spec)
+    auto = sa.LearningPolicy(gamma, "auto").resolved_scale(spec)
+    oracle = rng.uniform(0, 4, (5, m))
+    kwargs = {
+        "exact": dict(payoff_scale=1.0, oracle=oracle),
+        "auto-scale": dict(payoff_scale=auto, oracle=oracle),
+        "nine-channels": dict(payoff_scale=auto),
+        "nan-noise": dict(noise=0.5),
+        "constant-mu": dict(mu=0.3),
+        "p0": dict(p0=rng.uniform(0, 4, (5, m)), mu=1.0),
+        "oracle-chunks": dict(oracle=oracle, record=False),  # 800 periods: chunks of 4096 // 15 snapshots
+        "drawing-observer": dict(noise=0.5),
+    }[case]
+    runs = []
+    for loop in (run_learning, _numpy_period_loop):
+        draws = np.random.default_rng([9, len(case)])
+        if case == "nan-noise":
+            kwargs["observer"] = _some_users_undefined(spec)
+        elif case == "drawing-observer":
+            kwargs["observer"] = _drawing_observer(spec, draws)
+        runs.append(loop(spec, gamma, 800, draws, **kwargs))
+    out, ref = runs
+    for f in dataclasses.fields(out):
+        got, want = getattr(out, f.name), getattr(ref, f.name)
+        assert got is want is None or np.array_equal(got, want, equal_nan=True), f.name
+    assert (out.skipped_updates > 0) == (case == "nan-noise")
+
+
+class _BoundaryDraws:
+    """Stands in for the learner's generator with mu = 1: the observer sets
+    each chosen perception to the estimate it returns, so the draws can read
+    every period's P and put u * total on, or one step below, an entry of the
+    reference cdf. A cdf or total that differs in its last bit then picks
+    another channel."""
+
+    def __init__(self, spec, gamma, payoff_scale, seed):
+        self.gamma, self.scale, self.rng = gamma, payoff_scale, np.random.default_rng(seed)
+        self.P = learning.initial_perceptions(spec, payoff_scale)
+
+    def random(self, n):
+        below_one, u = math.nextafter(1.0, 0.0), []
+        for row in _numpy_cdf(self.P, self.gamma, self.scale).tolist():
+            bar, total = row[self.rng.integers(len(row))], row[-1]
+            x = min(bar / total, below_one)
+            while x * total > bar:
+                x = math.nextafter(x, 0.0)
+            while x < below_one and math.nextafter(x, 1.0) * total <= bar:
+                x = math.nextafter(x, 1.0)
+            # the largest u with u * total <= bar, or the one below it
+            u.append(math.nextafter(x, 0.0) if self.rng.random() < 0.5 else x)
+        return np.array(u)
+
+    def observer(self, a):
+        est = self.rng.uniform(0.0, 5.0, len(a))
+        self.P[np.arange(len(a)), np.subtract(a, 1)] = est
+        return est, est
+
+
+@pytest.mark.parametrize("m", [3, 9])
+def test_run_learning_picks_the_numpy_loop_channel_on_cdf_boundaries(m):
+    rng = np.random.default_rng(m)
+    spec = random_game(rng, random_directed_graph(rng, 5, 0.5), m, "weighted")
+    chosen = []
+    for loop in (run_learning, _numpy_period_loop):
+        draws = _BoundaryDraws(spec, 1.3, 2.7, m)
+        chosen.append(loop(spec, 1.3, 400, draws, observer=draws.observer, payoff_scale=2.7, mu=1.0).channels)
+    assert np.array_equal(*chosen)
+    assert len(np.unique(chosen[0])) == m
+
+
 def test_run_learning_raises_once_an_estimate_makes_perceptions_non_finite():
-    spec = _one_user_game(2)
-    for bad in (math.inf, -math.inf):
+    three = SpectrumGame.create(sa.InterferenceGraph.from_edges(3, [(1, 2)]), [0.5, 0.6], [[4.0, 3.0]] * 3,
+                                sa.RandomBackoff(4))
+    cases = [(_one_user_game(2), [math.inf], {}), (_one_user_game(2), [-math.inf], {}),
+             (three, [math.nan, 2.0, math.inf], dict(noise=0.5, mu=1.0))]  # a skip and an update before it
+    for spec, bad, kwargs in cases:
         calls = []
 
         def observer(a):
             calls.append(a)
-            return (np.array([bad if len(calls) == 3 else 1.0]), np.array([1.0]))
+            return (np.array(bad if len(calls) == 3 else [1.0] * len(bad)), np.ones(len(bad)))
 
         with pytest.raises(ValueError, match="perceptions must be finite"):
-            run_learning(spec, 1.0, 10, np.random.default_rng(0), observer=observer)
+            run_learning(spec, 1.0, 10, np.random.default_rng(0), observer=observer, **kwargs)
         assert len(calls) == 3  # raised in the period the estimate arrived
 
 
