@@ -5,9 +5,9 @@ It reads exactly the keywords of ``config.CONFIG_SCHEMA`` and
 required, additionalProperties: false, items, minItems/maxItems,
 minimum/maximum and their exclusive forms, enum, const, allOf, anyOf, oneOf,
 if/then/else and the boolean schema true), ignores the annotations
-``$schema`` and ``title``, and raises on any other keyword, so the schema
-cannot outgrow it unnoticed. Errors come out in the order jsonschema's
-``Draft202012Validator.iter_errors`` yields them, with its messages.
+``$schema``, ``title`` and ``default`` and raises on any other keyword, so
+the schema cannot outgrow it unnoticed. Errors come out in the order
+jsonschema's ``Draft202012Validator.iter_errors`` yields them, with its messages.
 
 One deviation from Draft 2020-12: ``"integer"`` means a JSON integer literal
 (a Python ``int`` that is not a ``bool``), so ``4.0`` is not an integer.
@@ -173,4 +173,5 @@ _KEYWORDS = {
     "else": _ignored,  # read by "if"
     "$schema": _ignored,
     "title": _ignored,
+    "default": _ignored,
 }

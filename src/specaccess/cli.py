@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig, load_config, load_graph, resolved_payoff_scale
+from .config import ExperimentConfig, OutputSettings, load_config, load_graph, resolved_payoff_scale
 from .equilibria import solve_pure_ne
 from .errors import PreconditionError, ResourceLimitError
 from .game import is_pure_ne, social_welfare_and_poa, welfare
@@ -101,7 +101,8 @@ def main(argv=None) -> int:
         if args.section is not None and args.section not in cfg.resolved:
             raise ValueError(f"config has no {args.section} section")
         outdir = _outdir(args.out or cfg.output.dir)
-        write_text(outdir / "resolved_config.json", json.dumps(cfg.resolved, indent=2, sort_keys=True) + "\n")
+        write_text(outdir / "resolved_config.json",
+                   json.dumps(cfg.resolved, indent=2, sort_keys=True, allow_nan=False) + "\n")
         return args.func(args, cfg, outdir)
     except (ValueError, PreconditionError, ResourceLimitError, OSError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)
@@ -162,7 +163,7 @@ def cmd_classify(args) -> int:
         print("no structural pure-NE guarantee")
     if cls.bipartition:
         print(f"bipartition: {list(cls.bipartition[0])} | {list(cls.bipartition[1])}")
-    outdir = _outdir(args.out or (cfg.output.dir if cfg else "out"))
+    outdir = _outdir(args.out or (cfg.output.dir if cfg else OutputSettings.dir))
     write_json(outdir / "classification.json", "classification", 1, {
         "n_users": graph.n_users,
         "edges": sorted(graph.edges),

@@ -1,12 +1,12 @@
 """Experiment configuration: JSON loading, schema validation, object building.
 
-Configs are strict: unknown keys are rejected (each channel, rate model,
-mechanism and policy ``kind`` accepts only the keys it is built from, and each
-graph shape only its own keys), defaults are filled in and echoed back, and
-the resolved document is hashed so every artifact can name the exact
-configuration that produced it. The JSON schema itself is defined
-here (authoritative) and shipped verbatim as config.schema.json at the repo
-root for reference.
+Configs are strict JSON (no NaN or Infinity) and strict in their keys (each
+channel, rate model, mechanism and policy ``kind`` accepts only the keys it is
+built from, and each graph shape only its own keys); defaults are filled in and
+echoed back, and the resolved document is hashed so every artifact can name
+the exact configuration that produced it. The JSON schema, defined here and
+shipped verbatim as config.schema.json, states each key's type, range and
+``default``, the default read from the API value it stands for.
 
 Documents are checked against it by ``_schema``, an in-package interpreter of
 the Draft 2020-12 keywords these schemas use, which gives jsonschema's
@@ -34,8 +34,9 @@ from .channels import (
     calibrate_mean_gain,
     mean_rate,
 )
-from .contention import AsymptoticBackoff, RandomBackoff, SlottedAloha, WeightedShare
-from .game import _check_profile
+from .contention import MAX_BACKOFF_WINDOW, AsymptoticBackoff, RandomBackoff, SlottedAloha, WeightedShare
+from .equilibria import RECURSION_BUDGET
+from .game import ENUMERATION_CAP, MAX_ROUNDS, _check_profile
 from .graph import InterferenceGraph, UserPlacement, graph_from_locations
 from .simulator import (
     DynamicStageGamePolicy,
@@ -46,11 +47,27 @@ from .simulator import (
     Scenario,
 )
 
+
+@dataclass(frozen=True)
+class SolverSettings:
+    enumeration_cap: int
+    recursion_budget: int
+    max_rounds: int
+
+
+@dataclass(frozen=True)
+class OutputSettings:
+    dir: str = "out"
+    slot_trace: bool = False
+
+
 _NONNEG = {"type": "number", "minimum": 0}
 _POS = {"type": "number", "exclusiveMinimum": 0}
 _PROB = {"type": "number", "minimum": 0, "maximum": 1}
 _MATRIX = {"type": "array", "minItems": 1, "items": {"type": "array", "minItems": 1, "items": _POS}}
 _PROFILE = {"type": "array", "minItems": 1, "items": {"type": "integer", "minimum": 1}}
+_COUNT = {"type": "integer", "minimum": 1}
+_REPLICATIONS = {**_COUNT, "default": 10}
 
 GRAPH_SCHEMA: dict[str, Any] = {
     "type": "object",
@@ -135,7 +152,7 @@ _RATES_SCHEMA = _by_kind(
 _MECHANISM_SCHEMA = _by_kind(
     backoff={
         "required": ["max_counter"],
-        "properties": {"max_counter": {"type": "integer", "minimum": 1, "maximum": 10**6}},
+        "properties": {"max_counter": {**_COUNT, "maximum": MAX_BACKOFF_WINDOW}},
     },
     asymptotic_backoff={},
     weighted_share={
@@ -155,7 +172,7 @@ _POLICY_SCHEMA = _by_kind(
     learning={"properties": {"gamma": _POS}},
     random_access={},
     fixed_profile={"required": ["profile"], "properties": {"profile": _PROFILE}},
-    dynamic_stage_game={"properties": {"restarts": {"type": "integer", "minimum": 1}}},
+    dynamic_stage_game={"properties": {"restarts": _COUNT}},
 )
 
 CONFIG_SCHEMA: dict[str, Any] = {
@@ -175,40 +192,40 @@ CONFIG_SCHEMA: dict[str, Any] = {
                 "rates": _RATES_SCHEMA,
                 "mechanism": _MECHANISM_SCHEMA,
                 "gains": {"type": "array", "minItems": 1, "items": _POS},
-                "t_max": {"type": "integer", "minimum": 1},
-                "periods": {"type": "integer", "minimum": 1},
+                "t_max": {**_COUNT, "default": Scenario.t_max},
+                "periods": {**_COUNT, "default": Scenario.periods},
                 "profile": _PROFILE,
-                "rate_unit": {"type": "string"},
+                "rate_unit": {"type": "string", "default": "bits/s"},
             },
         },
         "solver": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "enumeration_cap": {"type": "integer", "minimum": 1},
-                "recursion_budget": {"type": "integer", "minimum": 1},
-                "max_rounds": {"type": "integer", "minimum": 1},
+                "enumeration_cap": {**_COUNT, "default": ENUMERATION_CAP},
+                "recursion_budget": {**_COUNT, "default": RECURSION_BUDGET},
+                "max_rounds": {**_COUNT, "default": MAX_ROUNDS},
             },
         },
         "learning": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "gamma": _POS,
+                "gamma": {**_POS, "default": 1.0},
                 "payoff_scale": {
-                    "anyOf": [{"const": "auto"}, {"type": "number", "exclusiveMinimum": 0}]
+                    "anyOf": [{"const": "auto"}, _POS],
+                    "default": LearningPolicy.payoff_scale,
                 },
                 "initial_perception": {
-                    "anyOf": [{"const": "1/M"}, {"type": "number"}]
+                    "anyOf": [{"const": "1/M"}, {"type": "number"}],
+                    "default": LearningPolicy.initial_perception,
                 },
                 "mu": {
-                    "anyOf": [
-                        {"const": "1/T"},
-                        {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-                    ]
+                    "anyOf": [{"const": "1/T"}, {**_POS, "maximum": 1}],
+                    "default": LearningPolicy.mu,
                 },
-                "estimator": {"enum": ["mle", "exact"]},
-                "noise_half_width": _NONNEG,
+                "estimator": {"enum": ["mle", "exact"], "default": LearningPolicy.estimator},
+                "noise_half_width": {**_NONNEG, "default": LearningPolicy.noise_half_width},
             },
         },
         "compare": {
@@ -217,7 +234,7 @@ CONFIG_SCHEMA: dict[str, Any] = {
             "required": ["policies"],
             "properties": {
                 "policies": {"type": "array", "minItems": 1, "items": _POLICY_SCHEMA},
-                "replications": {"type": "integer", "minimum": 1},
+                "replications": _REPLICATIONS,
             },
         },
         "sweep": {
@@ -226,47 +243,19 @@ CONFIG_SCHEMA: dict[str, Any] = {
             "required": ["gammas"],
             "properties": {
                 "gammas": {"type": "array", "minItems": 1, "items": _POS},
-                "replications": {"type": "integer", "minimum": 1},
+                "replications": _REPLICATIONS,  # compare.replications when compare is given
             },
         },
         "output": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "dir": {"type": "string"},
-                "slot_trace": {"type": "boolean"},
+                "dir": {"type": "string", "default": OutputSettings.dir},
+                "slot_trace": {"type": "boolean", "default": OutputSettings.slot_trace},
             },
         },
     },
 }
-
-_DEFAULTS = {
-    "scenario": {"t_max": 100, "periods": 500, "rate_unit": "bits/s"},
-    "solver": {"enumeration_cap": 10**7, "recursion_budget": 10**4, "max_rounds": 1000},
-    "learning": {
-        "gamma": 1.0,
-        "payoff_scale": 1.0,
-        "initial_perception": "1/M",
-        "mu": "1/T",
-        "estimator": "mle",
-        "noise_half_width": 0.0,
-    },
-    "output": {"dir": "out", "slot_trace": False},
-}
-
-
-@dataclass(frozen=True)
-class SolverSettings:
-    enumeration_cap: int
-    recursion_budget: int
-    max_rounds: int
-
-
-@dataclass(frozen=True)
-class OutputSettings:
-    dir: str
-    slot_trace: bool
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -295,6 +284,18 @@ def _schema_errors(instance: dict, schema: dict) -> list[str]:
     return msgs
 
 
+def _not_json(token: str):
+    raise ValueError(f"{token} is not a JSON value")  # json.loads reads NaN and Infinity; JSON has neither
+
+
+def _read_json(path: Path) -> Any:
+    text = path.read_text()
+    try:
+        return json.loads(text, parse_constant=_not_json)
+    except ValueError as e:  # json.JSONDecodeError is one
+        raise ValueError(f"{path}: not valid JSON: {e}") from e
+
+
 def _inline_graph(doc: dict, base: Path = Path()) -> dict:
     """The inline graph document at the end of doc's ``file`` references, each
     checked and a relative one read from the referring file's directory. A
@@ -312,7 +313,7 @@ def _inline_graph(doc: dict, base: Path = Path()) -> dict:
             cycle = chain[chain.index(target):] + [target]
             raise ValueError("graph file references form a cycle: " + " -> ".join(map(str, cycle)))
         chain.append(target)
-        doc, base = json.loads(path.read_text()), path.parent
+        doc, base = _read_json(path), path.parent
 
 
 def _build_graph(doc: dict) -> InterferenceGraph:
@@ -330,17 +331,18 @@ def load_graph(path: str | Path) -> InterferenceGraph:
 
 
 def _merge_defaults(raw: dict) -> dict:
+    """raw with CONFIG_SCHEMA's defaults filled in: into each section raw has,
+    and as a whole section for each absent one that requires no key."""
     resolved = json.loads(json.dumps(raw))  # deep copy, JSON-clean
-    for section, defaults in _DEFAULTS.items():
-        block = dict(defaults)
-        block.update(resolved.get(section, {}))
-        resolved[section] = block
-    if "compare" in resolved:
-        resolved["compare"].setdefault("replications", 10)
-    if "sweep" in resolved:
-        resolved["sweep"].setdefault(
-            "replications", resolved.get("compare", {}).get("replications", 10)
-        )
+    for name, section in CONFIG_SCHEMA["properties"].items():
+        if name not in resolved and "required" in section:
+            continue
+        block = resolved.setdefault(name, {})
+        if name == "sweep" and "compare" in resolved:  # the one default the schema cannot state
+            block.setdefault("replications", resolved["compare"]["replications"])
+        for key, schema in section["properties"].items():
+            if "default" in schema:
+                block.setdefault(key, schema["default"])
     return resolved
 
 
@@ -349,16 +351,19 @@ def config_hash(resolved: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _build_channels(defs: list[dict]):
-    out = []
-    for d in defs:
-        if d["kind"] == "markov":
-            out.append(MarkovChannel(d["epsilon"], d["xi"]))
-        elif d["kind"] == "bernoulli":
-            out.append(BernoulliChannel(d["theta"]))
-        else:
-            out.append(WhiteSpaceChannel(d["theta"]))
-    return out
+_CHANNELS = {"markov": MarkovChannel, "bernoulli": BernoulliChannel, "white_space": WhiteSpaceChannel}
+_MECHANISMS = {
+    "backoff": RandomBackoff,
+    "asymptotic_backoff": AsymptoticBackoff,
+    "weighted_share": WeightedShare,
+    "aloha": SlottedAloha,
+}
+
+
+def _build(kinds: dict, d: dict):
+    """kinds[d["kind"]] built from d's other keys, which the closed schema has
+    checked, with lists turned into tuples."""
+    return kinds[d["kind"]](**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items() if k != "kind"})
 
 
 def _build_rates(d: dict, n_users: int, n_channels: int):
@@ -380,17 +385,6 @@ def _build_rates(d: dict, n_users: int, n_channels: int):
     ]
 
 
-def _build_mechanism(d: dict):
-    kind = d["kind"]
-    if kind == "backoff":
-        return RandomBackoff(d["max_counter"])
-    if kind == "asymptotic_backoff":
-        return AsymptoticBackoff()
-    if kind == "weighted_share":
-        return WeightedShare(tuple(d["weights"]))
-    return SlottedAloha(tuple(d["probs"]))
-
-
 def _build_policy(d: dict, learning: LearningPolicy, solver: SolverSettings) -> Policy:
     kind = d["kind"]
     if kind == "random_access":
@@ -405,10 +399,7 @@ def _build_policy(d: dict, learning: LearningPolicy, solver: SolverSettings) -> 
 def load_config(path: str | Path) -> ExperimentConfig:
     """Load, validate, default-fill, and build an experiment configuration."""
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
-        raise ValueError(f"{path}: not valid JSON: {e}") from e
+    raw = _read_json(path)
     errors = _schema_errors(raw, CONFIG_SCHEMA)
     if errors:
         raise ValueError(f"{path}: configuration rejected:\n  " + "\n  ".join(errors))
@@ -417,10 +408,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
     sc = resolved["scenario"]
     sc["graph"] = _inline_graph(sc["graph"], path.parent)  # echoed and hashed by content
     graph = _build_graph(sc["graph"])
-    channels = _build_channels(sc["channels"])
+    channels = [_build(_CHANNELS, d) for d in sc["channels"]]
     rates = _build_rates(sc["rates"], graph.n_users, len(channels))
     scenario = Scenario.build(
-        graph, channels, rates, _build_mechanism(sc["mechanism"]), sc.get("gains"),
+        graph, channels, rates, _build(_MECHANISMS, sc["mechanism"]), sc.get("gains"),
         t_max=sc["t_max"], periods=sc["periods"],
     )
 
@@ -432,25 +423,23 @@ def load_config(path: str | Path) -> ExperimentConfig:
     learning = LearningPolicy(**{**resolved["learning"], "gamma": float(resolved["learning"]["gamma"])})
     output = OutputSettings(**resolved["output"])
 
-    policies = [
-        _build_policy(p, learning, solver) for p in resolved.get("compare", {}).get("policies", [])
-    ]
+    compare, sweep = resolved.get("compare", {}), resolved.get("sweep")
+    policies = [_build_policy(p, learning, solver) for p in compare.get("policies", [])]
     for k, p in enumerate(policies):
         if isinstance(p, FixedProfilePolicy):
             _check_profile(scenario.game, p.profile, f"compare.policies.{k}.profile")
         if p.label() in [q.label() for q in policies[:k]]:
             raise ValueError(f"compare.policies lists two policies labelled {p.label()!r}")
 
-    sweep = resolved.get("sweep")
     return ExperimentConfig(
         scenario=scenario,
         solver=solver,
         learning=learning,
         output=output,
         policies=policies,
-        compare_replications=resolved.get("compare", {}).get("replications", 10),
+        compare_replications=compare.get("replications", _REPLICATIONS["default"]),
         sweep_gammas=[float(g) for g in sweep["gammas"]] if sweep else None,
-        sweep_replications=sweep["replications"] if sweep else 10,
+        sweep_replications=sweep["replications"] if sweep else _REPLICATIONS["default"],
         fixed_profile=profile,
         rate_unit=sc["rate_unit"],
         resolved=resolved,

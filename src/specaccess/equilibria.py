@@ -13,10 +13,12 @@ import logging
 
 from .contention import RandomBackoff, backoff_success_probability
 from .errors import PreconditionError, ResourceLimitError
-from .game import Profile, SpectrumGame, channel_wise_rates, first_pure_ne, is_pure_ne
+from .game import ENUMERATION_CAP, Profile, SpectrumGame, channel_wise_rates, first_pure_ne, is_pure_ne
 from .graph import classify
 
 logger = logging.getLogger(__name__)
+
+RECURSION_BUDGET = 10_000  # tree re-solves, and the config's solver.recursion_budget default
 
 
 def _verify(spec: SpectrumGame, a: Profile, routine: str) -> Profile:
@@ -56,7 +58,7 @@ def construct_ne_dag(spec: SpectrumGame) -> Profile:
     return _verify(spec, a, "construct_ne_dag")
 
 
-def construct_ne_directed_tree(spec: SpectrumGame, recursion_budget: int = 10_000) -> Profile:
+def construct_ne_directed_tree(spec: SpectrumGame, recursion_budget: int = RECURSION_BUDGET) -> Profile:
     """Pure NE on a directed tree or forest.
 
     The construction needs the congestion property (an added contender never
@@ -159,8 +161,8 @@ def construct_ne_bipartite(spec: SpectrumGame) -> Profile:
     return _verify(spec, a, "construct_ne_bipartite")
 
 
-def solve_pure_ne(spec: SpectrumGame, recursion_budget: int = 10_000,
-                  enumeration_cap: int = 10**7) -> tuple[str, Profile | None]:
+def solve_pure_ne(spec: SpectrumGame, recursion_budget: int = RECURSION_BUDGET,
+                  enumeration_cap: int = ENUMERATION_CAP) -> tuple[str, Profile | None]:
     """(routine that found it, pure NE or None): the DAG, tree/forest and
     bipartite constructions in that order, each skipped when its own
     preconditions fail or, logged, its budget runs out, then the

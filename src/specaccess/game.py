@@ -35,6 +35,8 @@ Profile = tuple[int, ...]
 logger = logging.getLogger(__name__)
 
 IMPROVEMENT_RTOL = 1e-12
+ENUMERATION_CAP = 10**7  # profiles a scan may visit, and the config's solver.enumeration_cap default
+MAX_ROUNDS = 1000  # better-response rounds, and the config's solver.max_rounds default
 
 
 def strictly_better(new, old):
@@ -305,7 +307,7 @@ def is_pure_ne(game: GameLike, a: Profile) -> NeCheck:
     return NeCheck(True, None)
 
 
-def enumerate_pure_ne(spec: SpectrumGame, cap: int = 10**7) -> list[Profile]:
+def enumerate_pure_ne(spec: SpectrumGame, cap: int = ENUMERATION_CAP) -> list[Profile]:
     """All pure Nash equilibria, in lexicographic profile order.
 
     Scans the M^N profiles in blocks that evaluate each user once per
@@ -323,7 +325,7 @@ def enumerate_pure_ne(spec: SpectrumGame, cap: int = 10**7) -> list[Profile]:
     return list(_pure_ne(spec, cap))
 
 
-def first_pure_ne(spec: SpectrumGame, cap: int = 10**7) -> Profile | None:
+def first_pure_ne(spec: SpectrumGame, cap: int = ENUMERATION_CAP) -> Profile | None:
     """enumerate_pure_ne(spec, cap)[0], or None when there is no pure NE; the
     scan stops at the first block that holds an NE."""
     return next(_pure_ne(spec, cap), None)
@@ -509,7 +511,7 @@ class BrdResult:
 def better_response_dynamics(
     game: GameLike,
     start: Profile,
-    max_rounds: int = 1000,
+    max_rounds: int = MAX_ROUNDS,
 ) -> BrdResult:
     """Asynchronous better-response updates, round-robin over players.
 
@@ -587,7 +589,7 @@ def poa_lower_bound(spec: SpectrumGame) -> float:
 _CERTIFICATE_LIMIT = 64  # profiles witnessed in a no-NE certificate
 
 
-def social_welfare_and_poa(spec: SpectrumGame, cap: int = 10**7) -> PoaReport:
+def social_welfare_and_poa(spec: SpectrumGame, cap: int = ENUMERATION_CAP) -> PoaReport:
     """Exhaustive welfare optimum, worst pure NE, and their ratio.
 
     One scan as in enumerate_pure_ne (lexicographic order, the same blocks

@@ -35,10 +35,10 @@ _SNAPSHOT_FLOATS = 1 << 12  # perception snapshots held for one error_trace redu
 def boltzmann_profile(P: np.ndarray, gamma: float) -> np.ndarray:
     """Row-wise softmax of an (N, M) perception array with temperature gamma:
     row n is user n's mixed strategy. Each row is max-subtracted for overflow
-    safety."""
+    safety; P, and the exponent gamma * P, must be finite."""
     _check_temperature(gamma)
     P = np.asarray(P, dtype=float)
-    _check_perceptions(P)
+    _check_perceptions(P, gamma)
     return _softmax(P, gamma)
 
 
@@ -47,9 +47,10 @@ def _check_temperature(gamma: float) -> None:
         raise ValueError("temperature must be positive and finite")
 
 
-def _check_perceptions(P: np.ndarray) -> None:
-    if not np.all(np.isfinite(P)):
-        raise ValueError("perceptions must be finite")
+def _check_perceptions(P: np.ndarray, gamma: float) -> None:
+    with np.errstate(over="ignore"):  # an exponent that overflows would give NaN rows
+        if not np.all(np.isfinite(gamma * P)):
+            raise ValueError(f"perceptions, and the Boltzmann exponent at temperature {gamma:g}, must be finite")
 
 
 def _softmax(P: np.ndarray, gamma: float) -> np.ndarray:
@@ -170,9 +171,10 @@ def mean_dynamics_fixed_point(
     convergence is guaranteed. Non-convergence is reported through the
     result, not raised.
 
-    gamma and the start (finite, shaped (N, M)) are checked once, before the
-    warning; the iteration then runs on the unchecked softmax and Q map, whose
-    outputs are a valid mixed profile and finite perceptions by construction.
+    gamma and the start (finite, as is the exponent gamma * P / payoff_scale;
+    shaped (N, M)) are checked once, before the warning; the iteration then
+    runs on the unchecked softmax and Q map, whose outputs are a valid mixed
+    profile and finite perceptions by construction.
     """
     P = initial_perceptions(spec, payoff_scale) if p0 is None else np.array(p0, dtype=float)
     sigma = check_mixed_profile(spec, boltzmann_profile(P / payoff_scale, gamma))
@@ -302,10 +304,11 @@ def run_learning(
     in (0, 1]. A NaN estimate (undefined MLE for that user-period) skips the
     update.
 
-    mu, noise (finite, >= 0), gamma and the start P (finite) are checked once,
-    before the observer is first called; the loop then runs on the unchecked
-    softmax, and a non-finite estimate that reaches P raises ValueError in the
-    period it arrives. The welfare trace (users summed left to right), the
+    mu, noise (finite, >= 0), gamma and the start P (finite, with a finite
+    exponent gamma * P / payoff_scale) are checked once, before the observer
+    is first called; the loop then runs on the unchecked softmax, and a
+    non-finite estimate that reaches P raises ValueError in the period it
+    arrives. The welfare trace (users summed left to right), the
     per-user means (periods in order) and the distance to ``oracle`` are
     computed from the kept per-period rows after the loop.
     """
@@ -319,7 +322,7 @@ def run_learning(
     _check_temperature(gamma)
     N, M = spec.n_users, spec.n_channels
     P = initial_perceptions(spec, payoff_scale) if p0 is None else np.array(p0, dtype=float, order="C")
-    _check_perceptions(P / payoff_scale)
+    _check_perceptions(P / payoff_scale, gamma)
     if observer is None:
         observer = exact_observer(spec)
     gamma_eff = gamma / payoff_scale

@@ -160,16 +160,11 @@ def signed(delta: float, reference: Iterable[float]) -> int:
     return 1 if delta > 0 else -1
 
 
-def deviation_signs_match(game: SpectrumGame | PhysicalGame, variant: str, a: Profile, user: int,
-                          new_channel: int) -> bool:
-    """sgn(Phi(a') - Phi(a)) == sgn(U_user(a') - U_user(a)) for one deviation."""
-    return deviation_checker(game, variant)(a, user, new_channel)
-
-
 def deviation_checker(game: SpectrumGame | PhysicalGame, variant: str) -> Callable[[Profile, int, int], bool]:
-    """deviation_signs_match for one game and variant, as a function of
-    (a, user, new_channel): the hypotheses are checked and the potential's
-    constants bound once, each deviation's profiles checked per call."""
+    """sgn(Phi(a') - Phi(a)) == sgn(U_user(a') - U_user(a)) for one game and
+    variant, as a function of the deviation (a, user, new_channel) to a': the
+    hypotheses are checked and the potential's constants bound once, each
+    deviation's profiles checked per call."""
     check_hypotheses(game, variant)
     phi = _potential(game, variant)
 

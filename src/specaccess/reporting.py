@@ -42,9 +42,10 @@ def write_json(
     payload: Mapping,
     meta: Mapping[str, object],
 ) -> Path:
-    """One flat document, ``{"schema", "version", **meta, **payload}``, keys sorted."""
+    """One flat document, ``{"schema", "version", **meta, **payload}``, keys
+    sorted; a NaN or infinite float, which JSON cannot hold, raises ValueError."""
     doc = {"schema": schema, "version": version, **meta, **payload}
-    return write_text(path, json.dumps(doc, indent=2, sort_keys=True, default=_coerce) + "\n")
+    return write_text(path, json.dumps(doc, indent=2, sort_keys=True, allow_nan=False, default=_coerce) + "\n")
 
 
 def write_text(path: str | Path, text: str) -> Path:

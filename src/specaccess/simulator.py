@@ -35,7 +35,7 @@ from .channels import (
 )
 from .contention import AsymptoticBackoff, RandomBackoff, SlottedAloha, WeightedShare
 from .estimation import ChannelEstimates, Estimates, chain_counts, channel_estimates, user_estimates
-from .game import Profile, SpectrumGame, better_response_dynamics, welfare
+from .game import MAX_ROUNDS, Profile, SpectrumGame, better_response_dynamics, welfare
 from .graph import InterferenceGraph
 from .learning import LearningOutcome, Observer, exact_observer, run_learning
 
@@ -65,8 +65,8 @@ class Scenario:
     game: SpectrumGame
     channel_models: tuple[ChannelModel, ...]
     rate_models: tuple[tuple[RateModel, ...], ...]
-    t_max: int
-    periods: int
+    t_max: int = 100  # the defaults of build and of the config's scenario section
+    periods: int = 500
 
     def __post_init__(self) -> None:
         if self.t_max < 1 or self.periods < 1:
@@ -86,8 +86,8 @@ class Scenario:
         rate_models: Sequence[Sequence[RateModel]],
         mechanism,
         gain: Sequence[float] | None = None,
-        t_max: int = 100,
-        periods: int = 500,
+        t_max: int = t_max,  # the field defaults above
+        periods: int = periods,
     ) -> "Scenario":
         """Derive the analytic game (theta, mean rates) from the stochastic
         models so the two can never disagree."""
@@ -329,7 +329,7 @@ class DynamicStageGamePolicy:
     block at once, like any other policy's."""
 
     restarts: int = 10
-    max_rounds: int = 1000  # better_response_dynamics' own default, and the config's solver.max_rounds
+    max_rounds: int = MAX_ROUNDS
 
     def label(self) -> str:  # names restarts where it differs from the field's default
         return "dynamic_stage_game" if self.restarts == type(self).restarts else f"dynamic_stage_game(restarts={self.restarts})"

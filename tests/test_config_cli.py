@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import logging
+import math
 import os
 import re
 import shutil
@@ -14,11 +15,10 @@ import numpy as np
 import pytest
 
 import specaccess as sa
+from specaccess import config, equilibria, game, simulator
 from specaccess import graph as graph_module
-from specaccess import simulator
 from specaccess.cli import main as cli_main
 from specaccess.config import (
-    _DEFAULTS,
     CONFIG_SCHEMA,
     config_hash,
     load_config,
@@ -27,6 +27,7 @@ from specaccess.config import (
 )
 from specaccess.equilibria import solve_pure_ne
 from specaccess.potentials import applicable_variants
+from specaccess.reporting import write_json
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
@@ -179,6 +180,94 @@ def test_config_hash_is_canonical():
     a = {"x": 1, "y": [1, 2]}
     b = {"y": [1, 2], "x": 1}
     assert config_hash(a) == config_hash(b)
+
+
+_POLICIES = {"policies": [{"kind": "random_access"}]}
+
+
+@pytest.mark.parametrize("name, sections, sha256, replications", [
+    ("dag_chain.json", None, "95d0ab6cf6d49ee7540e86f49db15562aaabc0081b227f73116c2267f8c45a7d", (5, 10)),
+    ("learning_9user.json", None, "abeefbcf5217e55582ea5b7cafdedcf9719a471a0a9a0dc830cd353b28428f62", (20, 20)),
+    ("learning_9user_aloha.json", None, "8736fafbecccb2355f7239645015d9e3e87f0d275b2843a4fb13499b9171e105",
+     (20, 20)),
+    ("triangle_no_ne.json", None, "ee480f50456657a672b055acd35af92a572727acc935b06f4965988e9719f54e", (10, 10)),
+    ("minimal", {}, "1b501b5f34e341ec84a8f91f17021b86b5d3d731b3c625690d4cc6779881eaf1", (10, 10)),
+    ("minimal", {"sweep": {"gammas": [1.0]}},
+     "095d474346d730820249f1a883c69279392a020326de88ce694aed9b3eda15be", (10, 10)),
+    ("minimal", {"compare": {**_POLICIES, "replications": 3}, "sweep": {"gammas": [1.0]}},
+     "e831955f798950d36c6b1c4025d96906c8f9f37e4875d584de7f40966ab421ec", (3, 3)),
+], ids=["dag_chain", "learning_9user", "learning_9user_aloha", "triangle_no_ne", "minimal", "minimal_sweep",
+        "minimal_compare_sweep"])
+def test_resolved_config_keeps_its_hash(tmp_path, name, sections, sha256, replications):
+    # the defaults filled in, and so every artifact's config_sha256, as recorded
+    # before the defaults moved into the schema; a sweep without replications
+    # takes compare's
+    path = CONFIGS / name if sections is None else _write(tmp_path, {**_minimal_doc(), **sections})
+    cfg = load_config(path)
+    assert cfg.sha256 == sha256
+    assert (cfg.compare_replications, cfg.sweep_replications) == replications
+
+
+def _schema_default(section, key):
+    return CONFIG_SCHEMA["properties"][section]["properties"][key]["default"]
+
+
+def _default_of(func, parameter):
+    return signature(func).parameters[parameter].default
+
+
+@pytest.mark.parametrize("section, key, api_values", [
+    ("solver", "enumeration_cap", [
+        game.ENUMERATION_CAP, _default_of(solve_pure_ne, "enumeration_cap"),
+        *(_default_of(f, "cap") for f in (game.enumerate_pure_ne, game.first_pure_ne, game.social_welfare_and_poa))]),
+    ("solver", "recursion_budget", [
+        equilibria.RECURSION_BUDGET, _default_of(solve_pure_ne, "recursion_budget"),
+        _default_of(equilibria.construct_ne_directed_tree, "recursion_budget")]),
+    ("scenario", "t_max", [sa.Scenario.t_max, _default_of(sa.Scenario.build, "t_max")]),
+    ("scenario", "periods", [sa.Scenario.periods, _default_of(sa.Scenario.build, "periods")]),
+    *[("learning", key, [getattr(sa.LearningPolicy, key)])
+      for key in ["payoff_scale", "initial_perception", "mu", "estimator", "noise_half_width"]],
+    ("output", "dir", [config.OutputSettings.dir]),
+    ("output", "slot_trace", [config.OutputSettings.slot_trace]),
+], ids=lambda x: x if isinstance(x, str) else "")
+def test_schema_default_is_the_api_value(section, key, api_values):
+    default = _schema_default(section, key)
+    assert all(type(v) is type(default) and v == default for v in api_values), (default, api_values)
+
+
+@pytest.mark.parametrize("table, schema", [
+    (config._CHANNELS, config._CHANNEL_SCHEMA),
+    (config._MECHANISMS, config._MECHANISM_SCHEMA),
+])
+def test_kind_table_names_the_kinds_its_schema_lists(table, schema):
+    assert list(table) == schema["properties"]["kind"]["enum"]
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_non_json_number_tokens_are_rejected(tmp_path, capsys, token):
+    # Python's json reads these, JSON has no such values: in a config ...
+    text = json.dumps(_minimal_doc())[:-1] + f', "learning": {{"gamma": {token}}}}}'
+    assert not math.isfinite(json.loads(text)["learning"]["gamma"])
+    p = tmp_path / "cfg.json"
+    p.write_text(text)
+    with pytest.raises(ValueError, match=f"not valid JSON: {token} is not a JSON value"):
+        load_config(p)
+    out = tmp_path / "never"
+    assert cli_main(["solve", str(p), "--out", str(out)]) == 1
+    assert "not valid JSON" in capsys.readouterr().err
+    assert not out.exists()
+    # ... and in a graph file it references
+    (tmp_path / "g.json").write_text(f'{{"n_users": 1, "edges": [], "x": {token}}}')
+    doc = _minimal_doc()
+    doc["scenario"]["graph"] = {"file": "g.json"}
+    with pytest.raises(ValueError, match=f"g.json: not valid JSON: {token} is not a JSON value"):
+        load_config(_write(tmp_path, doc))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, np.float64(-math.inf)])
+def test_json_artifacts_never_hold_non_json_numbers(tmp_path, value):
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_json(tmp_path / "a.json", "x", 1, {"value": value}, {})
 
 
 def test_learning_settings_flow_into_policies(tmp_path):
@@ -579,8 +668,9 @@ def test_dynamic_policy_gets_solver_max_rounds(tmp_path, monkeypatch):
 
 
 def test_dynamic_policy_defaults_to_the_solver_budget():
-    budget = signature(sa.better_response_dynamics).parameters["max_rounds"].default
-    assert simulator.DynamicStageGamePolicy().max_rounds == budget == _DEFAULTS["solver"]["max_rounds"]
+    budget = _default_of(sa.better_response_dynamics, "max_rounds")
+    assert simulator.DynamicStageGamePolicy().max_rounds == budget == _schema_default("solver", "max_rounds")
+    assert budget == game.MAX_ROUNDS
 
 
 def test_cli_potential_check(tmp_path, capsys):
@@ -1061,6 +1151,18 @@ def test_cli_learn_channels_never_idle(tmp_path, capsys):
     assert "contraction bound inf" in capsys.readouterr().out
     summary = json.loads((tmp_path / "learning_summary.json").read_text())
     assert summary["mean_welfare"] == 0.0 and summary["skipped_updates"] == 2 * 30
+
+
+def test_cli_learn_rejects_an_overflowing_boltzmann_exponent(tmp_path, capsys):
+    # gamma P / scale overflows at the start: every softmax row would be NaN,
+    # which used to put every user on channel 1 and NaN into the summary
+    doc = json.loads((CONFIGS / "learning_9user.json").read_text())
+    doc["learning"].update({"initial_perception": 1e308, "gamma": 50})
+    doc["scenario"]["periods"] = 20
+    out = tmp_path / "out"
+    assert cli_main(["learn", str(_write(tmp_path, doc)), "--out", str(out), "--seed", "1"]) == 1
+    assert "the Boltzmann exponent at temperature 50, must be finite" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["resolved_config.json"]
 
 
 def test_cli_learn_auto_scale_never_idle_is_an_error(tmp_path, capsys):

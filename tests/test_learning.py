@@ -46,6 +46,8 @@ def test_boltzmann_overflow_safe():
     assert sigma[1, 1] == pytest.approx(1.0 / (1.0 + math.exp(-10.0)))
     with pytest.raises(ValueError):
         boltzmann_profile(np.array([[0.0, np.inf]]), 1.0)
+    with pytest.raises(ValueError, match="Boltzmann exponent"):  # finite P, but gamma P is not
+        boltzmann_profile(np.array([[0.0, 1e308]]), 10.0)
     with pytest.raises(ValueError):
         boltzmann_profile(np.array([[0.0, 1.0]]), 0.0)
 
@@ -566,7 +568,8 @@ def test_invalid_temperature_or_start_raises_before_any_work():
         return np.array([1.0]), np.array([1.0])
 
     cases = [dict(gamma=0.0), dict(gamma=-1.0), dict(gamma=math.nan), dict(gamma=math.inf),
-             dict(gamma=1.0, p0=np.array([[0.0, math.nan]])), dict(gamma=1.0, p0=np.array([[math.inf, 0.0]]))]
+             dict(gamma=1.0, p0=np.array([[0.0, math.nan]])), dict(gamma=1.0, p0=np.array([[math.inf, 0.0]])),
+             dict(gamma=50.0, p0=np.array([[0.0, 1e308]]))]  # finite P whose exponent gamma P overflows
     for kwargs in cases:
         with pytest.raises(ValueError):
             run_learning(spec, rng=np.random.default_rng(0), periods=5, observer=observer, **kwargs)

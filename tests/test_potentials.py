@@ -14,7 +14,7 @@ from specaccess.potentials import (
     VARIANTS,
     applicable_variants,
     check_hypotheses,
-    deviation_signs_match,
+    deviation_checker,
     potential_value,
 )
 
@@ -131,8 +131,9 @@ def test_deviation_sign_identity(variant):
     rng = np.random.default_rng(zlib.crc32(variant.encode()))
     for _ in range(10):
         spec = _in_hypothesis_instance(rng, variant)
+        signs_match = deviation_checker(spec, variant)
         for a, n, m in _all_deviations(spec):
-            assert deviation_signs_match(spec, variant, a, n, m), (variant, a, n, m)
+            assert signs_match(a, n, m), (variant, a, n, m)
 
 
 @pytest.mark.parametrize("seed, instance", [(60, 32), (60, 62), (141, 46), (150, 3), (159, 99)])
@@ -142,8 +143,9 @@ def test_physical_deviation_signs_at_small_potentials(seed, instance):
     rng = np.random.default_rng(seed)
     for _ in range(instance + 1):
         game = random_physical_game(rng)
+    signs_match = deviation_checker(game, "physical")
     for a, n, m in _all_deviations(game):
-        assert deviation_signs_match(game, "physical", a, n, m), (a, n, m)
+        assert signs_match(a, n, m), (a, n, m)
 
 
 def test_applicable_variants_reporting():
