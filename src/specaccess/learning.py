@@ -30,6 +30,7 @@ from .game import SpectrumGame, check_mixed_profile
 Observer = Callable[[tuple[int, ...]], tuple[np.ndarray, np.ndarray]]
 
 _SNAPSHOT_FLOATS = 1 << 12  # perception snapshots held for one error_trace reduction
+_DAMPING = 0.3  # fixed-point step P <- P + _DAMPING (Q - P), taken once the residual rises
 
 
 def boltzmann_profile(P: np.ndarray, gamma: float) -> np.ndarray:
@@ -163,19 +164,29 @@ def mean_dynamics_fixed_point(
     p0: np.ndarray | None = None,
     payoff_scale: float = 1.0,
 ) -> FixedPointResult:
-    """Iterate P <- Q(P) to a perception fixed point.
+    """Iterate P <- Q(P) to a perception fixed point reached from the start.
 
-    Below the contraction bound Q contracts, so the fixed point is unique and
-    reached from any start. At or above it the function warns and proceeds:
-    the bound is sufficient, not necessary, and there neither uniqueness nor
-    convergence is guaranteed. Non-convergence is reported through the
-    result, not raised.
+    The plain step runs while the residual ||Q(P) - P||_inf falls. From the
+    first iteration whose residual rises, every step is damped,
+    P <- P + _DAMPING (Q(P) - P), for the rest of the call.
 
-    gamma and the start (finite, as is the exponent gamma * P / payoff_scale;
-    shaped (N, M)) are checked once, before the warning; the iteration then
-    runs on the unchecked softmax and Q map, whose outputs are a valid mixed
-    profile and finite perceptions by construction.
+    Below the contraction bound Q contracts, so the residual never rises: the
+    plain step runs throughout, and the fixed point is unique and reached from
+    any start. At or above the bound the function warns and proceeds: the
+    bound is sufficient, not necessary, and there the fixed point found
+    depends on the start and may not be unique, nor is convergence
+    guaranteed. Non-convergence is reported through the result, not raised.
+
+    gamma, tol (finite, > 0), max_iter (an int >= 1) and the start (finite, as
+    is the exponent gamma * P / payoff_scale; shaped (N, M)) are checked once,
+    before the warning; the iteration then runs on the unchecked softmax and
+    Q map, whose outputs are a valid mixed profile and finite perceptions by
+    construction (a damped step is a convex combination of two such).
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+    if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
+        raise ValueError(f"max_iter must be an int >= 1, got {max_iter!r}")
     P = initial_perceptions(spec, payoff_scale) if p0 is None else np.array(p0, dtype=float)
     sigma = check_mixed_profile(spec, boltzmann_profile(P / payoff_scale, gamma))
     gamma_eff = gamma / payoff_scale
@@ -184,15 +195,18 @@ def mean_dynamics_fixed_point(
     if not within:
         warnings.warn(
             f"temperature {gamma_eff:g} is not below the contraction bound {bound:g}; "
-            "fixed-point iteration may not converge",
+            "the fixed point reached depends on the start and may not be unique, "
+            "and the iteration may not converge",
             stacklevel=2,
         )
     q = _q_map(spec)
     residual = math.inf
+    damped = False
     for it in range(1, max_iter + 1):
         Q = q(sigma)
-        residual = float(np.maximum.reduce(np.abs(Q - P), axis=None))
-        P = Q
+        previous, residual = residual, float(np.maximum.reduce(np.abs(Q - P), axis=None))
+        damped = damped or residual > previous
+        P = P + _DAMPING * (Q - P) if damped else Q
         sigma = _softmax(P / payoff_scale, gamma)
         if residual < tol:
             return FixedPointResult(P, sigma, it, residual, True, within)

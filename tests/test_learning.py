@@ -1,7 +1,9 @@
 import dataclasses
 import hashlib
+import itertools
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from conftest import random_directed_graph, random_game
 
 import specaccess as sa
 from specaccess import learning
+from specaccess.config import load_config, resolved_payoff_scale
 from specaccess.game import SpectrumGame
 from specaccess.learning import (
     approx_ne_gap,
@@ -19,6 +22,8 @@ from specaccess.learning import (
     q_from_sigma,
     run_learning,
 )
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def test_boltzmann_uniform_for_equal_perceptions():
@@ -179,6 +184,42 @@ def test_fixed_point_warns_above_bound():
     with pytest.warns(UserWarning, match="contraction bound"):
         res = mean_dynamics_fixed_point(spec, gamma=100.0, max_iter=200)
     assert not res.within_contraction_bound
+
+
+def _nine_user(name):
+    cfg = load_config(CONFIGS / name)
+    return cfg, cfg.scenario.game, resolved_payoff_scale(cfg)
+
+
+def test_fixed_point_converges_at_every_shipped_temperature():
+    # every swept temperature is above the (sufficient) contraction bound; at
+    # gamma <= 2 the residual still falls throughout, so the plain step's
+    # iteration counts hold, and at 5, 10 and 50 the damped step converges
+    plain = {"learning_9user.json": [17, 30, 136], "learning_9user_aloha.json": [14, 22, 56]}
+    for name, counts in plain.items():
+        cfg, spec, scale = _nine_user(name)
+        assert cfg.sweep_gammas == [0.5, 1.0, 2.0, 5.0, 10.0, 50.0]
+        for k, gamma in enumerate(cfg.sweep_gammas):
+            with pytest.warns(UserWarning, match="contraction bound"):
+                fp = mean_dynamics_fixed_point(spec, gamma, tol=1e-10, max_iter=1000, payoff_scale=scale)
+            assert fp.converged and fp.residual < 1e-10, (name, gamma)
+            assert approx_ne_gap(spec, fp.sigma, gamma, payoff_scale=scale).satisfied, (name, gamma)
+            if k < len(counts):
+                assert fp.iterations == counts[k], (name, gamma)
+
+
+def test_fixed_point_above_bound_depends_on_the_start():
+    _, spec, scale = _nine_user("learning_9user.json")
+    rng = np.random.default_rng(0)
+    fps = []
+    with pytest.warns(UserWarning, match="depends on the start"):
+        for _ in range(8):
+            fps.append(mean_dynamics_fixed_point(spec, 50.0, tol=1e-10, max_iter=1000, payoff_scale=scale,
+                                                 p0=rng.uniform(0, scale, (spec.n_users, spec.n_channels))))
+    assert all(fp.converged for fp in fps)
+    assert all(approx_ne_gap(spec, fp.sigma, 50.0, payoff_scale=scale).satisfied for fp in fps)
+    spread = max(np.max(np.abs(a.perceptions - b.perceptions)) for a, b in itertools.combinations(fps, 2))
+    assert spread > 1.0  # two distinct fixed points, each a certified approximate equilibrium
 
 
 def test_fixed_point_perceptions_match_conditional_payoffs():
@@ -343,7 +384,7 @@ _LEARNING_DIGESTS = {
     "fixed-point/asymptotic": "3d6614469a5239e9a531d64f3ced8005e10e467d80de1d479dbf8ffc8776398e",
     "fixed-point/weighted": "d041cfba9f858d8ccb0654f0e88bfef3d8ac5ef54c3080462fe6f63312703681",
     "fixed-point/aloha": "c0cee3c64c4cb0d76bd174e3a764c9e9c6a114ae4116fd727f7be88ec1bffc6a",
-    "fixed-point/above-bound": "2a0a4a335c3c62956728202673e775f20529986757049c0deb57dd654489a48d",
+    "fixed-point/above-bound": "44f773a5c11b38da3a35cf8d6983e48bb6939813be493cbecd20c10cdb73b008",
 }
 
 
@@ -378,12 +419,14 @@ def test_seeded_learning_and_fixed_points_keep_their_digest():
         gamma = 0.9 * contraction_temperature_bound(spec)
         fp = mean_dynamics_fixed_point(spec, gamma, tol=1e-12, p0=rng.uniform(0, 4, (5, 3)))
         got[f"fixed-point/{kind}"] = _sha256(fp.perceptions, fp.sigma, fp.iterations, fp.residual, fp.converged)
-    # a dense two-channel game that keeps cycling at this temperature
+    # a dense two-channel game above the bound, where the plain step keeps
+    # cycling: the residual rises, the damped step takes over and converges
     dense_rng = np.random.default_rng([2027, 1])
     dense = random_game(dense_rng, random_directed_graph(dense_rng, 5, 0.9), 2, "weighted")
     with pytest.warns(UserWarning, match="contraction bound"):
         fp = mean_dynamics_fixed_point(dense, 30.0, max_iter=400, payoff_scale=3.0, p0=dense_rng.uniform(0, 4, (5, 2)))
-    assert not fp.converged and fp.iterations == 400
+    assert fp.converged and fp.iterations == 157
+    assert approx_ne_gap(dense, fp.sigma, 30.0, payoff_scale=3.0).satisfied
     got["fixed-point/above-bound"] = _sha256(fp.perceptions, fp.sigma, fp.iterations, fp.residual, fp.converged)
 
     spec = games["backoff"]
@@ -578,6 +621,15 @@ def test_invalid_temperature_or_start_raises_before_any_work():
             with pytest.raises(ValueError):
                 mean_dynamics_fixed_point(spec, **kwargs)
     assert calls == []
+    # the fixed point's own stopping rule, checked before the warning at a temperature above the bound
+    spec = SpectrumGame.create(sa.InterferenceGraph.undirected(2, [(1, 2)]), [0.5, 0.5],
+                               [[4.0, 4.0], [4.0, 4.0]], sa.RandomBackoff(8))
+    for kwargs in (dict(tol=0.0), dict(tol=-1.0), dict(tol=math.nan), dict(tol=math.inf),
+                   dict(max_iter=0), dict(max_iter=-3), dict(max_iter=2.0), dict(max_iter=True)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="tol|max_iter"):
+                mean_dynamics_fixed_point(spec, 100.0, **kwargs)
 
 
 def test_exact_observer_returns_payoff_bits_in_read_only_arrays():
