@@ -2,12 +2,12 @@
 
 from .channels import (
     BernoulliChannel,
-    FixedRate,
+    FixedRates,
     MarkovChannel,
-    RayleighShannonRate,
+    RayleighShannonRates,
     WhiteSpaceChannel,
     calibrate_mean_gain,
-    mean_rate,
+    mean_rates,
     stationary_idle_probability,
 )
 from .contention import (

@@ -1,9 +1,13 @@
-"""Channel-state processes and per-slot data-rate models.
+"""Channel-state processes and the scenario's data-rate model.
 
 Channel state is 1 when idle (usable by secondary transmissions) and 0 when
 occupied by primary traffic. The two-state Markov model uses epsilon for the
 busy-to-idle transition probability and xi for idle-to-busy, giving the
 stationary idle probability epsilon / (epsilon + xi).
+
+A scenario has one rate model for its N x M (users x channels) table, like
+the config's ``scenario.rates``: fixed rates, or Rayleigh-faded Shannon rates
+with one W, eta and omega and a mean gain per (user, channel).
 
 Gain calibration finds its root with an in-package port of scipy's brentq.c
 (same bits as ``scipy.optimize.brentq``). scipy itself is imported only when a
@@ -16,8 +20,9 @@ plus load_config, perfbench's setup_s) on a fixed-rate workload from about
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -77,32 +82,45 @@ def sample_initial_state(c: ChannelModel, rng: np.random.Generator) -> int:
 
 
 @dataclass(frozen=True)
-class FixedRate:
-    mean_rate: float
+class FixedRates:
+    """User n gets rate mean[n-1][m-1] in every slot it grabs channel m."""
+
+    mean: tuple[tuple[float, ...], ...]  # N x M
 
     def __post_init__(self) -> None:
-        if not (self.mean_rate > 0 and math.isfinite(self.mean_rate)):
-            raise ValueError("mean rate must be positive and finite")
+        object.__setattr__(self, "mean", tuple(tuple(map(float, row)) for row in self.mean))
+
+    @cached_property
+    def _table(self) -> np.ndarray:  # (N, M), read by the simulator at (users, channels - 1)
+        return np.array(self.mean)
 
 
 @dataclass(frozen=True)
-class RayleighShannonRate:
-    """Shannon rate over a Rayleigh-faded link: b = W log2(1 + eta*z/omega),
-    with the power gain z exponentially distributed with mean ``mean_gain``."""
+class RayleighShannonRates:
+    """Shannon rates over Rayleigh-faded links, b = W log2(1 + eta*z/omega),
+    with one W, eta and omega for every link and user n's power gain z on
+    channel m exponentially distributed with mean mean_gain[n-1][m-1]."""
 
-    bandwidth: float   # W
-    tx_power: float    # eta
-    noise_power: float # omega
-    mean_gain: float   # mean of the exponential gain
+    bandwidth: float    # W
+    tx_power: float     # eta
+    noise_power: float  # omega
+    mean_gain: tuple[tuple[float, ...], ...]  # N x M
 
     def __post_init__(self) -> None:
-        for name in ("bandwidth", "tx_power", "noise_power", "mean_gain"):
+        object.__setattr__(self, "mean_gain", tuple(tuple(map(float, row)) for row in self.mean_gain))
+        for name in ("bandwidth", "tx_power", "noise_power"):
             v = getattr(self, name)
             if not (v > 0 and math.isfinite(v)):
                 raise ValueError(f"{name} must be positive and finite")
+        if not all(g > 0 and math.isfinite(g) for row in self.mean_gain for g in row):
+            raise ValueError("mean gains must be positive and finite")
+
+    @cached_property
+    def _table(self) -> np.ndarray:  # (N, M), read by the simulator at (users, channels - 1)
+        return np.array(self.mean_gain)
 
 
-RateModel = FixedRate | RayleighShannonRate
+RateModel = FixedRates | RayleighShannonRates
 
 
 def _scaled_e1(x: float) -> float:
@@ -127,16 +145,18 @@ def _scaled_e1(x: float) -> float:
     return s / x
 
 
-def mean_rate(r: RateModel) -> float:
-    """E[b] under the rate model.
+def rayleigh_mean_rate(bandwidth: float, tx_power: float, noise_power: float, mean_gain: float) -> float:
+    """E[W log2(1 + eta z / omega)] with z ~ Exp(mean g): (W / ln 2) *
+    exp(x) * E1(x) where x = omega / (eta * g)."""
+    x = noise_power / (tx_power * mean_gain)
+    return (bandwidth / LN2) * _scaled_e1(x)
 
-    For the Rayleigh/Shannon model E[W log2(1 + c z)] with z ~ Exp(mean g)
-    equals (W/ln 2) * exp(x) * E1(x) where x = omega / (eta * g).
-    """
-    if isinstance(r, FixedRate):
-        return r.mean_rate
-    x = r.noise_power / (r.tx_power * r.mean_gain)
-    return (r.bandwidth / LN2) * _scaled_e1(x)
+
+def mean_rates(r: RateModel) -> Sequence[Sequence[float]]:
+    """The N x M table of mean rates E[b] under the rate model."""
+    if isinstance(r, FixedRates):
+        return r.mean
+    return [[rayleigh_mean_rate(r.bandwidth, r.tx_power, r.noise_power, g) for g in row] for row in r.mean_gain]
 
 
 def calibrate_mean_gain(bandwidth: float, tx_power: float, noise_power: float,
@@ -146,8 +166,7 @@ def calibrate_mean_gain(bandwidth: float, tx_power: float, noise_power: float,
         raise ValueError("target mean rate must be positive")
 
     def err(log_g: float) -> float:
-        model = RayleighShannonRate(bandwidth, tx_power, noise_power, math.exp(log_g))
-        return mean_rate(model) - target_mean_rate
+        return rayleigh_mean_rate(bandwidth, tx_power, noise_power, math.exp(log_g)) - target_mean_rate
 
     lo, hi = -60.0, 60.0
     if err(lo) > 0 or err(hi) < 0:

@@ -27,12 +27,12 @@ from typing import Any
 from ._schema import iter_errors
 from .channels import (
     BernoulliChannel,
-    FixedRate,
+    FixedRates,
     MarkovChannel,
-    RayleighShannonRate,
+    RateModel,
+    RayleighShannonRates,
     WhiteSpaceChannel,
     calibrate_mean_gain,
-    mean_rate,
 )
 from .contention import MAX_BACKOFF_WINDOW, AsymptoticBackoff, RandomBackoff, SlottedAloha, WeightedShare
 from .equilibria import RECURSION_BUDGET
@@ -366,23 +366,19 @@ def _build(kinds: dict, d: dict):
     return kinds[d["kind"]](**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items() if k != "kind"})
 
 
-def _build_rates(d: dict, n_users: int, n_channels: int):
-    def check_shape(mat, what):
-        if len(mat) != n_users or any(len(row) != n_channels for row in mat):
-            raise ValueError(f"rates.{what} must be {n_users} x {n_channels} (users x channels)")
-
-    if d["kind"] == "fixed":
-        check_shape(d["mean"], "mean")
-        return [[FixedRate(b) for b in row] for row in d["mean"]]
+def _build_rates(d: dict, n_users: int, n_channels: int) -> RateModel:
+    """The rate model of a ``scenario.rates`` section; a ``mean_rate`` table
+    is turned into mean gains cell by cell."""
+    key = next(k for k in ("mean", "mean_gain", "mean_rate") if k in d)
+    table = d[key]
+    if len(table) != n_users or any(len(row) != n_channels for row in table):
+        raise ValueError(f"rates.{key} must be {n_users} x {n_channels} (users x channels)")
+    if key == "mean":
+        return FixedRates(table)
     w, eta, omega = d["bandwidth"], d["tx_power"], d["noise_power"]
-    if "mean_gain" in d:
-        check_shape(d["mean_gain"], "mean_gain")
-        return [[RayleighShannonRate(w, eta, omega, g) for g in row] for row in d["mean_gain"]]
-    check_shape(d["mean_rate"], "mean_rate")
-    return [
-        [RayleighShannonRate(w, eta, omega, calibrate_mean_gain(w, eta, omega, b)) for b in row]
-        for row in d["mean_rate"]
-    ]
+    if key == "mean_rate":
+        table = [[calibrate_mean_gain(w, eta, omega, b) for b in row] for row in table]
+    return RayleighShannonRates(w, eta, omega, table)
 
 
 def _build_policy(d: dict, learning: LearningPolicy, solver: SolverSettings) -> Policy:

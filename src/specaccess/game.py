@@ -190,6 +190,12 @@ def welfare(game: GameLike, a: Profile) -> float:
     return sum(game.payoff(a, n) for n in range(1, game.n_users + 1))
 
 
+def _check_count(value: int, key: str) -> None:
+    """``value`` must be an int >= 1 (numpy integers are; a bool or float is not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{key} must be an int >= 1, got {value!r}")
+
+
 def _check_profile(game: GameLike, a: Sequence[int], key: str = "profile") -> None:
     """``key``, which starts each message, names the profile: a config key in load_config."""
     if len(a) != game.n_users:

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .contention import SlottedAloha
-from .game import SpectrumGame, check_mixed_profile
+from .game import SpectrumGame, _check_count, check_mixed_profile
 
 Observer = Callable[[tuple[int, ...]], tuple[np.ndarray, np.ndarray]]
 
@@ -46,6 +46,11 @@ def boltzmann_profile(P: np.ndarray, gamma: float) -> np.ndarray:
 def _check_temperature(gamma: float) -> None:
     if not (gamma > 0 and math.isfinite(gamma)):
         raise ValueError("temperature must be positive and finite")
+
+
+def _check_payoff_scale(payoff_scale: float) -> None:
+    if not (payoff_scale > 0 and math.isfinite(payoff_scale)):
+        raise ValueError(f"payoff_scale must be positive and finite, got {payoff_scale!r}")
 
 
 def _check_perceptions(P: np.ndarray, gamma: float) -> None:
@@ -177,16 +182,17 @@ def mean_dynamics_fixed_point(
     depends on the start and may not be unique, nor is convergence
     guaranteed. Non-convergence is reported through the result, not raised.
 
-    gamma, tol (finite, > 0), max_iter (an int >= 1) and the start (finite, as
-    is the exponent gamma * P / payoff_scale; shaped (N, M)) are checked once,
-    before the warning; the iteration then runs on the unchecked softmax and
-    Q map, whose outputs are a valid mixed profile and finite perceptions by
-    construction (a damped step is a convex combination of two such).
+    gamma, payoff_scale, tol (finite, > 0), max_iter (an int >= 1) and the
+    start (finite, as is the exponent gamma * P / payoff_scale; shaped (N, M))
+    are checked once, before the warning; the iteration then runs on the
+    unchecked softmax and Q map, whose outputs are a valid mixed profile and
+    finite perceptions by construction (a damped step is a convex combination
+    of two such).
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
-    if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
-        raise ValueError(f"max_iter must be an int >= 1, got {max_iter!r}")
+    _check_count(max_iter, "max_iter")
+    _check_payoff_scale(payoff_scale)
     P = initial_perceptions(spec, payoff_scale) if p0 is None else np.array(p0, dtype=float)
     sigma = check_mixed_profile(spec, boltzmann_profile(P / payoff_scale, gamma))
     gamma_eff = gamma / payoff_scale
@@ -235,7 +241,10 @@ def approx_ne_gap(
     payoff_scale: float = 1.0,
 ) -> GapCertificate:
     """delta = max_n of the gamma-weighted entropy of user n's mixed row,
-    checked against each user's exact best pure response."""
+    checked against each user's exact best pure response. gamma and
+    payoff_scale must be finite and > 0."""
+    _check_temperature(gamma)
+    _check_payoff_scale(payoff_scale)
     sigma = check_mixed_profile(spec, sigma)
     gamma_eff = gamma / payoff_scale
     delta = _entropy_gap(sigma, gamma_eff)
@@ -318,22 +327,22 @@ def run_learning(
     in (0, 1]. A NaN estimate (undefined MLE for that user-period) skips the
     update.
 
-    mu, noise (finite, >= 0), gamma and the start P (finite, with a finite
-    exponent gamma * P / payoff_scale) are checked once, before the observer
-    is first called; the loop then runs on the unchecked softmax, and a
-    non-finite estimate that reaches P raises ValueError in the period it
-    arrives. The welfare trace (users summed left to right), the
-    per-user means (periods in order) and the distance to ``oracle`` are
-    computed from the kept per-period rows after the loop.
+    periods (an int >= 1), mu, noise (finite, >= 0), gamma and payoff_scale
+    (finite, > 0) and the start P (finite, with a finite exponent
+    gamma * P / payoff_scale) are checked once, before the observer is first
+    called; the loop then runs on the unchecked softmax, and a non-finite
+    estimate that reaches P raises ValueError in the period it arrives. The welfare trace (users summed left
+    to right), the per-user means (periods in order) and the distance to
+    ``oracle`` are computed from the kept per-period rows after the loop.
     """
-    if periods < 1:
-        raise ValueError("periods must be >= 1")
+    _check_count(periods, "periods")
     decaying = mu == "1/T"
     if not (decaying or (isinstance(mu, (int, float)) and 0.0 < mu <= 1.0)):
         raise ValueError(f'smoothing factor mu must be "1/T" or in (0, 1], got {mu!r}')
     if not (math.isfinite(noise) and noise >= 0.0):
         raise ValueError(f"noise half-width must be finite and >= 0, got {noise!r}")
     _check_temperature(gamma)
+    _check_payoff_scale(payoff_scale)
     N, M = spec.n_users, spec.n_channels
     P = initial_perceptions(spec, payoff_scale) if p0 is None else np.array(p0, dtype=float, order="C")
     _check_perceptions(P / payoff_scale, gamma)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -27,15 +26,16 @@ import numpy as np
 from .channels import (
     BernoulliChannel,
     ChannelModel,
-    FixedRate,
+    FixedRates,
     RateModel,
     WhiteSpaceChannel,
-    mean_rate,
+    mean_rates,
     sample_initial_state,
+    stationary_idle_probability,
 )
 from .contention import AsymptoticBackoff, RandomBackoff, SlottedAloha, WeightedShare
 from .estimation import ChannelEstimates, Estimates, chain_counts, channel_estimates, user_estimates
-from .game import MAX_ROUNDS, Profile, SpectrumGame, better_response_dynamics, welfare
+from .game import MAX_ROUNDS, Profile, SpectrumGame, _check_count, _check_profile, better_response_dynamics, welfare
 from .graph import InterferenceGraph
 from .learning import LearningOutcome, Observer, exact_observer, run_learning
 
@@ -64,67 +64,40 @@ class Scenario:
 
     game: SpectrumGame
     channel_models: tuple[ChannelModel, ...]
-    rate_models: tuple[tuple[RateModel, ...], ...]
+    rates: RateModel
     t_max: int = 100  # the defaults of build and of the config's scenario section
     periods: int = 500
 
     def __post_init__(self) -> None:
-        if self.t_max < 1 or self.periods < 1:
-            raise ValueError("t_max and periods must be >= 1")
+        _check_count(self.t_max, "t_max")
+        _check_count(self.periods, "periods")
         if len(self.channel_models) != self.game.n_channels:
             raise ValueError("one channel model per channel required")
-        if len(self.rate_models) != self.game.n_users or any(
-            len(row) != self.game.n_channels for row in self.rate_models
-        ):
-            raise ValueError("rate_models must be an N x M table")
+        if self.rates._table.shape != (self.game.n_users, self.game.n_channels):
+            raise ValueError("rates must be an N x M table")
 
     @classmethod
     def build(
         cls,
         graph: InterferenceGraph,
         channel_models: Sequence[ChannelModel],
-        rate_models: Sequence[Sequence[RateModel]],
+        rates: RateModel,
         mechanism,
         gain: Sequence[float] | None = None,
         t_max: int = t_max,  # the field defaults above
         periods: int = periods,
     ) -> "Scenario":
-        """Derive the analytic game (theta, mean rates) from the stochastic
-        models so the two can never disagree."""
-        from .channels import stationary_idle_probability
-
+        """The scenario of these stochastic models, with its analytic game
+        derived from them (theta from the channel models, the mean rates from
+        the rate model), so the two can never disagree. The rate table, like
+        the game's, is N x M (users x channels): a table of another shape
+        raises ValueError, as do t_max and periods other than ints >= 1."""
         theta = [stationary_idle_probability(c) for c in channel_models]
-        rates = [[mean_rate(r) for r in row] for row in rate_models]
-        game = SpectrumGame.create(graph, theta, rates, mechanism, gain)
-        return cls(
-            game=game,
-            channel_models=tuple(channel_models),
-            rate_models=tuple(tuple(row) for row in rate_models),
-            t_max=int(t_max),
-            periods=int(periods),
-        )
+        game = SpectrumGame.create(graph, theta, mean_rates(rates), mechanism, gain)
+        return cls(game=game, channel_models=tuple(channel_models), rates=rates, t_max=t_max, periods=periods)
 
     def initial_channel_state(self, rng: np.random.Generator) -> tuple[int, ...]:
         return tuple(sample_initial_state(c, rng) for c in self.channel_models)
-
-    @cached_property
-    def _rate_params(self) -> np.ndarray:
-        """(5, N, M): rate_models as _rate_row gives them, one contiguous (N, M)
-        array per field (fixed rate or NaN, W, eta, omega, mean gain)."""
-        table = np.array([[_rate_row(r) for r in row] for row in self.rate_models])
-        return np.ascontiguousarray(np.moveaxis(table, -1, 0))
-
-    @cached_property
-    def _fixed_rates(self) -> np.ndarray | None:
-        """(N, M) rates when every rate model is a FixedRate, else None."""
-        if all(isinstance(r, FixedRate) for row in self.rate_models for r in row):
-            return self._rate_params[0]
-        return None
-
-    @cached_property
-    def _mixes_fixed_rates(self) -> bool:
-        """Whether some, but not every, rate model is a FixedRate."""
-        return self._fixed_rates is None and not np.isnan(self._rate_params[0]).all()
 
 
 def _channel_states(
@@ -218,35 +191,15 @@ def _success_matrix(
 
 def _realise_rates(scenario: Scenario, ch: np.ndarray, succ: np.ndarray, fading: np.ndarray) -> np.ndarray:
     """b values, (..., N): the rate of each grabbed slot on its channel ch
-    (broadcast against succ and fading), zero elsewhere. The rate parameters
-    are read at (users, ch - 1), so per-period channels (k, 1, N) read them
-    once per period. A scenario whose rates are all fixed reads them
-    directly, without the Shannon terms; fixed rates are mixed into Shannon
-    ones only in a scenario that has both."""
-    n, m = scenario.game.n_users, scenario.game.n_channels
-    cell = np.arange(0, n * m, m) + (ch - 1)  # flat (users, ch - 1) positions in an (N, M) array
-    fixed, shannon = scenario._rate_params[0], scenario._rate_params[1:].reshape(4, n * m)
-    if scenario._fixed_rates is not None:
-        return np.where(succ, fixed.take(cell), 0.0)
-    rate = _shannon_rate(*shannon.take(cell, axis=1), fading)
-    if scenario._mixes_fixed_rates:
-        fixed = fixed.take(cell)
-        rate = np.where(np.isnan(fixed), rate, fixed)
-    return np.where(succ, rate, 0.0)
-
-
-def _rate_row(model: RateModel) -> tuple[float, float, float, float, float]:
-    """A rate model as (fixed rate or NaN, W, eta, omega, mean gain); a
-    FixedRate's Shannon terms are 1.0, evaluated and discarded where fixed
-    and fading rates mix in one scenario."""
-    if isinstance(model, FixedRate):
-        return (model.mean_rate, 1.0, 1.0, 1.0, 1.0)
-    return (math.nan, model.bandwidth, model.tx_power, model.noise_power, model.mean_gain)
-
-
-def _shannon_rate(w, eta, omega, g, fading: np.ndarray) -> np.ndarray:
-    """W log2(1 + eta z / omega) with the power gain z = fading * mean gain."""
-    return w * np.log2(1.0 + eta * (fading * g) / omega)
+    (broadcast against succ and fading), zero elsewhere. The rate table, fixed
+    rates or mean gains, is read at (users, ch - 1), so per-period channels
+    (k, 1, N) read it once per period. A Shannon rate is
+    W log2(1 + eta z / omega) with the power gain z = fading * mean gain."""
+    n, m, r = scenario.game.n_users, scenario.game.n_channels, scenario.rates
+    table = r._table.take(np.arange(0, n * m, m) + (ch - 1))  # at the flat (users, ch - 1) positions
+    if isinstance(r, FixedRates):
+        return np.where(succ, table, 0.0)
+    return np.where(succ, r.bandwidth * np.log2(1.0 + r.tx_power * (fading * table) / r.noise_power), 0.0)
 
 
 def _resolve(scenario: Scenario, states: np.ndarray, ch: np.ndarray, races: np.ndarray,
@@ -286,6 +239,7 @@ class FixedProfilePolicy:
         return f"fixed_profile({','.join(map(str, self.profile))})"
 
     def _chooser(self, scenario: Scenario, rng: np.random.Generator):
+        _check_profile(scenario.game, self.profile)
         profile = np.array(self.profile, dtype=np.int64)
         return lambda states: np.broadcast_to(profile, (len(states), 1, len(profile)))
 
@@ -330,6 +284,9 @@ class DynamicStageGamePolicy:
 
     restarts: int = 10
     max_rounds: int = MAX_ROUNDS
+
+    def __post_init__(self) -> None:
+        _check_count(self.restarts, "restarts")
 
     def label(self) -> str:  # names restarts where it differs from the field's default
         return "dynamic_stage_game" if self.restarts == type(self).restarts else f"dynamic_stage_game(restarts={self.restarts})"
@@ -513,6 +470,7 @@ def compare_policies(
     seed, so primary-traffic realisations coincide across policies."""
     if not policies:
         raise ValueError("need at least one policy")
+    _check_count(replications, "replications")
     tasks = [
         (policy, rep, (int(base_seed), rep))
         for policy in policies

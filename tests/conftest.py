@@ -140,14 +140,16 @@ def loop_estimates(S, I, b):
     return eps, xi, theta, grab, rate, theta * rate * grab
 
 
-def rate_values(params, fading):
-    """Per-slot rates for standard-exponential fading draws under rate rows
-    (..., 5) from simulator._rate_row, broadcast against the draws: the fixed
-    rate, or W log2(1 + eta z / omega) with the power gain z = fading * mean
-    gain. The reference for the simulator's rate realisation."""
-    params = np.asarray(params, dtype=float)
-    fixed, w, eta, omega, g = (params[..., j] for j in range(5))
-    return np.where(np.isnan(fixed), w * np.log2(1.0 + eta * (fading * g) / omega), fixed)
+def rate_values(rates, user, channel, fading):
+    """Per-slot rates of one cell, user and channel (both 0-based), of the
+    rate model rates for standard-exponential fading draws: the fixed rate,
+    or W log2(1 + eta z / omega) with the power gain z = fading * mean gain.
+    The reference for the simulator's rate realisation."""
+    fading = np.asarray(fading, dtype=float)
+    if isinstance(rates, sa.FixedRates):
+        return np.full(fading.shape, rates.mean[user][channel])
+    g = rates.mean_gain[user][channel]
+    return rates.bandwidth * np.log2(1.0 + rates.tx_power * (fading * g) / rates.noise_power)
 
 
 def expected_grab(mech, n, membership):

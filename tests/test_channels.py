@@ -11,18 +11,18 @@ from conftest import rate_values
 import specaccess as sa
 from specaccess.channels import (
     BernoulliChannel,
-    FixedRate,
+    FixedRates,
     MarkovChannel,
-    RayleighShannonRate,
+    RayleighShannonRates,
     WhiteSpaceChannel,
     _brentq,
     calibrate_mean_gain,
-    mean_rate,
+    mean_rates,
     sample_initial_state,
     stationary_idle_probability,
 )
 from specaccess.errors import DegenerateModelError
-from specaccess.simulator import _BLOCK_SLOTS, _blocks, _channel_states, _rate_row
+from specaccess.simulator import _BLOCK_SLOTS, _blocks, _channel_states
 
 
 def test_stationary_idle_probability_values():
@@ -103,7 +103,7 @@ def test_channel_periods_carry_state_across_blocks():
     g = sa.InterferenceGraph.from_edges(1, [])
     for t_max in (100, 3000, 3 * _BLOCK_SLOTS // 2):
         periods = 2 * max(1, _BLOCK_SLOTS // t_max) + 1  # two block boundaries; the last block cut short
-        sc = sa.Scenario.build(g, models, [[FixedRate(1.0)] * len(models)], sa.RandomBackoff(4),
+        sc = sa.Scenario.build(g, models, FixedRates([[1.0] * len(models)]), sa.RandomBackoff(4),
                                t_max=t_max, periods=periods)
         blocks = _blocks(sc, sa.SimStreams.from_seed(7))
         got = np.concatenate([states.reshape(-1, len(models)) for states, _, _ in blocks])
@@ -129,20 +129,30 @@ def test_markov_ergodic_frequency_matches_stationary():
 
 def test_fixed_rate_identity():
     rng = np.random.default_rng(0)
-    assert np.all(rate_values(_rate_row(FixedRate(2e6)), rng.standard_exponential(5)) == 2e6)
-    assert mean_rate(FixedRate(2e6)) == 2e6
+    assert np.all(rate_values(FixedRates([[2e6]]), 0, 0, rng.standard_exponential(5)) == 2e6)
+    assert mean_rates(FixedRates([[2e6]]))[0][0] == 2e6
 
 
 def test_unit_snr_pins_rate_to_bandwidth():
     # a unit standard-exponential fading draw puts the gain z at its mean
-    model = RayleighShannonRate(bandwidth=10.0, tx_power=0.1, noise_power=1e-13, mean_gain=1e-12)
+    model = RayleighShannonRates(bandwidth=10.0, tx_power=0.1, noise_power=1e-13, mean_gain=[[1e-12]])
     # eta * z / omega = 0.1 * 1e-12 / 1e-13 = 1  ->  b = W log2(2) = W
-    assert rate_values(_rate_row(model), np.array([1.0]))[0] == pytest.approx(10.0)
+    assert rate_values(model, 0, 0, np.array([1.0]))[0] == pytest.approx(10.0)
 
 
-def _quad_mean(model: RayleighShannonRate) -> float:
-    # substitute u = z / mean_gain so the integrand has unit scale
-    cg = model.tx_power * model.mean_gain / model.noise_power
+def test_rayleigh_rates_reject_non_positive_or_non_finite_parameters():
+    good = dict(bandwidth=10.0, tx_power=0.1, noise_power=1e-13, mean_gain=[[1e-12, 2e-12]])
+    # a zero mean gain would raise ZeroDivisionError in mean_rates, not ValueError
+    for key in good:
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            value = [[1e-12, bad]] if key == "mean_gain" else bad
+            with pytest.raises(ValueError, match="positive and finite"):
+                RayleighShannonRates(**{**good, key: value})
+
+
+def _quad_mean(model: RayleighShannonRates) -> float:
+    # the mean rate of cell (1, 1); substitute u = z / mean_gain so the integrand has unit scale
+    cg = model.tx_power * model.mean_gain[0][0] / model.noise_power
 
     def integrand(u):
         return model.bandwidth * math.log2(1.0 + cg * u) * math.exp(-u)
@@ -153,25 +163,25 @@ def _quad_mean(model: RayleighShannonRate) -> float:
 
 def test_mean_rate_against_quadrature_and_samples():
     # W = 10 MHz, eta = 100 mW, omega = -100 dBm; gain picked near the paper's scale
-    model = RayleighShannonRate(bandwidth=1e7, tx_power=0.1, noise_power=1e-13, mean_gain=3e-13)
+    model = RayleighShannonRates(bandwidth=1e7, tx_power=0.1, noise_power=1e-13, mean_gain=[[3e-13]])
     oracle = _quad_mean(model)
-    assert mean_rate(model) == pytest.approx(oracle, rel=1e-9)
+    assert mean_rates(model)[0][0] == pytest.approx(oracle, rel=1e-9)
     rng = np.random.default_rng(7)
-    draws = rate_values(_rate_row(model), rng.standard_exponential(10**5))
+    draws = rate_values(model, 0, 0, rng.standard_exponential(10**5))
     assert abs(draws.mean() - oracle) / oracle < 0.02
 
 
 def test_calibrate_mean_gain_round_trip():
     for target in (2.0, 30.0, 150.0):
         gain = calibrate_mean_gain(10.0, 0.1, 1e-13, target)
-        model = RayleighShannonRate(10.0, 0.1, 1e-13, gain)
-        assert mean_rate(model) == pytest.approx(target, rel=1e-10)
+        model = RayleighShannonRates(10.0, 0.1, 1e-13, [[gain]])
+        assert mean_rates(model)[0][0] == pytest.approx(target, rel=1e-10)
 
 
 def _scipy_calibration(w, eta, omega, target):
     """calibrate_mean_gain with scipy's brentq in place of the in-package port."""
     def err(log_g):
-        return mean_rate(RayleighShannonRate(w, eta, omega, math.exp(log_g))) - target
+        return mean_rates(RayleighShannonRates(w, eta, omega, [[math.exp(log_g)]]))[0][0] - target
 
     return math.exp(brentq(err, -60.0, 60.0, xtol=1e-14, rtol=1e-13))
 

@@ -620,6 +620,22 @@ def test_invalid_temperature_or_start_raises_before_any_work():
             warnings.simplefilter("error")  # raised before the contraction-bound warning
             with pytest.raises(ValueError):
                 mean_dynamics_fixed_point(spec, **kwargs)
+    for periods in (0, 2.5, True):
+        with pytest.raises(ValueError, match="periods"):
+            run_learning(spec, 1.0, periods, np.random.default_rng(0), observer=observer)
+    # the payoff scale, and the certificate's temperature
+    for scale in (0.0, -2.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="payoff_scale"):
+            run_learning(spec, 1.0, 5, np.random.default_rng(0), observer=observer, payoff_scale=scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="payoff_scale"):
+                mean_dynamics_fixed_point(spec, 0.01, payoff_scale=scale)
+        with pytest.raises(ValueError, match="payoff_scale"):
+            approx_ne_gap(spec, np.array([[0.5, 0.5]]), 1.0, payoff_scale=scale)
+    for gamma in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="temperature"):
+            approx_ne_gap(spec, np.array([[0.5, 0.5]]), gamma)
     assert calls == []
     # the fixed point's own stopping rule, checked before the warning at a temperature above the bound
     spec = SpectrumGame.create(sa.InterferenceGraph.undirected(2, [(1, 2)]), [0.5, 0.5],

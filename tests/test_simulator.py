@@ -32,7 +32,6 @@ from specaccess.simulator import (
     _blocks,
     _channel_states,
     _contention_draws,
-    _rate_row,
     _realise_rates,
     _solve_stage,
     _success_matrix,
@@ -50,7 +49,7 @@ def _scenario(graph, channel_models, mech, rates=None, t_max=100, periods=10, ga
     n = graph.n_users
     m = len(channel_models)
     if rates is None:
-        rates = [[sa.FixedRate(1.0)] * m for _ in range(n)]
+        rates = sa.FixedRates([[1.0] * m] * n)
     return Scenario.build(graph, channel_models, rates, mech, gains, t_max=t_max, periods=periods)
 
 
@@ -60,10 +59,25 @@ def test_scenario_derives_game_from_models():
         g,
         [sa.MarkovChannel(0.3, 0.1), sa.BernoulliChannel(0.6)],
         sa.RandomBackoff(5),
-        rates=[[sa.FixedRate(4.0), sa.FixedRate(2.0)]] * 2,
+        rates=sa.FixedRates([[4.0, 2.0]] * 2),
     )
     assert sc.game.idle_prob == pytest.approx((0.75, 0.6))
     assert sc.game.mean_rate[0] == (4.0, 2.0)
+
+
+@pytest.mark.parametrize("rates", [
+    sa.FixedRates([[4.0, 2.0]]),  # one user's row for two users
+    sa.FixedRates([[4.0], [2.0]]),  # one channel's column for two channels
+    sa.RayleighShannonRates(10.0, 0.1, 1e-13, [[1e-12] * 3] * 2),
+], ids=["fixed-rows", "fixed-columns", "rayleigh-columns"])
+def test_build_rejects_a_rate_table_that_is_not_n_by_m(rates):
+    g = sa.InterferenceGraph.from_edges(2, [(1, 2)])
+    channels = [sa.MarkovChannel(0.3, 0.1), sa.BernoulliChannel(0.6)]
+    with pytest.raises(ValueError, match="N x M"):
+        Scenario.build(g, channels, rates, sa.RandomBackoff(5))
+    good = Scenario.build(g, channels, sa.FixedRates([[4.0, 2.0]] * 2), sa.RandomBackoff(5))
+    with pytest.raises(ValueError, match="N x M"):
+        replace(good, rates=rates)
 
 
 def test_busy_channel_yields_zeros():
@@ -177,10 +191,8 @@ def test_dynamic_policy_matches_per_slot_loop(kind, channels):
     rng = np.random.default_rng(43)
     n, m = 6, len(channels)
     g = random_directed_graph(rng, n, 0.4)
-    rates = [
-        [sa.RayleighShannonRate(10.0, 0.1, 1e-13, float(rng.uniform(5e-13, 2e-12))) for _ in range(m)]
-        for _ in range(n)
-    ]
+    rates = sa.RayleighShannonRates(
+        10.0, 0.1, 1e-13, [[float(rng.uniform(5e-13, 2e-12)) for _ in range(m)] for _ in range(n)])
     sc = _scenario(g, list(channels), random_mechanism(rng, n, kind), rates=rates, t_max=40, periods=6)
     policy = DynamicStageGamePolicy(restarts=3)
     res = run_policy(sc, policy, (5, 1))
@@ -190,17 +202,20 @@ def test_dynamic_policy_matches_per_slot_loop(kind, channels):
     assert res.mean_welfare > 0
 
 
-def _mixed_rates(rng, n, m):
-    return [
-        [sa.FixedRate(float(rng.uniform(1.0, 9.0))) if rng.random() < 0.4
-         else sa.RayleighShannonRate(10.0, 0.1, 1e-13, float(rng.uniform(5e-13, 2e-12))) for _ in range(m)]
-        for _ in range(n)
-    ]
+RATE_KINDS = ["fixed", "rayleigh"]
+
+
+def _random_rates(rng, n, m, kind):
+    """A random N x M rate table of one kind: fixed rates, or Rayleigh-faded
+    Shannon rates with random mean gains."""
+    if kind == "fixed":
+        return sa.FixedRates(rng.uniform(1.0, 9.0, (n, m)))
+    return sa.RayleighShannonRates(10.0, 0.1, 1e-13, rng.uniform(5e-13, 2e-12, (n, m)))
 
 
 def _rate_of(scenario, u, m, f):
     """One slot's rate for user u (0-based) on channel m (1-based)."""
-    return rate_values(_rate_row(scenario.rate_models[u][m - 1]), np.array([f]))[0]
+    return rate_values(scenario.rates, u, m - 1, np.array([f]))[0]
 
 
 def _run_policy_per_period(scenario, policy, seed):
@@ -237,15 +252,16 @@ def test_random_and_fixed_policies_match_per_period_loop(kind, n):
     rng = np.random.default_rng(47 + n)
     channels = [sa.MarkovChannel(0.3, 0.2), sa.BernoulliChannel(0.6), sa.WhiteSpaceChannel(1)]
     g = random_directed_graph(rng, n, 0.5)
-    sc = _scenario(g, channels, random_mechanism(rng, n, kind), rates=_mixed_rates(rng, n, 3),
-                   t_max=30, periods=8)
-    profile = tuple(int(c) for c in rng.integers(1, 4, size=n))
-    for policy in (RandomAccessPolicy(), FixedProfilePolicy(profile)):
-        res = run_policy(sc, policy, (9, 2))
-        trace, per_user = _run_policy_per_period(sc, policy, (9, 2))
-        assert np.array_equal(res.welfare_trace, trace)
-        assert np.array_equal(res.per_user_mean, per_user)
-        assert res.mean_welfare > 0
+    mech = random_mechanism(rng, n, kind)
+    for rate_kind in RATE_KINDS:
+        sc = _scenario(g, channels, mech, rates=_random_rates(rng, n, 3, rate_kind), t_max=30, periods=8)
+        profile = tuple(int(c) for c in rng.integers(1, 4, size=n))
+        for policy in (RandomAccessPolicy(), FixedProfilePolicy(profile)):
+            res = run_policy(sc, policy, (9, 2))
+            trace, per_user = _run_policy_per_period(sc, policy, (9, 2))
+            assert np.array_equal(res.welfare_trace, trace), rate_kind
+            assert np.array_equal(res.per_user_mean, per_user), rate_kind
+            assert res.mean_welfare > 0
 
 
 def test_random_access_blocked_chain_matches_per_period_loop():
@@ -253,12 +269,14 @@ def test_random_access_blocked_chain_matches_per_period_loop():
     # so the state crosses two block boundaries and the last block is cut short
     rng = np.random.default_rng(59)
     channels = [sa.MarkovChannel(0.3, 0.2), sa.BernoulliChannel(0.6), sa.WhiteSpaceChannel(1)]
-    sc = _scenario(random_directed_graph(rng, 2, 0.5), channels, sa.RandomBackoff(6),
-                   rates=_mixed_rates(rng, 2, 3), t_max=100, periods=163)
-    res = run_policy(sc, RandomAccessPolicy(), (4, 4))
-    trace, per_user = _run_policy_per_period(sc, RandomAccessPolicy(), (4, 4))
-    assert np.array_equal(res.welfare_trace, trace)
-    assert np.array_equal(res.per_user_mean, per_user)
+    g = random_directed_graph(rng, 2, 0.5)
+    for rate_kind in RATE_KINDS:
+        sc = _scenario(g, channels, sa.RandomBackoff(6), rates=_random_rates(rng, 2, 3, rate_kind),
+                       t_max=100, periods=163)
+        res = run_policy(sc, RandomAccessPolicy(), (4, 4))
+        trace, per_user = _run_policy_per_period(sc, RandomAccessPolicy(), (4, 4))
+        assert np.array_equal(res.welfare_trace, trace), rate_kind
+        assert np.array_equal(res.per_user_mean, per_user), rate_kind
 
 
 def _reference_mle_observer(scenario, streams, noise=0.0, rng=None):
@@ -291,19 +309,20 @@ def test_mle_observer_matches_per_user_estimates(kind, t_max):
     channels = [sa.MarkovChannel(0.3, 0.2), sa.BernoulliChannel(0.6), sa.WhiteSpaceChannel(1),
                 sa.WhiteSpaceChannel(0)]
     mech = sa.SlottedAloha((0.05,) * n) if kind == "aloha" else sa.RandomBackoff(4)
-    sc = _scenario(random_directed_graph(rng, n, 0.5), channels, mech, rates=_mixed_rates(rng, n, 4),
-                   t_max=t_max, periods=40)
-    streams, ref_streams = SimStreams.from_seed(3), SimStreams.from_seed(3)
-    observe, reference = make_mle_observer(sc, streams), _reference_mle_observer(sc, ref_streams)
-    skipped = 0
-    for period in range(1, sc.periods + 1):
-        a = tuple(int(c) for c in rng.integers(1, 5, size=n))
-        est, realised = observe(a)
-        ref_est, ref_realised = reference(a)
-        assert np.array_equal(est, ref_est, equal_nan=True), (period, a)
-        assert np.array_equal(realised, ref_realised)
-        skipped += int(np.isnan(est).sum())
-    assert 0 < skipped and (skipped < n * sc.periods or t_max < 3)  # one slot pair leaves one state
+    g = random_directed_graph(rng, n, 0.5)
+    for rate_kind in RATE_KINDS:
+        sc = _scenario(g, channels, mech, rates=_random_rates(rng, n, 4, rate_kind), t_max=t_max, periods=40)
+        streams, ref_streams = SimStreams.from_seed(3), SimStreams.from_seed(3)
+        observe, reference = make_mle_observer(sc, streams), _reference_mle_observer(sc, ref_streams)
+        skipped = 0
+        for period in range(1, sc.periods + 1):
+            a = tuple(int(c) for c in rng.integers(1, 5, size=n))
+            est, realised = observe(a)
+            ref_est, ref_realised = reference(a)
+            assert np.array_equal(est, ref_est, equal_nan=True), (rate_kind, period, a)
+            assert np.array_equal(realised, ref_realised), (rate_kind, period, a)
+            skipped += int(np.isnan(est).sum())
+        assert 0 < skipped and (skipped < n * sc.periods or t_max < 3)  # one slot pair leaves one state
 
 
 @pytest.mark.parametrize("noise_half_width", [0.0, 0.5])
@@ -314,21 +333,23 @@ def test_learning_rollout_matches_per_period_reference_observer(noise_half_width
     n = 5
     channels = [sa.MarkovChannel(0.3, 0.2), sa.BernoulliChannel(0.6), sa.WhiteSpaceChannel(1)]
     g = random_directed_graph(rng, n, 0.5)
-    rates = _mixed_rates(rng, n, 3)
-    for t_max, periods in ((30, 300), (_BLOCK_SLOTS + 48, 6)):
-        sc = _scenario(g, channels, sa.RandomBackoff(6), rates=rates, t_max=t_max, periods=periods)
-        policy = LearningPolicy(3.0, "auto", noise_half_width=noise_half_width)
-        res = run_policy(sc, policy, (6, 1)).learning
+    policy = LearningPolicy(3.0, "auto", noise_half_width=noise_half_width)
+    for rate_kind in RATE_KINDS:
+        rates = _random_rates(rng, n, 3, rate_kind)
+        for t_max, periods in ((30, 300), (_BLOCK_SLOTS + 48, 6)):
+            sc = _scenario(g, channels, sa.RandomBackoff(6), rates=rates, t_max=t_max, periods=periods)
+            res = run_policy(sc, policy, (6, 1)).learning
 
-        streams = SimStreams.from_seed((6, 1))
-        # the reference adds its own noise, drawn from the policy substream after the channel choices
-        ref = run_learning(sc.game, policy.gamma, sc.periods, streams.policy,
-                           observer=_reference_mle_observer(sc, streams, noise_half_width, streams.policy),
-                           payoff_scale=policy.resolved_scale(sc.game), mu=policy.mu)
-        assert 0 < res.skipped_updates == ref.skipped_updates, t_max
-        for field in ("perceptions", "welfare_trace", "per_user_mean", "dP_trace", "channels", "estimates"):
-            assert np.array_equal(getattr(res, field), getattr(ref, field), equal_nan=True), (t_max, field)
-        assert res.delta == ref.delta
+            streams = SimStreams.from_seed((6, 1))
+            # the reference adds its own noise, drawn from the policy substream after the channel choices
+            ref = run_learning(sc.game, policy.gamma, sc.periods, streams.policy,
+                               observer=_reference_mle_observer(sc, streams, noise_half_width, streams.policy),
+                               payoff_scale=policy.resolved_scale(sc.game), mu=policy.mu)
+            assert 0 < res.skipped_updates == ref.skipped_updates, (rate_kind, t_max)
+            for field in ("perceptions", "welfare_trace", "per_user_mean", "dP_trace", "channels", "estimates"):
+                got, expect = getattr(res, field), getattr(ref, field)
+                assert np.array_equal(got, expect, equal_nan=True), (rate_kind, t_max, field)
+            assert res.delta == ref.delta
 
 
 def _reference_periods(scenario, policy, seed):
@@ -385,10 +406,11 @@ def test_block_engine_matches_per_period_reference(kind):
     channels = [sa.MarkovChannel(0.3, 0.2), sa.BernoulliChannel(0.6), sa.WhiteSpaceChannel(1)]
     g = random_directed_graph(rng, n, 0.6)
     mech = random_mechanism(rng, n, kind)
-    for t_max, periods in ((_BLOCK_SLOTS + 52, 2), (_BLOCK_SLOTS // 3 + 1, 5)):
-        sc = _scenario(g, channels, mech, rates=_mixed_rates(rng, n, 3), t_max=t_max, periods=periods)
-        for policy in (RandomAccessPolicy(), FixedProfilePolicy((1, 2, 1, 3)), DynamicStageGamePolicy(restarts=2)):
-            _assert_periods_match_reference(sc, policy, (3, 7))
+    for rate_kind in RATE_KINDS:
+        for t_max, periods in ((_BLOCK_SLOTS + 52, 2), (_BLOCK_SLOTS // 3 + 1, 5)):
+            sc = _scenario(g, channels, mech, rates=_random_rates(rng, n, 3, rate_kind), t_max=t_max, periods=periods)
+            for policy in (RandomAccessPolicy(), FixedProfilePolicy((1, 2, 1, 3)), DynamicStageGamePolicy(restarts=2)):
+                _assert_periods_match_reference(sc, policy, (3, 7))
 
 
 def test_dynamic_policy_solves_new_states_in_first_seen_slot_order():
@@ -462,46 +484,19 @@ def test_realise_rates_matches_per_slot_rate_values():
     rng = np.random.default_rng(53)
     n, m, t = 6, 4, 200
     g = random_directed_graph(rng, n, 0.4)
-    sc = _scenario(g, [sa.BernoulliChannel(0.5)] * m, sa.RandomBackoff(5), rates=_mixed_rates(rng, n, m), t_max=t)
-    assert {type(r) for row in sc.rate_models for r in row} == {sa.FixedRate, sa.RayleighShannonRate}
-    for _ in range(3):
-        ch = rng.integers(1, m + 1, size=(t, n))
-        succ = rng.random((t, n)) < 0.6
-        fading = rng.standard_exponential((t, n))
-        b = _realise_rates(sc, ch, succ, fading)
-        assert b.shape == (t, n)
-        for k in range(t):
-            for u in range(n):
-                expect = _rate_of(sc, u, ch[k, u], fading[k, u]) if succ[k, u] else 0.0
-                assert b[k, u] == expect, (k, u)
-
-
-def test_resolve_on_fixed_rates_matches_the_mixed_rate_path():
-    # an all-fixed scenario reads its rates without the Shannon terms; a mixed
-    # one keeps them: both give the per-slot reference's (S, I, b), and agree
-    # wherever the fading row goes unused
-    rng = np.random.default_rng(61)
-    n, m, t = 5, 3, 300
-    g = random_directed_graph(rng, n, 0.5)
-    fixed = [[sa.FixedRate(float(rng.uniform(1.0, 9.0))) for _ in range(m)] for _ in range(n)]
-    mixed = [row[:] for row in fixed]
-    mixed[2][1] = sa.RayleighShannonRate(10.0, 0.1, 1e-13, 1e-12)
-    channels = [sa.BernoulliChannel(0.6)] * m
-    a = _scenario(g, channels, sa.RandomBackoff(5), rates=fixed, t_max=t)
-    b = _scenario(g, channels, sa.RandomBackoff(5), rates=mixed, t_max=t)
-    assert a._fixed_rates is not None and b._fixed_rates is None
-    states = (rng.random((t, m)) < 0.6).astype(np.int8)
-    ch = rng.integers(1, m + 1, size=(t, n))
-    races = rng.integers(1, 6, size=(t, n)).astype(float)
-    fading = rng.standard_exponential((t, n))
-    S, I, b_fixed = simulator._resolve(a, states, ch, races, fading)
-    S2, I2, b_mixed = simulator._resolve(b, states, ch, races, fading)
-    assert np.array_equal(S, S2) and np.array_equal(I, I2)
-    for sc, got in ((a, b_fixed), (b, b_mixed)):
-        expect = [[_rate_of(sc, u, ch[k, u], fading[k, u]) if I[k, u] else 0.0 for u in range(n)] for k in range(t)]
-        assert np.array_equal(got, expect)
-    rayleigh = (np.arange(n) == 2) & (ch == 2)
-    assert rayleigh.any() and np.array_equal(b_fixed[~rayleigh], b_mixed[~rayleigh])
+    for rate_kind in RATE_KINDS:
+        sc = _scenario(g, [sa.BernoulliChannel(0.5)] * m, sa.RandomBackoff(5),
+                       rates=_random_rates(rng, n, m, rate_kind), t_max=t)
+        for _ in range(3):
+            ch = rng.integers(1, m + 1, size=(t, n))
+            succ = rng.random((t, n)) < 0.6
+            fading = rng.standard_exponential((t, n))
+            b = _realise_rates(sc, ch, succ, fading)
+            assert b.shape == (t, n)
+            for k in range(t):
+                for u in range(n):
+                    expect = _rate_of(sc, u, ch[k, u], fading[k, u]) if succ[k, u] else 0.0
+                    assert b[k, u] == expect, (rate_kind, k, u)
 
 
 def test_whitespace_idle_sequence():
@@ -566,7 +561,7 @@ def test_determinism_bit_identical():
         g,
         [sa.MarkovChannel(0.4, 0.2), sa.BernoulliChannel(0.5)],
         sa.SlottedAloha((0.3, 0.5, 0.7)),
-        rates=[[sa.RayleighShannonRate(10.0, 0.1, 1e-13, 1e-12)] * 2 for _ in range(3)],
+        rates=sa.RayleighShannonRates(10.0, 0.1, 1e-13, [[1e-12] * 2] * 3),
         t_max=50,
     )
     runs = []
@@ -601,7 +596,7 @@ def test_long_run_throughput_matches_payoff():
     sc = Scenario.build(
         g,
         [sa.MarkovChannel(0.2, 0.2), sa.BernoulliChannel(0.6)],
-        [[sa.FixedRate(5.0), sa.FixedRate(3.0)] for _ in range(3)],
+        sa.FixedRates([[5.0, 3.0]] * 3),
         sa.SlottedAloha((0.4, 0.5, 0.6)),
         t_max=1000, periods=1000,
     )
@@ -640,11 +635,14 @@ def test_identical_policies_paired_outputs():
 
 def test_policies_consume_channel_contention_and_fading_identically(monkeypatch):
     # every policy plays the blocks of one generator, which draws the channel
-    # states, races and fading, so run at one seed all four see the same ones
+    # states, races and fading, so run at one seed all four see the same ones,
+    # on fixed and on Rayleigh-Shannon rates alike
     g = sa.InterferenceGraph.from_edges(4, [(1, 2), (2, 3), (1, 3), (3, 4)])
     # 150 periods of 30 slots are three blocks, the last one cut short
-    sc = _scenario(g, [sa.MarkovChannel(0.3, 0.1), sa.MarkovChannel(0.2, 0.4)], sa.RandomBackoff(6),
-                   rates=_mixed_rates(np.random.default_rng(5), 4, 2), t_max=30, periods=150)
+    rng = np.random.default_rng(5)
+    scenarios = [_scenario(g, [sa.MarkovChannel(0.3, 0.1), sa.MarkovChannel(0.2, 0.4)], sa.RandomBackoff(6),
+                           rates=_random_rates(rng, 4, 2, kind), t_max=30, periods=150) for kind in RATE_KINDS]
+    sc = scenarios[0]
     seen = {}
 
     def recording(scenario, streams):
@@ -655,17 +653,52 @@ def test_policies_consume_channel_contention_and_fading_identically(monkeypatch)
 
     monkeypatch.setattr(simulator, "_blocks", recording)
     runs = []
-    for policy in (LearningPolicy(2.0, "auto"), RandomAccessPolicy(), FixedProfilePolicy((1, 2, 1, 2)),
-                   DynamicStageGamePolicy(restarts=2)):
-        seen.clear()
-        run_policy(sc, policy, (8, 3))
-        runs.append({name: np.concatenate(v) for name, v in seen.items()})
+    for scenario in scenarios:
+        for policy in (LearningPolicy(2.0, "auto"), RandomAccessPolicy(), FixedProfilePolicy((1, 2, 1, 2)),
+                       DynamicStageGamePolicy(restarts=2)):
+            seen.clear()
+            run_policy(scenario, policy, (8, 3))
+            runs.append({name: np.concatenate(v) for name, v in seen.items()})
     for run in runs:
         assert run.keys() == {"states", "races", "fading"}
         assert run["states"].shape == (sc.periods, sc.t_max, 2) and run["races"].shape == (sc.periods, sc.t_max, 4)
         assert run["fading"].shape == (sc.periods, sc.t_max, 4)
         for name, values in run.items():
             assert np.array_equal(values, runs[0][name]), name
+
+
+def _dag_scenario(**fields):
+    return replace(load_config(CONFIGS / "dag_chain.json").scenario, **{"t_max": 10, "periods": 3, **fields})
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: _dag_scenario(t_max=2.5), "t_max"),
+    (lambda: _dag_scenario(t_max=True), "t_max"),
+    (lambda: _dag_scenario(t_max=0), "t_max"),
+    (lambda: _dag_scenario(periods=2.5), "periods"),
+    (lambda: _dag_scenario(periods=-1), "periods"),
+    (lambda: DynamicStageGamePolicy(restarts=0), "restarts"),
+    (lambda: DynamicStageGamePolicy(restarts=-1), "restarts"),
+    (lambda: DynamicStageGamePolicy(restarts=1.5), "restarts"),
+    (lambda: run_policy(_dag_scenario(), FixedProfilePolicy((9, 9, 9, 9)), 0), "channel indices"),
+    (lambda: run_policy(_dag_scenario(), FixedProfilePolicy((1, 2)), 0), "length"),
+    (lambda: run_policy(_dag_scenario(), FixedProfilePolicy((1, 2, 3, 1.0)), 0), "channel indices"),
+    (lambda: run_policy(_dag_scenario(), LearningPolicy(1.0, -1.0), 0), "payoff_scale"),
+], ids=["t_max-float", "t_max-bool", "t_max-zero", "periods-float", "periods-negative", "restarts-zero",
+        "restarts-negative", "restarts-float", "profile-out-of-range", "profile-short", "profile-float",
+        "payoff-scale-negative"])
+def test_simulator_inputs_are_checked_where_they_enter(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
+def test_comparisons_refuse_zero_replications():
+    sc = _dag_scenario()
+    for replications in (0, -1):
+        with pytest.raises(ValueError, match="replications"):
+            compare_policies(sc, [RandomAccessPolicy()], replications, base_seed=1)
+        with pytest.raises(ValueError, match="replications"):
+            sweep_gamma(sc, [1.0], replications, 1, LearningPolicy(1.0))
 
 
 def test_summary_refuses_to_pool_policies_sharing_a_label():
@@ -705,7 +738,7 @@ def test_learning_policy_traces_welfare():
     sc = _scenario(
         g, [sa.MarkovChannel(0.2, 0.2), sa.MarkovChannel(0.3, 0.1)],
         sa.RandomBackoff(6),
-        rates=[[sa.FixedRate(8.0), sa.FixedRate(4.0)] for _ in range(3)],
+        rates=sa.FixedRates([[8.0, 4.0]] * 3),
         t_max=60, periods=40,
     )
     res = run_policy(sc, LearningPolicy(gamma=2.0, payoff_scale="auto"), (1, 2))
@@ -722,7 +755,7 @@ def test_per_user_mean_is_realised_throughput():
     cases = [(replace(tri.scenario, periods=20), learning_policy_from(tri))]
     g = sa.InterferenceGraph.from_edges(4, [(1, 2), (2, 3), (1, 3), (3, 4)])
     sc = _scenario(g, [sa.MarkovChannel(0.3, 0.1), sa.BernoulliChannel(0.6)], sa.RandomBackoff(6),
-                   rates=[[sa.FixedRate(8.0), sa.FixedRate(4.0)] for _ in range(4)], t_max=50, periods=20)
+                   rates=sa.FixedRates([[8.0, 4.0]] * 4), t_max=50, periods=20)
     for policy in (LearningPolicy(2.0, "auto"), RandomAccessPolicy(), FixedProfilePolicy((1, 2, 1, 2)),
                    DynamicStageGamePolicy(restarts=2)):
         cases.append((sc, policy))
@@ -739,8 +772,7 @@ def test_policy_comparison_ordering():
     sc = Scenario.build(
         g,
         [sa.MarkovChannel(0.3, 0.1), sa.BernoulliChannel(0.6), sa.BernoulliChannel(0.4)],
-        [[sa.FixedRate(b) for b in row] for row in
-         ([5, 4, 6], [7, 3, 5], [4, 6, 5], [6, 5, 4])],
+        sa.FixedRates([[5, 4, 6], [7, 3, 5], [4, 6, 5], [6, 5, 4]]),
         sa.RandomBackoff(10),
         t_max=100, periods=250,
     )
