@@ -24,6 +24,9 @@ ChainCounts = namedtuple("ChainCounts", "sum_s c00 c01 c10 c11")
 ChannelEstimates = namedtuple("ChannelEstimates", "sum_s epsilon xi theta")
 Estimates = namedtuple("Estimates", "sum_s sum_i sum_b epsilon xi theta grab rate throughput")
 
+with np.errstate(invalid="ignore"):
+    _NAN = float(np.float64(0.0) / np.float64(0.0))  # numpy's 0/0, the channel half's NaN bits
+
 
 def chain_counts(S: np.ndarray) -> ChainCounts:
     """Idle-slot counts and transition counts c_ij (state i, then j) of
@@ -55,19 +58,22 @@ def channel_estimates(counts: ChainCounts) -> ChannelEstimates:
 
 
 def user_estimates(channel: ChannelEstimates, I: np.ndarray, b: np.ndarray) -> Estimates:
-    """The user half: every user's channel half, (N,) fields read
-    at the profile, with one period's (t, N) grab and rate blocks, gives its
-    grabs and rate sum, the grab probability, the mean rate over grabbed
-    slots and throughput theta * rate * grab. Grab probability and rate are
-    NaN exactly where their ratio is 0/0: I <= S and b > 0 only where I = 1,
-    so a zero denominator has a zero numerator; one errstate around both
-    divisions costs about half of np.divide(..., where=den != 0) into
-    NaN-filled outputs at N = 9. A user's rate sum runs over a contiguous
-    copy of its column, so it equals the sum of that user's trace alone."""
+    """The user half on Python floats: every user's channel half, read at the
+    profile as one per-user sequence per field, with one period's (t, N)
+    grab and rate blocks, gives each user's grabs and rate sum (the two numpy
+    reductions), then per user in Python the grab probability, the mean rate
+    over grabbed slots and throughput theta * rate * grab, each a list with
+    one entry per user (the channel half's fields are passed through as
+    given). Grab probability and rate are NaN, with numpy's 0/0 bits,
+    exactly where their ratio is 0/0: I <= S and b > 0 only where I = 1, so
+    a zero denominator has a zero numerator; IEEE / and * on Python floats
+    give numpy's elementwise bits. Each user's rate sum runs over its row of
+    the slot-last b.T, copied only when b is not already laid out slots
+    last, so it equals the sum of that user's trace alone."""
     sum_s, eps, xi, theta = channel
-    sum_i, sum_b = I.sum(axis=0), np.ascontiguousarray(b.T).sum(axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        grab = np.true_divide(sum_i, sum_s)
-        rate = np.true_divide(sum_b, sum_i)
-    return Estimates(sum_s, sum_i, sum_b, eps, xi, theta, grab, rate, theta * rate * grab)
-
+    sum_i = np.add.reduce(I, axis=0, dtype=np.int64).tolist()
+    sum_b = np.add.reduce(np.ascontiguousarray(b.T), axis=-1).tolist()
+    grab = [i / s if s else _NAN for i, s in zip(sum_i, sum_s)]
+    rate = [x / i if i else _NAN for x, i in zip(sum_b, sum_i)]
+    throughput = [th * r * g for th, r, g in zip(theta, rate, grab)]
+    return Estimates(sum_s, sum_i, sum_b, eps, xi, theta, grab, rate, throughput)

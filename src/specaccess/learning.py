@@ -319,7 +319,8 @@ def run_learning(
     """Run the distributed learning loop for a number of decision periods.
 
     Per period every user samples a channel from its Boltzmann row, the
-    observer maps the profile to (estimates, realised values) as (N,) arrays,
+    observer maps the profile to (estimates, realised values) as (N,) arrays
+    (estimates given as a list must hold Python floats, and are read as is),
     a positive ``noise`` half-width adds one uniform draw on (-noise, noise)
     from ``rng`` to each defined estimate in user order, and each user's
     chosen-channel perception absorbs its estimate with weight mu_T: 1/T
@@ -377,7 +378,8 @@ def run_learning(
             a.append(below + 1 if below < M else M)
         a = tuple(a)
         est, realised = observer(a)
-        est = np.asarray(est, dtype=float).tolist()
+        if type(est) is not list:  # the MLE observer's estimates are Python floats already
+            est = np.asarray(est, dtype=float).tolist()
         if noise > 0.0:
             # one draw per defined estimate, in user order
             draws = iter(rng.uniform(-noise, noise, sum(x == x for x in est)).tolist())

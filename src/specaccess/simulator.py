@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -75,6 +76,11 @@ class Scenario:
             raise ValueError("one channel model per channel required")
         if self.rates._table.shape != (self.game.n_users, self.game.n_channels):
             raise ValueError("rates must be an N x M table")
+        # the game's theta and mean rates are those of the models, so replacing one side alone raises
+        if self.game.idle_prob != tuple(stationary_idle_probability(c) for c in self.channel_models):
+            raise ValueError("the game's idle probabilities differ from the channel models' stationary ones")
+        if self.game.mean_rate != tuple(tuple(map(float, row)) for row in mean_rates(self.rates)):
+            raise ValueError("the game's mean rates differ from the rate model's")
 
     @classmethod
     def build(
@@ -99,6 +105,30 @@ class Scenario:
     def initial_channel_state(self, rng: np.random.Generator) -> tuple[int, ...]:
         return tuple(sample_initial_state(c, rng) for c in self.channel_models)
 
+    @cached_property
+    def _in_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """The game's in-neighbour index and its validity, (d_max, N) and
+        contiguous: the in-neighbours ahead of the users, as the success
+        kernel gathers them."""
+        idx, valid = self.game._in_index
+        return np.ascontiguousarray(idx.T), np.ascontiguousarray(valid.T)
+
+    @cached_property
+    def _rate_constants(self) -> tuple[np.ndarray, np.ndarray, float | np.ndarray | None]:
+        """(rows, table, bandwidth) for _realise_rates, with each user's gain
+        h_n folded in once: the flat position of each user's row in the N x M
+        table, less one, so that rows + ch is cell (user, ch - 1); the table
+        (fixed rates times h_n, or the mean power gains); and for Shannon rates
+        W h_n, one float when every user has the same gain, else one per user.
+        At h = 1 every value is the rate model's own, bit for bit (x * 1.0 = x)."""
+        n, m = self.game.n_users, self.game.n_channels
+        rows, gain = np.arange(-1, n * m - 1, m), self.game.gain
+        if isinstance(self.rates, FixedRates):
+            return rows, self.rates._table * np.asarray(gain)[:, None], None
+        if len(set(gain)) == 1:
+            return rows, self.rates._table, self.rates.bandwidth * gain[0]
+        return rows, self.rates._table, self.rates.bandwidth * np.asarray(gain)
+
 
 def _channel_states(
     models: Sequence[ChannelModel],
@@ -109,22 +139,35 @@ def _channel_states(
     """(t, M) int8 states after state0 and the last slot's state, from one
     uniform per slot and channel. A Markov step maps the previous state to 0,
     to 1, to itself or to its flip, so a slot's state is the last constant (or
-    state0) XOR the parity of the flips since: a prefix scan (Blelloch 1990)."""
+    state0) XOR the parity of the flips since: a prefix scan (Blelloch 1990),
+    run once for all Markov channels, channel-major so that each channel's
+    slots are contiguous. The parity is an xor-accumulate of the flips; the
+    last constant slot is one maximum-accumulate over the flat positions,
+    each row starting at its state0 column, and one flat gather reads it."""
     u = rng.random((t, len(models)))
     out = np.empty((t, len(models)), dtype=np.int8)
+    markov = []
     for m, model in enumerate(models):
         if isinstance(model, WhiteSpaceChannel):
             out[:, m] = model.theta
         elif isinstance(model, BernoulliChannel):
             out[:, m] = u[:, m] < model.theta
         else:
-            up, down = u[:, m] < model.epsilon, u[:, m] < model.xi  # 0 -> 1, 1 -> 0
-            # index 0 stands for state0, a constant before the first slot
-            value = np.concatenate(([state0[m] == 1], up))
-            const = np.concatenate(([True], up != down))
-            flips = np.concatenate(([0], np.cumsum(up & down)))
-            last = np.maximum.accumulate(np.where(const, np.arange(t + 1), 0))
-            out[:, m] = (value[last] ^ ((flips - flips[last]) & 1))[1:]
+            markov.append(m)
+    if markov:
+        k = len(markov)
+        eps_xi = np.array([[models[m].epsilon, models[m].xi] for m in markov]).T[..., None]  # (2, k, 1)
+        up, down = u.T[markov] < eps_xi  # (k, t) each: 0 -> 1 and 1 -> 0
+        parity = np.bitwise_xor.accumulate(up & down, axis=1)
+        # row j of the (k, t + 1) flat positions: state0 at j (t + 1), slot i at j (t + 1) + 1 + i
+        pos = np.arange(k * (t + 1)).reshape(k, t + 1)
+        last = np.maximum.accumulate(np.where(up != down, pos[:, 1:], pos[:, :1]).ravel())
+        # each position's state XOR the parity up to it, exact at the constant
+        # slots: read at a slot's last one, one XOR with the slot's parity gives its state
+        anchor = np.empty((k, t + 1), dtype=bool)
+        anchor[:, 0] = [state0[m] == 1 for m in markov]
+        np.bitwise_xor(up, parity, out=anchor[:, 1:])
+        out[:, markov] = (anchor.take(last).reshape(k, t) ^ parity).T
     return out, tuple(int(x) for x in out[-1])
 
 
@@ -180,26 +223,29 @@ def _success_matrix(
     masked min over the co-channel in-neighbours (inf when there are none),
     which is exact, so no masked copy of the races is built. The
     in-neighbours sit on axis -2, ahead of the users, since numpy reduces a
-    short last axis slowly; rivals is draws[..., idx.T] for the in-neighbour
-    index idx when the caller has gathered it already."""
-    idx, valid = scenario.game._in_index
-    co = valid.T & (ch[..., idx.T] == ch[..., None, :])
+    short last axis slowly; rivals is draws[..., cols] for the in-neighbour
+    columns cols (Scenario._in_columns) when the caller has gathered it
+    already."""
+    cols, live = scenario._in_columns
+    co = live & (ch[..., cols] == ch[..., None, :])
     if rivals is None:
-        rivals = draws[..., idx.T]
+        rivals = draws[..., cols]
     return (s_user == 1) & (draws < np.minimum.reduce(rivals, axis=-2, where=co, initial=np.inf))
 
 
 def _realise_rates(scenario: Scenario, ch: np.ndarray, succ: np.ndarray, fading: np.ndarray) -> np.ndarray:
     """b values, (..., N): the rate of each grabbed slot on its channel ch
-    (broadcast against succ and fading), zero elsewhere. The rate table, fixed
-    rates or mean gains, is read at (users, ch - 1), so per-period channels
-    (k, 1, N) read it once per period. A Shannon rate is
-    W log2(1 + eta z / omega) with the power gain z = fading * mean gain."""
-    n, m, r = scenario.game.n_users, scenario.game.n_channels, scenario.rates
-    table = r._table.take(np.arange(0, n * m, m) + (ch - 1))  # at the flat (users, ch - 1) positions
+    (broadcast against succ and fading), zero elsewhere, scaled by the user's
+    gain h_n. The rate table, fixed rates times h_n or mean gains, is read at
+    (users, ch - 1), so per-period channels (k, 1, N) read it once per period.
+    A Shannon rate is W h_n log2(1 + eta z / omega) with the power gain
+    z = fading * mean gain."""
+    r = scenario.rates
+    rows, table, bandwidth = scenario._rate_constants
+    cell = table.take(rows + ch)  # at the flat (users, ch - 1) positions
     if isinstance(r, FixedRates):
-        return np.where(succ, table, 0.0)
-    return np.where(succ, r.bandwidth * np.log2(1.0 + r.tx_power * (fading * table) / r.noise_power), 0.0)
+        return np.where(succ, cell, 0.0)
+    return np.where(succ, bandwidth * np.log2(1.0 + r.tx_power * (fading * cell) / r.noise_power), 0.0)
 
 
 def _resolve(scenario: Scenario, states: np.ndarray, ch: np.ndarray, races: np.ndarray,
@@ -323,28 +369,34 @@ class PolicyResult:
 
 def _mle_period(scenario: Scenario, streams: SimStreams):
     """A function that plays the next period of the block engine at a profile
-    held for its t_max slots and returns every user's Estimates (NaN where
-    undefined). Per block it computes the channel half of the estimator (idle
-    slots, epsilon, xi, theta) once per channel and gathers the in-neighbours'
-    races once; per period it reads the channel half at the profile and adds
-    the user half (grabs, rate sums, grab probability, rate, throughput)."""
-    idx, _ = scenario.game._in_index
+    held for its t_max slots and returns every user's Estimates, one list
+    entry per user (NaN where undefined). Per block it lays the states, races
+    and fading out slots last, (k, ., t), computes the channel half of the
+    estimator (idle slots, epsilon, xi, theta) once per channel as Python
+    lists, and gathers the in-neighbours' races once; per period the kernels
+    read the period's (t, .) transposed views, so their results are laid out
+    slots last too, and the user half adds each user's grabs and rate sum
+    (one row sum each) and its grab probability, rate and throughput on
+    Python floats, reading the channel half at each user's channel."""
+    cols, _ = scenario._in_columns
 
     def periods():
         for states, races, fading in _blocks(scenario, streams):
-            # the gathered races and the (k, 4, M) channel estimates live only as long as the zip
-            channels = np.stack(channel_estimates(chain_counts(states)), axis=1)
-            yield from zip(states, races, fading, races[..., idx.T], channels)
+            states, races, fading = (np.ascontiguousarray(x.transpose(0, 2, 1)) for x in (states, races, fading))
+            # chain_counts reads (k, t, M) and sums a slot-last copy, here the block itself
+            halves = [x.tolist() for x in channel_estimates(chain_counts(states.transpose(0, 2, 1)))]
+            # the gathered races live only as long as the zip; the kernels see each period as (t, .)
+            yield from zip(states, races, fading, races[:, cols].transpose(0, 3, 1, 2), zip(*halves))
 
     source = periods()
 
     def period(a: Profile) -> Estimates:
-        states, races, fading, rivals, channels = next(source)
+        states, races, fading, rivals, halves = next(source)
         ch = np.array(a, dtype=np.int64)
-        s_user = states.take(ch - 1, axis=1)
-        succ = _success_matrix(scenario, ch, s_user, races, rivals)
-        b = _realise_rates(scenario, ch, succ, fading)
-        return user_estimates(ChannelEstimates(*channels.take(ch - 1, axis=1)), succ, b)
+        s_user = states.take(ch - 1, axis=0).T
+        succ = _success_matrix(scenario, ch, s_user, races.T, rivals)
+        b = _realise_rates(scenario, ch, succ, fading.T)
+        return user_estimates(ChannelEstimates(*([x[c - 1] for c in a] for x in halves)), succ, b)
 
     return period
 
@@ -352,11 +404,11 @@ def _mle_period(scenario: Scenario, streams: SimStreams):
 def make_mle_observer(scenario: Scenario, streams: SimStreams) -> Observer:
     """Observer of every user's MLE throughput estimate (NaN where undefined)
     and empirical per-slot throughput, one _mle_period per call."""
-    period = _mle_period(scenario, streams)
+    period, t = _mle_period(scenario, streams), scenario.t_max
 
     def observe(a: Profile):
         est = period(a)
-        return est.throughput, est.sum_b / scenario.t_max
+        return est.throughput, [x / t for x in est.sum_b]
 
     return observe
 
@@ -471,6 +523,7 @@ def compare_policies(
     if not policies:
         raise ValueError("need at least one policy")
     _check_count(replications, "replications")
+    _check_count(jobs, "jobs")
     tasks = [
         (policy, rep, (int(base_seed), rep))
         for policy in policies

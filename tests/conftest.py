@@ -117,6 +117,19 @@ def one_period(scenario, a, state, streams):
     return _resolve(scenario, states, ch, races, fading), final
 
 
+def array_user_estimates(channel, I, b):
+    """The user half as numpy array arithmetic on (N,) fields: each user's
+    grabs and rate sum, then grab probability, rate and throughput with
+    numpy's 0/0 giving NaN. The reference for the package's user half on
+    Python floats."""
+    sum_s, eps, xi, theta = (np.asarray(x) for x in channel)
+    sum_i, sum_b = I.sum(axis=0), np.ascontiguousarray(b.T).sum(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        grab = np.true_divide(sum_i, sum_s)
+        rate = np.true_divide(sum_b, sum_i)
+    return sum_s, sum_i, sum_b, eps, xi, theta, grab, rate, theta * rate * grab
+
+
 def loop_estimates(S, I, b):
     """The MLEs of one user's trace by explicit loops: (epsilon, xi, theta,
     grab, rate, throughput), NaN where a ratio is 0/0. The rate sum is the

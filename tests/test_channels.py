@@ -98,6 +98,25 @@ def test_channel_scan_matches_per_slot_loop():
     assert {(0.0, 1.0), (1.0, 0.0), (1.0, 1.0)} <= edge_rates
 
 
+def test_channel_major_scan_matches_per_slot_loop_on_markov_edges():
+    # one scan serves every Markov channel of a block: equal rates, rates
+    # summing to 1 (i.i.d. slots), busy always left (epsilon = 1) and never
+    # left (epsilon = 0), among Bernoulli and white-space columns; each run
+    # carries its final state into the next call, t = 2048 being a whole block
+    models = [MarkovChannel(0.2, 0.2), BernoulliChannel(0.3), MarkovChannel(0.3, 0.7), MarkovChannel(1.0, 0.4),
+              WhiteSpaceChannel(0), MarkovChannel(0.0, 0.6), MarkovChannel(1.0, 1.0), MarkovChannel(0.05, 0.01)]
+    rng = np.random.default_rng(89)
+    for _ in range(20):
+        seed = int(rng.integers(2**32))
+        state = expect_state = tuple(int(s) for s in rng.integers(0, 2, size=len(models)))
+        got_rng, expect_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for t in (1, 2, _BLOCK_SLOTS, 1, _BLOCK_SLOTS, 2):
+            got, state = _channel_states(models, state, t, got_rng)
+            expect, expect_state = _channel_states_per_slot(models, expect_state, t, expect_rng)
+            assert got.dtype == np.int8 and got.shape == (t, len(models)) and np.array_equal(got, expect), (seed, t)
+            assert state == expect_state
+
+
 def test_channel_periods_carry_state_across_blocks():
     models = [MarkovChannel(0.3, 0.2), BernoulliChannel(0.6), WhiteSpaceChannel(1), MarkovChannel(0.05, 0.9)]
     g = sa.InterferenceGraph.from_edges(1, [])

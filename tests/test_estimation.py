@@ -1,21 +1,24 @@
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import loop_estimates
+from conftest import array_user_estimates, loop_estimates, one_period
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specaccess.channels import BernoulliChannel, MarkovChannel, WhiteSpaceChannel, sample_initial_state
-from specaccess.contention import RandomBackoff
+from specaccess.channels import BernoulliChannel, FixedRates, MarkovChannel, WhiteSpaceChannel, sample_initial_state
+from specaccess.config import load_config
+from specaccess.contention import RandomBackoff, SlottedAloha
 from specaccess.estimation import ChainCounts, ChannelEstimates, chain_counts, channel_estimates, user_estimates
 from specaccess.game import SpectrumGame
 from specaccess.graph import InterferenceGraph
 from specaccess.learning import run_learning
-from specaccess.simulator import _channel_states
+from specaccess.simulator import Scenario, SimStreams, _channel_states, _mle_period
 
 ESTIMATES = ("epsilon", "xi", "theta", "grab", "rate", "throughput")
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _one_user(S, I=None, b=None):
@@ -124,7 +127,7 @@ def test_estimate_matches_explicit_loop_reference():
         got = np.array([getattr(est, f) for f in ESTIMATES]).T
         ref = np.array([loop_estimates(S[:, u], I[:, u], b[:, u]) for u in range(n)])
         assert np.array_equal(got, ref, equal_nan=True), case
-        assert est.sum_b.tolist() == [b[:, u].sum() for u in range(n)]
+        assert est.sum_b == [b[:, u].sum() for u in range(n)]
 
 
 def test_chain_counts_gathered_at_a_profile_match_per_user_traces():
@@ -146,6 +149,7 @@ def test_chain_counts_gathered_at_a_profile_match_per_user_traces():
             got = user_estimates(channel_estimates(ChainCounts(*(c[p][a - 1] for c in counts))), I, b)
             ref = user_estimates(channel_estimates(chain_counts(S)), I, b)
             for field, x, y in zip(got._fields, got, ref):
+                x, y = np.asarray(x), np.asarray(y)  # the user half's fields are lists
                 assert x.dtype == y.dtype and np.array_equal(x, y, equal_nan=True), (case, field)
             loops = np.array([loop_estimates(S[:, u], I[:, u], b[:, u]) for u in range(n)])
             assert np.array_equal(np.array([getattr(got, f) for f in ESTIMATES]).T, loops, equal_nan=True)
@@ -177,9 +181,54 @@ def test_channel_half_at_a_profile_then_user_half_is_estimate():
                 warnings.simplefilter("error")
                 ref = user_estimates(channel_estimates(chain_counts(S)), I, b)
             for field, x, y in zip(got._fields, got, ref):
+                x, y = np.asarray(x), np.asarray(y)  # the user half's fields are lists
                 assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (case, field)
             assert np.isnan(ref.rate[0]) and np.isnan(ref.throughput[0])
         assert np.isnan(halves.theta[:, 1:3]).all()  # white space never leaves its state
+
+
+def _edge_scenario(edge):
+    """A scenario whose periods reach one edge of the user half."""
+    if edge == "white-space triangle":  # theta is 0/0 on every channel
+        return load_config(CONFIGS / "triangle_no_ne.json").scenario
+    g = InterferenceGraph.from_edges(4, [(1, 2), (2, 3), (3, 4), (4, 1)])
+    rates = FixedRates([[3.0, 5.0, 2.5]] * 4)
+    if edge == "no idle slot":  # grab is 0/0 on the busy white-space channel
+        channels, mech = [WhiteSpaceChannel(0), MarkovChannel(0.3, 0.2), BernoulliChannel(0.6)], RandomBackoff(4)
+    else:  # Aloha users that rarely transmit: rate is 0/0 where the channel was idle
+        channels, mech = [MarkovChannel(0.3, 0.2), BernoulliChannel(0.6), WhiteSpaceChannel(1)], SlottedAloha((0.03,) * 4)
+    return Scenario.build(g, channels, rates, mech, t_max=6, periods=60)
+
+
+@pytest.mark.parametrize("edge", ["white-space triangle", "no idle slot", "idle but no grab"])
+def test_user_half_on_floats_matches_the_array_formula(edge):
+    # every period of _mle_period, field by field, against the array formula
+    # on the period's own (t, N) traces: the same bits, NaN payloads included
+    sc = _edge_scenario(edge)
+    n, m = sc.game.n_users, sc.game.n_channels
+    rng = np.random.default_rng(101)
+    period = _mle_period(sc, SimStreams.from_seed(5))
+    streams = SimStreams.from_seed(5)
+    state = sc.initial_channel_state(streams.channels)
+    hits = 0
+    for _ in range(sc.periods):
+        a = tuple(int(c) for c in rng.integers(1, m + 1, size=n))
+        (S, I, b), state = one_period(sc, a, state, streams)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = period(a)
+        ref = array_user_estimates(channel_estimates(chain_counts(S)), I, b)
+        for field, x, y in zip(got._fields, got, ref):
+            assert type(x) is list and len(x) == n, field
+            assert np.asarray(x).tobytes() == np.asarray(y).tobytes(), (edge, a, field)
+        sum_s, sum_i, theta, grab, rate = (np.asarray(getattr(got, f)) for f in ("sum_s", "sum_i", "theta", "grab", "rate"))
+        if edge == "white-space triangle":
+            hits += int(np.isnan(theta).all())
+        elif edge == "no idle slot":
+            hits += int(np.sum((sum_s == 0) & np.isnan(grab)))
+        else:
+            hits += int(np.sum((sum_s > 0) & (sum_i == 0) & (grab == 0) & np.isnan(rate)))
+    assert hits > 0, edge
 
 
 def test_estimate_raises_no_floating_point_warning():

@@ -701,6 +701,56 @@ def test_comparisons_refuse_zero_replications():
             sweep_gamma(sc, [1.0], replications, 1, LearningPolicy(1.0))
 
 
+def test_comparisons_refuse_fewer_than_one_job():
+    # jobs = 0 used to run serially
+    sc = _dag_scenario()
+    for jobs in (0, -2):
+        with pytest.raises(ValueError, match="jobs"):
+            compare_policies(sc, [RandomAccessPolicy()], 2, base_seed=1, jobs=jobs)
+        with pytest.raises(ValueError, match="jobs"):
+            sweep_gamma(sc, [1.0], 2, 1, LearningPolicy(1.0), jobs=jobs)
+
+
+def test_scenario_rejects_a_game_its_models_do_not_give():
+    # replacing the rates alone used to keep the old game, whose analytic
+    # payoffs then no longer described the simulated slots
+    sc = _dag_scenario()
+    scaled = sa.FixedRates([[100.0 * b for b in row] for row in sc.rates.mean])
+    with pytest.raises(ValueError, match="mean rates"):
+        replace(sc, rates=scaled)
+    with pytest.raises(ValueError, match="idle probabilities"):
+        replace(sc, channel_models=(sa.BernoulliChannel(0.5),) * 3)
+    rebuilt = Scenario.build(sc.game.graph, sc.channel_models, scaled, sc.game.mechanism, t_max=10, periods=3)
+    assert rebuilt.game.mean_rate[0] == (500.0, 400.0, 600.0)
+    # another mechanism over the same theta and mean rates is still a game of these models
+    aloha = sa.SlottedAloha((0.5,) * 4)
+    game = sa.SpectrumGame.create(sc.game.graph, sc.game.idle_prob, sc.game.mean_rate, aloha)
+    assert replace(sc, game=game).game.mechanism == aloha
+
+
+@pytest.mark.parametrize("rate_kind, gains", [
+    ("fixed", (3.0, 1.0, 1.0, 1.0)),
+    ("rayleigh", (3.0, 1.0, 0.5, 2.0)),
+    ("rayleigh", (2.0,) * 4),
+])
+def test_per_user_gains_scale_the_simulated_rates(rate_kind, gains):
+    # h_n scales user n's rate in every slot it grabs, so each user's simulated
+    # mean is its payoff theta h_n B g; with h_1 = 3 on dag_chain.json user 1
+    # used to read 3.76 against a payoff of 11.25
+    dag = load_config(CONFIGS / "dag_chain.json").scenario
+    rates = dag.rates
+    if rate_kind == "rayleigh":
+        rates = sa.RayleighShannonRates(10.0, 0.1, 1e-13, [[1e-12 * b for b in row] for row in dag.rates.mean])
+    sc = Scenario.build(dag.game.graph, dag.channel_models, rates, dag.game.mechanism, gains,
+                        t_max=100, periods=3000)
+    a = (1, 2, 3, 1)
+    blocks = _block_outcomes(sc, FixedProfilePolicy(a), SimStreams.from_seed((1, 0)))
+    per_period = np.concatenate([b.sum(axis=1) for *_, b in blocks]) / sc.t_max  # (periods, N)
+    sem = per_period.std(axis=0, ddof=1) / math.sqrt(sc.periods)
+    payoff = np.array([sc.game.payoff(a, n) for n in range(1, 5)])
+    assert np.all(np.abs(per_period.mean(axis=0) - payoff) < 4 * sem), (per_period.mean(axis=0), payoff, sem)
+
+
 def test_summary_refuses_to_pool_policies_sharing_a_label():
     g = sa.InterferenceGraph.from_edges(2, [(1, 2)])
     sc = _scenario(g, [sa.BernoulliChannel(0.5)], sa.RandomBackoff(4), t_max=10, periods=3)
