@@ -320,7 +320,8 @@ def run_learning(
 
     Per period every user samples a channel from its Boltzmann row, the
     observer maps the profile to (estimates, realised values) as (N,) arrays
-    (estimates given as a list must hold Python floats, and are read as is),
+    (a list of Python floats is read as is; any other estimates are widened
+    to float64),
     a positive ``noise`` half-width adds one uniform draw on (-noise, noise)
     from ``rng`` to each defined estimate in user order, and each user's
     chosen-channel perception absorbs its estimate with weight mu_T: 1/T
@@ -378,7 +379,8 @@ def run_learning(
             a.append(below + 1 if below < M else M)
         a = tuple(a)
         est, realised = observer(a)
-        if type(est) is not list:  # the MLE observer's estimates are Python floats already
+        # read as is only a list of Python floats, as the MLE observer returns
+        if type(est) is not list or not all(type(x) is float for x in est):
             est = np.asarray(est, dtype=float).tolist()
         if noise > 0.0:
             # one draw per defined estimate, in user order

@@ -114,20 +114,18 @@ class Scenario:
         return np.ascontiguousarray(idx.T), np.ascontiguousarray(valid.T)
 
     @cached_property
-    def _rate_constants(self) -> tuple[np.ndarray, np.ndarray, float | np.ndarray | None]:
+    def _rate_constants(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """(rows, table, bandwidth) for _realise_rates, with each user's gain
         h_n folded in once: the flat position of each user's row in the N x M
         table, less one, so that rows + ch is cell (user, ch - 1); the table
         (fixed rates times h_n, or the mean power gains); and for Shannon rates
-        W h_n, one float when every user has the same gain, else one per user.
-        At h = 1 every value is the rate model's own, bit for bit (x * 1.0 = x)."""
+        W h_n, one per user. At h = 1 every value is the rate model's own, bit
+        for bit (x * 1.0 = x)."""
         n, m = self.game.n_users, self.game.n_channels
-        rows, gain = np.arange(-1, n * m - 1, m), self.game.gain
+        rows, gain = np.arange(-1, n * m - 1, m), np.asarray(self.game.gain)
         if isinstance(self.rates, FixedRates):
-            return rows, self.rates._table * np.asarray(gain)[:, None], None
-        if len(set(gain)) == 1:
-            return rows, self.rates._table, self.rates.bandwidth * gain[0]
-        return rows, self.rates._table, self.rates.bandwidth * np.asarray(gain)
+            return rows, self.rates._table * gain[:, None], None
+        return rows, self.rates._table, self.rates.bandwidth * gain
 
 
 def _channel_states(

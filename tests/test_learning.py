@@ -310,6 +310,21 @@ def test_run_learning_respects_observer_skips():
     assert np.isnan(out.estimates[1, 0]) and out.estimates[0, 0] == 2.0
 
 
+def test_run_learning_widens_list_estimates_that_are_not_python_floats():
+    # a list of float32 estimates updates P in float64 exactly as the same
+    # values widened to a float64 array would
+    g = sa.InterferenceGraph.from_edges(3, [(1, 2), (2, 3)])
+    spec = SpectrumGame.create(g, [0.5, 0.7], [[4.0, 3.0]] * 3, sa.RandomBackoff(4))
+    values = [np.float32(x) for x in (1.1, 2.3, 3.7)]
+    widened = np.asarray(values, dtype=float)
+    runs = [run_learning(spec, gamma=2.0, periods=40, rng=np.random.default_rng(3),
+                         observer=lambda a, est=est: (est, widened), noise=0.1)
+            for est in (values, widened)]
+    assert runs[0].perceptions.dtype == np.float64
+    assert np.array_equal(runs[0].perceptions, runs[1].perceptions)
+    assert np.array_equal(runs[0].estimates, runs[1].estimates)
+
+
 def test_noise_is_drawn_once_per_defined_estimate_in_user_order():
     g = sa.InterferenceGraph.from_edges(4, [])
     spec = SpectrumGame.create(g, [0.5, 0.5], [[4.0, 4.0]] * 4, sa.RandomBackoff(4))
