@@ -27,7 +27,9 @@ import numpy as np
 from .contention import SlottedAloha
 from .game import SpectrumGame, _check_count, check_mixed_profile
 
-Observer = Callable[[tuple[int, ...]], tuple[np.ndarray, np.ndarray]]
+# profile -> (estimates, realised values), each (N,): an array, or a list of
+# Python floats (the MLE observer's lists)
+Observer = Callable[[tuple[int, ...]], tuple[np.ndarray | list[float], np.ndarray | list[float]]]
 
 _SNAPSHOT_FLOATS = 1 << 12  # perception snapshots held for one error_trace reduction
 _DAMPING = 0.3  # fixed-point step P <- P + _DAMPING (Q - P), taken once the residual rises
@@ -38,9 +40,7 @@ def boltzmann_profile(P: np.ndarray, gamma: float) -> np.ndarray:
     row n is user n's mixed strategy. Each row is max-subtracted for overflow
     safety; P, and the exponent gamma * P, must be finite."""
     _check_temperature(gamma)
-    P = np.asarray(P, dtype=float)
-    _check_perceptions(P, gamma)
-    return _softmax(P, gamma)
+    return _softmax(_exponent(np.asarray(P, dtype=float), gamma))
 
 
 def _check_temperature(gamma: float) -> None:
@@ -53,19 +53,27 @@ def _check_payoff_scale(payoff_scale: float) -> None:
         raise ValueError(f"payoff_scale must be positive and finite, got {payoff_scale!r}")
 
 
-def _check_perceptions(P: np.ndarray, gamma: float) -> None:
-    with np.errstate(over="ignore"):  # an exponent that overflows would give NaN rows
-        if not np.all(np.isfinite(gamma * P)):
-            raise ValueError(f"perceptions, and the Boltzmann exponent at temperature {gamma:g}, must be finite")
-
-
-def _softmax(P: np.ndarray, gamma: float) -> np.ndarray:
-    """boltzmann_profile without its checks: P finite, gamma positive and finite."""
-    z = gamma * P
-    z -= np.maximum.reduce(z, axis=1, keepdims=True)
-    np.exp(z, out=z)
-    z /= np.add.reduce(z, axis=1, keepdims=True)
+def _exponent(P: np.ndarray, gamma: float) -> np.ndarray:
+    """The Boltzmann exponent gamma * P, checked finite: an exponent that
+    overflows would give NaN rows."""
+    with np.errstate(over="ignore"):
+        z = gamma * P
+    if not np.all(np.isfinite(z)):
+        raise _exponent_error(gamma)
     return z
+
+
+def _exponent_error(gamma: float) -> ValueError:
+    return ValueError(f"perceptions, and the Boltzmann exponent at temperature {gamma:g}, must be finite")
+
+
+def _softmax(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise softmax of a finite (N, M) exponent z, into out (a new array
+    by default), without boltzmann_profile's checks."""
+    out = np.subtract(z, np.maximum.reduce(z, axis=1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= np.add.reduce(out, axis=1, keepdims=True)
+    return out
 
 
 def contraction_temperature_bound(spec: SpectrumGame) -> float:
@@ -213,7 +221,7 @@ def mean_dynamics_fixed_point(
         previous, residual = residual, float(np.maximum.reduce(np.abs(Q - P), axis=None))
         damped = damped or residual > previous
         P = P + _DAMPING * (Q - P) if damped else Q
-        sigma = _softmax(P / payoff_scale, gamma)
+        sigma = _softmax(gamma * (P / payoff_scale))
         if residual < tol:
             return FixedPointResult(P, sigma, it, residual, True, within)
     return FixedPointResult(P, sigma, max_iter, residual, False, within)
@@ -271,9 +279,9 @@ def _entropy_gap(sigma: np.ndarray, gamma_eff: float) -> float:
 
 def exact_observer(spec: SpectrumGame) -> Observer:
     """Observer returning the true expected throughput of the realised profile
-    as both estimate and realised value - the zero-estimation-error hook. The
-    payoffs of each profile are computed once and kept, read-only, for the
-    observer's lifetime."""
+    as both estimate and realised value - the zero-estimation-error hook -
+    as one read-only (N,) float array, the same object twice. The payoffs of
+    each profile are computed once and kept for the observer's lifetime."""
     seen: dict[tuple[int, ...], np.ndarray] = {}
 
     def observe(a: tuple[int, ...]):
@@ -319,23 +327,26 @@ def run_learning(
     """Run the distributed learning loop for a number of decision periods.
 
     Per period every user samples a channel from its Boltzmann row, the
-    observer maps the profile to (estimates, realised values) as (N,) arrays
-    (a list of Python floats is read as is; any other estimates are widened
-    to float64),
-    a positive ``noise`` half-width adds one uniform draw on (-noise, noise)
-    from ``rng`` to each defined estimate in user order, and each user's
-    chosen-channel perception absorbs its estimate with weight mu_T: 1/T
-    under "1/T" (sums diverge, squares converge), otherwise the constant mu
-    in (0, 1]. A NaN estimate (undefined MLE for that user-period) skips the
-    update.
+    observer maps the profile to (estimates, realised values), each (N,): an
+    array, or a list of Python floats, as the MLE observer returns (such a
+    list of estimates is read as is; any other estimates are widened to
+    float64). A positive ``noise`` half-width adds one uniform draw on
+    (-noise, noise) from ``rng`` to each defined estimate in user order, and
+    each user's chosen-channel perception absorbs its estimate with weight
+    mu_T: 1/T under "1/T" (sums diverge, squares converge), otherwise the
+    constant mu in (0, 1]. A NaN estimate (undefined MLE for that
+    user-period) skips the update.
 
     periods (an int >= 1), mu, noise (finite, >= 0), gamma and payoff_scale
     (finite, > 0) and the start P (finite, with a finite exponent
     gamma * P / payoff_scale) are checked once, before the observer is first
-    called; the loop then runs on the unchecked softmax, and a non-finite
-    estimate that reaches P raises ValueError in the period it arrives. The welfare trace (users summed left
-    to right), the per-user means (periods in order) and the distance to
-    ``oracle`` are computed from the kept per-period rows after the loop.
+    called. The loop keeps that exponent next to P, updating a cell with
+    each perception it writes, and takes each period's softmax from it into
+    buffers allocated once per run; an update that makes a perception or its
+    exponent non-finite raises ValueError in the period it arrives. The
+    welfare trace (users summed left to right), the per-user means (periods
+    in order) and the distance to ``oracle`` are computed from the kept
+    per-period rows after the loop.
     """
     _check_count(periods, "periods")
     decaying = mu == "1/T"
@@ -347,13 +358,14 @@ def run_learning(
     _check_payoff_scale(payoff_scale)
     N, M = spec.n_users, spec.n_channels
     P = initial_perceptions(spec, payoff_scale) if p0 is None else np.array(p0, dtype=float, order="C")
-    _check_perceptions(P / payoff_scale, gamma)
+    Z = _exponent(P / payoff_scale, gamma)  # kept gamma * (P / payoff_scale), cell by cell as P is written
     if observer is None:
         observer = exact_observer(spec)
     gamma_eff = gamma / payoff_scale
-    flat = P.reshape(-1)  # a view: cell (n, m) of P is flat[n * M + m]
+    flat, zflat = P.reshape(-1), Z.reshape(-1)  # views: cell (n, m) is flat[n * M + m]
     rows = range(-1, N * M - 1, M)  # flat index of user n's channel c is rows[n] + c
     mirror = P.tolist()  # P as Python floats, written in step with it
+    probs, running = np.empty((N, M)), np.empty((N, M))  # each period's softmax and its row sums
 
     realised_rows = np.empty((periods, N))
     dP_trace = np.empty(periods)
@@ -371,11 +383,9 @@ def run_learning(
         # Python cannot match bit for bit; the rest is per-user work on Python
         # floats, whose + - * / give numpy's elementwise bits
         a = []
-        for cdf, u in zip(np.add.accumulate(_softmax(P / payoff_scale, gamma), axis=1).tolist(),
-                          rng.random(N).tolist()):
-            bar = u * cdf[-1]
-            # 1 + the entries <= bar, capped at M; a NaN row (an overflowed exponent) has none
-            below = bisect_right(cdf, bar) if bar == bar else 0
+        cdfs = np.add.accumulate(_softmax(Z, probs), axis=1, out=running).tolist()
+        for cdf, u in zip(cdfs, rng.random(N).tolist()):
+            below = bisect_right(cdf, u * cdf[-1])  # 1 + the entries <= u * total, capped at M
             a.append(below + 1 if below < M else M)
         a = tuple(a)
         est, realised = observer(a)
@@ -395,9 +405,13 @@ def run_learning(
                 continue
             old = row[c - 1]
             new = keep * old + mu_T * x
-            if not -math.inf < new < math.inf:
-                raise ValueError("perceptions must be finite")
+            z = gamma * (new / payoff_scale)  # the cell of numpy's gamma * (P / payoff_scale)
+            if not -math.inf < z < math.inf:  # as it is whenever new is not finite
+                if not -math.inf < new < math.inf:
+                    raise ValueError("perceptions must be finite")
+                raise _exponent_error(gamma)
             row[c - 1] = flat[first + c] = new
+            zflat[first + c] = z
             d = abs(new - old)
             if d > dP:
                 dP = d
@@ -414,7 +428,7 @@ def run_learning(
 
     if record:
         estimates[np.isnan(estimates)] = np.nan  # one NaN for every skip, whatever the observer's payload
-    sigma = boltzmann_profile(P / payoff_scale, gamma)
+    sigma = _softmax(Z)
     return LearningOutcome(
         perceptions=P,
         sigma=sigma,

@@ -6,9 +6,10 @@ draws, so mutually non-interfering users can occupy the same channel
 simultaneously. All randomness flows through four substreams spawned from a
 single master seed (SimStreams). One block engine plays every policy: it
 draws blocks of whole periods (about _BLOCK_SLOTS slots), each block's
-channel states, contention races and fading in one call each on their own
-substreams, so every policy consumes all but the policy substream
-identically, which pairs policy comparisons on the same sample paths. A
+channel states, contention races and, under Shannon rates, fading in one
+call each on their own substreams, so within a scenario every policy
+consumes all but the policy substream identically, which pairs policy
+comparisons on the same sample paths. A
 channel-choosing policy then picks the block's channels, per period (k, 1, N)
 or per slot (k, t, N), and all its periods resolve at once; the per-period
 MLE behind the learning policy's observer and the estimate command reads the
@@ -20,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -174,20 +176,24 @@ def _blocks(scenario: Scenario, streams: SimStreams):
     whole periods, the last block cut at scenario.periods: the channel states
     (k, t_max, M), with the chain state carried from block to block, the
     contention races (k, t_max, N) and the standard-exponential fading
-    (k, t_max, N), each from one draw on its own substream. The generators
-    give the same values drawn split or joined, so a block equals its periods
-    drawn in turn, whatever k is, and every policy consumes these three
-    substreams identically. A policy's channels for the block are (k, 1, N)
-    when they are held for each period, or (k, t_max, N) per slot; the
-    kernels broadcast either against the block's (k, t_max, .) draws."""
+    (k, t_max, N), each from one draw on its own substream. Fading is drawn
+    only where a rate reads it, for Shannon rates; under fixed rates the
+    block's fading is None and the fading substream is left untouched. The
+    generators give the same values drawn split or joined, so a block equals
+    its periods drawn in turn, whatever k is, and within a scenario every
+    policy consumes these three substreams identically. A policy's channels
+    for the block are (k, 1, N) when they are held for each period, or
+    (k, t_max, N) per slot; the kernels broadcast either against the block's
+    (k, t_max, .) draws."""
     t, n = scenario.t_max, scenario.game.n_users
     k = max(1, _BLOCK_SLOTS // t)
+    fading = None if isinstance(scenario.rates, FixedRates) else streams.fading
     state = scenario.initial_channel_state(streams.channels)
     for start in range(0, scenario.periods, k):
         kb = min(k, scenario.periods - start)
         states, state = _channel_states(scenario.channel_models, state, kb * t, streams.channels)
         yield (states.reshape(kb, t, -1), _contention_draws(scenario, streams, (kb, t)),
-               streams.fading.standard_exponential((kb, t, n)))
+               None if fading is None else fading.standard_exponential((kb, t, n)))
 
 
 def _contention_draws(scenario: Scenario, streams: SimStreams, shape: tuple[int, ...]) -> np.ndarray:
@@ -217,27 +223,34 @@ def _success_matrix(
     the idle indicators s_user and races draws: per-period channels
     (k, 1, N) build the co-channel mask once per period. A user wins an idle
     slot when its draw beats every co-channel in-neighbour's; under Aloha
-    that is when it alone among them transmits. The rivals' minimum is a
-    masked min over the co-channel in-neighbours (inf when there are none),
-    which is exact, so no masked copy of the races is built. The
-    in-neighbours sit on axis -2, ahead of the users, since numpy reduces a
-    short last axis slowly; rivals is draws[..., cols] for the in-neighbour
-    columns cols (Scenario._in_columns) when the caller has gathered it
-    already."""
+    that is when it alone among them transmits. The rivals' minimum is the
+    min over the co-channel in-neighbours (inf when there are none), which
+    is exact whichever way it is taken: a masked reduce where the mask
+    broadcasts against the rivals (per-period channels, the MLE period's
+    profile), and a min over a where-filled copy of the rivals where the
+    mask changes every slot (per-slot channels), for which it is the faster
+    of the two. The in-neighbours sit on axis -2, ahead of the users, since
+    numpy reduces a short last axis slowly; rivals is draws[..., cols] for
+    the in-neighbour columns cols (Scenario._in_columns) when the caller has
+    gathered it already."""
     cols, live = scenario._in_columns
     co = live & (ch[..., cols] == ch[..., None, :])
     if rivals is None:
         rivals = draws[..., cols]
-    return (s_user == 1) & (draws < np.minimum.reduce(rivals, axis=-2, where=co, initial=np.inf))
+    if co.shape == rivals.shape:  # a mask per slot; initial=inf, as an edgeless graph reduces an empty axis
+        best = np.minimum.reduce(np.where(co, rivals, np.inf), axis=-2, initial=np.inf)
+    else:
+        best = np.minimum.reduce(rivals, axis=-2, where=co, initial=np.inf)
+    return (s_user == 1) & (draws < best)
 
 
-def _realise_rates(scenario: Scenario, ch: np.ndarray, succ: np.ndarray, fading: np.ndarray) -> np.ndarray:
+def _realise_rates(scenario: Scenario, ch: np.ndarray, succ: np.ndarray, fading: np.ndarray | None) -> np.ndarray:
     """b values, (..., N): the rate of each grabbed slot on its channel ch
     (broadcast against succ and fading), zero elsewhere, scaled by the user's
     gain h_n. The rate table, fixed rates times h_n or mean gains, is read at
     (users, ch - 1), so per-period channels (k, 1, N) read it once per period.
     A Shannon rate is W h_n log2(1 + eta z / omega) with the power gain
-    z = fading * mean gain."""
+    z = fading * mean gain; fixed rates read no fading (None from _blocks)."""
     r = scenario.rates
     rows, table, bandwidth = scenario._rate_constants
     cell = table.take(rows + ch)  # at the flat (users, ch - 1) positions
@@ -247,7 +260,7 @@ def _realise_rates(scenario: Scenario, ch: np.ndarray, succ: np.ndarray, fading:
 
 
 def _resolve(scenario: Scenario, states: np.ndarray, ch: np.ndarray, races: np.ndarray,
-             fading: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+             fading: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(S, I, b), each shaped like races, for channels ch (..., N) over
     channel states (..., M), with the slots' races and fading; ch may hold
     one row per period, (k, 1, N), broadcast against the (k, t, .) slots."""
@@ -321,10 +334,11 @@ class LearningPolicy:
 class DynamicStageGamePolicy:
     """Benchmark with global per-slot channel-state knowledge: each slot is
     played at a stage-game profile solved with theta replaced by the realised
-    states. Its chooser memoises one solution per state vector for the whole
-    rollout and solves new state vectors in slot order, drawing restarts from
-    the policy substream; the block engine then resolves all slots of a
-    block at once, like any other policy's."""
+    states. Its chooser groups a block's slots by state vector
+    (_state_groups), memoises one solution per state vector for the whole
+    rollout and solves new state vectors in the order of their first slot,
+    drawing restarts from the policy substream; the block engine then
+    resolves all slots of a block at once, like any other policy's."""
 
     restarts: int = 10
     max_rounds: int = MAX_ROUNDS
@@ -339,18 +353,41 @@ class DynamicStageGamePolicy:
         memo: dict[tuple[int, ...], Profile] = {}
 
         def choose(states: np.ndarray) -> np.ndarray:
-            flat = np.ascontiguousarray(states.reshape(-1, states.shape[-1]))
-            # one opaque value per slot's state vector, so np.unique compares whole rows
-            rows = flat.view(np.dtype((np.void, flat.shape[1] * flat.itemsize))).ravel()
-            _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+            flat = states.reshape(-1, states.shape[-1])
+            first, inverse = _state_groups(flat)
             keys = [tuple(key) for key in flat[first].tolist()]
             for j in np.argsort(first).tolist():  # first-seen slot order
                 if keys[j] not in memo:
                     memo[keys[j]] = _solve_stage(scenario.game, keys[j], rng, self)
             table = np.array([memo[key] for key in keys], dtype=np.int64)
-            return table[inverse.reshape(states.shape[:-1])]
+            return table.take(inverse.reshape(states.shape[:-1]), axis=0)
 
         return choose
+
+
+def _state_groups(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The slots of (S, M) 0/1 state rows grouped by row: (first, inverse),
+    first[g] the first slot of group g and inverse[s] the group of slot s,
+    the groups in the rows' lexicographic order, as np.unique gives them for
+    whole rows. Each row is packed into ceil(M / 8) bytes, first channel in
+    the top bit, so byte order is row order; a row-padded copy packs in one
+    call on the flat array, where packbits along an axis is slow. One stable
+    sort (a lexsort across the bytes, last byte least significant) keeps each
+    group's slots in slot order, so a group's first sorted slot is its first."""
+    s, m = flat.shape
+    bits = np.zeros((s, -(-m // 8) * 8), dtype=np.int8)
+    bits[:, :m] = flat
+    keys = np.packbits(bits.ravel()).reshape(s, -1)
+    order = np.lexsort(keys.T[::-1])
+    ordered = keys.take(order, axis=0)
+    new = np.empty(s, dtype=bool)  # where a group starts in sorted order
+    new[0] = True
+    np.not_equal(ordered[1:, 0], ordered[:-1, 0], out=new[1:])
+    for byte in range(1, ordered.shape[1]):
+        new[1:] |= ordered[1:, byte] != ordered[:-1, byte]
+    inverse = np.empty(s, dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
 
 
 Policy = RandomAccessPolicy | FixedProfilePolicy | LearningPolicy | DynamicStageGamePolicy
@@ -375,12 +412,14 @@ def _mle_period(scenario: Scenario, streams: SimStreams):
     read the period's (t, .) transposed views, so their results are laid out
     slots last too, and the user half adds each user's grabs and rate sum
     (one row sum each) and its grab probability, rate and throughput on
-    Python floats, reading the channel half at each user's channel."""
+    Python floats, reading the channel half at each user's channel. Under
+    fixed rates the block has no fading, and each period reads None."""
     cols, _ = scenario._in_columns
 
     def periods():
         for states, races, fading in _blocks(scenario, streams):
-            states, races, fading = (np.ascontiguousarray(x.transpose(0, 2, 1)) for x in (states, races, fading))
+            states, races = (np.ascontiguousarray(x.transpose(0, 2, 1)) for x in (states, races))
+            fading = repeat(None) if fading is None else np.ascontiguousarray(fading.transpose(0, 2, 1))
             # chain_counts reads (k, t, M) and sums a slot-last copy, here the block itself
             halves = [x.tolist() for x in channel_estimates(chain_counts(states.transpose(0, 2, 1)))]
             # the gathered races live only as long as the zip; the kernels see each period as (t, .)
@@ -393,7 +432,7 @@ def _mle_period(scenario: Scenario, streams: SimStreams):
         ch = np.array(a, dtype=np.int64)
         s_user = states.take(ch - 1, axis=0).T
         succ = _success_matrix(scenario, ch, s_user, races.T, rivals)
-        b = _realise_rates(scenario, ch, succ, fading.T)
+        b = _realise_rates(scenario, ch, succ, None if fading is None else fading.T)
         return user_estimates(ChannelEstimates(*([x[c - 1] for c in a] for x in halves)), succ, b)
 
     return period
@@ -401,7 +440,8 @@ def _mle_period(scenario: Scenario, streams: SimStreams):
 
 def make_mle_observer(scenario: Scenario, streams: SimStreams) -> Observer:
     """Observer of every user's MLE throughput estimate (NaN where undefined)
-    and empirical per-slot throughput, one _mle_period per call."""
+    and empirical per-slot throughput, as two lists of Python floats, one
+    _mle_period per call."""
     period, t = _mle_period(scenario, streams), scenario.t_max
 
     def observe(a: Profile):

@@ -617,6 +617,26 @@ def test_run_learning_raises_once_an_estimate_makes_perceptions_non_finite():
         assert len(calls) == 3  # raised in the period the estimate arrived
 
 
+def test_run_learning_raises_in_the_period_an_update_overflows_the_exponent():
+    # rates of 1e308 on a 2-user edge: the first update leaves every perception
+    # finite but gamma * P overflows, which would put NaN rows into the softmax
+    spec = SpectrumGame.create(sa.InterferenceGraph.from_edges(2, [(1, 2)]), [0.5, 0.6], [[1e308, 1e308]] * 2,
+                               sa.RandomBackoff(4))
+    exact, calls = exact_observer(spec), []
+
+    def observer(a):
+        calls.append(a)
+        return exact(a)
+
+    periods = 20
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="Boltzmann exponent at temperature 50"):
+            run_learning(spec, 50.0, periods, np.random.default_rng(0), observer=observer, payoff_scale=1.0)
+    assert 0 < len(calls) < periods
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 def test_invalid_temperature_or_start_raises_before_any_work():
     spec = _one_user_game(2)
     calls = []

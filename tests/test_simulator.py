@@ -34,6 +34,7 @@ from specaccess.simulator import (
     _contention_draws,
     _realise_rates,
     _solve_stage,
+    _state_groups,
     _success_matrix,
     compare_policies,
     make_mle_observer,
@@ -164,12 +165,23 @@ def test_success_matrix_matches_per_slot_check():
             draws = _contention_draws(sc, SimStreams.from_seed(int(rng.integers(1000))), (t,))
             ch = rng.integers(1, m + 1, size=(t, n))
             s_user = rng.integers(0, 2, size=(t, n)).astype(np.int8)
+            # per-slot channels: the co-channel mask is as large as the rivals, so
+            # the minimum is taken over a where-filled copy of them
             got = _success_matrix(sc, ch, s_user, draws)
             assert got.shape == (t, n) and got.dtype == bool
             for k in range(t):
                 assert np.array_equal(got[k], _slot_success(sc, ch[k], s_user[k], draws[k])), (n, kind, k)
+            # one profile for the whole trace with the rivals gathered by the
+            # caller, as the MLE period calls it: a masked reduce
+            cols, _ = sc._in_columns
+            profile = ch[0]
+            got = _success_matrix(sc, profile, s_user, draws, draws[:, cols])
+            assert got.shape == (t, n)
+            for k in range(t):
+                assert np.array_equal(got[k], _slot_success(sc, profile, s_user[k], draws[k])), (n, kind, k)
             # per-period channels, (k, 1, N) as the random-access and fixed-profile
-            # choosers return them, against the same channels broadcast to every slot
+            # choosers return them (a masked reduce), against the same channels
+            # broadcast to every slot (a where-filled minimum)
             held = rng.integers(1, m + 1, size=(6, 1, n))
             blocks = [x.reshape(6, t // 6, n) for x in (s_user, draws)]
             got = _success_matrix(sc, held, *blocks)
@@ -180,6 +192,22 @@ def test_success_matrix_matches_per_slot_check():
                 assert np.array_equal(got[k, j], ref), (n, kind, k, j)
             if kind == "aloha":
                 assert set(np.unique(draws).tolist()) == {0.0, math.inf}
+
+
+@pytest.mark.parametrize("m", [1, 3, 8, 9, 70])
+def test_state_groups_match_unique_on_whole_rows(m):
+    # np.unique on one opaque value per row is the reference: the same groups
+    # in the same order, so the same first slot per group and first-seen order
+    rng = np.random.default_rng(m)
+    for s, idle in [(1, 0.5), (2000, 0.5), (2000, 0.05), (2000, 1.0), (777, 0.9)]:
+        flat = (rng.random((s, m)) < idle).astype(np.int8)
+        if s > 1:
+            flat[s // 2] = flat[s // 3]  # at least one repeated row
+        rows = flat.view(np.dtype((np.void, m))).ravel()
+        _, first_ref, inverse_ref = np.unique(rows, return_index=True, return_inverse=True)
+        first, inverse = _state_groups(flat)
+        assert np.array_equal(first, first_ref) and np.array_equal(inverse, inverse_ref.ravel()), (s, idle)
+        assert np.array_equal(flat[first][inverse], flat), (s, idle)
 
 
 @pytest.mark.parametrize("kind", ["backoff", "asymptotic", "weighted", "aloha"])
@@ -635,36 +663,50 @@ def test_identical_policies_paired_outputs():
 
 def test_policies_consume_channel_contention_and_fading_identically(monkeypatch):
     # every policy plays the blocks of one generator, which draws the channel
-    # states, races and fading, so run at one seed all four see the same ones,
-    # on fixed and on Rayleigh-Shannon rates alike
+    # states and races on both rate kinds and the fading only under Rayleigh
+    # rates, so run at one seed all four see the same draws; under fixed rates
+    # no block carries fading and the fading substream is never drawn from
     g = sa.InterferenceGraph.from_edges(4, [(1, 2), (2, 3), (1, 3), (3, 4)])
     # 150 periods of 30 slots are three blocks, the last one cut short
     rng = np.random.default_rng(5)
-    scenarios = [_scenario(g, [sa.MarkovChannel(0.3, 0.1), sa.MarkovChannel(0.2, 0.4)], sa.RandomBackoff(6),
-                           rates=_random_rates(rng, 4, 2, kind), t_max=30, periods=150) for kind in RATE_KINDS]
-    sc = scenarios[0]
-    seen = {}
+    seed = (8, 3)
+    seen, used = {}, []
 
     def recording(scenario, streams):
+        used.append(streams)
         for block in _blocks(scenario, streams):
             for name, values in zip(("states", "races", "fading"), block):
-                seen.setdefault(name, []).append(values.copy())
+                seen.setdefault(name, []).append(None if values is None else values.copy())
             yield block
 
     monkeypatch.setattr(simulator, "_blocks", recording)
-    runs = []
-    for scenario in scenarios:
+    untouched = SimStreams.from_seed(seed).fading.bit_generator.state
+    runs = {}
+    for kind in RATE_KINDS:
+        sc = _scenario(g, [sa.MarkovChannel(0.3, 0.1), sa.MarkovChannel(0.2, 0.4)], sa.RandomBackoff(6),
+                       rates=_random_rates(rng, 4, 2, kind), t_max=30, periods=150)
         for policy in (LearningPolicy(2.0, "auto"), RandomAccessPolicy(), FixedProfilePolicy((1, 2, 1, 2)),
                        DynamicStageGamePolicy(restarts=2)):
             seen.clear()
-            run_policy(scenario, policy, (8, 3))
-            runs.append({name: np.concatenate(v) for name, v in seen.items()})
-    for run in runs:
-        assert run.keys() == {"states", "races", "fading"}
-        assert run["states"].shape == (sc.periods, sc.t_max, 2) and run["races"].shape == (sc.periods, sc.t_max, 4)
-        assert run["fading"].shape == (sc.periods, sc.t_max, 4)
-        for name, values in run.items():
-            assert np.array_equal(values, runs[0][name]), name
+            used.clear()
+            run_policy(sc, policy, seed)
+            assert seen.keys() == {"states", "races", "fading"} and len(used) == 1
+            run = {name: np.concatenate(seen[name]) for name in ("states", "races")}
+            assert run["states"].shape == (sc.periods, sc.t_max, 2) and run["races"].shape == (sc.periods, sc.t_max, 4)
+            if kind == "fixed":
+                assert all(f is None for f in seen["fading"])
+                assert used[0].fading.bit_generator.state == untouched
+            else:
+                run["fading"] = np.concatenate(seen["fading"])
+                assert run["fading"].shape == (sc.periods, sc.t_max, 4)
+            runs[kind, policy.label()] = run
+    first = next(iter(runs.values()))
+    rayleigh = runs["rayleigh", LearningPolicy(2.0).label()]
+    for key, run in runs.items():
+        for name in ("states", "races"):
+            assert np.array_equal(run[name], first[name]), (key, name)
+        if key[0] == "rayleigh":
+            assert np.array_equal(run["fading"], rayleigh["fading"]), key
 
 
 def _dag_scenario(**fields):
