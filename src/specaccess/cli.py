@@ -126,12 +126,24 @@ def positive_int(text: str) -> int:
 
 def _meta(cfg: ExperimentConfig | None, seed: int | None = None, source: str | None = None) -> dict:
     """Every artifact's provenance: the config's hash, source and rate unit
-    (a bare graph file gives only its ``source``), the generator, and the
-    master seed on the commands that take one."""
-    meta = {"source": source, "generator": f"specaccess {__version__}"}
+    (a bare graph file gives only its ``source``), the generator, the numpy
+    build, and the master seed on the commands that take one."""
+    meta = {"source": source, "generator": f"specaccess {__version__}", "numpy": _numpy_build()}
     if cfg is not None:
         meta.update(config_sha256=cfg.sha256, source=cfg.source, rate_unit=cfg.rate_unit)
     return meta if seed is None else {**meta, "seed": seed}
+
+
+def _numpy_build() -> str:
+    """numpy's version and the highest SIMD target it dispatches to on this
+    CPU, say ``2.4.6 AVX512_SPR``: the last bits of its exp differ between
+    targets (README, Reproducibility), so a digest that moves names its cause."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    enabled = [target for target in __cpu_dispatch__ if __cpu_features__.get(target)]
+    return f"{np.__version__} {enabled[-1] if enabled else 'baseline'}"
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +176,7 @@ def cmd_classify(args) -> int:
     if cls.bipartition:
         print(f"bipartition: {list(cls.bipartition[0])} | {list(cls.bipartition[1])}")
     outdir = _outdir(args.out or (cfg.output.dir if cfg else OutputSettings.dir))
-    write_json(outdir / "classification.json", "classification", 1, {
+    write_json(outdir / "classification.json", "classification", 2, {
         "n_users": graph.n_users,
         "edges": sorted(graph.edges),
         "classes": names,
@@ -193,7 +205,7 @@ def cmd_solve(args, cfg: ExperimentConfig, outdir: Path) -> int:
         print(f"profile: {solution['profile']}")
         print(f"verified pure NE: {solution['verified']}")
         print(f"welfare: {solution['welfare']:.6g} {cfg.rate_unit}")
-    write_json(outdir / "solution.json", "solution", 1, solution, _meta(cfg))
+    write_json(outdir / "solution.json", "solution", 2, solution, _meta(cfg))
     return 0 if solution.get("verified", True) else 1
 
 
@@ -217,7 +229,7 @@ def cmd_potential_check(args, cfg: ExperimentConfig, outdir: Path) -> int:
         ok, checked = sum(matches), len(matches)
         results[variant] = {"deviations_checked": checked, "sign_matches": ok}
         print(f"{variant}: {ok}/{checked} deviation signs match [{'OK' if ok == checked else 'MISMATCH'}]")
-    write_json(outdir / "potential_check.json", "potential-check", 2, {"variants": results}, _meta(cfg, args.seed))
+    write_json(outdir / "potential_check.json", "potential-check", 3, {"variants": results}, _meta(cfg, args.seed))
     return 0 if all(r["sign_matches"] == r["deviations_checked"] for r in results.values()) else 1
 
 
@@ -259,7 +271,7 @@ def cmd_poa(args, cfg: ExperimentConfig, outdir: Path) -> int:
             "poa": rep.poa,
             "lower_bound": rep.lower_bound,
         }
-    write_json(outdir / "poa.json", "poa-report", 1, report, _meta(cfg))
+    write_json(outdir / "poa.json", "poa-report", 2, report, _meta(cfg))
     return 0
 
 
@@ -283,7 +295,7 @@ def cmd_estimate(args, cfg: ExperimentConfig, outdir: Path) -> int:
                      else [fmt(x[u]) for x in (est.theta, est.grab, est.rate, est.throughput)])
             rows.append([period, u + 1, ch, int(est.sum_s[u]), int(est.sum_i[u]), fmt(est.sum_b[u])] + cells)
     path = write_csv(
-        outdir / "estimates.csv", "estimation-trace", 2,
+        outdir / "estimates.csv", "estimation-trace", 3,
         ["period", "user", "channel", "sum_S", "sum_I", "sum_b",
          "theta_hat", "grab_hat", "rate_hat", "throughput_hat"],
         rows, _meta(cfg, args.seed),
@@ -306,7 +318,7 @@ def cmd_learn(args, cfg: ExperimentConfig, outdir: Path) -> int:
     cols = (["period", "welfare", "dP_inf"]
             + [f"channel_{u}" for u in range(1, n + 1)]
             + [f"estimate_{u}" for u in range(1, n + 1)])
-    path = write_csv(outdir / "learning.csv", "learning-trace", 2, cols, rows, _meta(cfg, args.seed))
+    path = write_csv(outdir / "learning.csv", "learning-trace", 3, cols, rows, _meta(cfg, args.seed))
     bound = contraction_temperature_bound(scenario.game)
     scale = resolved_payoff_scale(cfg)
     print(f"wrote {path}")
@@ -314,7 +326,7 @@ def cmd_learn(args, cfg: ExperimentConfig, outdir: Path) -> int:
     print(f"delta gap at final strategies: {outcome.delta:.6g} {cfg.rate_unit}")
     print(f"skipped updates: {outcome.skipped_updates} of {scenario.periods * n} (undefined MLE)")
     print(f"effective temperature {cfg.learning.gamma / scale:.3g} vs contraction bound {bound:.3g}")
-    write_json(outdir / "learning_summary.json", "learning-summary", 2, {
+    write_json(outdir / "learning_summary.json", "learning-summary", 3, {
         "mean_welfare": result.mean_welfare,
         "delta": outcome.delta,
         "skipped_updates": outcome.skipped_updates,
@@ -331,7 +343,7 @@ def cmd_simulate(args, cfg: ExperimentConfig, outdir: Path) -> int:
     result = run_policy(scenario, policy, (args.seed, 0))
     rows = [[t + 1, fmt(result.welfare_trace[t])] for t in range(scenario.periods)]
     path = write_csv(
-        outdir / "periods.csv", "period-summary", 2,
+        outdir / "periods.csv", "period-summary", 3,
         ["period", "welfare"], rows, _meta(cfg, args.seed),
     )
     print(f"policy: {result.label}")
@@ -350,7 +362,7 @@ def _write_slot_trace(cfg: ExperimentConfig, policy, outdir: Path, seed: int) ->
     rows = [[1, t + 1, u + 1, int(ch[t, u]), int(s[t, u]), int(i[t, u]), fmt(b[t, u])]
             for t in range(scenario.t_max) for u in range(scenario.game.n_users)]
     write_csv(
-        outdir / "slots.csv", "slot-trace", 3,
+        outdir / "slots.csv", "slot-trace", 4,
         ["period", "slot", "user", "channel", "S", "I", "b"],
         rows, _meta(cfg, seed),
     )
@@ -365,13 +377,13 @@ def cmd_compare(args, cfg: ExperimentConfig, outdir: Path) -> int:
         for r in report.runs
     ]
     write_csv(
-        outdir / "comparison.csv", "policy-comparison", 2,
+        outdir / "comparison.csv", "policy-comparison", 3,
         ["policy", "replication", "seed", "mean_welfare"], rows, _meta(cfg, args.seed),
     )
     summary = report.summary()
     srows = [[name, fmt(mean), fmt(sem), n] for name, (mean, sem, n) in sorted(summary.items())]
     write_csv(
-        outdir / "comparison_summary.csv", "policy-comparison-summary", 2,
+        outdir / "comparison_summary.csv", "policy-comparison-summary", 3,
         ["policy", "mean_welfare", "stderr", "replications"], srows, _meta(cfg, args.seed),
     )
     print(f"{'policy':32s} {'mean':>12s} {'stderr':>10s}")
@@ -386,7 +398,7 @@ def cmd_gamma_sweep(args, cfg: ExperimentConfig, outdir: Path) -> int:
     )
     rows = [[fmt(g), fmt(mean), fmt(sem), cfg.sweep_replications] for g, mean, sem in results]
     path = write_csv(
-        outdir / "gamma_sweep.csv", "gamma-sweep", 2,
+        outdir / "gamma_sweep.csv", "gamma-sweep", 3,
         ["gamma", "mean_welfare", "stderr", "replications"], rows, _meta(cfg, args.seed),
     )
     print(f"wrote {path}")

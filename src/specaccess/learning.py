@@ -53,11 +53,11 @@ def _check_payoff_scale(payoff_scale: float) -> None:
         raise ValueError(f"payoff_scale must be positive and finite, got {payoff_scale!r}")
 
 
-def _exponent(P: np.ndarray, gamma: float) -> np.ndarray:
-    """The Boltzmann exponent gamma * P, checked finite: an exponent that
-    overflows would give NaN rows."""
+def _exponent(P: np.ndarray, gamma: float, payoff_scale: float = 1.0) -> np.ndarray:
+    """The Boltzmann exponent gamma * (P / payoff_scale), checked finite: an
+    exponent that overflows, in either operation, would give NaN rows."""
     with np.errstate(over="ignore"):
-        z = gamma * P
+        z = gamma * (P / payoff_scale)
     if not np.all(np.isfinite(z)):
         raise _exponent_error(gamma)
     return z
@@ -202,7 +202,8 @@ def mean_dynamics_fixed_point(
     _check_count(max_iter, "max_iter")
     _check_payoff_scale(payoff_scale)
     P = initial_perceptions(spec, payoff_scale) if p0 is None else np.array(p0, dtype=float)
-    sigma = check_mixed_profile(spec, boltzmann_profile(P / payoff_scale, gamma))
+    _check_temperature(gamma)
+    sigma = check_mixed_profile(spec, _softmax(_exponent(P, gamma, payoff_scale)))
     gamma_eff = gamma / payoff_scale
     bound = contraction_temperature_bound(spec)
     within = gamma_eff < bound
@@ -358,7 +359,7 @@ def run_learning(
     _check_payoff_scale(payoff_scale)
     N, M = spec.n_users, spec.n_channels
     P = initial_perceptions(spec, payoff_scale) if p0 is None else np.array(p0, dtype=float, order="C")
-    Z = _exponent(P / payoff_scale, gamma)  # kept gamma * (P / payoff_scale), cell by cell as P is written
+    Z = _exponent(P, gamma, payoff_scale)  # kept, cell by cell as P is written
     if observer is None:
         observer = exact_observer(spec)
     gamma_eff = gamma / payoff_scale

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
+from scipy.special import exp1
 from conftest import rate_values
 
 import specaccess as sa
@@ -16,6 +17,7 @@ from specaccess.channels import (
     RayleighShannonRates,
     WhiteSpaceChannel,
     _brentq,
+    _scaled_e1,
     calibrate_mean_gain,
     mean_rates,
     sample_initial_state,
@@ -243,12 +245,23 @@ def test_brentq_port_error_paths():
 
 
 def test_scaled_e1_large_argument_branch():
-    from scipy.special import exp1
-
-    from specaccess.channels import _scaled_e1
-
     # at x = 650 both routes are representable: the asymptotic series (used
     # above the x = 600 cutoff) must agree with exp(x) * E1(x) directly
     x = 650.0
     direct = math.exp(x) * float(exp1(x))
     assert _scaled_e1(x) == pytest.approx(direct, rel=1e-9)
+
+
+def test_scaled_e1_against_scipy_exp1():
+    # scipy's exp1 as the reference over (0, 600): 0, x = 1 and x = 600 with
+    # both neighbours of each, then log-uniform and uniform samples. Against
+    # scipy 1.17.1 the largest distance over 260,000 such samples was 6 ulp,
+    # all of it at x <= 1 (see _scaled_e1)
+    rng = np.random.default_rng(31)
+    edges = [0.0, 5e-324, 1.0, 600.0] + [np.nextafter(e, d) for e in (1.0, 600.0) for d in (0.0, np.inf)]
+    xs = np.concatenate([edges, np.exp(rng.uniform(math.log(1e-300), math.log(600.0), 5000)),
+                         rng.uniform(0.0, 1.0, 5000)])
+    for x in map(float, xs):
+        got, ref = _scaled_e1(x), math.exp(x) * float(exp1(x))
+        ulps = abs(int(np.float64(got).view(np.int64)) - int(np.float64(ref).view(np.int64)))
+        assert ulps <= 6, (x, got, ref)

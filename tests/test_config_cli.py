@@ -17,6 +17,7 @@ import pytest
 import specaccess as sa
 from specaccess import config, equilibria, game, simulator
 from specaccess import graph as graph_module
+from specaccess.cli import _numpy_build
 from specaccess.cli import main as cli_main
 from specaccess.config import (
     CONFIG_SCHEMA,
@@ -50,23 +51,22 @@ def _minimal_doc():
     }
 
 
-@pytest.mark.parametrize("configs, absent", [
-    (["dag_chain.json", "triangle_no_ne.json"], "scipy"),
-    (["learning_9user.json"], "scipy.optimize"),
-])
-def test_scipy_stays_off_the_import_path(configs, absent):
-    # fixed-rate configs never load scipy; calibrating Rayleigh rates loads
-    # scipy.special for E1 but never scipy.optimize; no config loads jsonschema
+def test_scipy_stays_off_the_import_path():
+    # the package imports numpy and the stdlib only: importing it and loading
+    # every shipped config, Rayleigh rates included, loads no scipy module,
+    # and no config loads jsonschema
+    names = sorted(p.name for p in CONFIGS.glob("*.json"))
+    assert {"learning_9user.json", "learning_9user_aloha.json"} <= set(names)
     script = (
         "import sys, specaccess, specaccess.cli\n"
         "from specaccess.config import load_config\n"
-        f"for name in {configs!r}:\n"
+        f"for name in {names!r}:\n"
         f"    load_config({str(CONFIGS)!r} + '/' + name)\n"
-        f"print({absent!r} in sys.modules, 'jsonschema' in sys.modules)\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] in ('scipy', 'jsonschema')))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_configs_load_and_fail_without_jsonschema(tmp_path):
@@ -841,7 +841,7 @@ def test_cli_estimate_learn_simulate(tmp_path, capsys):
     p = _write(tmp_path, _tiny_learning_doc())
     assert cli_main(["estimate", str(p), "--out", str(tmp_path / "e"), "--seed", "1"]) == 0
     est = (tmp_path / "e" / "estimates.csv").read_text()
-    assert est.startswith("# schema: estimation-trace v2")
+    assert est.startswith("# schema: estimation-trace v3")
     assert len(est.strip().splitlines()) > 30
 
     assert cli_main(["learn", str(p), "--out", str(tmp_path / "l"), "--seed", "1"]) == 0
@@ -850,10 +850,10 @@ def test_cli_estimate_learn_simulate(tmp_path, capsys):
     assert header.split(",")[:3] == ["period", "welfare", "dP_inf"]
     assert "channel_1" in header and "estimate_2" in header
     summary = json.loads((tmp_path / "l" / "learning_summary.json").read_text())
-    assert (summary["schema"], summary["version"]) == ("learning-summary", 2)
+    assert (summary["schema"], summary["version"]) == ("learning-summary", 3)
     assert set(summary) == {"schema", "version", "mean_welfare", "delta", "skipped_updates", "final_sigma",
                             "final_perceptions", "payoff_scale", "config_sha256", "seed", "source",
-                            "rate_unit", "generator"}
+                            "rate_unit", "generator", "numpy"}
 
     assert cli_main(["simulate", str(p), "--out", str(tmp_path / "s"), "--seed", "1"]) == 0
     per = (tmp_path / "s" / "periods.csv").read_text()
@@ -998,23 +998,26 @@ def test_cli_rejects_fewer_than_one_job(command, jobs, capsys):
 
 def test_cli_json_artifacts_carry_their_schema_and_provenance(tmp_path):
     # every JSON artifact but the resolved_config.json echo: schema, version
-    # and _meta's provenance, the seed exactly on the seeded commands
+    # and _meta's provenance, the seed exactly on the seeded commands, and the
+    # numpy version with the SIMD target numpy dispatches to here
     path = CONFIGS / "dag_chain.json"
     cfg = load_config(path)
+    build = _numpy_build()
+    assert build.split(" ")[0] == np.__version__ and build == _numpy_build()
     artifacts = {
-        "solve": ("solution.json", "solution", 1),
-        "poa": ("poa.json", "poa-report", 1),
-        "potential-check": ("potential_check.json", "potential-check", 2),
-        "learn": ("learning_summary.json", "learning-summary", 2),
-        "classify": ("classification.json", "classification", 1),
+        "solve": ("solution.json", "solution", 2),
+        "poa": ("poa.json", "poa-report", 2),
+        "potential-check": ("potential_check.json", "potential-check", 3),
+        "learn": ("learning_summary.json", "learning-summary", 3),
+        "classify": ("classification.json", "classification", 2),
     }
     for command, (name, schema, version) in artifacts.items():
         seeded = command in ("potential-check", "learn")
         out = tmp_path / command
         assert cli_main([command, str(path), "--out", str(out)] + (["--seed", "4"] if seeded else [])) == 0
         doc = json.loads((out / name).read_text())
-        assert (doc["schema"], doc["version"], doc["source"], doc["generator"]) == (
-            schema, version, str(path), f"specaccess {sa.__version__}")
+        assert (doc["schema"], doc["version"], doc["source"], doc["generator"], doc["numpy"]) == (
+            schema, version, str(path), f"specaccess {sa.__version__}", build)
         assert (doc["config_sha256"], doc["rate_unit"]) == (cfg.sha256, cfg.rate_unit)
         assert ("seed" in doc, doc.get("seed")) == ((True, 4) if seeded else (False, None))
         if command != "classify":  # the one command that also reads bare graphs
@@ -1022,8 +1025,8 @@ def test_cli_json_artifacts_carry_their_schema_and_provenance(tmp_path):
     graph = CONFIGS / "graphs" / "star5.json"
     assert cli_main(["classify", str(graph), "--out", str(tmp_path / "graph")]) == 0
     doc = json.loads((tmp_path / "graph" / "classification.json").read_text())
-    assert (doc["schema"], doc["version"], doc["source"], doc["generator"]) == (
-        "classification", 1, str(graph), f"specaccess {sa.__version__}")
+    assert (doc["schema"], doc["version"], doc["source"], doc["generator"], doc["numpy"]) == (
+        "classification", 2, str(graph), f"specaccess {sa.__version__}", build)
     assert not {"config_sha256", "rate_unit", "seed"} & set(doc)
 
 
@@ -1102,7 +1105,7 @@ def test_cli_slot_trace_replays_period_one(tmp_path, policy):
     assert len(slots) == 40 * 2
     period_one = float(_csv_rows(tmp_path / "periods.csv")[0][1])
     assert sum(float(r[6]) for r in slots) / 40 == pytest.approx(period_one, rel=1e-9)
-    assert (tmp_path / "slots.csv").read_text().startswith("# schema: slot-trace v3")
+    assert (tmp_path / "slots.csv").read_text().startswith("# schema: slot-trace v4")
     channels = {(int(r[2]), int(r[3])) for r in slots}
     assert len(channels) == 2  # each user holds one channel for the period
     if policy == "fixed_profile":

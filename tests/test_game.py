@@ -496,8 +496,8 @@ _SCAN_DIGESTS = {
     "16x1_weighted": "7137f58cbad984f58ec90c52274b6a2960ccf435730b852fb840551bd9f872c7",
     "triangle": "7bf898a52b402038edb7ea9a207d30e49fcd262a1fd595445754753dcf1b8b98",
     "10x2_every_profile_ne": "f4bb5193db717a76559e6f940726c57ad0bfe74c53c51a6a1a40b0c8be83c68b",
-    "learning_9user": "5e646d17dbaeef6bdd1ddbf03cf52cab0cd1fb1998e4a20b3ff5d887a77d6f05",
-    "learning_9user_aloha": "839454beb17a962aa364869f530b4699070a7c15a5df130dffc21a98f557320d",
+    "learning_9user": "a1b3f0b6e97e391be22f6b2147f671becab36d3392dbe396bf60266d9686e0b1",
+    "learning_9user_aloha": "a49317edd1a0b1bbcd93a4ede995112a5f19461f39f2e2983d0914b065f9d732",
     "9x3_complete_weighted": "0a26af753835781c927f69e01510826bf450274f0cd24db92faf6651290dddb7",
     "14x2_star_aloha": "cf1e808e16b117fa3d386ec73bf9ad3e58f43e0b09c59c074d2506bbcfa899e0",
 }

@@ -637,6 +637,19 @@ def test_run_learning_raises_in_the_period_an_update_overflows_the_exponent():
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+def test_a_start_that_overflows_on_its_payoff_scale_raises_only_the_value_error():
+    # 1e300 / 1e-10 overflows in the division, before gamma multiplies it
+    spec = SpectrumGame.create(sa.InterferenceGraph.from_edges(2, [(1, 2)]), [0.5, 0.6], [[4.0, 3.0]] * 2,
+                               sa.RandomBackoff(4))
+    kwargs = dict(gamma=1.0, p0=np.full((2, 2), 1e300), payoff_scale=1e-10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="Boltzmann exponent"):
+            run_learning(spec, rng=np.random.default_rng(0), periods=5, **kwargs)
+        with pytest.raises(ValueError, match="Boltzmann exponent"):
+            mean_dynamics_fixed_point(spec, **kwargs)
+
+
 def test_invalid_temperature_or_start_raises_before_any_work():
     spec = _one_user_game(2)
     calls = []

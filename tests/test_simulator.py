@@ -470,8 +470,8 @@ _ROLLOUT_DIGESTS = {
     "dag-weighted/fixed_profile(1,2,3,1)": "6973468b097db56c2e7ccb03a5bb165fc8501a991dee862011923cc691c3d396",
     "dag-weighted/dynamic_stage_game": "37049f279a29d0bdaf733e093f98d904781a15b12506e6995f5681b6b1c60ff3",
     "9user/learning(gamma=5)": "0819f47c6ce46b45bda10d557bfb1b5057088309e65fea90ea2165475adcf461",
-    "9user/random_access": "b1999f5e7c8ded6e7ae37a2d92c7bc12434dd3f67e1a40a7d4ed47ef4e8e401a",
-    "9user-aloha/learning(gamma=5)": "09abcfe42f5c95f19b8954655c1cc2fff38ad506f3e2e4f0dee255b41725bd93",
+    "9user/random_access": "c6ea0d3a41849f6857a8486e386b2d99d16a372137142a4cae482f340404ed63",
+    "9user-aloha/learning(gamma=5)": "2fe63e9f17376595c21317468e69c82805bcb23fc17d62f224b4e6a53c2fa315",
 }
 
 
