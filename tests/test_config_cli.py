@@ -51,22 +51,35 @@ def _minimal_doc():
     }
 
 
-def test_scipy_stays_off_the_import_path():
-    # the package imports numpy and the stdlib only: importing it and loading
-    # every shipped config, Rayleigh rates included, loads no scipy module,
-    # and no config loads jsonschema
+_FIXED_RATE_CONFIGS = ["dag_chain.json", "triangle_no_ne.json"]
+_RAYLEIGH_CONFIGS = ["learning_9user.json", "learning_9user_aloha.json"]
+
+
+def test_scipy_cases_cover_every_shipped_config():
     names = sorted(p.name for p in CONFIGS.glob("*.json"))
-    assert {"learning_9user.json", "learning_9user_aloha.json"} <= set(names)
+    assert sorted(_FIXED_RATE_CONFIGS + _RAYLEIGH_CONFIGS) == names
+
+
+@pytest.mark.parametrize("configs, absent", [
+    (_FIXED_RATE_CONFIGS, "scipy"),
+    (_RAYLEIGH_CONFIGS, "scipy.optimize"),
+])
+def test_scipy_stays_off_the_import_path(configs, absent):
+    # the package imports numpy and the stdlib only: fixed-rate configs never
+    # loaded scipy, and calibrating Rayleigh rates, which once loaded
+    # scipy.special for E1 but never scipy.optimize, now loads no scipy module
+    # either; no config loads jsonschema
     script = (
         "import sys, specaccess, specaccess.cli\n"
         "from specaccess.config import load_config\n"
-        f"for name in {names!r}:\n"
+        f"for name in {configs!r}:\n"
         f"    load_config({str(CONFIGS)!r} + '/' + name)\n"
-        "print(sorted(m for m in sys.modules if m.partition('.')[0] in ('scipy', 'jsonschema')))\n"
+        f"print({absent!r} in sys.modules,\n"
+        "      sorted(m for m in sys.modules if m.partition('.')[0] in ('scipy', 'jsonschema')))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.strip() == "False []"
 
 
 def test_configs_load_and_fail_without_jsonschema(tmp_path):
