@@ -406,7 +406,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     graph = _build_graph(sc["graph"])
     channels = [_build(_CHANNELS, d) for d in sc["channels"]]
     rates = _build_rates(sc["rates"], graph.n_users, len(channels))
-    scenario = Scenario.build(
+    scenario = Scenario(
         graph, channels, rates, _build(_MECHANISMS, sc["mechanism"]), sc.get("gains"),
         t_max=sc["t_max"], periods=sc["periods"],
     )

@@ -69,7 +69,6 @@ class GameLike(Protocol):
 @dataclass(frozen=True)
 class SpectrumGame:
     graph: InterferenceGraph
-    n_channels: int
     idle_prob: tuple[float, ...]                 # theta_m
     mean_rate: tuple[tuple[float, ...], ...]     # B[n-1][m-1]
     mechanism: ContentionMechanism
@@ -79,8 +78,6 @@ class SpectrumGame:
         n, m = self.graph.n_users, self.n_channels
         if m < 1:
             raise ValueError("need at least one channel")
-        if len(self.idle_prob) != m:
-            raise ValueError("idle_prob length must equal n_channels")
         if any(not (0.0 <= t <= 1.0) for t in self.idle_prob):
             raise ValueError("idle probabilities must lie in [0, 1]")
         if len(self.mean_rate) != n or any(len(row) != m for row in self.mean_rate):
@@ -107,7 +104,6 @@ class SpectrumGame:
         gains = tuple(float(h) for h in gain) if gain is not None else (1.0,) * graph.n_users
         return cls(
             graph=graph,
-            n_channels=len(tuple(idle_prob)),
             idle_prob=tuple(float(t) for t in idle_prob),
             mean_rate=rates,
             mechanism=mechanism,
@@ -117,6 +113,10 @@ class SpectrumGame:
     @property
     def n_users(self) -> int:
         return self.graph.n_users
+
+    @property
+    def n_channels(self) -> int:
+        return len(self.idle_prob)
 
     def co_channel_in_neighbors(self, a: Profile, n: int) -> frozenset[int]:
         ch = a[n - 1]
@@ -138,37 +138,39 @@ class SpectrumGame:
 
     @cached_property
     def _in_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """(idx, valid), both (N, d_max): row n-1 holds user n's in-neighbours
-        as ascending 0-based columns, padded with column 0 where valid is False."""
+        """(idx, valid), both (d_max, N) and contiguous: column n-1 holds user
+        n's in-neighbours as ascending 0-based indices, padded with 0 where
+        valid is False. The in-neighbours lead, as the success kernel, the
+        MLE period and the Q map gather them."""
         nbrs = [sorted(self.graph.in_neighbors(n)) for n in range(1, self.n_users + 1)]
         degree = np.array([len(row) for row in nbrs])
         valid = np.arange(degree.max()) < degree[:, None]
         idx = np.zeros(valid.shape, dtype=np.int64)
         idx[valid] = [i - 1 for row in nbrs for i in row]
-        return idx, valid
+        return np.ascontiguousarray(idx.T), np.ascontiguousarray(valid.T)
 
     @cached_property
     def _grab_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(table, weight, offset, step) for profile scans and Q, built once per game.
 
-        Column j of _in_index has key weight step[j]: 1 where the count alone
+        Row j of _in_index has key weight step[j]: 1 where the count alone
         fixes g (the backoff mechanisms, and one channel, where every
         in-neighbour always contends), else bit 1 << j. User n's contender key
-        is offset[n-1] plus the weights of its columns on its channel
-        (weight[n-1, i-1] for in-neighbour i, 0 for other users); table[key] is
-        grab_probability of those contenders. Bitmask rows (2^|in(n)| entries)
+        is offset[n-1] plus the weights of its in-neighbours (column n-1) on
+        its channel (weight[n-1, i-1] for in-neighbour i, 0 for other users);
+        table[key] is grab_probability of those contenders. Bitmask rows (2^|in(n)| entries)
         over more than 20 in-neighbours raise ResourceLimitError up front.
         """
         idx, valid = self._in_index
         count_only = self.n_channels == 1 or isinstance(self.mechanism, (RandomBackoff, AsymptoticBackoff))
         if not count_only:
-            _check_subset_cap(idx.shape[1])
-        step = np.ones(idx.shape[1], dtype=np.int64) if count_only else 1 << np.arange(idx.shape[1])
+            _check_subset_cap(len(idx))
+        step = np.ones(len(idx), dtype=np.int64) if count_only else 1 << np.arange(len(idx))
         weight = np.zeros((self.n_users, self.n_users), dtype=np.int64)
         offset = np.zeros(self.n_users, dtype=np.int64)
         rows: list[np.ndarray] = []
         size = 0
-        for n, (cols, ok) in enumerate(zip(idx, valid), 1):
+        for n, (cols, ok) in enumerate(zip(idx.T, valid.T), 1):
             nbrs = (cols[ok] + 1).tolist()
             offset[n - 1] = size
             weight[n - 1, cols[ok]] = step[: len(nbrs)]
@@ -210,7 +212,6 @@ def _check_profile(game: GameLike, a: Sequence[int], key: str = "profile") -> No
 class PhysicalGame:
     """SINR-based payoffs: interference accumulates over all co-channel users."""
 
-    n_channels: int
     bandwidth: float                                  # W
     tx_power: tuple[float, ...]                       # eta_n
     own_distance: tuple[float, ...]                   # d_n
@@ -241,8 +242,6 @@ class PhysicalGame:
             len(row) != self.n_channels for row in self.primary_interference
         ):
             raise ValueError("primary_interference must be N x M")
-        if len(self.idle_prob) != self.n_channels:
-            raise ValueError("idle_prob length must equal n_channels")
         # with these, every payoff is finite and non-negative, the domain of strictly_better
         if not (self.bandwidth > 0 and math.isfinite(self.bandwidth)):
             raise ValueError("bandwidth must be positive and finite")
@@ -258,6 +257,10 @@ class PhysicalGame:
     @property
     def n_users(self) -> int:
         return len(self.tx_power)
+
+    @property
+    def n_channels(self) -> int:
+        return len(self.idle_prob)
 
     @cached_property
     def _coupling(self) -> list[list[float]]:

@@ -61,16 +61,12 @@ class InterferenceGraph:
 
     @classmethod
     def from_edges(cls, n_users: int, edges: Iterable[Sequence[int]]) -> "InterferenceGraph":
-        return cls(n_users=n_users, edges=frozenset((int(i), int(j)) for i, j in edges))
+        return cls(n_users=n_users, edges=edges)
 
     @classmethod
     def undirected(cls, n_users: int, links: Iterable[Sequence[int]]) -> "InterferenceGraph":
         """Build a graph where every listed link interferes both ways."""
-        es: set[Edge] = set()
-        for i, j in links:
-            es.add((int(i), int(j)))
-            es.add((int(j), int(i)))
-        return cls(n_users=n_users, edges=frozenset(es))
+        return cls(n_users=n_users, edges=[e for i, j in links for e in ((i, j), (j, i))])
 
     def in_neighbors(self, n: int) -> frozenset[int]:
         """Users that can cause interference to user n."""

@@ -92,12 +92,13 @@ def q_from_sigma(spec: SpectrumGame, sigma: np.ndarray) -> np.ndarray:
     contend independently by their mixed rows; entry (n, m) conditions on user
     n playing channel m, so user n's mixed payoff is sigma[n] . Q[n].
 
-    With q_j the chance that in-neighbour column j (SpectrumGame._in_index)
-    contends, Aloha's g is p_n prod_j (1 - q_j p_j), in column order at any
-    in-degree. Otherwise a distribution over grab-table keys starts at 0 and
-    each column shifts it by its key weight with probability q_j: the
-    Poisson-binomial on count rows, every subset on bitmask rows (which raise
-    ResourceLimitError above 20 in-neighbours); g is its dot with the row.
+    With q_j the chance that the in-neighbour in row j of the index
+    (SpectrumGame._in_index) contends, Aloha's g is p_n prod_j (1 - q_j p_j),
+    in row order at any in-degree. Otherwise a distribution over grab-table
+    keys starts at 0 and each index row j shifts it by its key weight with
+    probability q_j: the Poisson-binomial on count rows, every subset on
+    bitmask rows (which raise ResourceLimitError above 20 in-neighbours); g
+    is its dot with the row.
     """
     sigma = check_mixed_profile(spec, sigma)
     return _q_map(spec)(sigma)
@@ -105,23 +106,24 @@ def q_from_sigma(spec: SpectrumGame, sigma: np.ndarray) -> np.ndarray:
 
 def _q_map(spec: SpectrumGame) -> Callable[[np.ndarray], np.ndarray]:
     """q_from_sigma without its checks, as a map of a valid mixed profile,
-    with the game's gathers done once for every call of the map. Column j of
-    the in-neighbour index leads its arrays, so each step of the column loop
-    reads and writes whole contiguous blocks; every elementwise value, and
-    the layout of the final sum over keys, is q_from_sigma's."""
+    with the game's gathers done once for every call of the map. Row j of
+    the (d_max, N) in-neighbour index leads its arrays, so each step of the
+    loop over rows reads and writes whole contiguous blocks; every
+    elementwise value, and the layout of the final sum over keys, is
+    q_from_sigma's."""
     idx, valid = spec._in_index
     n, m = spec.n_users, spec.n_channels
     value = spec._value
-    cols = idx.T[:, :, None] * m + np.arange(m)  # (d_max, N, M) flat positions in sigma
-    live = np.repeat(valid.T[:, :, None], m, axis=2).astype(float)
+    cols = idx[:, :, None] * m + np.arange(m)  # (d_max, N, M) flat positions in sigma
+    live = np.repeat(valid[:, :, None], m, axis=2).astype(float)
 
     def contend(sigma: np.ndarray) -> np.ndarray:
-        """(d_max, N, M): the chance that in-neighbour column j is on channel m."""
+        """(d_max, N, M): the chance that the in-neighbour in row j is on channel m."""
         return sigma.take(cols) * live
 
     if isinstance(spec.mechanism, SlottedAloha):
         p = np.asarray(spec.mechanism.probs)
-        own, rival = np.repeat(p[:, None], m, axis=1), p[idx.T][:, :, None]
+        own, rival = np.repeat(p[:, None], m, axis=1), p[idx][:, :, None]
 
         def aloha(sigma: np.ndarray) -> np.ndarray:
             g = own.copy()

@@ -19,7 +19,7 @@ block one period at a time, as the profile may change from period to period.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import repeat
 from typing import Sequence
@@ -36,7 +36,7 @@ from .channels import (
     sample_initial_state,
     stationary_idle_probability,
 )
-from .contention import AsymptoticBackoff, RandomBackoff, SlottedAloha, WeightedShare
+from .contention import AsymptoticBackoff, ContentionMechanism, RandomBackoff, SlottedAloha, WeightedShare
 from .estimation import ChannelEstimates, Estimates, chain_counts, channel_estimates, user_estimates
 from .game import MAX_ROUNDS, Profile, SpectrumGame, _check_count, _check_profile, better_response_dynamics, welfare
 from .graph import InterferenceGraph
@@ -63,57 +63,38 @@ class SimStreams:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A game plus the stochastic models that realise it slot by slot."""
+    """The stochastic models that realise a game slot by slot, and that game.
 
-    game: SpectrumGame
+    ``game`` is derived from the models once, at construction: theta from
+    the channel models' stationary idle probabilities, the mean rates from
+    the rate model, and the graph, mechanism and gains h_n (1 for every user
+    when ``gain`` is None) as given. So ``dataclasses.replace`` on any model
+    rebuilds the game, and the two cannot disagree. A rate table that is not
+    N x M (users x channels) raises the game's ValueError, as do t_max and
+    periods other than ints >= 1."""
+
+    graph: InterferenceGraph
     channel_models: tuple[ChannelModel, ...]
     rates: RateModel
-    t_max: int = 100  # the defaults of build and of the config's scenario section
+    mechanism: ContentionMechanism
+    gain: tuple[float, ...] | None = None
+    t_max: int = 100  # the defaults of the config's scenario section
     periods: int = 500
+    game: SpectrumGame = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_count(self.t_max, "t_max")
         _check_count(self.periods, "periods")
-        if len(self.channel_models) != self.game.n_channels:
-            raise ValueError("one channel model per channel required")
-        if self.rates._table.shape != (self.game.n_users, self.game.n_channels):
-            raise ValueError("rates must be an N x M table")
-        # the game's theta and mean rates are those of the models, so replacing one side alone raises
-        if self.game.idle_prob != tuple(stationary_idle_probability(c) for c in self.channel_models):
-            raise ValueError("the game's idle probabilities differ from the channel models' stationary ones")
-        if self.game.mean_rate != tuple(tuple(map(float, row)) for row in mean_rates(self.rates)):
-            raise ValueError("the game's mean rates differ from the rate model's")
-
-    @classmethod
-    def build(
-        cls,
-        graph: InterferenceGraph,
-        channel_models: Sequence[ChannelModel],
-        rates: RateModel,
-        mechanism,
-        gain: Sequence[float] | None = None,
-        t_max: int = t_max,  # the field defaults above
-        periods: int = periods,
-    ) -> "Scenario":
-        """The scenario of these stochastic models, with its analytic game
-        derived from them (theta from the channel models, the mean rates from
-        the rate model), so the two can never disagree. The rate table, like
-        the game's, is N x M (users x channels): a table of another shape
-        raises ValueError, as do t_max and periods other than ints >= 1."""
-        theta = [stationary_idle_probability(c) for c in channel_models]
-        game = SpectrumGame.create(graph, theta, mean_rates(rates), mechanism, gain)
-        return cls(game=game, channel_models=tuple(channel_models), rates=rates, t_max=t_max, periods=periods)
+        # the config passes lists; tuples keep the scenario hashable
+        object.__setattr__(self, "channel_models", tuple(self.channel_models))
+        if self.gain is not None:
+            object.__setattr__(self, "gain", tuple(self.gain))
+        theta = [stationary_idle_probability(c) for c in self.channel_models]
+        game = SpectrumGame.create(self.graph, theta, mean_rates(self.rates), self.mechanism, self.gain)
+        object.__setattr__(self, "game", game)
 
     def initial_channel_state(self, rng: np.random.Generator) -> tuple[int, ...]:
         return tuple(sample_initial_state(c, rng) for c in self.channel_models)
-
-    @cached_property
-    def _in_columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """The game's in-neighbour index and its validity, (d_max, N) and
-        contiguous: the in-neighbours ahead of the users, as the success
-        kernel gathers them."""
-        idx, valid = self.game._in_index
-        return np.ascontiguousarray(idx.T), np.ascontiguousarray(valid.T)
 
     @cached_property
     def _rate_constants(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
@@ -230,10 +211,10 @@ def _success_matrix(
     profile), and a min over a where-filled copy of the rivals where the
     mask changes every slot (per-slot channels), for which it is the faster
     of the two. The in-neighbours sit on axis -2, ahead of the users, since
-    numpy reduces a short last axis slowly; rivals is draws[..., cols] for
-    the in-neighbour columns cols (Scenario._in_columns) when the caller has
-    gathered it already."""
-    cols, live = scenario._in_columns
+    numpy reduces a short last axis slowly, which is the layout of the
+    game's (d_max, N) in-neighbour index cols (SpectrumGame._in_index);
+    rivals is draws[..., cols] when the caller has gathered it already."""
+    cols, live = scenario.game._in_index
     co = live & (ch[..., cols] == ch[..., None, :])
     if rivals is None:
         rivals = draws[..., cols]
@@ -414,7 +395,7 @@ def _mle_period(scenario: Scenario, streams: SimStreams):
     (one row sum each) and its grab probability, rate and throughput on
     Python floats, reading the channel half at each user's channel. Under
     fixed rates the block has no fading, and each period reads None."""
-    cols, _ = scenario._in_columns
+    cols, _ = scenario.game._in_index
 
     def periods():
         for states, races, fading in _blocks(scenario, streams):

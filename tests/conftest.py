@@ -90,7 +90,6 @@ def random_physical_game(rng):
     pos = rng.uniform(0, 100, (n, 2))
     d = [[float(np.linalg.norm(pos[i] - pos[j])) if i != j else 0.0 for j in range(n)] for i in range(n)]
     return sa.PhysicalGame(
-        n_channels=m,
         bandwidth=10.0,
         tx_power=tuple(rng.uniform(0.05, 0.2, n)),
         own_distance=tuple(rng.uniform(1.0, 10.0, n)),

@@ -254,7 +254,7 @@ def test_criterion_07_mle_consistency():
     t0 = time.time()
     # channel-parameter MLE on a 1e5-slot Markov trace
     g1 = sa.InterferenceGraph.from_edges(1, [])
-    sc1 = sa.Scenario.build(
+    sc1 = sa.Scenario(
         g1, [sa.MarkovChannel(0.2, 0.3)], sa.FixedRates([[1.0]]), sa.RandomBackoff(4),
         t_max=10**5, periods=1,
     )
@@ -266,7 +266,7 @@ def test_criterion_07_mle_consistency():
 
     # grab-probability MLE against the backoff formula with K = 2 contenders
     g2 = complete_undirected_graph(3)
-    sc2 = sa.Scenario.build(
+    sc2 = sa.Scenario(
         g2, [sa.WhiteSpaceChannel(1)], sa.FixedRates([[1.0]] * 3), sa.RandomBackoff(10),
         t_max=10**5, periods=1,
     )

@@ -115,8 +115,8 @@ def test_channel_periods_carry_state_across_blocks():
     g = sa.InterferenceGraph.from_edges(1, [])
     for t_max in (100, 3000, 3 * _BLOCK_SLOTS // 2):
         periods = 2 * max(1, _BLOCK_SLOTS // t_max) + 1  # two block boundaries; the last block cut short
-        sc = sa.Scenario.build(g, models, FixedRates([[1.0] * len(models)]), sa.RandomBackoff(4),
-                               t_max=t_max, periods=periods)
+        sc = sa.Scenario(g, models, FixedRates([[1.0] * len(models)]), sa.RandomBackoff(4),
+                         t_max=t_max, periods=periods)
         blocks = _blocks(sc, sa.SimStreams.from_seed(7))
         got = np.concatenate([states.reshape(-1, len(models)) for states, _, _ in blocks])
         rng = sa.SimStreams.from_seed(7).channels

@@ -4,6 +4,7 @@ import json
 import logging
 import math
 import os
+import pickle
 import re
 import shutil
 import subprocess
@@ -122,6 +123,17 @@ def test_minimal_config_gets_defaults(tmp_path):
     assert cfg.resolved["scenario"]["t_max"] == 100  # defaults echoed
 
 
+def test_a_loaded_scenario_hashes_and_pickles(tmp_path):
+    # the config's channel and gain lists become tuples, so compare --jobs can
+    # send the scenario to its workers, and the game comes back equal
+    doc = _minimal_doc()
+    doc["scenario"]["gains"] = [2.5]
+    sc = load_config(_write(tmp_path, doc)).scenario
+    assert sc.gain == (2.5,) and sc.game.gain == (2.5,)
+    copy = pickle.loads(pickle.dumps(sc))
+    assert copy == sc and hash(copy) == hash(sc) and copy.game == sc.game
+
+
 def test_shipped_nine_user_config_loads_exactly():
     cfg = load_config(CONFIGS / "learning_9user.json")
     game = cfg.scenario.game
@@ -236,8 +248,8 @@ def _default_of(func, parameter):
     ("solver", "recursion_budget", [
         equilibria.RECURSION_BUDGET, _default_of(solve_pure_ne, "recursion_budget"),
         _default_of(equilibria.construct_ne_directed_tree, "recursion_budget")]),
-    ("scenario", "t_max", [sa.Scenario.t_max, _default_of(sa.Scenario.build, "t_max")]),
-    ("scenario", "periods", [sa.Scenario.periods, _default_of(sa.Scenario.build, "periods")]),
+    ("scenario", "t_max", [sa.Scenario.t_max]),
+    ("scenario", "periods", [sa.Scenario.periods]),
     *[("learning", key, [getattr(sa.LearningPolicy, key)])
       for key in ["payoff_scale", "initial_perception", "mu", "estimator", "noise_half_width"]],
     ("output", "dir", [config.OutputSettings.dir]),

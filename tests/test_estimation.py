@@ -197,7 +197,7 @@ def _edge_scenario(edge):
         channels, mech = [WhiteSpaceChannel(0), MarkovChannel(0.3, 0.2), BernoulliChannel(0.6)], RandomBackoff(4)
     else:  # Aloha users that rarely transmit: rate is 0/0 where the channel was idle
         channels, mech = [MarkovChannel(0.3, 0.2), BernoulliChannel(0.6), WhiteSpaceChannel(1)], SlottedAloha((0.03,) * 4)
-    return Scenario.build(g, channels, rates, mech, t_max=6, periods=60)
+    return Scenario(g, channels, rates, mech, t_max=6, periods=60)
 
 
 @pytest.mark.parametrize("edge", ["white-space triangle", "no idle slot", "idle but no grab"])

@@ -554,7 +554,6 @@ def test_poa_enumeration_cap():
 
 def _simple_physical(theta=(0.5, 0.5)):
     return PhysicalGame(
-        n_channels=len(theta),
         bandwidth=10.0,
         tx_power=(1e-7, 2e-7),
         own_distance=(1.0, 1.0),
@@ -580,7 +579,7 @@ def test_physical_interferer_strictly_decreases():
 def test_physical_symmetry_validation():
     with pytest.raises(ValueError):
         PhysicalGame(
-            n_channels=1, bandwidth=1.0, tx_power=(1.0, 1.0), own_distance=(1.0, 1.0),
+            bandwidth=1.0, tx_power=(1.0, 1.0), own_distance=(1.0, 1.0),
             cross_distance=((0.0, 2.0), (3.0, 0.0)), path_loss=2.0, noise=1e-9,
             primary_interference=((0.0,), (0.0,)), idle_prob=(1.0,),
         )

@@ -722,8 +722,8 @@ def test_exact_observer_returns_payoff_bits_in_read_only_arrays():
 
 def _q_user_major(spec, sigma):
     # reference: Q with the (user, channel, key) layout throughout, one
-    # in-neighbour column at a time
-    idx, valid = spec._in_index
+    # in-neighbour column at a time, on the game's (d_max, N) index transposed
+    idx, valid = (x.T for x in spec._in_index)
     q = sigma[idx] * valid[:, :, None]
     if isinstance(spec.mechanism, sa.SlottedAloha):
         p = np.asarray(spec.mechanism.probs)

@@ -87,7 +87,7 @@ def test_complete_backoff_log_form_matches_product_oracle():
 
 def test_physical_single_user_formula():
     phys = PhysicalGame(
-        n_channels=3, bandwidth=5.0, tx_power=(2.0,), own_distance=(1.0,),
+        bandwidth=5.0, tx_power=(2.0,), own_distance=(1.0,),
         cross_distance=((0.0,),), path_loss=2.0, noise=0.5,
         primary_interference=((0.3, 0.1, 0.7),), idle_prob=(0.5, 0.5, 0.5),
     )
@@ -101,7 +101,7 @@ def test_physical_single_user_formula():
 
 def test_physical_requires_homogeneous_theta():
     phys = PhysicalGame(
-        n_channels=2, bandwidth=5.0, tx_power=(2.0,), own_distance=(1.0,),
+        bandwidth=5.0, tx_power=(2.0,), own_distance=(1.0,),
         cross_distance=((0.0,),), path_loss=2.0, noise=0.5,
         primary_interference=((0.3, 0.1),), idle_prob=(0.5, 0.6),
     )
@@ -235,7 +235,7 @@ def test_every_variant_requires_positive_idle_probabilities():
     with pytest.raises(PreconditionError, match="strictly positive"):
         check_hypotheses(zero, "aloha")
     phys = PhysicalGame(
-        n_channels=2, bandwidth=5.0, tx_power=(2.0,), own_distance=(1.0,),
+        bandwidth=5.0, tx_power=(2.0,), own_distance=(1.0,),
         cross_distance=((0.0,),), path_loss=2.0, noise=0.5,
         primary_interference=((0.3, 0.1),), idle_prob=(0.0, 0.0),
     )

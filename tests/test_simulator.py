@@ -51,7 +51,7 @@ def _scenario(graph, channel_models, mech, rates=None, t_max=100, periods=10, ga
     m = len(channel_models)
     if rates is None:
         rates = sa.FixedRates([[1.0] * m] * n)
-    return Scenario.build(graph, channel_models, rates, mech, gains, t_max=t_max, periods=periods)
+    return Scenario(graph, channel_models, rates, mech, gains, t_max=t_max, periods=periods)
 
 
 def test_scenario_derives_game_from_models():
@@ -75,8 +75,8 @@ def test_build_rejects_a_rate_table_that_is_not_n_by_m(rates):
     g = sa.InterferenceGraph.from_edges(2, [(1, 2)])
     channels = [sa.MarkovChannel(0.3, 0.1), sa.BernoulliChannel(0.6)]
     with pytest.raises(ValueError, match="N x M"):
-        Scenario.build(g, channels, rates, sa.RandomBackoff(5))
-    good = Scenario.build(g, channels, sa.FixedRates([[4.0, 2.0]] * 2), sa.RandomBackoff(5))
+        Scenario(g, channels, rates, sa.RandomBackoff(5))
+    good = Scenario(g, channels, sa.FixedRates([[4.0, 2.0]] * 2), sa.RandomBackoff(5))
     with pytest.raises(ValueError, match="N x M"):
         replace(good, rates=rates)
 
@@ -173,7 +173,7 @@ def test_success_matrix_matches_per_slot_check():
                 assert np.array_equal(got[k], _slot_success(sc, ch[k], s_user[k], draws[k])), (n, kind, k)
             # one profile for the whole trace with the rivals gathered by the
             # caller, as the MLE period calls it: a masked reduce
-            cols, _ = sc._in_columns
+            cols, _ = sc.game._in_index
             profile = ch[0]
             got = _success_matrix(sc, profile, s_user, draws, draws[:, cols])
             assert got.shape == (t, n)
@@ -493,11 +493,9 @@ def test_seeded_rollouts_keep_their_digest():
     got = {f"dag/{p.label()}": _rollout_digest(run_policy(sc, p, (4, 1))) for p in dag.policies}
     got["triangle/learning"] = _rollout_digest(
         run_policy(replace(tri.scenario, periods=47), learning_policy_from(tri), (4, 1)))
-    game = sc.game
     for name, mech in (("aloha", sa.SlottedAloha((0.3, 0.5, 0.6, 0.8))),
                        ("weighted", sa.WeightedShare((2.0, 1.0, 0.5, 1.5)))):
-        variant_game = sa.SpectrumGame.create(game.graph, game.idle_prob, game.mean_rate, mech, game.gain)
-        variant = replace(sc, game=variant_game)
+        variant = replace(sc, mechanism=mech)
         for p in dag.policies:
             got[f"dag-{name}/{p.label()}"] = _rollout_digest(run_policy(variant, p, (4, 1)))
     for name, file, policies in (("9user", "learning_9user.json", [RandomAccessPolicy()]),
@@ -621,7 +619,7 @@ def test_emitted_observations_satisfy_invariants():
 
 def test_long_run_throughput_matches_payoff():
     g = sa.InterferenceGraph.from_edges(3, [(1, 2), (3, 2)])
-    sc = Scenario.build(
+    sc = Scenario(
         g,
         [sa.MarkovChannel(0.2, 0.2), sa.BernoulliChannel(0.6)],
         sa.FixedRates([[5.0, 3.0]] * 3),
@@ -753,21 +751,22 @@ def test_comparisons_refuse_fewer_than_one_job():
             sweep_gamma(sc, [1.0], 2, 1, LearningPolicy(1.0), jobs=jobs)
 
 
-def test_scenario_rejects_a_game_its_models_do_not_give():
+def test_replacing_a_model_rebuilds_the_game():
     # replacing the rates alone used to keep the old game, whose analytic
     # payoffs then no longer described the simulated slots
     sc = _dag_scenario()
     scaled = sa.FixedRates([[100.0 * b for b in row] for row in sc.rates.mean])
-    with pytest.raises(ValueError, match="mean rates"):
-        replace(sc, rates=scaled)
-    with pytest.raises(ValueError, match="idle probabilities"):
-        replace(sc, channel_models=(sa.BernoulliChannel(0.5),) * 3)
-    rebuilt = Scenario.build(sc.game.graph, sc.channel_models, scaled, sc.game.mechanism, t_max=10, periods=3)
-    assert rebuilt.game.mean_rate[0] == (500.0, 400.0, 600.0)
-    # another mechanism over the same theta and mean rates is still a game of these models
+    game = replace(sc, rates=scaled).game
+    assert game.mean_rate[0] == (500.0, 400.0, 600.0) and game.idle_prob == sc.game.idle_prob
+    assert replace(sc, channel_models=[sa.BernoulliChannel(0.5)] * 3).game.idle_prob == (0.5,) * 3
     aloha = sa.SlottedAloha((0.5,) * 4)
-    game = sa.SpectrumGame.create(sc.game.graph, sc.game.idle_prob, sc.game.mean_rate, aloha)
-    assert replace(sc, game=game).game.mechanism == aloha
+    assert replace(sc, mechanism=aloha).game.mechanism == aloha
+    game = replace(sc, gain=[2, 1, 1, 1]).game
+    assert game.gain == (2.0, 1.0, 1.0, 1.0) and game.mean_rate == sc.game.mean_rate
+    # every other field leaves the game as it was, and the game is no field to set
+    assert replace(sc, periods=7).game == sc.game
+    with pytest.raises(ValueError, match="init=False"):
+        replace(sc, game=sc.game)
 
 
 @pytest.mark.parametrize("rate_kind, gains", [
@@ -783,8 +782,8 @@ def test_per_user_gains_scale_the_simulated_rates(rate_kind, gains):
     rates = dag.rates
     if rate_kind == "rayleigh":
         rates = sa.RayleighShannonRates(10.0, 0.1, 1e-13, [[1e-12 * b for b in row] for row in dag.rates.mean])
-    sc = Scenario.build(dag.game.graph, dag.channel_models, rates, dag.game.mechanism, gains,
-                        t_max=100, periods=3000)
+    sc = Scenario(dag.game.graph, dag.channel_models, rates, dag.game.mechanism, gains,
+                  t_max=100, periods=3000)
     a = (1, 2, 3, 1)
     blocks = _block_outcomes(sc, FixedProfilePolicy(a), SimStreams.from_seed((1, 0)))
     per_period = np.concatenate([b.sum(axis=1) for *_, b in blocks]) / sc.t_max  # (periods, N)
@@ -861,7 +860,7 @@ def test_per_user_mean_is_realised_throughput():
 def test_policy_comparison_ordering():
     # dynamic stage knowledge >= learning > random access, averaged over seeds
     g = sa.InterferenceGraph.from_edges(4, [(1, 2), (2, 3), (1, 3), (3, 4)])
-    sc = Scenario.build(
+    sc = Scenario(
         g,
         [sa.MarkovChannel(0.3, 0.1), sa.BernoulliChannel(0.6), sa.BernoulliChannel(0.4)],
         sa.FixedRates([[5, 4, 6], [7, 3, 5], [4, 6, 5], [6, 5, 4]]),
