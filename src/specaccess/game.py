@@ -321,15 +321,16 @@ def enumerate_pure_ne(spec: SpectrumGame, cap: int = ENUMERATION_CAP) -> list[Pr
 
     Scans the M^N profiles in blocks that evaluate each user once per
     assignment of its in-neighbourhood's cycling users (see _scan), at about
-    18-36 million profiles per second on sparse graphs and 2-5 million on
+    32-72 million profiles per second on sparse graphs and 2.7-6 million on
     complete ones, on one core of a 2-core Xeon VM (10^6-profile games at
     10 users x 4 channels and 20 x 2; 30% of ordered pairs are edges in the
-    sparse ones). Memory is a few arrays of at most SCAN_ROWS (N K) or
-    SCAN_PAYOFFS (M E) values, about 1.1 MB at peak at 16 users x 2
-    channels, plus the game's grab table of sum_n 2^|in(n)| floats
-    (|in(n)| + 1 under the backoff mechanisms or with one channel), built
-    once and kept with the game, and the scan's M value-weighted copies of
-    it.
+    sparse ones). It reads only the blocks' NE flags, never their own
+    payoffs expanded to (N, K). Memory is a few arrays of at most SCAN_ROWS
+    (N K) or L SCAN_PAYOFFS (L M E) values, about 0.7 MB at peak at 16 users x
+    2 channels and 1.7 MB on a complete 20 x 2 graph, plus the game's grab
+    table of sum_n 2^|in(n)| floats (|in(n)| + 1 under the backoff mechanisms
+    or with one channel), built once and kept with the game, and the scan's M
+    value-weighted copies of it.
     """
     return list(_pure_ne(spec, cap))
 
@@ -354,8 +355,12 @@ class _ScanBlock(NamedTuple):
     tail: np.ndarray             # (K, L) 0-based channels of the cycling users, shared by all blocks
     payoffs: np.ndarray          # (M, E) entry e's payoff after its user moves to channel m
     index: np.ndarray            # (N, K) user n's entry at profile k, shared by all blocks
-    own: np.ndarray              # (N, K) user n's payoff at the profile
+    own: np.ndarray              # (E,) entry e's payoff on its user's channel
     is_ne: np.ndarray            # (K,)
+
+    def own_payoffs(self) -> np.ndarray:
+        """(N, K) user n's payoff at profile k: own expanded through index."""
+        return self.own.take(self.index)
 
     def profiles(self, rows=slice(None)) -> np.ndarray:
         """(len(rows), N) 1-based channels of the block's profiles at rows, all by default."""
@@ -372,10 +377,12 @@ def _tail_length(near: np.ndarray, m: int) -> int:
     graph has E = N K, so its blocks stay small; a sparse graph's E grows far
     more slowly than N K, so its blocks grow until N K binds."""
     n_users = len(near)
-    within = np.cumsum(near[:, ::-1], axis=1)  # column t-1: |C_n & last t users|
-    return max(t for t in range(1, n_users + 1)
-               if t == 1 or (n_users * m ** t <= SCAN_ROWS
-                             and m * sum(m ** s for s in within[:, t - 1].tolist()) <= SCAN_PAYOFFS))
+    longest = 1  # the largest L, at least 1, with N K <= SCAN_ROWS
+    while longest < n_users and n_users * m ** (longest + 1) <= SCAN_ROWS:
+        longest += 1
+    within = np.cumsum(near[:, ::-1], axis=1)[:, :longest]  # column t-1: |C_n & last t users|
+    # M E grows with t, so the t that fit are 1, 2, ...
+    return max(1, int((m * (m ** within).sum(axis=0) <= SCAN_PAYOFFS).sum()))
 
 
 def _value_table(spec: SpectrumGame) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -414,29 +421,38 @@ def _scan(spec: SpectrumGame, cap: int) -> Iterator[_ScanBlock]:
     tail members: E = sum_n M^|C_n & tail| entries. A block computes the
     (M, E) payoffs of those entries channel-major, by one gather from the
     value table (_value_table), then each entry's own payoff, best payoff
-    and strict-improvement flag, and expands own and the flags to the
-    (N, K) profiles through one (N, K) entry index built once per scan.
-    Users whose C_n covers the tail (every user of a complete graph) have K
-    entries each, laid out as (rows, K) after the others; when every user is
-    such a row, the expansion is a reshape. The NE flag is strictly_better
-    of each entry's best payoff over its own, which is is_pure_ne's test of
-    every unilateral move; g comes from the sorted contender tuple (see
-    _grab_table). Blocks carry no deviation witnesses: the no-NE
-    certificate asks is_pure_ne (see social_welfare_and_poa). Logs the
-    profiles scanned, the wall seconds and the entries evaluated per block
-    against N K at DEBUG when the scan ends or is abandoned.
+    and strict-improvement flag, and expands the flags to the (N, K)
+    profiles through the (N, K) entry index. It carries own per entry;
+    own_payoffs expands it through the same index, for the welfare sums of
+    social_welfare_and_poa only. Users whose C_n covers the tail (every user
+    of a complete graph) have K entries each, laid out as (rows, K) after the
+    others; when every user is such a row, the flags' expansion is a
+    reshape. The NE flag is strictly_better of each entry's best payoff over
+    its own, which is is_pure_ne's test of every unilateral move; g comes
+    from the sorted contender tuple (see _grab_table). Blocks carry no
+    deviation witnesses: the no-NE certificate asks is_pure_ne (see
+    social_welfare_and_poa).
+
+    The layout, built once per scan and kept by no game, is the (N, K) index
+    and the (K, L) cycling channels, made together in L numpy passes last
+    digit first, so each pass's inner axis is the M^s profiles built so far;
+    then each entry's tail channels, in one (L, E) gather from the cycling
+    channels, give its keys and where its own payoff sits. Logs the profiles
+    scanned, the layout's and the blocks' wall seconds and the entries
+    evaluated per block against N K at DEBUG when the scan ends or is
+    abandoned.
     """
     n_users, m = spec.n_users, spec.n_channels
     total = m ** n_users
     if total > cap:
         raise ResourceLimitError(f"{total} profiles exceed the enumeration cap {cap}")
+    start = time.perf_counter()
     value_table, weight, offset = _value_table(spec)
     size = len(value_table) // m
     near = (weight != 0) | np.eye(n_users, dtype=bool)            # row n-1: C_n
     tail = _tail_length(near, m)
     head = n_users - tail
     k, channels = m ** tail, np.arange(m)
-    cycling = np.arange(k)[:, None] // m ** np.arange(tail - 1, -1, -1) % m    # (K, L), lexicographic
     # user n's entries: one per assignment of its tail members, in
     # lexicographic order; users whose C_n covers the tail come last
     local = near[:, head:]
@@ -446,22 +462,39 @@ def _scan(spec: SpectrumGame, cap: int) -> Iterator[_ScanBlock]:
     count = m ** members
     first = np.empty(n_users, dtype=np.intp)
     first[order] = np.cumsum(count[order]) - count[order]
-    # radix[n, j]: the place of tail user j in user n's entry number, 0 off C_n
-    radix = np.where(local, m ** (np.cumsum(local[:, ::-1], axis=1)[:, ::-1] - local), 0)
-    index = first[:, None]                                                    # (N, K), built digit by digit
-    for j in range(tail):
-        index = (index[:, :, None] + radix[:, j, None, None] * channels).reshape(n_users, -1)
+    # radix[n, j]: the place of tail user j in user n's entry number, 0 off C_n;
+    # below it, row j is the place of tail user j in its own channel
+    radix = np.vstack((np.where(local, m ** (np.cumsum(local[:, ::-1], axis=1)[:, ::-1] - local), 0),
+                       np.eye(tail, dtype=np.intp)))
+    # layout[:N] is the (N, K) entry index and layout[N:] the (L, K) cycling
+    # channels, built last digit first: the first M^s columns cover the last
+    # s tail users, and digit j's channel c > 0 adds c times its place to them
+    layout = np.empty((n_users + tail, k), dtype=np.intp)
+    layout[:, 0] = 0
+    layout[:n_users, 0] = first
+    steps = radix.T[:, :, None, None] * channels[1:, None]                    # (L, N + L, M - 1, 1)
+    width = 1
+    for j in range(tail - 1, -1, -1):
+        grown = layout[:, : m * width].reshape(-1, m, width)
+        np.add(grown[:, :1], steps[j], out=grown[:, 1:])
+        width *= m
+    index, cycling = layout[:n_users], layout[n_users:].T                    # cycling (K, L), lexicographic
     user = np.repeat(order, count[order])
     e = len(user)
+    rank = np.arange(e) - first[user]
+    # tail user j's channel at each entry, (L, E): a user with s tail members
+    # numbers its entries as the last s cycling users number profiles, so
+    # member i reads row L - s + i of the cycling channels at the entry's rank
+    # (off C_n the row is arbitrary and the weight 0)
+    row = np.cumsum(local, axis=1).T - 1 + (tail - members)
+    channel = layout[n_users:].ravel().take(row[:, user] * k + rank)
     # each entry's key on every channel from the tail users in its C_n, and
     # where its own payoff sits in the (M, E) payoffs
-    rank = np.arange(e) - first[user]
     tail_key = offset[user] + size * channels[:, None]                        # (M, E)
+    tail_key += ((channel == channels[:, None, None]) * weight[user, head:].T).sum(axis=1)
     own_at = np.arange(e)
-    for j in range(tail):
-        channel = rank // np.maximum(radix[user, j], 1) % m  # tail user j's channel; off C_n its weight is 0
-        tail_key += weight[user, head + j] * (channel == channels[:, None])
-        own_at += e * channel * (user == head + j)
+    mine = user >= head
+    own_at[mine] += e * channel[user[mine] - head, mine]
     # per block, key = tail_key + the head users' terms, and own is read at
     # own_at + e * (the user's channel when it is in the head): entries before
     # `compressed` gather the head terms entry by entry, the (rows, K) entries
@@ -479,7 +512,7 @@ def _scan(spec: SpectrumGame, cap: int) -> Iterator[_ScanBlock]:
     def expand(x: np.ndarray) -> np.ndarray:
         return x.take(index) if compressed else x.reshape(n_users, k)
 
-    start, scanned = time.perf_counter(), 0
+    blocks, scanned = time.perf_counter(), 0
     try:
         for fixed in itertools.product(range(m), repeat=head):
             fixed = np.array(fixed, dtype=np.intp)
@@ -495,10 +528,10 @@ def _scan(spec: SpectrumGame, cap: int) -> Iterator[_ScanBlock]:
             # improves on own iff the best one does
             improving = strictly_better(payoffs.max(axis=0), own)
             scanned += k
-            yield _ScanBlock(fixed, cycling, payoffs, index, expand(own), ~expand(improving).any(axis=0))
+            yield _ScanBlock(fixed, cycling, payoffs, index, own, ~expand(improving).any(axis=0))
     finally:
-        logger.debug("scanned %d of %d profiles in %.3f s, evaluated %d of %d user rows per block",
-                     scanned, total, time.perf_counter() - start, e, n_users * k)
+        logger.debug("scanned %d of %d profiles: layout %.3f s, blocks %.3f s, evaluated %d of %d user rows per block",
+                     scanned, total, blocks - start, time.perf_counter() - blocks, e, n_users * k)
 
 
 @dataclass
@@ -602,10 +635,11 @@ def social_welfare_and_poa(spec: SpectrumGame, cap: int = ENUMERATION_CAP) -> Po
     """Exhaustive welfare optimum, worst pure NE, and their ratio.
 
     One scan as in enumerate_pure_ne (lexicographic order, the same blocks
-    and memory bound), at about 17-33 million profiles per second on the
-    same sparse games and 1.8-5 million on the complete ones, as it also sums
-    welfare; the first profile wins welfare ties,
-    for the optimum and the worst NE alike. When the scan finds no NE, the
+    and memory bound), at about 19-41 million profiles per second on the
+    same sparse games and 2.5-5.7 million on the complete ones, as it also
+    expands each block's own payoffs through its index (own_payoffs) and
+    sums welfare; the first profile wins welfare ties, for the optimum and
+    the worst NE alike. When the scan finds no NE, the
     no-NE certificate is is_pure_ne's witness on each of the first
     _CERTIFICATE_LIMIT = 64 profiles in lexicographic order.
     Raises RuntimeError if the computed PoA falls below the structural lower
@@ -616,8 +650,9 @@ def social_welfare_and_poa(spec: SpectrumGame, cap: int = ENUMERATION_CAP) -> Po
     ne: list[Profile] = []
     for block in _scan(spec, cap):
         # users summed left to right, as in welfare, so totals holds its bits
-        totals = block.own[0].copy()
-        for row in block.own[1:]:
+        own = block.own_payoffs()
+        totals = own[0].copy()
+        for row in own[1:]:
             totals += row
         k = int(totals.argmax())
         if totals[k] > best_w:

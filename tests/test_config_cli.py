@@ -599,8 +599,8 @@ def test_cli_solve_and_poa_do_not_depend_on_the_rate_unit(tmp_path):
 
 
 def test_cli_verbose_logs_the_profile_scan(tmp_path, caplog):
-    # --verbose logs the scan's profile count and wall seconds at DEBUG and
-    # leaves the artifacts as they are
+    # --verbose logs the scan's profile count and its wall seconds, the layout
+    # build's apart from the blocks', at DEBUG and leaves the artifacts as they are
     config = str(CONFIGS / "triangle_no_ne.json")
     for command, artifact in (("poa", "poa.json"), ("solve", "solution.json")):
         written = []
@@ -611,8 +611,8 @@ def test_cli_verbose_logs_the_profile_scan(tmp_path, caplog):
             scans = [(r.levelno, r.getMessage()) for r in caplog.records if r.name == "specaccess.game"]
             if verbose:
                 assert len(scans) == 1 and scans[0][0] == logging.DEBUG
-                assert re.fullmatch(r"scanned 8 of 8 profiles in \d+\.\d{3} s, evaluated 12 of 24 user rows per block",
-                                    scans[0][1])
+                assert re.fullmatch(r"scanned 8 of 8 profiles: layout \d+\.\d{3} s, blocks \d+\.\d{3} s, "
+                                    r"evaluated 12 of 24 user rows per block", scans[0][1])
             else:
                 assert scans == []
             written.append((out / artifact).read_bytes())
@@ -636,8 +636,8 @@ def test_cli_verbose_logs_the_payoff_rows_a_scan_evaluates(tmp_path, caplog):
         caplog.clear()
         assert cli_main(["poa", str(config), "--out", str(tmp_path / "poa"), "--verbose"]) == 0
         (scan,) = [r.getMessage() for r in caplog.records if r.name == "specaccess.game"]
-        assert re.fullmatch(rf"scanned {profiles} of {profiles} profiles in \d+\.\d{{3}} s, "
-                            rf"evaluated {evaluated} of {rows} user rows per block", scan)
+        assert re.fullmatch(rf"scanned {profiles} of {profiles} profiles: layout \d+\.\d{{3}} s, "
+                            rf"blocks \d+\.\d{{3}} s, evaluated {evaluated} of {rows} user rows per block", scan)
 
 
 @pytest.mark.parametrize("level", [logging.NOTSET, logging.WARNING, logging.DEBUG])

@@ -295,10 +295,10 @@ def _assert_scan_matches_brute_force(spec):
         assert (rep.worst_ne_welfare, rep.worst_ne_profile) == min((welfare(spec, a), a) for a in ne)
     blocks = list(_scan(spec, 10**7))
     assert [tuple(a) for b in blocks for a in b.profiles().tolist()] == profiles
-    # every block's own payoffs, per-move payoffs (entry payoffs expanded
+    # every block's own payoffs and per-move payoffs (entry payoffs expanded
     # through the index) and NE flags, profile by profile
     rows = itertools.chain.from_iterable(
-        zip(b.own.T, b.payoffs[:, b.index].transpose(2, 0, 1), b.is_ne.tolist()) for b in blocks)
+        zip(b.own_payoffs().T, b.payoffs[:, b.index].transpose(2, 0, 1), b.is_ne.tolist()) for b in blocks)
     for a, check, (own, moves, is_ne) in zip(profiles, checks, rows, strict=True):
         for n in range(1, spec.n_users + 1):
             assert own[n - 1] == spec.payoff(a, n)
@@ -346,6 +346,32 @@ def test_scan_matches_brute_force_in_small_blocks(monkeypatch, rows, payoffs):
         block = next(_scan(spec, 10**7))
         assert len(block.is_ne) == spec.n_channels or (spec.n_users * len(block.is_ne) <= rows
                                                        and block.payoffs.size <= payoffs)
+
+
+def test_interleaved_scans_yield_what_each_yields_alone(monkeypatch):
+    # each scan builds its own layout and key buffers: two scans of one game
+    # advanced in turn, or a scan run while a first_pure_ne-style scan is
+    # suspended, yield the blocks and NE that each yields alone
+    monkeypatch.setattr(game, "SCAN_ROWS", 64)  # 243 blocks of 9 profiles
+    rng = np.random.default_rng(22)
+    spec = random_game(rng, random_directed_graph(rng, 7, 0.4), 3, "weighted", gains=True)
+    alone = [[np.copy(x) for x in block] for block in _scan(spec, 10**7)]
+    assert len(alone) == 243
+    first, second = _scan(spec, 10**7), _scan(spec, 10**7)
+    got = [[next(first)], []]
+    for block in second:  # the first scan runs a block ahead of the second
+        got[1].append(block)
+        got[0].extend(itertools.islice(first, 1))
+    for blocks in got:  # compared once both have ended, so no block may share a buffer
+        assert len(blocks) == len(alone)
+        for block, expected in zip(blocks, alone):
+            assert all(np.array_equal(x, y) for x, y in zip(block, expected, strict=True))
+    ne = enumerate_pure_ne(spec)
+    assert len(ne) == 3  # in three blocks
+    suspended = game._pure_ne(spec, 10**7)
+    got = [next(suspended)]
+    assert enumerate_pure_ne(spec) == ne
+    assert got + list(suspended) == ne
 
 
 def _dead_band_games():
