@@ -662,14 +662,13 @@ def social_welfare_and_poa(spec: SpectrumGame, cap: int = ENUMERATION_CAP) -> Po
             ne += map(tuple, block.profiles(rows).tolist())
             k = rows[totals[rows].argmin()]
             if totals[k] < worst_w:
-                worst_w, worst_a = totals[k], tuple(block.profiles([k])[0].tolist())
+                worst_w, worst_a = float(totals[k]), tuple(block.profiles([k])[0].tolist())
     bound = poa_lower_bound(spec)
     if not ne:
         profiles = itertools.islice(itertools.product(range(1, spec.n_channels + 1), repeat=spec.n_users),
                                     _CERTIFICATE_LIMIT)
         certificate = [(a, is_pure_ne(spec, a).witness) for a in profiles]
         return PoaReport(best_w, best_a, [], None, None, None, bound, certificate)
-    worst_w = welfare(spec, worst_a)  # equals its scan total, in welfare()'s float type
     poa = worst_w / best_w if best_w > 0 else 1.0
     if poa < bound - 1e-9:
         raise RuntimeError(

@@ -513,19 +513,19 @@ def test_payoff_matches_scan_bit_for_bit(kind):
 _SCAN_DIGESTS = {
     "8x4_backoff": "61e08cb0bb450bdc0903bd31cef38bfe470bc3774ccab9e8d1917860863c7dc0",
     "8x4_asymptotic": "c587856157adbbe829caa751759ef29ba8db5dfac94ddc10bef087d1b0205dd4",
-    "8x4_weighted": "eaecf4db0ddebcc663d7dc0a0c8c4559dc323e58b8bc9b707d7b174600e2783a",
-    "8x4_aloha": "3c226dfecc1dbbcb9a72076f3877def624c6de3f8f4fa32c89a49c2abd8bceb9",
+    "8x4_weighted": "0ca922c7732cb496eba2e4f640e6c34b37abc130dc44dc12f05612315925abee",
+    "8x4_aloha": "651f166f0637ed21a47daf6893be2a6883c46af4ed2047aa75b6f1c112917276",
     "16x2_backoff": "6550eb677933b02b7e1b7f9f2865d8e0be296ed5b10350a7b097c3a77e765334",
     "16x2_asymptotic": "59833cf3990d989ca0c7b65e97a0d958801cdfdb24cb205fd83f9691fbffe723",
-    "16x2_weighted": "5910def8212f3edc7d195b1d43e7acc47a809edf80d308ad1c839bf20b0a0354",
-    "16x2_aloha": "858063be706edf36e699a84246504c1afb3fca4c7ad644d0d15d43dbd74a0b07",
-    "16x1_weighted": "7137f58cbad984f58ec90c52274b6a2960ccf435730b852fb840551bd9f872c7",
+    "16x2_weighted": "f9f89e3b7b9c6b56ea046b127aa896410c19a8209133cde6bf1929f43748d2d7",
+    "16x2_aloha": "dd5ae9c6650769daec06a75a46c283ff6e48d2620581063d9e6072ef532266cc",
+    "16x1_weighted": "44caf982ac5f76f9cf219ad897a2ca28947a5835a9e5618cd7e86cbdf17b43e4",
     "triangle": "7bf898a52b402038edb7ea9a207d30e49fcd262a1fd595445754753dcf1b8b98",
     "10x2_every_profile_ne": "f4bb5193db717a76559e6f940726c57ad0bfe74c53c51a6a1a40b0c8be83c68b",
     "learning_9user": "a1b3f0b6e97e391be22f6b2147f671becab36d3392dbe396bf60266d9686e0b1",
     "learning_9user_aloha": "a49317edd1a0b1bbcd93a4ede995112a5f19461f39f2e2983d0914b065f9d732",
-    "9x3_complete_weighted": "0a26af753835781c927f69e01510826bf450274f0cd24db92faf6651290dddb7",
-    "14x2_star_aloha": "cf1e808e16b117fa3d386ec73bf9ad3e58f43e0b09c59c074d2506bbcfa899e0",
+    "9x3_complete_weighted": "98ae16a23876ff38a9535be15d65f6b123cea977a97e0dfa0eaf72b7a2b15883",
+    "14x2_star_aloha": "8fb4a7a284616dd8d92cb83e3d23eb6e149dd1c683df1d27b35665f2e5968c4c",
 }
 
 
@@ -569,6 +569,19 @@ def test_seeded_scans_keep_their_digest():
         ne = enumerate_pure_ne(spec)
         assert first_pure_ne(spec) == (ne[0] if ne else None), name
     assert got == _SCAN_DIGESTS
+
+
+def test_worst_ne_welfare_and_poa_are_python_floats():
+    # the worst NE's welfare is its scan total, a Python float like the
+    # optimum's, also where the mechanism keeps numpy weights and every payoff
+    # is an np.float64
+    rng = np.random.default_rng(16)
+    spec = random_game(rng, random_directed_graph(rng, 8, 0.3), 4, "weighted", gains=True)
+    assert all(type(w) is np.float64 for w in spec.mechanism.weights)
+    rep = social_welfare_and_poa(spec)
+    assert rep.pure_ne and type(welfare(spec, rep.worst_ne_profile)) is np.float64
+    assert type(rep.worst_ne_welfare) is float and type(rep.poa) is float and type(rep.optimal_welfare) is float
+    assert rep.worst_ne_welfare == welfare(spec, rep.worst_ne_profile)
 
 
 def test_poa_enumeration_cap():
