@@ -326,10 +326,11 @@ def enumerate_pure_ne(spec: SpectrumGame, cap: int = ENUMERATION_CAP) -> list[Pr
     10 users x 4 channels and 20 x 2; 30% of ordered pairs are edges in the
     sparse ones). It reads only the blocks' NE flags, never their own
     payoffs expanded to (N, K). Memory is a few arrays of at most SCAN_ROWS
-    (N K) or L SCAN_PAYOFFS (L M E) values, about 0.7 MB at peak at 16 users x
-    2 channels and 1.7 MB on a complete 20 x 2 graph, plus the game's grab
-    table of sum_n 2^|in(n)| floats (|in(n)| + 1 under the backoff mechanisms
-    or with one channel), built once and kept with the game, and the scan's M
+    (N K) or SCAN_PAYOFFS (M E) values per block, and set-up temporaries of
+    L M E values, about 0.7 MB at peak at 16 users x 2 channels and 1.7 MB
+    on a complete 20 x 2 graph, plus the game's grab table of sum_n
+    2^|in(n)| floats (|in(n)| + 1 under the backoff mechanisms or with one
+    channel), built once and kept with the game, and the scan's M
     value-weighted copies of it.
     """
     return list(_pure_ne(spec, cap))
@@ -639,9 +640,10 @@ def social_welfare_and_poa(spec: SpectrumGame, cap: int = ENUMERATION_CAP) -> Po
     same sparse games and 2.5-5.7 million on the complete ones, as it also
     expands each block's own payoffs through its index (own_payoffs) and
     sums welfare; the first profile wins welfare ties, for the optimum and
-    the worst NE alike. When the scan finds no NE, the
-    no-NE certificate is is_pure_ne's witness on each of the first
-    _CERTIFICATE_LIMIT = 64 profiles in lexicographic order.
+    the worst NE alike, and both welfares are those sums, as Python floats.
+    When the scan finds no NE, the no-NE certificate is is_pure_ne's witness
+    on each of the first _CERTIFICATE_LIMIT = 64 profiles in lexicographic
+    order.
     Raises RuntimeError if the computed PoA falls below the structural lower
     bound by more than 1e-9 (which would indicate an implementation bug).
     """
