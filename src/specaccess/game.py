@@ -321,7 +321,7 @@ def enumerate_pure_ne(spec: SpectrumGame, cap: int = ENUMERATION_CAP) -> list[Pr
 
     Scans the M^N profiles in blocks that evaluate each user once per
     assignment of its in-neighbourhood's cycling users (see _scan), at about
-    32-72 million profiles per second on sparse graphs and 2.7-6 million on
+    32-75 million profiles per second on sparse graphs and 2.4-6 million on
     complete ones, on one core of a 2-core Xeon VM (10^6-profile games at
     10 users x 4 channels and 20 x 2; 30% of ordered pairs are edges in the
     sparse ones). It reads only the blocks' NE flags, never their own
