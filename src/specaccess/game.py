@@ -150,34 +150,38 @@ class SpectrumGame:
         return np.ascontiguousarray(idx.T), np.ascontiguousarray(valid.T)
 
     @cached_property
-    def _grab_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(table, weight, offset, step) for profile scans and Q, built once per game.
+    def _grab_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(table, offset, key) for profile scans and Q, built once per game.
 
-        Row j of _in_index has key weight step[j]: 1 where the count alone
-        fixes g (the backoff mechanisms, and one channel, where every
-        in-neighbour always contends), else bit 1 << j. User n's contender key
-        is offset[n-1] plus the weights of its in-neighbours (column n-1) on
-        its channel (weight[n-1, i-1] for in-neighbour i, 0 for other users);
-        table[key] is grab_probability of those contenders. Bitmask rows (2^|in(n)| entries)
+        key is (d_max, N), aligned with _in_index: row j's key weight for
+        user n is 1 where the count alone fixes g (the backoff mechanisms, and
+        one channel, where every in-neighbour always contends), else
+        1 << (d_n - 1 - j) over user n's d_n in-neighbours, and 0 where the
+        row is padding. The last in-neighbour is on bit 0 (the order
+        _subset_grab_row builds), so that a scan block's cycling users, the
+        last ones, move a user's low bits and the keys one block reads lie
+        close together. User n's contender key is offset[n-1] plus the key
+        weights of its in-neighbours on its channel; table[key] is
+        grab_probability of those contenders. Bitmask rows (2^|in(n)| entries)
         over more than 20 in-neighbours raise ResourceLimitError up front.
         """
         idx, valid = self._in_index
-        count_only = self.n_channels == 1 or isinstance(self.mechanism, (RandomBackoff, AsymptoticBackoff))
-        if not count_only:
+        if self.n_channels == 1 or isinstance(self.mechanism, (RandomBackoff, AsymptoticBackoff)):
+            count_only, key = True, valid.astype(np.int64)
+        else:
             _check_subset_cap(len(idx))
-        step = np.ones(len(idx), dtype=np.int64) if count_only else 1 << np.arange(len(idx))
-        weight = np.zeros((self.n_users, self.n_users), dtype=np.int64)
+            # 2^d >> (j + 1) is 1 << (d - 1 - j) below the degree d and 0 from it on
+            count_only, key = False, (1 << valid.sum(axis=0)) >> np.arange(1, len(idx) + 1)[:, None]
         offset = np.zeros(self.n_users, dtype=np.int64)
         rows: list[np.ndarray] = []
         size = 0
         for n, (cols, ok) in enumerate(zip(idx.T, valid.T), 1):
             nbrs = (cols[ok] + 1).tolist()
             offset[n - 1] = size
-            weight[n - 1, cols[ok]] = step[: len(nbrs)]
             rows.append(np.array([grab_probability(self.mechanism, n, nbrs[:c]) for c in range(len(nbrs) + 1)])
                         if count_only else _subset_grab_row(self.mechanism, n, nbrs))
             size += len(rows[-1])
-        return np.concatenate(rows), weight, offset, step
+        return np.concatenate(rows), offset, key
 
 
 _SUBSET_CAP = 20
@@ -386,32 +390,6 @@ def _tail_length(near: np.ndarray, m: int) -> int:
     return max(1, int((m * (m ** within).sum(axis=0) <= SCAN_PAYOFFS).sum()))
 
 
-def _value_table(spec: SpectrumGame) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(value_table, weight, offset): _grab_table's keys, with
-    value_table[c * size + key] = value[n, c] * table[key] for each key of
-    user n and every channel c, the product payoff computes. Bitmask rows are
-    bit-reversed, in-neighbour column j of d keyed by 1 << (d - 1 - j), so
-    that a scan block's cycling users, the last ones, move a user's low bits
-    and the keys one block reads lie close together."""
-    table, weight, offset, step = spec._grab_table
-    size = len(table)
-    bounds = offset.tolist() + [size]
-    bitmask = bool((step > 1).any())
-    if bitmask:
-        reversal = np.zeros(1, dtype=np.intp)  # reversal[x]: the len(step) bits of x reversed
-        for _ in step:
-            reversal = np.concatenate((2 * reversal, 2 * reversal + 1))
-        degree = (weight != 0).sum(axis=1)
-        weight = np.where(weight != 0, (1 << degree)[:, None] // np.maximum(2 * weight, 1), 0)
-    value_table = np.empty((spec.n_channels, size))
-    for n, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        row = table[lo:hi]
-        if bitmask:  # 2^d entries: key x reads the entry at x's d bits reversed
-            row = row.take(reversal[: hi - lo] >> (len(step) + 1 - (hi - lo).bit_length()))
-        np.multiply(spec._value[n, :, None], row, out=value_table[:, lo:hi])
-    return value_table.ravel(), weight, offset
-
-
 def _scan(spec: SpectrumGame, cap: int) -> Iterator[_ScanBlock]:
     """Every pure profile in lexicographic order, in blocks where the first
     N - L users (the head) stay fixed and the last L >= 1 (the tail) cycle
@@ -421,9 +399,9 @@ def _scan(spec: SpectrumGame, cap: int) -> Iterator[_ScanBlock]:
     in(n), so within a block they take one value per assignment of C_n's
     tail members: E = sum_n M^|C_n & tail| entries. A block computes the
     (M, E) payoffs of those entries channel-major, by one gather from the
-    value table (_value_table), then each entry's own payoff, best payoff
-    and strict-improvement flag, and expands the flags to the (N, K)
-    profiles through the (N, K) entry index. It carries own per entry;
+    value table, then each entry's own payoff, best payoff and
+    strict-improvement flag, and expands the flags to the (N, K) profiles
+    through the (N, K) entry index. It carries own per entry;
     own_payoffs expands it through the same index, for the welfare sums of
     social_welfare_and_poa only. Users whose C_n covers the tail (every user
     of a complete graph) have K entries each, laid out as (rows, K) after the
@@ -434,11 +412,16 @@ def _scan(spec: SpectrumGame, cap: int) -> Iterator[_ScanBlock]:
     deviation witnesses: the no-NE certificate asks is_pure_ne (see
     social_welfare_and_poa).
 
-    The layout, built once per scan and kept by no game, is the (N, K) index
-    and the (K, L) cycling channels, made together in L numpy passes last
-    digit first, so each pass's inner axis is the M^s profiles built so far;
-    then each entry's tail channels, in one (L, E) gather from the cycling
-    channels, give its keys and where its own payoff sits. Logs the profiles
+    The set-up, built once per scan and kept by no game, reads the grab
+    table in the key order it is stored in. The value table is M copies of
+    it, copy c times each user's payoff alone on channel c, made by one
+    repeat and one in-place product (payoff's IEEE products); the (N, N) key
+    weights, dense as C_n is, spread _grab_table's key over the in-neighbour
+    index. The layout is the (N, K) index and the (K, L) cycling channels,
+    made together in L numpy passes last digit first, so each pass's inner
+    axis is the M^s profiles built so far; then each entry's tail channels,
+    in one (L, E) gather from the cycling channels, give its keys and where
+    its own payoff sits. Logs the profiles
     scanned, the layout's and the blocks' wall seconds and the entries
     evaluated per block against N K at DEBUG when the scan ends or is
     abandoned.
@@ -448,8 +431,16 @@ def _scan(spec: SpectrumGame, cap: int) -> Iterator[_ScanBlock]:
     if total > cap:
         raise ResourceLimitError(f"{total} profiles exceed the enumeration cap {cap}")
     start = time.perf_counter()
-    value_table, weight, offset = _value_table(spec)
-    size = len(value_table) // m
+    table, offset, key_weight = spec._grab_table
+    size = len(table)
+    # value_table[c * size + key] = value[n, c] * table[key] for each key of user n
+    value_table = np.repeat(spec._value.T, np.diff(offset, append=size), axis=1)
+    value_table *= table
+    value_table = value_table.ravel()
+    # weight[n-1, i-1]: in-neighbour i's key weight for user n, 0 off in(n)
+    idx, valid = spec._in_index
+    weight = np.zeros((n_users, n_users), dtype=np.int64)
+    weight[np.nonzero(valid)[1], idx[valid]] = key_weight[valid]
     near = (weight != 0) | np.eye(n_users, dtype=bool)            # row n-1: C_n
     tail = _tail_length(near, m)
     head = n_users - tail

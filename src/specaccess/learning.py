@@ -94,11 +94,11 @@ def q_from_sigma(spec: SpectrumGame, sigma: np.ndarray) -> np.ndarray:
 
     With q_j the chance that the in-neighbour in row j of the index
     (SpectrumGame._in_index) contends, Aloha's g is p_n prod_j (1 - q_j p_j),
-    in row order at any in-degree. Otherwise a distribution over grab-table
-    keys starts at 0 and each index row j shifts it by its key weight with
-    probability q_j: the Poisson-binomial on count rows, every subset on
-    bitmask rows (which raise ResourceLimitError above 20 in-neighbours); g
-    is its dot with the row.
+    in row order at any in-degree. Otherwise a distribution over contender
+    keys starts at 0 and each index row j shifts it with probability q_j, by
+    1 on count rows (the Poisson-binomial) and by 1 << j on bitmask rows
+    (every subset; ResourceLimitError above 20 in-neighbours); g is its dot
+    with the grab-table entries at those keys' positions (see _q_map).
     """
     sigma = check_mixed_profile(spec, sigma)
     return _q_map(spec)(sigma)
@@ -110,7 +110,11 @@ def _q_map(spec: SpectrumGame) -> Callable[[np.ndarray], np.ndarray]:
     the (d_max, N) in-neighbour index leads its arrays, so each step of the
     loop over rows reads and writes whole contiguous blocks; every
     elementwise value, and the layout of the final sum over keys, is
-    q_from_sigma's."""
+    q_from_sigma's. The (N, K) gather of grab-table entries reads, for each
+    distribution key, its position in user n's row (SpectrumGame._grab_table):
+    the key itself on count rows, and on bitmask rows the sum of the key
+    weights of the key's set bits, found in one doubling pass over the index
+    rows."""
     idx, valid = spec._in_index
     n, m = spec.n_users, spec.n_channels
     value = spec._value
@@ -132,12 +136,19 @@ def _q_map(spec: SpectrumGame) -> Callable[[np.ndarray], np.ndarray]:
             return value * g
 
         return aloha
-    table, _, offset, step = spec._grab_table
-    start = np.zeros((int(step.sum()) + 1, n, m))  # key-major distribution over contender keys
+    table, offset, key = spec._grab_table
+    if key.max(initial=0) > 1:  # bitmask rows
+        steps = [1 << j for j in range(len(key))]
+        at = np.zeros((1, n), dtype=np.int64)
+        for w in key:
+            at = np.concatenate((at, at + w))
+    else:  # count rows, or at most one in-neighbour, where the two layouts agree
+        steps = [1] * len(key)
+        at = np.arange(len(key) + 1)[:, None]
+    start = np.zeros((len(at), n, m))  # key-major distribution over contender keys
     start[0] = 1.0
-    # keys past a user's own row hold zero mass, so reading the next row there adds exact zeros
-    rows = table.take(offset[:, None] + np.arange(len(start)), mode="clip")[:, None, :]
-    steps = step.tolist()
+    # keys past a user's own row hold zero mass, so reading any finite entry there adds exact zeros
+    rows = table.take(offset[:, None] + at.T, mode="clip")[:, None, :]
 
     def keyed(sigma: np.ndarray) -> np.ndarray:
         q = contend(sigma)

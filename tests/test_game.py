@@ -484,10 +484,11 @@ def test_grab_table_rows_match_grab_probability_bit_for_bit(kind):
     rng = np.random.default_rng(5)
     graph = sa.InterferenceGraph.from_edges(n_users, [(i, n) for n in range(1, n_users + 1) for i in range(1, n)])
     spec = random_game(rng, graph, 2, kind)
-    table, _, offset, _ = spec._grab_table
+    table, offset, _ = spec._grab_table
     for n in range(1, n_users + 1):
+        # in-neighbour j of d on bit d - 1 - j
         nbrs = list(range(1, n))
-        expected = [sa.grab_probability(spec.mechanism, n, [i for j, i in enumerate(nbrs) if mask >> j & 1])
+        expected = [sa.grab_probability(spec.mechanism, n, [i for j, i in enumerate(nbrs) if mask >> (n - 2 - j) & 1])
                     for mask in range(1 << len(nbrs))]
         assert table[offset[n - 1]:offset[n - 1] + len(expected)].tolist() == expected
     assert table.size == sum(1 << d for d in range(n_users))

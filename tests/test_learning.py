@@ -731,17 +731,24 @@ def _q_user_major(spec, sigma):
         for j in range(idx.shape[1]):
             g *= 1.0 - q[:, j] * p[idx[:, j], None]
         return spec._value * g
-    table, _, offset, step = spec._grab_table
-    dist = np.zeros((spec.n_users, spec.n_channels, int(step.sum()) + 1))
+    table, offset, key = spec._grab_table
+    offset, key = offset.tolist(), key.T.tolist()
+    bitmask = any(w > 1 for weights in key for w in weights)
+    step = [1 << j if bitmask else 1 for j in range(idx.shape[1])]
+    dist = np.zeros((spec.n_users, spec.n_channels, sum(step) + 1))
     dist[..., 0] = 1.0
     support = 1
-    for j, w in enumerate(step.tolist()):
+    for j, w in enumerate(step):
         qj = q[:, j, :, None]
         moved = dist[..., :support] * qj
         dist[..., :support] *= 1.0 - qj
         dist[..., w : w + support] += moved
         support += w
-    rows = table.take(offset[:, None] + np.arange(dist.shape[2]), mode="clip")
+    # forward key x (bit j for in-neighbour column j) sits at the user's offset
+    # plus x on count rows, or plus the key weights of x's set bits
+    at = [[start + (sum(w for j, w in enumerate(weights) if x >> j & 1) if bitmask else x)
+           for x in range(dist.shape[2])] for start, weights in zip(offset, key)]
+    rows = table.take(at, mode="clip")
     return spec._value * (dist * rows[:, None, :]).sum(axis=2)
 
 
