@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig, OutputSettings, load_config, load_graph, resolved_payoff_scale
+from .config import ExperimentConfig, OutputSettings, _read_json, load_config, load_graph, resolved_payoff_scale
 from .equilibria import solve_pure_ne
 from .errors import PreconditionError, ResourceLimitError
 from .game import is_pure_ne, social_welfare_and_poa, welfare
@@ -149,7 +149,7 @@ def _numpy_build() -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_classify(args) -> int:
-    doc = json.loads(Path(args.graph).read_text())
+    doc = _read_json(Path(args.graph))
     # anything but a config object goes to graph validation, which names the error
     if isinstance(doc, dict) and "scenario" in doc:
         cfg = load_config(args.graph)

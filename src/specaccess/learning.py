@@ -270,7 +270,7 @@ def approx_ne_gap(
     sigma = check_mixed_profile(spec, sigma)
     gamma_eff = gamma / payoff_scale
     delta = _entropy_gap(sigma, gamma_eff)
-    Q = q_from_sigma(spec, sigma)
+    Q = _q_map(spec)(sigma)
     mixed_value = (sigma * Q).sum(axis=1)
     br_gains = Q.max(axis=1) - mixed_value
     max_gain = float(br_gains.max())

@@ -63,6 +63,7 @@ def _coerce(x):
     raise TypeError(f"cannot serialise {type(x)}")
 
 
-def fmt(x: float, digits: int = 10) -> str:
-    """Stable float formatting for CSV cells (repr round-trips, no noise)."""
-    return format(float(x), f".{digits}g")
+def fmt(x: float) -> str:
+    """Stable float formatting for CSV cells: 10 significant digits, so a
+    last-bit difference seldom shows."""
+    return format(float(x), ".10g")

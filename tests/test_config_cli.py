@@ -289,6 +289,17 @@ def test_non_json_number_tokens_are_rejected(tmp_path, capsys, token):
         load_config(_write(tmp_path, doc))
 
 
+def test_classify_names_the_file_it_cannot_parse(tmp_path, capsys):
+    p = tmp_path / "broken.json"
+    p.write_text('{"scenario": {"graph": 1 2}}')
+    errors = []
+    for command in ("classify", "solve"):
+        assert cli_main([command, str(p), "--out", str(tmp_path / "out")]) == 1
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith(f"error: {p}: not valid JSON: ")
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, np.float64(-math.inf)])
 def test_json_artifacts_never_hold_non_json_numbers(tmp_path, value):
     with pytest.raises(ValueError, match="not JSON compliant"):

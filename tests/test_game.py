@@ -477,6 +477,16 @@ def test_single_channel_scan_stays_small():
     assert spec._grab_table[0].size == n * n
 
 
+def test_neighbourhood_caches_grow_with_users_times_in_degree():
+    # a directed path: d_max = 1, so the index and the grab table hold a few
+    # values per user, where an N x N array would be 72 MB
+    n = 3000
+    graph = sa.InterferenceGraph.from_edges(n, [(i, i + 1) for i in range(1, n)])
+    spec = SpectrumGame.create(graph, [0.5, 0.7], [[1.0, 2.0]] * n, sa.WeightedShare((1.0,) * n))
+    held = sum(a.nbytes for a in spec._in_index + spec._grab_table)
+    assert held < 100 * n
+
+
 @pytest.mark.parametrize("kind", ["weighted", "aloha"])
 def test_grab_table_rows_match_grab_probability_bit_for_bit(kind):
     # user n hears users 1..n-1, so in-degrees run 0..10

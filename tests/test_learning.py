@@ -11,6 +11,7 @@ from conftest import random_directed_graph, random_game
 
 import specaccess as sa
 from specaccess import learning
+from specaccess.cli import _numpy_build
 from specaccess.config import load_config, resolved_payoff_scale
 from specaccess.game import SpectrumGame
 from specaccess.learning import (
@@ -401,6 +402,16 @@ _LEARNING_DIGESTS = {
     "fixed-point/aloha": "c0cee3c64c4cb0d76bd174e3a764c9e9c6a114ae4116fd727f7be88ec1bffc6a",
     "fixed-point/above-bound": "44f773a5c11b38da3a35cf8d6983e48bb6939813be493cbecd20c10cdb73b008",
 }
+# the same runs where numpy dispatches to X86_V3 (AVX2): its exp kernel
+# differs from the AVX-512 ones in the last bit (README, Reproducibility),
+# which moves these four entries; every other build is held to the pins above
+_X86_V3_LEARNING_DIGESTS = {
+    **_LEARNING_DIGESTS,
+    "learning/noise": "12648f33355f9890cdaa697128981d6d0e288f78cf08deda8ffc6e342756ac87",
+    "learning/nan-observer": "2b41767808bcde1f200fbdcd46f59da1fbea46de972b19cec5051b8ec6e9587c",
+    "learning/unrecorded": "179203f1ef40a65055b10e8cd18c5f66da36422b33e6a513e7d7a56385ee06c3",
+    "fixed-point/weighted": "63f768de677fe2a154cd3e74c8e4a66ade77f6a45345b3b1b6a127ef9b30fb18",
+}
 
 
 def _sha256(*values):
@@ -457,7 +468,7 @@ def test_seeded_learning_and_fixed_points_keep_their_digest():
     for name, kwargs in runs.items():
         out = run_learning(spec, 4.0 * gamma, 700, np.random.default_rng([9, len(got)]), **kwargs)
         got[f"learning/{name}"] = _sha256(*(getattr(out, f.name) for f in dataclasses.fields(out)))
-    assert got == _LEARNING_DIGESTS
+    assert got == (_X86_V3_LEARNING_DIGESTS if _numpy_build().split(" ")[1] == "X86_V3" else _LEARNING_DIGESTS)
 
 
 def _numpy_cdf(P, gamma, payoff_scale):
