@@ -106,13 +106,11 @@ def grab_probability(m: ContentionMechanism, n: int, contenders: Iterable[int]) 
 
 def _subset_grab_row(m: WeightedShare | SlottedAloha, n: int, nbrs: Iterable[int]) -> np.ndarray:
     """grab_probability(m, n, S) for every subset S of the d ascending users
-    ``nbrs``, at index sum(1 << (d - 1 - j) for j where nbrs[j] in S): the
-    last neighbour on bit 0.
+    ``nbrs``, at index sum(1 << (d - 1 - j) for j where nbrs[j] in S).
 
-    One doubling pass per neighbour, interleaving: entry 2x leaves the
-    neighbour out and entry 2x + 1 takes it in. Each pass does
-    grab_probability's float operations in its order, so every entry has its
-    bits.
+    One interleaving doubling pass per neighbour (entry 2x leaves it out,
+    2x + 1 takes it in), doing grab_probability's float operations in its
+    order, so every entry has its bits.
     """
     if isinstance(m, WeightedShare):
         w_n = _param_for(m.weights, n, "sharing weight")

@@ -153,35 +153,29 @@ class SpectrumGame:
     def _grab_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(table, offset, key) for profile scans and Q, built once per game.
 
-        key is (d_max, N), aligned with _in_index: row j's key weight for
-        user n is 1 where the count alone fixes g (the backoff mechanisms, and
-        one channel, where every in-neighbour always contends), else
-        1 << (d_n - 1 - j) over user n's d_n in-neighbours, and 0 where the
-        row is padding. The last in-neighbour is on bit 0 (the order
-        _subset_grab_row builds), so that a scan block's cycling users, the
-        last ones, move a user's low bits and the keys one block reads lie
-        close together. User n's contender key is offset[n-1] plus the key
-        weights of its in-neighbours on its channel; table[key] is
-        grab_probability of those contenders. Bitmask rows (2^|in(n)| entries)
-        over more than 20 in-neighbours raise ResourceLimitError up front.
+        key, (d_max, N) as _in_index, holds row j's key weight for user n: 1
+        where the count alone fixes g (the backoff mechanisms, and one
+        channel, where every in-neighbour always contends), else
+        1 << (d_n - 1 - j), and 0 on padding. The last in-neighbour is on bit
+        0, so that a scan block's cycling users, the last ones, move a user's
+        low bits and the keys one block reads lie close together. User n's
+        contender key is offset[n-1] plus the key weights of its in-neighbours
+        on its channel; table[key] is grab_probability of those contenders.
+        Bitmask rows (2^|in(n)| entries) over more than 20 in-neighbours raise
+        ResourceLimitError up front.
         """
         idx, valid = self._in_index
+        nbrs = [(cols[ok] + 1).tolist() for cols, ok in zip(idx.T, valid.T)]
         if self.n_channels == 1 or isinstance(self.mechanism, (RandomBackoff, AsymptoticBackoff)):
-            count_only, key = True, valid.astype(np.int64)
+            key = valid.astype(np.int64)
+            rows = [np.array([grab_probability(self.mechanism, n, row[:c]) for c in range(len(row) + 1)])
+                    for n, row in enumerate(nbrs, 1)]
         else:
             _check_subset_cap(len(idx))
-            # 2^d >> (j + 1) is 1 << (d - 1 - j) below the degree d and 0 from it on
-            count_only, key = False, (1 << valid.sum(axis=0)) >> np.arange(1, len(idx) + 1)[:, None]
-        offset = np.zeros(self.n_users, dtype=np.int64)
-        rows: list[np.ndarray] = []
-        size = 0
-        for n, (cols, ok) in enumerate(zip(idx.T, valid.T), 1):
-            nbrs = (cols[ok] + 1).tolist()
-            offset[n - 1] = size
-            rows.append(np.array([grab_probability(self.mechanism, n, nbrs[:c]) for c in range(len(nbrs) + 1)])
-                        if count_only else _subset_grab_row(self.mechanism, n, nbrs))
-            size += len(rows[-1])
-        return np.concatenate(rows), offset, key
+            key = (1 << valid.sum(axis=0)) >> np.arange(1, len(idx) + 1)[:, None]  # 0 from the degree on
+            rows = [_subset_grab_row(self.mechanism, n, row) for n, row in enumerate(nbrs, 1)]
+        sizes = np.array([len(row) for row in rows])
+        return np.concatenate(rows), np.cumsum(sizes) - sizes, key
 
 
 _SUBSET_CAP = 20
@@ -413,18 +407,16 @@ def _scan(spec: SpectrumGame, cap: int) -> Iterator[_ScanBlock]:
     social_welfare_and_poa).
 
     The set-up, built once per scan and kept by no game, reads the grab
-    table in the key order it is stored in. The value table is M copies of
-    it, copy c times each user's payoff alone on channel c, made by one
-    repeat and one in-place product (payoff's IEEE products); the (N, N) key
-    weights, dense as C_n is, spread _grab_table's key over the in-neighbour
-    index. The layout is the (N, K) index and the (K, L) cycling channels,
-    made together in L numpy passes last digit first, so each pass's inner
-    axis is the M^s profiles built so far; then each entry's tail channels,
-    in one (L, E) gather from the cycling channels, give its keys and where
-    its own payoff sits. Logs the profiles
-    scanned, the layout's and the blocks' wall seconds and the entries
-    evaluated per block against N K at DEBUG when the scan ends or is
-    abandoned.
+    table in its stored key order: the (M, size) value table is one repeat
+    of each user's payoffs alone times it, payoff's IEEE products, and the
+    dense (N, N) key weights spread _grab_table's key over the index. The
+    layout is the (N, K) index and the (K, L) cycling channels, made
+    together in L numpy passes last digit first, so each pass's inner axis
+    is the M^s profiles built so far; then each entry's tail channels, in
+    one (L, E) gather from the cycling channels, give its keys and where its
+    own payoff sits. Logs the profiles scanned, the layout's and the blocks'
+    wall seconds and the entries evaluated per block against N K at DEBUG
+    when the scan ends or is abandoned.
     """
     n_users, m = spec.n_users, spec.n_channels
     total = m ** n_users
@@ -433,10 +425,9 @@ def _scan(spec: SpectrumGame, cap: int) -> Iterator[_ScanBlock]:
     start = time.perf_counter()
     table, offset, key_weight = spec._grab_table
     size = len(table)
-    # value_table[c * size + key] = value[n, c] * table[key] for each key of user n
+    # value_table[c, key] = value[n, c] * table[key] for each key of user n
     value_table = np.repeat(spec._value.T, np.diff(offset, append=size), axis=1)
     value_table *= table
-    value_table = value_table.ravel()
     # weight[n-1, i-1]: in-neighbour i's key weight for user n, 0 off in(n)
     idx, valid = spec._in_index
     weight = np.zeros((n_users, n_users), dtype=np.int64)

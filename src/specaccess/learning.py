@@ -110,11 +110,9 @@ def _q_map(spec: SpectrumGame) -> Callable[[np.ndarray], np.ndarray]:
     the (d_max, N) in-neighbour index leads its arrays, so each step of the
     loop over rows reads and writes whole contiguous blocks; every
     elementwise value, and the layout of the final sum over keys, is
-    q_from_sigma's. The (N, K) gather of grab-table entries reads, for each
-    distribution key, its position in user n's row (SpectrumGame._grab_table):
-    the key itself on count rows, and on bitmask rows the sum of the key
-    weights of the key's set bits, found in one doubling pass over the index
-    rows."""
+    q_from_sigma's. Each distribution key reads the grab table at its
+    position in the user's row: the key itself on count rows, the sum of the
+    key weights of its set bits on bitmask rows."""
     idx, valid = spec._in_index
     n, m = spec.n_users, spec.n_channels
     value = spec._value
@@ -137,14 +135,12 @@ def _q_map(spec: SpectrumGame) -> Callable[[np.ndarray], np.ndarray]:
 
         return aloha
     table, offset, key = spec._grab_table
-    if key.max(initial=0) > 1:  # bitmask rows
-        steps = [1 << j for j in range(len(key))]
-        at = np.zeros((1, n), dtype=np.int64)
+    if key.max(initial=0) > 1:  # bitmask rows: one doubling pass over the index rows
+        steps, at = [1 << j for j in range(len(key))], np.zeros((1, n), dtype=np.int64)
         for w in key:
             at = np.concatenate((at, at + w))
     else:  # count rows, or at most one in-neighbour, where the two layouts agree
-        steps = [1] * len(key)
-        at = np.arange(len(key) + 1)[:, None]
+        steps, at = [1] * len(key), np.arange(len(key) + 1)[:, None]
     start = np.zeros((len(at), n, m))  # key-major distribution over contender keys
     start[0] = 1.0
     # keys past a user's own row hold zero mass, so reading any finite entry there adds exact zeros
