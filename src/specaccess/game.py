@@ -374,12 +374,13 @@ def _tail_length(near: np.ndarray, m: int) -> int:
     block of K = M^L profiles has N K <= SCAN_ROWS user rows and M E <=
     SCAN_PAYOFFS payoffs, E = sum_n M^|C_n & tail| entries; or 1. A complete
     graph has E = N K, so its blocks stay small; a sparse graph's E grows far
-    more slowly than N K, so its blocks grow until N K binds."""
+    more slowly than N K, so its blocks grow until N K binds. With one
+    channel K = 1 whatever L, so L is 1: one user cycles, not all N."""
     n_users = len(near)
     longest = 1  # the largest L, at least 1, with N K <= SCAN_ROWS
-    while longest < n_users and n_users * m ** (longest + 1) <= SCAN_ROWS:
+    while m > 1 and longest < n_users and n_users * m ** (longest + 1) <= SCAN_ROWS:
         longest += 1
-    within = np.cumsum(near[:, ::-1], axis=1)[:, :longest]  # column t-1: |C_n & last t users|
+    within = np.cumsum(near[:, : -longest - 1 : -1], axis=1)  # column t-1: |C_n & last t users|
     # M E grows with t, so the t that fit are 1, 2, ...
     return max(1, int((m * (m ** within).sum(axis=0) <= SCAN_PAYOFFS).sum()))
 
@@ -391,20 +392,22 @@ def _scan(spec: SpectrumGame, cap: int) -> Iterator[_ScanBlock]:
 
     User n's payoffs and NE flag depend only on the channels of C_n = {n} |
     in(n), so within a block they take one value per assignment of C_n's
-    tail members: E = sum_n M^|C_n & tail| entries. A block computes the
+    tail members: E = sum_n M^|C_n & tail| entries, each user's in
+    lexicographic order and the users' in user order. A block computes the
     (M, E) payoffs of those entries channel-major, by one gather from the
     value table, then each entry's own payoff, best payoff and
     strict-improvement flag, and expands the flags to the (N, K) profiles
     through the (N, K) entry index. It carries own per entry;
     own_payoffs expands it through the same index, for the welfare sums of
-    social_welfare_and_poa only. Users whose C_n covers the tail (every user
-    of a complete graph) have K entries each, laid out as (rows, K) after the
-    others; when every user is such a row, the flags' expansion is a
-    reshape. The NE flag is strictly_better of each entry's best payoff over
-    its own, which is is_pure_ne's test of every unilateral move; g comes
-    from the sorted contender tuple (see _grab_table). Blocks carry no
-    deviation witnesses: the no-NE certificate asks is_pure_ne (see
-    social_welfare_and_poa).
+    social_welfare_and_poa only. The head users' key terms and own-payoff
+    offsets reach the entries by one repeat of each user's term over its
+    entry count. When E = N K (every C_n covers the tail, as on a complete
+    graph, or there is one channel), the index is 0 .. E - 1 in order and
+    the flags' expansion is a reshape; otherwise it is a gather. The NE
+    flag is strictly_better of each entry's best payoff over its own, which
+    is is_pure_ne's test of every unilateral move; g comes from the sorted
+    contender tuple (see _grab_table). Blocks carry no deviation witnesses:
+    the no-NE certificate asks is_pure_ne (see social_welfare_and_poa).
 
     The set-up, built once per scan and kept by no game, reads the grab
     table in its stored key order: the (M, size) value table is one repeat
@@ -437,14 +440,11 @@ def _scan(spec: SpectrumGame, cap: int) -> Iterator[_ScanBlock]:
     head = n_users - tail
     k, channels = m ** tail, np.arange(m)
     # user n's entries: one per assignment of its tail members, in
-    # lexicographic order; users whose C_n covers the tail come last
+    # lexicographic order, the users' entries in user order
     local = near[:, head:]
     members = local.sum(axis=1)
-    full = members == tail
-    order = np.concatenate([np.flatnonzero(~full), np.flatnonzero(full)])
     count = m ** members
-    first = np.empty(n_users, dtype=np.intp)
-    first[order] = np.cumsum(count[order]) - count[order]
+    first = np.cumsum(count) - count
     # radix[n, j]: the place of tail user j in user n's entry number, 0 off C_n;
     # below it, row j is the place of tail user j in its own channel
     radix = np.vstack((np.where(local, m ** (np.cumsum(local[:, ::-1], axis=1)[:, ::-1] - local), 0),
@@ -462,7 +462,7 @@ def _scan(spec: SpectrumGame, cap: int) -> Iterator[_ScanBlock]:
         np.add(grown[:, :1], steps[j], out=grown[:, 1:])
         width *= m
     index, cycling = layout[:n_users], layout[n_users:].T                    # cycling (K, L), lexicographic
-    user = np.repeat(order, count[order])
+    user = np.repeat(np.arange(n_users), count)
     e = len(user)
     rank = np.arange(e) - first[user]
     # tail user j's channel at each entry, (L, E): a user with s tail members
@@ -479,21 +479,14 @@ def _scan(spec: SpectrumGame, cap: int) -> Iterator[_ScanBlock]:
     mine = user >= head
     own_at[mine] += e * channel[user[mine] - head, mine]
     # per block, key = tail_key + the head users' terms, and own is read at
-    # own_at + e * (the user's channel when it is in the head): entries before
-    # `compressed` gather the head terms entry by entry, the (rows, K) entries
-    # of the users covering the tail broadcast them over K
+    # own_at + e * (the user's channel when it is in the head), each user's
+    # head term repeated over its entries
     key, at = np.empty((m, e), dtype=np.intp), np.empty(e, dtype=np.intp)
-    compressed = e - int(full.sum()) * k
-    spans = [(slice(0, compressed), user[:compressed], (compressed,)),
-             (slice(compressed, e), np.flatnonzero(full)[:, None], (-1, k))]
-    parts = [(cols, key[:, span].reshape(m, *shape), tail_key[:, span].reshape(m, *shape),
-              at[span].reshape(shape), own_at[span].reshape(shape))
-             for span, cols, shape in spans if span.stop > span.start]
     head_weight = weight[:, :head].T.copy()
     head_channel = np.zeros(n_users, dtype=np.intp)
 
-    def expand(x: np.ndarray) -> np.ndarray:
-        return x.take(index) if compressed else x.reshape(n_users, k)
+    def expand(x: np.ndarray) -> np.ndarray:  # a reshape when every C_n covers the tail
+        return x.reshape(n_users, k) if e == n_users * k else x.take(index)
 
     blocks, scanned = time.perf_counter(), 0
     try:
@@ -501,9 +494,8 @@ def _scan(spec: SpectrumGame, cap: int) -> Iterator[_ScanBlock]:
             fixed = np.array(fixed, dtype=np.intp)
             head_key = (fixed == channels[:, None]) @ head_weight                  # (M, N)
             head_channel[:head] = e * fixed
-            for cols, key_part, tail_part, at_part, own_part in parts:
-                np.add(tail_part, head_key.take(cols, axis=1), out=key_part)
-                np.add(own_part, head_channel.take(cols), out=at_part)
+            np.add(tail_key, np.repeat(head_key, count, axis=1), out=key)
+            np.add(own_at, np.repeat(head_channel, count), out=at)
             payoffs = value_table.take(key)
             own = payoffs.take(at)
             # strictly_better(new, own) is increasing in new (payoffs are

@@ -316,7 +316,6 @@ class LearningOutcome:
     estimates: np.ndarray | None         # periods x N, NaN where skipped
     error_trace: np.ndarray | None       # ||P(T) - P*||_inf when an oracle is given
     delta: float                         # entropy gap at the final strategies
-    periods: int
     skipped_updates: int
 
 
@@ -450,6 +449,5 @@ def run_learning(
         estimates=estimates,
         error_trace=error_trace,
         delta=_entropy_gap(sigma, gamma_eff),
-        periods=periods,
         skipped_updates=skipped,
     )

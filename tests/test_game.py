@@ -469,12 +469,14 @@ def test_scan_edge_cases(n, m, zero_theta):
 
 def test_single_channel_scan_stays_small():
     # one profile: the grab table holds one entry per contender count, not
-    # 2^69 per user, and 70 cycling users exceed numpy's 64 dimensions
+    # 2^69 per user, and one user cycles, not all 70, as K = 1^L never grows
     n = 70
     spec = SpectrumGame.create(complete_undirected_graph(n), [0.5], [[1.0]] * n, sa.WeightedShare((1.0,) * n))
     assert enumerate_pure_ne(spec) == [(1,) * n]
     assert social_welfare_and_poa(spec).poa == 1.0
     assert spec._grab_table[0].size == n * n
+    (block,) = _scan(spec, 10**7)
+    assert block.tail.shape == (1, 1) and block.head.shape == (n - 1,)
 
 
 def test_neighbourhood_caches_grow_with_users_times_in_degree():

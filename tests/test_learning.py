@@ -187,6 +187,32 @@ def test_fixed_point_warns_above_bound():
     assert not res.within_contraction_bound
 
 
+def test_fixed_point_reports_the_budget_it_exhausts():
+    # one plain step from the uniform start gives P = Q(sigma_0), not yet the
+    # fixed point: the result says so, and a second step converges
+    g = sa.InterferenceGraph.undirected(2, [(1, 2)])
+    spec = SpectrumGame.create(g, [0.5, 0.5], [[4.0, 4.0], [4.0, 4.0]], sa.RandomBackoff(8))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # gamma 0.01 is below the contraction bound
+        res = mean_dynamics_fixed_point(spec, 0.01, max_iter=1)
+        done = mean_dynamics_fixed_point(spec, 0.01, max_iter=2)
+    q = q_from_sigma(spec, np.full((2, 2), 0.5))
+    assert (res.converged, res.iterations, res.within_contraction_bound) == (False, 1, True)
+    assert np.array_equal(res.perceptions, q)
+    assert res.residual == float(np.abs(q - 0.5).max()) > 1e-11
+    assert (done.converged, done.iterations) == (True, 2)
+
+
+def test_gap_certificate_rejects_what_is_no_mixed_profile():
+    g = sa.InterferenceGraph.undirected(2, [(1, 2)])
+    spec = SpectrumGame.create(g, [0.5, 0.5], [[4.0, 4.0], [4.0, 4.0]], sa.RandomBackoff(8))
+    for sigma, match in ((np.full((2, 3), 1 / 3), "shaped"),
+                         ([[1.5, -0.5], [0.5, 0.5]], "nonnegative"),
+                         ([[0.6, 0.5], [0.5, 0.5]], "sum to 1")):
+        with pytest.raises(ValueError, match=match):
+            approx_ne_gap(spec, sigma, 1.0)
+
+
 def _nine_user(name):
     cfg = load_config(CONFIGS / name)
     return cfg, cfg.scenario.game, resolved_payoff_scale(cfg)
@@ -467,7 +493,9 @@ def test_seeded_learning_and_fixed_points_keep_their_digest():
     }
     for name, kwargs in runs.items():
         out = run_learning(spec, 4.0 * gamma, 700, np.random.default_rng([9, len(got)]), **kwargs)
-        got[f"learning/{name}"] = _sha256(*(getattr(out, f.name) for f in dataclasses.fields(out)))
+        *values, skipped = (getattr(out, f.name) for f in dataclasses.fields(out))
+        # the pins also hash the period count, once a field of the outcome, before the skips
+        got[f"learning/{name}"] = _sha256(*values, len(out.welfare_trace), skipped)
     assert got == (_X86_V3_LEARNING_DIGESTS if _numpy_build().split(" ")[1] == "X86_V3" else _LEARNING_DIGESTS)
 
 
@@ -520,7 +548,7 @@ def _numpy_period_loop(spec, gamma, periods, rng, *, observer=None, payoff_scale
         per_user_mean=(np.cumsum(realised_rows, axis=0)[-1] + 0.0) / periods, dP_trace=dP_trace,
         channels=channels if record else None, estimates=estimates if record else None,
         error_trace=error_trace, delta=learning._entropy_gap(sigma, gamma / payoff_scale),
-        periods=periods, skipped_updates=skipped,
+        skipped_updates=skipped,
     )
 
 

@@ -449,6 +449,24 @@ def test_dynamic_policy_solves_new_states_in_first_seen_slot_order():
     _assert_periods_match_reference(sc, DynamicStageGamePolicy(restarts=2), 12)
 
 
+def test_stage_solve_without_convergence_keeps_the_first_best_restart():
+    # the triangle has no pure NE, so no restart converges: every restart
+    # runs, and the first of the welfare-tied last profiles wins, from the
+    # second restart's (1, 2, 1) on
+    game = load_config(CONFIGS / "triangle_no_ne.json").scenario.game
+    rng = np.random.default_rng(3)
+    assert _solve_stage(game, (1, 1), rng, DynamicStageGamePolicy(restarts=4, max_rounds=25)) == (2, 1, 2)
+    ends = []
+    replay = np.random.default_rng(3)
+    for _ in range(4):
+        start = tuple(int(c) for c in replay.integers(1, 3, size=3))
+        res = sa.better_response_dynamics(game, start, max_rounds=25)
+        assert not res.converged
+        ends.append((sa.welfare(game, res.profile), res.profile))
+    assert ends[1] == (1.25, (1, 2, 1)) and {w for w, _ in ends} == {1.25}
+    assert rng.integers(1 << 62) == replay.integers(1 << 62)  # all four restarts drew their starts
+
+
 # sha256 of each rollout's welfare trace and per-user means (and, for
 # learning, final perceptions and skip count). The fixed-rate pins were
 # recorded with the per-period engine that the block engine replaced, which
