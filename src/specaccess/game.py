@@ -485,7 +485,7 @@ def _scan(spec: SpectrumGame, cap: int) -> Iterator[_ScanBlock]:
     head_weight = weight[:, :head].T.copy()
     head_channel = np.zeros(n_users, dtype=np.intp)
 
-    def expand(x: np.ndarray) -> np.ndarray:  # a reshape when every C_n covers the tail
+    def expand(x: np.ndarray) -> np.ndarray:  # when E = N K, the index is 0 .. E - 1 in order
         return x.reshape(n_users, k) if e == n_users * k else x.take(index)
 
     blocks, scanned = time.perf_counter(), 0
