@@ -319,17 +319,19 @@ def enumerate_pure_ne(spec: SpectrumGame, cap: int = ENUMERATION_CAP) -> list[Pr
 
     Scans the M^N profiles in blocks that evaluate each user once per
     assignment of its in-neighbourhood's cycling users (see _scan), at about
-    32-75 million profiles per second on sparse graphs and 2.4-6 million on
-    complete ones, on one core of a 2-core Xeon VM (10^6-profile games at
+    32-75 million profiles per second on sparse graphs and 2.5-5.5 million
+    on complete ones, on one core of a 2-core Xeon VM (10^6-profile games at
     10 users x 4 channels and 20 x 2; 30% of ordered pairs are edges in the
     sparse ones). It reads only the blocks' NE flags, never their own
     payoffs expanded to (N, K). Memory is a few arrays of at most SCAN_ROWS
     (N K) or SCAN_PAYOFFS (M E) values per block, and set-up temporaries of
-    L M E values, about 0.7 MB at peak at 16 users x 2 channels and 1.7 MB
-    on a complete 20 x 2 graph, plus the game's grab table of sum_n
-    2^|in(n)| floats (|in(n)| + 1 under the backoff mechanisms or with one
-    channel), built once and kept with the game, and the scan's M
-    value-weighted copies of it.
+    L M E values, about 0.7 MB at peak at 16 users x 2 channels and 1.6 MB
+    on a complete 20 x 2 graph, plus the scan's dense (N, N) key weights,
+    which matter only with one channel, where the enumeration cap admits any
+    N (one user cycles there, so a block is one profile), the game's grab
+    table of sum_n 2^|in(n)| floats (|in(n)| + 1 under the backoff
+    mechanisms or with one channel), built once and kept with the game, and
+    the scan's M value-weighted copies of it.
     """
     return list(_pure_ne(spec, cap))
 
@@ -611,7 +613,7 @@ def social_welfare_and_poa(spec: SpectrumGame, cap: int = ENUMERATION_CAP) -> Po
 
     One scan as in enumerate_pure_ne (lexicographic order, the same blocks
     and memory bound), at about 19-41 million profiles per second on the
-    same sparse games and 2.5-5.7 million on the complete ones, as it also
+    same sparse games and 2.3-5.3 million on the complete ones, as it also
     expands each block's own payoffs through its index (own_payoffs) and
     sums welfare; the first profile wins welfare ties, for the optimum and
     the worst NE alike, and both welfares are those sums, as Python floats.

@@ -203,16 +203,6 @@ def test_fixed_point_reports_the_budget_it_exhausts():
     assert (done.converged, done.iterations) == (True, 2)
 
 
-def test_gap_certificate_rejects_what_is_no_mixed_profile():
-    g = sa.InterferenceGraph.undirected(2, [(1, 2)])
-    spec = SpectrumGame.create(g, [0.5, 0.5], [[4.0, 4.0], [4.0, 4.0]], sa.RandomBackoff(8))
-    for sigma, match in ((np.full((2, 3), 1 / 3), "shaped"),
-                         ([[1.5, -0.5], [0.5, 0.5]], "nonnegative"),
-                         ([[0.6, 0.5], [0.5, 0.5]], "sum to 1")):
-        with pytest.raises(ValueError, match=match):
-            approx_ne_gap(spec, sigma, 1.0)
-
-
 def _nine_user(name):
     cfg = load_config(CONFIGS / name)
     return cfg, cfg.scenario.game, resolved_payoff_scale(cfg)
@@ -723,6 +713,10 @@ def test_invalid_temperature_or_start_raises_before_any_work():
     for gamma in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="temperature"):
             approx_ne_gap(spec, np.array([[0.5, 0.5]]), gamma)
+    # and the certificate's mixed profile: a wrong shape, a negative entry, a row summing to 1.1
+    for sigma, match in ((np.full((1, 3), 1 / 3), "shaped"), ([[1.5, -0.5]], "nonnegative"), ([[0.6, 0.5]], "sum to 1")):
+        with pytest.raises(ValueError, match=match):
+            approx_ne_gap(spec, sigma, 1.0)
     assert calls == []
     # the fixed point's own stopping rule, checked before the warning at a temperature above the bound
     spec = SpectrumGame.create(sa.InterferenceGraph.undirected(2, [(1, 2)]), [0.5, 0.5],
